@@ -94,7 +94,7 @@ class _RunWriter:
     """Writes artifacts under one directory and finishes with a manifest."""
 
     def __init__(self, out_dir: str, command: str, seed, workers: int,
-                 config_hash: str | None):
+                 config_hash: str | None, t0: float):
         self.dir = Path(out_dir)
         self.dir.mkdir(parents=True, exist_ok=True)
         self.command = command
@@ -102,7 +102,7 @@ class _RunWriter:
         self.workers = workers
         self.config_hash = config_hash
         self.names: list[str] = []
-        self.t0 = time.monotonic()
+        self.t0 = t0
 
     def _write(self, name: str, data: bytes) -> None:
         (self.dir / name).write_bytes(data)
@@ -151,7 +151,7 @@ def _emit(args, command: str, payload: dict, tables: dict, summary_text: str,
     if args.out is None:
         return
     writer = _RunWriter(args.out, command, getattr(args, "seed", None),
-                        getattr(args, "workers", 1), config_hash)
+                        getattr(args, "workers", 1), config_hash, args.t0)
     try:
         writer.add_json("result.json", payload)
         for name, (header, rows) in tables.items():
@@ -481,11 +481,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    t0 = time.monotonic()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
+    args.t0 = t0  # the manifest's wall clock covers the whole command
     try:
         if args.command == "verify":
             return _cmd_verify(args)

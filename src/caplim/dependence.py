@@ -28,9 +28,8 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy import special
 
-from .measures import MeasureFamily, ProductMeasure, philox_stream, uniform_block
+from .measures import MeasureFamily, ProductMeasure, normal_scores, philox_stream, uniform_block
 from .sublinear import TestFunction, marginal_expectation, smooth_indicator
 
 __all__ = [
@@ -135,9 +134,6 @@ def correlate_pairs(z: np.ndarray, rho: float) -> np.ndarray:
     return out
 
 
-_U_FLOOR = 1e-300
-
-
 @dataclass
 class SequenceSampler:
     """Seeded sampler of coordinate blocks under a dependence spec.
@@ -185,16 +181,12 @@ class SequenceSampler:
                 raise ValueError("pass the measure to draw under for a non-singleton family")
             measure = self.family.measures()[0][1]
 
+        u = uniform_block(self.seed, n, m, context=ctx)
         if mode == "per_measure_independent":
-            u = uniform_block(self.seed, n, m, context=ctx)
-            out = np.empty_like(u)
-            for i in range(n):
-                out[i] = measure.marginal(i).ppf(u[i])
-            return out
+            return measure.ppf(u)
 
         # gaussian_copula
-        u = uniform_block(self.seed, n, m, context=ctx)
-        z = special.ndtri(np.clip(u, _U_FLOOR, 1.0 - 1e-16))
+        z = normal_scores(u)
         if self._chol is not None:
             if n != self._chol.shape[0]:
                 raise ValueError("sequence length must match the correlation matrix size")
@@ -203,12 +195,7 @@ class SequenceSampler:
             z = correlate_pairs(z, float(self.spec.correlation))
         out = np.empty_like(z)
         for i in range(n):
-            marg = measure.marginal(i)
-            if marg.kind == "normal":
-                mean, var = marg.params
-                out[i] = mean + math.sqrt(var) * z[i]
-            else:
-                out[i] = marg.ppf(special.ndtr(z[i]))
+            out[i] = measure.marginal(i).from_normal_score(z[i])
         return out
 
 

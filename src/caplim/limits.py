@@ -23,7 +23,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtr
 
 from .bounds import (
     BoundInputs,
@@ -38,7 +38,7 @@ from .bounds import (
     split_moment_bound,
 )
 from .dependence import DependenceSpec, correlate_pairs
-from .measures import Marginal, MeasureFamily, ProductMeasure, philox_stream
+from .measures import Marginal, MeasureFamily, ProductMeasure, normal_scores, philox_stream
 from .sublinear import SublinearEngine, TestFunction
 
 __all__ = [
@@ -121,6 +121,8 @@ class ExperimentConfig:
             raise ValueError("trajectories must be at least 1")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
+        if not 0 <= self.seed < 1 << 64:
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
         if self.burn_in < 1:
             raise ValueError("burn_in must be at least 1")
         if self.mode in ("slln", "lil") and self.burn_in > self.horizon:
@@ -266,17 +268,6 @@ def _indexed_map(fn, items, workers: int) -> list:
     return [fn(item) for item in items]
 
 
-def _column_streams(seed: int, context: int, columns) -> list:
-    return [philox_stream(seed, context, int(j)) for j in columns]
-
-
-def _draw_uniform(streams, rows: int) -> np.ndarray:
-    out = np.empty((rows, len(streams)))
-    for j, stream in enumerate(streams):
-        out[:, j] = stream.random(rows)
-    return out
-
-
 def _transform_chunk(
     u: np.ndarray, marginal: Marginal, dependence: DependenceSpec
 ) -> np.ndarray:
@@ -289,12 +280,8 @@ def _transform_chunk(
     if dependence.mode == "per_measure_independent":
         return marginal.ppf(u)
     if dependence.mode == "gaussian_copula":
-        z = ndtri(np.clip(u, 1e-300, 1.0 - 1e-16))
-        z = correlate_pairs(z, dependence.correlation)
-        if marginal.kind == "normal":
-            mean, var = marginal.params
-            return mean + math.sqrt(var) * z
-        return marginal.ppf(ndtr(z))
+        z = correlate_pairs(normal_scores(u), dependence.correlation)
+        return marginal.from_normal_score(z)
     raise ValueError(
         "joint-table dependence describes a fixed short block and cannot "
         "drive a long trajectory; use an independent or copula spec"
@@ -406,6 +393,35 @@ def _rows_per_chunk(columns: int) -> int:
     return rows - (rows % 2)
 
 
+def _uniform_chunks(seed: int, context: int, columns, horizon: int):
+    """Uniforms for the trajectories in ``columns``, in chunks of rows.
+
+    Yields ``(start, stop, u)`` where ``u`` holds rows ``start..stop-1``
+    and column j continues stream ``(seed, context, columns[j])`` from the
+    previous chunk.
+    """
+    streams = [philox_stream(seed, context, int(j)) for j in columns]
+    for start, stop in _chunk_ranges(horizon, _rows_per_chunk(len(streams))):
+        u = np.empty((stop - start, len(streams)))
+        for j, stream in enumerate(streams):
+            u[:, j] = stream.random(stop - start)
+        yield start, stop, u
+
+
+def _partial_sums(config: ExperimentConfig, context: int, columns, marginal: Marginal):
+    """Partial sums of the trajectories in ``columns`` under ``marginal``.
+
+    Yields ``(start, stop, s)`` where row r of ``s`` holds ``S_{start+r+1}``
+    for each trajectory, over the whole horizon.
+    """
+    carry = np.zeros(len(columns))
+    for start, stop, u in _uniform_chunks(config.seed, context, columns, config.horizon):
+        x = _transform_chunk(u, marginal, config.dependence)
+        s = carry + np.cumsum(x, axis=0)
+        carry = s[-1].copy()
+        yield start, stop, s
+
+
 # ---------------------------------------------------------------------------
 # Weak law: capacity of the running-mean band along a schedule.
 
@@ -477,11 +493,8 @@ def run_wlln(config: ExperimentConfig) -> ExperimentResult:
             ses = {key: np.zeros(len(marginals)) for key in probs}
             return n, probs, ses
         m_traj = config.trajectories
-        streams = _column_streams(config.seed, _CTX_WLLN + idx, range(m_traj))
         sums = np.zeros((len(marginals), m_traj))
-        for start, stop in _chunk_ranges(n, _rows_per_chunk(m_traj)):
-            rows = stop - start
-            u = _draw_uniform(streams, rows)
+        for _, _, u in _uniform_chunks(config.seed, _CTX_WLLN + idx, range(m_traj), n):
             for k, marg in enumerate(marginals):
                 x = _transform_chunk(u, marg, config.dependence)
                 sums[k] += x.sum(axis=0)
@@ -581,16 +594,9 @@ def run_slln(config: ExperimentConfig) -> ExperimentResult:
     def run_batch(item):
         m_idx, (label, theta), cols = item
         marginal = family.measure_at(theta).marginal(0)
-        streams = _column_streams(config.seed, _CTX_SLLN + m_idx, cols)
-        carry = np.zeros(len(cols))
         max_ratio = np.full(len(cols), -np.inf)
         min_ratio = np.full(len(cols), np.inf)
-        for start, stop in _chunk_ranges(horizon, _rows_per_chunk(len(cols))):
-            rows = stop - start
-            u = _draw_uniform(streams, rows)
-            x = _transform_chunk(u, marginal, config.dependence)
-            s = carry + np.cumsum(x, axis=0)
-            carry = s[-1].copy()
+        for start, stop, s in _partial_sums(config, _CTX_SLLN + m_idx, cols, marginal):
             k = np.arange(start + 1, stop + 1, dtype=float)[:, None]
             if stop > n0:
                 cut = max(n0 - start - 1, 0)
@@ -800,15 +806,9 @@ def run_lil(config: ExperimentConfig) -> ExperimentResult:
     def run_batch(item):
         m_idx, (label, theta), cols = item
         marginal = family.measure_at(theta).marginal(0)
-        streams = _column_streams(config.seed, _CTX_LIL + m_idx, cols)
-        carry = np.zeros(len(cols))
         r_up = np.full(len(cols), -np.inf)
         r_low = np.full(len(cols), np.inf)
-        for start, stop in _chunk_ranges(config.horizon, _rows_per_chunk(len(cols))):
-            u = _draw_uniform(streams, stop - start)
-            x = _transform_chunk(u, marginal, config.dependence)
-            s = carry + np.cumsum(x, axis=0)
-            carry = s[-1].copy()
+        for start, stop, s in _partial_sums(config, _CTX_LIL + m_idx, cols, marginal):
             mask = (checkpoints > start) & (checkpoints <= stop)
             if mask.any():
                 cps = checkpoints[mask]
@@ -902,14 +902,8 @@ def run_necessity(config: ExperimentConfig) -> ExperimentResult:
     tail = engine.choquet(TestFunction.abs_power(1.0), capacity="upper")
 
     def run_batch(cols):
-        streams = _column_streams(config.seed, _CTX_NECESSITY, cols)
-        carry = np.zeros(len(cols))
         peak = np.zeros(len(cols))
-        for start, stop in _chunk_ranges(config.horizon, _rows_per_chunk(len(cols))):
-            u = _draw_uniform(streams, stop - start)
-            x = _transform_chunk(u, marginal, config.dependence)
-            s = carry + np.cumsum(x, axis=0)
-            carry = s[-1].copy()
+        for start, stop, s in _partial_sums(config, _CTX_NECESSITY, cols, marginal):
             k = np.arange(start + 1, stop + 1, dtype=float)[:, None]
             peak = np.maximum(peak, np.abs(s / k).max(axis=0))
         return [(col, float(p)) for col, p in zip(cols, peak)]
@@ -1101,10 +1095,8 @@ def run_bound_check(config: ExperimentConfig) -> ExperimentResult:
         def tail_stats(item):
             k, marginal = item
             m_traj = config.trajectories
-            streams = _column_streams(config.seed, _CTX_BOUNDS + k, range(m_traj))
             sums = np.zeros(m_traj)
-            for start, stop in _chunk_ranges(n, _rows_per_chunk(m_traj)):
-                u = _draw_uniform(streams, stop - start)
+            for _, _, u in _uniform_chunks(config.seed, _CTX_BOUNDS + k, range(m_traj), n):
                 x = _transform_chunk(u, marginal, config.dependence)
                 sums += x.sum(axis=0)
             f = np.array([(sums >= x).mean() for x in x_grid])

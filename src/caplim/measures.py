@@ -21,24 +21,15 @@ import numpy as np
 from scipy import integrate, special
 
 __all__ = [
-    "DEFAULT_SAMPLE_BUDGET",
     "Marginal",
     "MeasureFamily",
     "MomentValue",
     "ProductMeasure",
-    "SampleBlock",
-    "enumerate_family",
     "moment",
+    "normal_scores",
     "philox_stream",
-    "sample",
     "uniform_block",
 ]
-
-# Largest n*m block sample() will materialize at once (float64 entries).
-DEFAULT_SAMPLE_BUDGET = 1 << 27
-
-_MASK64 = (1 << 64) - 1
-_MASK32 = (1 << 32) - 1
 
 # Floor for uniforms fed to inverse-cdf transforms; rng.random() can emit 0.0.
 _U_FLOOR = 1e-300
@@ -47,8 +38,18 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 def philox_stream(seed: int, context: int = 0, column: int = 0) -> np.random.Generator:
-    """Independent counter-based stream for one (seed, context, column) cell."""
-    key = ((seed & _MASK64) << 64) | ((context & _MASK32) << 32) | (column & _MASK32)
+    """Independent counter-based stream for one (seed, context, column) cell.
+
+    The three keys share one 128-bit Philox key, so each must fit its field:
+    the seed in [0, 2**64), the context and the column in [0, 2**32).
+    """
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    if not (0 <= context < 1 << 32 and 0 <= column < 1 << 32):
+        raise ValueError(
+            f"stream context and column must lie in [0, 2**32), got {context} and {column}"
+        )
+    key = (seed << 64) | (context << 32) | column
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -58,6 +59,11 @@ def uniform_block(seed: int, n: int, m: int, context: int = 0) -> np.ndarray:
     for j in range(m):
         out[:, j] = philox_stream(seed, context, j).random(n)
     return out
+
+
+def normal_scores(u: np.ndarray) -> np.ndarray:
+    """Standard normal quantiles of uniforms, clipped away from 0 and 1."""
+    return special.ndtri(np.clip(u, _U_FLOOR, 1.0 - 1e-16))
 
 
 def _double_factorial_odd(j: int) -> float:
@@ -366,6 +372,13 @@ class Marginal:
         idx = np.minimum(np.searchsorted(cum, u, side="left"), len(vals) - 1)
         return vals[idx]
 
+    def from_normal_score(self, z):
+        """Draws with standard normal scores ``z``: ``ppf(ndtr(z))``, exact for normals."""
+        if self.kind == "normal":
+            mean, var = self.params
+            return mean + math.sqrt(var) * z
+        return self.ppf(special.ndtr(z))
+
     # -- expectations of general integrands ----------------------------------
 
     def expect(self, f: Callable[[np.ndarray], np.ndarray], breakpoints: Sequence[float] = (),
@@ -421,6 +434,13 @@ class ProductMeasure:
 
     def all_discrete(self, arity: int) -> bool:
         return all(self.marginal(i).is_discrete for i in range(arity))
+
+    def ppf(self, u: np.ndarray) -> np.ndarray:
+        """Push row i of an (n, m) uniform block through ``marginal(i)``."""
+        out = np.empty_like(u)
+        for i in range(u.shape[0]):
+            out[i] = self.marginal(i).ppf(u[i])
+        return out
 
 
 @dataclass(frozen=True)
@@ -494,33 +514,3 @@ class MeasureFamily:
             name=name,
         )
 
-
-def enumerate_family(family: MeasureFamily) -> list[tuple[object, ProductMeasure]]:
-    """All (parameter, measure) pairs on the family grid, row-major."""
-    return family.measures()
-
-
-@dataclass(frozen=True)
-class SampleBlock:
-    """A seeded (n, m) block of draws with its provenance."""
-
-    values: np.ndarray
-    seed: int
-    context: int
-    parameter: object = None
-
-
-def sample(measure: ProductMeasure, n: int, m: int, seed: int, *, context: int = 0,
-           budget: int = DEFAULT_SAMPLE_BUDGET) -> SampleBlock:
-    """(n, m) block: coordinate i in the rows, independent replication j in the
-    columns. Column j is transformed from uniforms of stream (seed, context, j).
-    """
-    if n < 1 or m < 1:
-        raise ValueError("block dimensions must be positive")
-    if n * m > budget:
-        raise ValueError(f"block of {n}x{m} entries exceeds the sample budget {budget}")
-    u = uniform_block(seed, n, m, context)
-    out = np.empty_like(u)
-    for i in range(n):
-        out[i, :] = measure.marginal(i).ppf(u[i, :])
-    return SampleBlock(values=out, seed=seed, context=context)

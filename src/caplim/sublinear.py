@@ -476,9 +476,6 @@ class SublinearEngine:
 
     # -- exact per-measure expectation ------------------------------------------
 
-    def _marginal_expectation(self, marginal: Marginal, f: TestFunction) -> float | None:
-        return marginal_expectation(marginal, f)
-
     def _exact_expectation(self, measure: ProductMeasure, f: TestFunction) -> tuple[float, str] | None:
         if f.closed_form is not None and f.arity == 1:
             v = _closed_moment(measure.marginal(0), f.closed_form)
@@ -487,13 +484,13 @@ class SublinearEngine:
         if f.factors is not None:
             total = 1.0
             for j, factor in enumerate(f.factors):
-                v = self._marginal_expectation(measure.marginal(j), factor)
+                v = marginal_expectation(measure.marginal(j), factor)
                 if v is None:
                     return None
                 total *= v
             return total, "closed_form"
         if f.arity == 1:
-            v = self._marginal_expectation(measure.marginal(0), f)
+            v = marginal_expectation(measure.marginal(0), f)
             return None if v is None else (v, "quadrature")
         if measure.all_discrete(f.arity):
             size = 1
@@ -517,13 +514,7 @@ class SublinearEngine:
         """One (arity, m) sample per measure, all from the same uniform block."""
         m = self.mc_replications
         u = uniform_block(self.seed, arity, m, context=self._next_context())
-        out = []
-        for _, mu in pairs:
-            x = np.empty_like(u)
-            for i in range(arity):
-                x[i] = mu.marginal(i).ppf(u[i])
-            out.append(x)
-        return out
+        return [mu.ppf(u) for _, mu in pairs]
 
     def _mc_family_stats(self, f: TestFunction, pairs) -> tuple[np.ndarray, np.ndarray]:
         means = []
@@ -636,16 +627,9 @@ class SublinearEngine:
 
     # -- capacities ------------------------------------------------------------------
 
-    def upper_capacity(self, indicator: TestFunction) -> EvaluationReport:
-        """sup over the family of the event probability."""
-        return self._expectation_report(indicator, "max")
-
-    def lower_capacity(self, indicator: TestFunction) -> EvaluationReport:
-        """inf over the family of the event probability."""
-        return self._expectation_report(indicator, "min")
-
     def capacity_pair(self, indicator: TestFunction) -> CapacityPair:
-        return CapacityPair(upper=self.upper_capacity(indicator), lower=self.lower_capacity(indicator))
+        """Upper and lower capacity of an event: the envelopes of its indicator."""
+        return CapacityPair(upper=self.upper_exp(indicator), lower=self.lower_exp(indicator))
 
     def capacity_bracket(self, indicator: TestFunction, inner: TestFunction,
                          outer: TestFunction) -> dict:
@@ -653,7 +637,7 @@ class SublinearEngine:
         functions dominated by / dominating the indicator."""
         return {
             "inner": self.upper_exp(inner),
-            "capacity": self.upper_capacity(indicator),
+            "capacity": self.upper_exp(indicator),
             "outer": self.upper_exp(outer),
         }
 
@@ -661,50 +645,17 @@ class SublinearEngine:
 
     def sup_marginal_moment(self, k: float, kind: str = "raw", coordinate: int = 0,
                             sense: str = "max") -> tuple[float, object]:
-        """Envelope of a single-coordinate moment over the family grid, then a
-        golden-section pass along each continuous axis."""
-        getter = {
-            "raw": lambda m: m.raw_moment(k),
-            "abs": lambda m: m.abs_moment(k),
-            "pos": lambda m: m.pos_part_moment(k),
-        }[kind]
-
-        def at(theta) -> float:
-            return getter(self.family.measure_at(theta).marginal(coordinate))
-
-        pairs = self.family.grid_parameters()
-        vals = np.array([at(t) for t in pairs], dtype=float)
-        pick = np.argmax if sense == "max" else np.argmin
-        idx = int(pick(vals))
-        best_v, best_t = float(vals[idx]), pairs[idx]
-        if self.family.is_singleton or not math.isfinite(best_v):
-            return best_v, best_t
-
-        sign = 1.0 if sense == "max" else -1.0
-        axes = self.family.axes()
-        dim = self.family.dim
-        pos = self._grid_index(idx)
-        theta = [float(axes[a][pos[a]]) for a in range(dim)]
-        for a in range(dim):
-            ax = axes[a]
-            if len(ax) < 2:
-                continue
-            lo = float(ax[max(pos[a] - 1, 0)])
-            hi = float(ax[min(pos[a] + 1, len(ax) - 1)])
-            if lo == hi:
-                continue
-
-            def g(t, axis=a):
-                trial = list(theta)
-                trial[axis] = t
-                return sign * at(trial[0] if dim == 1 else tuple(trial))
-
-            x_star, v_star = _golden_max(g, lo, hi)
-            if v_star > sign * best_v:
-                theta[a] = x_star
-                best_v = sign * v_star
-                best_t = theta[0] if dim == 1 else tuple(theta)
-        return best_v, best_t
+        """Envelope of a single-coordinate moment over the family, refined like
+        every other envelope; returns the value and the parameter attaining it."""
+        f = {
+            "raw": TestFunction.power,
+            "abs": TestFunction.abs_power,
+            "pos": TestFunction.pos_power,
+        }[kind](k)
+        if coordinate > 0:
+            f = TestFunction.prod([TestFunction.const(1.0)] * coordinate + [f])
+        report = self._expectation_report(f, sense)
+        return report.value, report.parameter
 
     # -- Choquet integrals ------------------------------------------------------------
 
@@ -1010,7 +961,8 @@ def run_axiom_suite(n_cases: int = 120, seed: int = 2026, mc_every: int = 10,
             family,
             mc_replications=mc_replications,
             refinement=False,
-            seed=seed * 1_000_003 + case,
+            # stream seeds must fit in 64 bits
+            seed=(seed * 1_000_003 + case) % (1 << 64),
             fixed_context=0,
         )
 
@@ -1036,12 +988,12 @@ def run_axiom_suite(n_cases: int = 120, seed: int = 2026, mc_every: int = 10,
         r_c = engine.upper_exp(TestFunction.const(c0, arity))
         r_low = engine.lower_exp(f)
         r_neg = engine.upper_exp(f.negated())
-        ca = engine.upper_capacity(event_a)
-        cb = engine.upper_capacity(event_b)
-        cu = engine.upper_capacity(union)
-        la = engine.lower_capacity(event_a)
-        lu = engine.lower_capacity(union)
-        ca_comp = engine.upper_capacity(comp_a)
+        ca = engine.upper_exp(event_a)
+        cb = engine.upper_exp(event_b)
+        cu = engine.upper_exp(union)
+        la = engine.lower_exp(event_a)
+        lu = engine.lower_exp(union)
+        ca_comp = engine.upper_exp(comp_a)
 
         thr = float(rng.uniform(-1.0, 1.0))
         ramp_event = TestFunction.indicator_halfspace(np.eye(arity)[0], thr)
@@ -1049,7 +1001,7 @@ def run_axiom_suite(n_cases: int = 120, seed: int = 2026, mc_every: int = 10,
         outer = _lift_first_coordinate(smooth_indicator(thr, 0.3, "outer"), arity)
         r_inner = engine.upper_exp(inner)
         r_outer = engine.upper_exp(outer)
-        c_ramp = engine.upper_capacity(ramp_event)
+        c_ramp = engine.upper_exp(ramp_event)
 
         def tol(*reports: EvaluationReport) -> float:
             pooled = math.sqrt(sum((r.se or 0.0) ** 2 for r in reports))

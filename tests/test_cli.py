@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import time
 from pathlib import Path
 
 import pytest
@@ -164,6 +165,27 @@ class TestCommandLine:
         # canonical JSON: sorted keys, so a re-dump reproduces the bytes
         redumped = json.dumps(result, sort_keys=True, indent=2)
         assert redumped == (out1 / "result.json").read_text().rstrip("\n")
+
+    def test_manifest_wall_clock_covers_the_command(self, tmp_path, capsys):
+        path = tmp_path / "slln.yaml"
+        path.write_text(MINIMAL + (
+            "experiment:\n"
+            "  mode: slln\n"
+            "  horizon: 100000\n"
+            "  trajectories: 32\n"
+            "  burn_in: 100\n"
+        ))
+        t0 = time.perf_counter()
+        assert main(["experiment", "slln", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) in (0, 2)
+        wall = time.perf_counter() - t0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["wall_clock_seconds"] >= 0.5 * wall
+
+    def test_out_of_range_seed_exits_one(self, capsys):
+        cfg = str(CONFIG_DIR / "wlln_normal_band.yaml")
+        assert main(["experiment", "wlln", "--config", cfg, "--seed", "-1"]) == 1
+        assert "seed" in capsys.readouterr().err
 
     def test_choquet_reports_the_heaviest_scale(self, capsys):
         rc = main(["choquet", "--config", str(GOLDEN)])

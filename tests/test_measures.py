@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from caplim import Marginal, MeasureFamily, ProductMeasure
-from caplim.measures import philox_stream, sample, uniform_block
+from caplim.measures import philox_stream, uniform_block
 
 from conftest import make_location_family
 
@@ -223,17 +223,20 @@ def test_uniform_block_shape_and_determinism():
     np.testing.assert_array_equal(u, uniform_block(2026, 3, 100, context=5))
 
 
+def test_philox_stream_rejects_out_of_range_keys():
+    for key in ({"seed": -1}, {"seed": 1 << 64}, {"seed": 1, "context": -1},
+                {"seed": 1, "context": 1 << 32}, {"seed": 1, "column": 1 << 32}):
+        with pytest.raises(ValueError):
+            philox_stream(**key)
+    philox_stream((1 << 64) - 1, (1 << 32) - 1, (1 << 32) - 1)
+
+
 def test_sample_pushes_through_marginals():
     mu = ProductMeasure((Marginal.uniform(2.0, 3.0), Marginal.bernoulli(1.0)),
                         stationary=False)
-    block = sample(mu, 2, 50, 2026, context=1)
-    assert block.values.shape == (2, 50)
-    assert np.all((block.values[0] >= 2.0) & (block.values[0] <= 3.0))
-    assert np.all(block.values[1] == 1.0)
-    assert (block.seed, block.context) == (2026, 1)
-
-
-def test_sample_budget_enforced():
-    mu = ProductMeasure((Marginal.uniform(0.0, 1.0),), stationary=True)
-    with pytest.raises(ValueError):
-        sample(mu, 2, 100, 2026, budget=150)
+    u = uniform_block(2026, 2, 50, context=1)
+    values = mu.ppf(u)
+    assert values.shape == (2, 50)
+    assert np.all((values[0] >= 2.0) & (values[0] <= 3.0))
+    assert np.all(values[1] == 1.0)
+    np.testing.assert_array_equal(values[0], mu.marginal(0).ppf(u[0]))

@@ -193,7 +193,7 @@ def test_capacity_conjugacy():
     assert pair.lower.value == pytest.approx(0.3, abs=1e-12)
     complement = TestFunction.indicator_complement(event)
     assert pair.lower.value == pytest.approx(
-        1.0 - engine.upper_capacity(complement).value, abs=1e-12
+        1.0 - engine.upper_exp(complement).value, abs=1e-12
     )
 
 
