@@ -18,7 +18,7 @@ pinned values together with a human-readable derivation trail.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -356,32 +356,16 @@ def moricz_maximal_bound_text_form(inputs: BoundInputs, max_pos_choquet: float,
 # is the moment aggregate they accept and the empirical capacity they are
 # compared against downstream.
 
-
-def conjugate_exponential_bound(inputs: BoundInputs, x):
-    """Exponential term of the lower-capacity tail inequality (same closed form)."""
-    return kolmogorov_exponential_bound(inputs, x)
+conjugate_exponential_bound = kolmogorov_exponential_bound
+conjugate_chebyshev_bound = chebyshev_bound
 
 
 def conjugate_split_bound(inputs: BoundInputs, x, constants: DerivedConstants | None = None,
                           form: str = "pre"):
     """Split bound against the lower capacity; uses absolute p-th moments."""
     inputs.require("order", "abs_moment_sum")
-    surrogate = BoundInputs(
-        n=inputs.n,
-        variance_sum=inputs.variance_sum,
-        K=inputs.K,
-        order=inputs.order,
-        pos_moment_sum=inputs.abs_moment_sum,
-        truncation=inputs.truncation,
-        split=inputs.split,
-        tail_power=inputs.tail_power,
-    )
+    surrogate = replace(inputs, pos_moment_sum=inputs.abs_moment_sum)
     return split_moment_bound(surrogate, x, constants=constants, form=form)
-
-
-def conjugate_chebyshev_bound(inputs: BoundInputs, x):
-    """Second-moment bound against the lower capacity (same closed form)."""
-    return chebyshev_bound(inputs, x)
 
 
 # -- formula dispatcher ------------------------------------------------------------------

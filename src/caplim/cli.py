@@ -27,6 +27,7 @@ import math
 import platform
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -270,19 +271,10 @@ def _cmd_bounds(args) -> int:
     options = dict(bundle.bounds_options) if bundle else {}
     inputs_map = dict(options.get("inputs", {}))
 
-    for key, flag in (
-        ("n", args.n),
-        ("variance_sum", args.variance_sum),
-        ("K", args.K),
-        ("order", args.order),
-        ("pos_moment_sum", args.pos_moment_sum),
-        ("abs_moment_sum", args.abs_moment_sum),
-        ("truncation", args.truncation),
-        ("split", args.split),
-        ("tail_power", args.tail_power),
-    ):
+    for f in fields(BoundInputs):
+        flag = getattr(args, f.name)
         if flag is not None:
-            inputs_map[key] = flag
+            inputs_map[f.name] = flag
 
     formula = args.formula or options.get("formula")
     if formula is None:

@@ -14,12 +14,13 @@ reproduces the canonical text exactly.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import yaml
 
+from .bounds import BoundInputs
 from .dependence import DependenceSpec
-from .limits import ExperimentConfig, _MODES
+from .limits import ExperimentConfig, _MODES, _UNHASHED
 from .measures import Marginal, MeasureFamily, ProductMeasure
 
 __all__ = [
@@ -375,37 +376,98 @@ def _build_dependence(ctx: _Context, section: dict, path: str = "dependence"):
         raise ctx.fail(path, str(exc)) from None
 
 
-_ENGINE_KEYS = ("mc_replications", "refinement", "tolerance", "enumeration_cap")
+# ---------------------------------------------------------------------------
+# Option sections. Each section is a table of readers, one per key; the
+# experiment and bound-input tables are built from their dataclass fields.
 
-_EXPERIMENT_NUMBER_KEYS = (
-    "epsilon",
-    "wlln_target",
-    "checkpoint_growth",
-    "lil_epsilon",
-    "lil_quantile",
-    "block_growth",
-    "cluster_grid_step",
-    "cluster_tolerance",
-    "cluster_advance_tolerance",
-    "cluster_coverage_target",
-    "divergence_threshold",
-    "divergence_quantile",
-    "bound_delta",
-)
-_EXPERIMENT_INT_KEYS = (
-    "horizon",
-    "trajectories",
-    "seed",
-    "burn_in",
-    "block_start",
-    "bound_order",
-    "x_grid_points",
-)
-_EXPERIMENT_KEYS = (
-    ("mode", "schedule", "x_grid_range")
-    + _EXPERIMENT_NUMBER_KEYS
-    + _EXPERIMENT_INT_KEYS
-)
+
+def _read_section(ctx: _Context, section, path: str, readers: dict) -> dict:
+    """Check ``section`` against ``readers`` and read every key it holds."""
+    _require_mapping(ctx, section, path)
+    _check_keys(ctx, section, path, allowed=readers)
+    return {
+        key: read(ctx, section[key], f"{path}.{key}")
+        for key, read in readers.items()
+        if key in section
+    }
+
+
+def _one_of(what: str, allowed: tuple[str, ...]):
+    def read(ctx: _Context, value, path: str) -> str:
+        got = _string(ctx, value, path)
+        if got not in allowed:
+            raise ctx.fail(
+                path, f"unknown {what} {got!r}; allowed: {', '.join(allowed)}"
+            )
+        return got
+
+    return read
+
+
+def _either(what: str, first: str, second: str):
+    def read(ctx: _Context, value, path: str) -> str:
+        got = _string(ctx, value, path)
+        if got not in (first, second):
+            raise ctx.fail(path, f"{what} must be {first!r} or {second!r}")
+        return got
+
+    return read
+
+
+def _mode(ctx: _Context, value, path: str) -> str:
+    mode = _string(ctx, value, path).replace("-", "_")
+    return _one_of("mode", _MODES)(ctx, mode, path)
+
+
+def _schedule(ctx: _Context, value, path: str) -> tuple[int, ...]:
+    if not isinstance(value, list):
+        raise ctx.fail(path, "expected a list of integers")
+    return tuple(_integer(ctx, v, f"{path}[{i}]") for i, v in enumerate(value))
+
+
+def _interval(ctx: _Context, value, path: str) -> tuple[float, float]:
+    if not isinstance(value, list) or len(value) != 2:
+        raise ctx.fail(path, "expected [lo, hi]")
+    return (_number(ctx, value[0], f"{path}[0]"), _number(ctx, value[1], f"{path}[1]"))
+
+
+def _thresholds(ctx: _Context, value, path: str) -> tuple[float, ...]:
+    if isinstance(value, list):
+        return tuple(_number(ctx, v, f"{path}[{i}]") for i, v in enumerate(value))
+    return (_number(ctx, value, path),)
+
+
+def _exponent(ctx: _Context, value, path: str) -> float:
+    exponent = _number(ctx, value, path)
+    if exponent <= 0.0:
+        raise ctx.fail(path, "exponent must be positive")
+    return exponent
+
+
+# Every hashed ExperimentConfig field is a key. An ``int`` or ``float``
+# annotation picks the reader; the other fields have their own.
+_ANNOTATION_READERS = {"int": _integer, "float": _number}
+_EXPERIMENT_READERS = {
+    f.name: _ANNOTATION_READERS.get(f.type)
+    or {"mode": _mode, "schedule": _schedule, "x_grid_range": _interval}[f.name]
+    for f in fields(ExperimentConfig)
+    if f.name not in _UNHASHED
+}
+
+# Every BoundInputs field is a key; the count and the moment order are
+# integers, everything else is a number.
+_BOUND_INPUT_READERS = {
+    f.name: _integer if f.name in ("n", "order") else _number
+    for f in fields(BoundInputs)
+}
+
+
+def _bound_inputs(ctx: _Context, value, path: str) -> dict:
+    got = _read_section(ctx, value, path, _BOUND_INPUT_READERS)
+    if "K" in got and got["K"] < 1.0:
+        raise ctx.fail(f"{path}.K", f"K must be at least 1, got {got['K']:g}")
+    return got
+
 
 _BOUND_FORMULAS = (
     "exp",
@@ -419,188 +481,41 @@ _BOUND_FORMULAS = (
 
 _CHOQUET_FUNCTIONS = ("abs_power", "pos_power", "power")
 
-
-def _build_experiment_options(ctx: _Context, section: dict, path: str = "experiment"):
-    _require_mapping(ctx, section, path)
-    _check_keys(ctx, section, path, allowed=_EXPERIMENT_KEYS)
-    options = {}
-    if "mode" in section:
-        mode = _string(ctx, section["mode"], f"{path}.mode").replace("-", "_")
-        if mode not in _MODES:
-            raise ctx.fail(
-                f"{path}.mode", f"unknown mode {mode!r}; allowed: {', '.join(_MODES)}"
-            )
-        options["mode"] = mode
-    for key in _EXPERIMENT_INT_KEYS:
-        if key in section:
-            options[key] = _integer(ctx, section[key], f"{path}.{key}")
-    for key in _EXPERIMENT_NUMBER_KEYS:
-        if key in section:
-            options[key] = _number(ctx, section[key], f"{path}.{key}")
-    if "schedule" in section:
-        sched = section["schedule"]
-        if not isinstance(sched, list):
-            raise ctx.fail(f"{path}.schedule", "expected a list of integers")
-        options["schedule"] = tuple(
-            _integer(ctx, v, f"{path}.schedule[{i}]") for i, v in enumerate(sched)
-        )
-    if "x_grid_range" in section:
-        rng = section["x_grid_range"]
-        if not isinstance(rng, list) or len(rng) != 2:
-            raise ctx.fail(f"{path}.x_grid_range", "expected [lo, hi]")
-        options["x_grid_range"] = (
-            _number(ctx, rng[0], f"{path}.x_grid_range[0]"),
-            _number(ctx, rng[1], f"{path}.x_grid_range[1]"),
-        )
-    return options
-
-
-def _build_engine_options(ctx: _Context, section: dict, path: str = "engine"):
-    _require_mapping(ctx, section, path)
-    _check_keys(ctx, section, path, allowed=_ENGINE_KEYS)
-    options = {}
-    if "mc_replications" in section:
-        options["mc_replications"] = _integer(
-            ctx, section["mc_replications"], f"{path}.mc_replications"
-        )
-    if "refinement" in section:
-        options["refinement"] = _boolean(
-            ctx, section["refinement"], f"{path}.refinement"
-        )
-    if "tolerance" in section:
-        options["tolerance"] = _number(ctx, section["tolerance"], f"{path}.tolerance")
-    if "enumeration_cap" in section:
-        options["enumeration_cap"] = _integer(
-            ctx, section["enumeration_cap"], f"{path}.enumeration_cap"
-        )
-    return options
-
-
-_BOUND_INPUT_KEYS = (
-    "n",
-    "variance_sum",
-    "K",
-    "order",
-    "pos_moment_sum",
-    "abs_moment_sum",
-    "truncation",
-    "split",
-    "tail_power",
-)
-
-
-def _build_bounds_options(ctx: _Context, section: dict, path: str = "bounds"):
-    _require_mapping(ctx, section, path)
-    _check_keys(
-        ctx, section, path, allowed=("formula", "x", "form", "tilt", "inputs")
-    )
-    options = {}
-    if "formula" in section:
-        formula = _string(ctx, section["formula"], f"{path}.formula")
-        if formula not in _BOUND_FORMULAS:
-            raise ctx.fail(
-                f"{path}.formula",
-                f"unknown formula {formula!r}; allowed: {', '.join(_BOUND_FORMULAS)}",
-            )
-        options["formula"] = formula
-    if "form" in section:
-        form = _string(ctx, section["form"], f"{path}.form")
-        if form not in ("pre", "post"):
-            raise ctx.fail(f"{path}.form", "form must be 'pre' or 'post'")
-        options["form"] = form
-    if "tilt" in section:
-        options["tilt"] = _number(ctx, section["tilt"], f"{path}.tilt")
-    if "x" in section:
-        xs = section["x"]
-        if isinstance(xs, list):
-            options["x"] = tuple(
-                _number(ctx, v, f"{path}.x[{i}]") for i, v in enumerate(xs)
-            )
-        else:
-            options["x"] = (_number(ctx, xs, f"{path}.x"),)
-    if "inputs" in section:
-        inputs = _require_mapping(ctx, section["inputs"], f"{path}.inputs")
-        _check_keys(ctx, inputs, f"{path}.inputs", allowed=_BOUND_INPUT_KEYS)
-        got = {}
-        for key in _BOUND_INPUT_KEYS:
-            if key in inputs:
-                if key in ("n", "order"):
-                    got[key] = _integer(ctx, inputs[key], f"{path}.inputs.{key}")
-                else:
-                    got[key] = _number(ctx, inputs[key], f"{path}.inputs.{key}")
-        if "K" in got and got["K"] < 1.0:
-            raise ctx.fail(
-                f"{path}.inputs.K", f"K must be at least 1, got {got['K']:g}"
-            )
-        options["inputs"] = got
-    return options
-
-
-def _build_choquet_options(ctx: _Context, section: dict, path: str = "choquet"):
-    _require_mapping(ctx, section, path)
-    _check_keys(ctx, section, path, allowed=("function", "exponent", "capacity"))
-    options = {}
-    if "function" in section:
-        fn = _string(ctx, section["function"], f"{path}.function")
-        if fn not in _CHOQUET_FUNCTIONS:
-            raise ctx.fail(
-                f"{path}.function",
-                f"unknown function {fn!r}; allowed: {', '.join(_CHOQUET_FUNCTIONS)}",
-            )
-        options["function"] = fn
-    if "exponent" in section:
-        options["exponent"] = _number(ctx, section["exponent"], f"{path}.exponent")
-        if options["exponent"] <= 0.0:
-            raise ctx.fail(f"{path}.exponent", "exponent must be positive")
-    if "capacity" in section:
-        cap = _string(ctx, section["capacity"], f"{path}.capacity")
-        if cap not in ("upper", "lower"):
-            raise ctx.fail(f"{path}.capacity", "capacity must be 'upper' or 'lower'")
-        options["capacity"] = cap
-    return options
-
-
-_VERIFY_KEYS = (
-    "n_cases",
-    "mc_every",
-    "mc_replications",
-    "corpus_cases",
-    "direction",
-    "mc_cross_check",
-)
-
-
-def _build_verify_options(ctx: _Context, section: dict, path: str = "verify"):
-    _require_mapping(ctx, section, path)
-    _check_keys(ctx, section, path, allowed=_VERIFY_KEYS)
-    options = {}
-    for key in ("n_cases", "mc_every", "mc_replications", "corpus_cases"):
-        if key in section:
-            options[key] = _integer(ctx, section[key], f"{path}.{key}")
-    if "direction" in section:
-        direction = _string(ctx, section["direction"], f"{path}.direction")
-        if direction not in ("upper", "lower"):
-            raise ctx.fail(f"{path}.direction", "direction must be 'upper' or 'lower'")
-        options["direction"] = direction
-    if "mc_cross_check" in section:
-        options["mc_cross_check"] = _boolean(
-            ctx, section["mc_cross_check"], f"{path}.mc_cross_check"
-        )
-    return options
+# Section name -> key readers, in parse order.
+_SECTIONS = {
+    "experiment": _EXPERIMENT_READERS,
+    "engine": {
+        "mc_replications": _integer,
+        "refinement": _boolean,
+        "enumeration_cap": _integer,
+    },
+    "bounds": {
+        "formula": _one_of("formula", _BOUND_FORMULAS),
+        "form": _either("form", "pre", "post"),
+        "tilt": _number,
+        "x": _thresholds,
+        "inputs": _bound_inputs,
+    },
+    "choquet": {
+        "function": _one_of("function", _CHOQUET_FUNCTIONS),
+        "exponent": _exponent,
+        "capacity": _either("capacity", "upper", "lower"),
+    },
+    "verify": {
+        "n_cases": _integer,
+        "mc_every": _integer,
+        "mc_replications": _integer,
+        "corpus_cases": _integer,
+        "direction": _either("direction", "upper", "lower"),
+        "mc_cross_check": _boolean,
+    },
+}
 
 
 # ---------------------------------------------------------------------------
 # Bundle.
 
-_TOP_KEYS = (
-    "family",
-    "dependence",
-    "engine",
-    "experiment",
-    "bounds",
-    "choquet",
-    "verify",
-)
+_TOP_KEYS = ("family", "dependence", *_SECTIONS)
 
 
 @dataclass(frozen=True)
@@ -679,27 +594,13 @@ def parse_config_text(text: str) -> ConfigBundle:
         if "dependence" in raw
         else DependenceSpec.independent()
     )
+    sections = {
+        f"{name}_options": _read_section(ctx, raw[name], name, readers)
+        for name, readers in _SECTIONS.items()
+        if name in raw
+    }
     return ConfigBundle(
-        family=family,
-        dependence=dependence,
-        experiment_options=(
-            _build_experiment_options(ctx, raw["experiment"])
-            if "experiment" in raw
-            else {}
-        ),
-        engine_options=(
-            _build_engine_options(ctx, raw["engine"]) if "engine" in raw else {}
-        ),
-        bounds_options=(
-            _build_bounds_options(ctx, raw["bounds"]) if "bounds" in raw else {}
-        ),
-        choquet_options=(
-            _build_choquet_options(ctx, raw["choquet"]) if "choquet" in raw else {}
-        ),
-        verify_options=(
-            _build_verify_options(ctx, raw["verify"]) if "verify" in raw else {}
-        ),
-        data=_normalize(raw),
+        family=family, dependence=dependence, data=_normalize(raw), **sections
     )
 
 

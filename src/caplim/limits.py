@@ -20,7 +20,7 @@ import hashlib
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 from scipy.special import ndtr
@@ -30,8 +30,6 @@ from .bounds import (
     DerivedConstants,
     chebyshev_bound,
     choquet_moment_bound,
-    conjugate_chebyshev_bound,
-    conjugate_exponential_bound,
     conjugate_split_bound,
     kolmogorov_exponential_bound,
     power_tail_bound,
@@ -55,6 +53,11 @@ __all__ = [
 ]
 
 _MODES = ("wlln", "slln", "cluster", "lil", "necessity", "bound_check")
+
+# ExperimentConfig fields left out of the config hash (and out of the
+# config file's experiment section): the family and the dependence enter
+# the hash through their own descriptors, and ``workers`` only schedules.
+_UNHASHED = ("family", "dependence", "workers")
 
 # Context offsets keep the streams of different runners disjoint even
 # when they share a seed.
@@ -162,34 +165,14 @@ class ExperimentConfig:
 
     def descriptor(self) -> dict:
         """Canonical JSON-ready description; excludes ``workers``."""
-        fields = {
-            "mode": self.mode,
-            "horizon": self.horizon,
-            "trajectories": self.trajectories,
-            "seed": self.seed,
-            "burn_in": self.burn_in,
-            "epsilon": self.epsilon,
-            "schedule": list(self.schedule) if self.schedule else None,
-            "wlln_target": self.wlln_target,
-            "checkpoint_growth": self.checkpoint_growth,
-            "lil_epsilon": self.lil_epsilon,
-            "lil_quantile": self.lil_quantile,
-            "block_start": self.block_start,
-            "block_growth": self.block_growth,
-            "cluster_grid_step": self.cluster_grid_step,
-            "cluster_tolerance": self.cluster_tolerance,
-            "cluster_advance_tolerance": self.cluster_advance_tolerance,
-            "cluster_coverage_target": self.cluster_coverage_target,
-            "divergence_threshold": self.divergence_threshold,
-            "divergence_quantile": self.divergence_quantile,
-            "bound_order": self.bound_order,
-            "bound_delta": self.bound_delta,
-            "x_grid_points": self.x_grid_points,
-            "x_grid_range": list(self.x_grid_range),
+        out = {
+            f.name: _jsonable(getattr(self, f.name))
+            for f in fields(self)
+            if f.name not in _UNHASHED
         }
-        fields["family"] = _family_descriptor(self.family)
-        fields["dependence"] = _dependence_descriptor(self.dependence)
-        return fields
+        out["family"] = _family_descriptor(self.family)
+        out["dependence"] = _dependence_descriptor(self.dependence)
+        return out
 
     def config_hash(self) -> str:
         payload = json.dumps(self.descriptor(), sort_keys=True, separators=(",", ":"))
@@ -298,17 +281,10 @@ def _require_sequence_dependence(config: ExperimentConfig) -> None:
         raise ValueError("the pairwise copula requires a single-measure family")
 
 
-def _dense_parameters(family: MeasureFamily, points: int | None = None):
+def _dense_parameters(family: MeasureFamily):
     """Parameter list refined well beyond the coarse evaluation grid."""
-    domain = family.parameter_domain
-    if points is None:
-        points = 513 if len(domain) == 1 else 65
-    axes = []
-    for lo, hi in domain:
-        axes.append(np.linspace(lo, hi, points) if hi > lo else np.array([lo]))
-    if len(axes) == 1:
-        return [float(t) for t in axes[0]]
-    return [(float(a), float(b)) for a in axes[0] for b in axes[1]]
+    points = 513 if family.dim == 1 else 65
+    return replace(family, grid_resolution=points).grid_parameters()
 
 
 def _dense_extreme(family: MeasureFamily, of_marginal, sense: str):
@@ -1149,8 +1125,9 @@ def run_bound_check(config: ExperimentConfig) -> ExperimentResult:
         out["positive_moment"] = moment / x**p
         return out
 
-    def lower_bounds(x: float) -> dict[str, float]:
-        out = {"conj_exponential": best_truncated(x, conjugate_exponential_bound)}
+    def lower_bounds(x: float, ub: dict[str, float]) -> dict[str, float]:
+        # The conjugate exponential and second-moment bounds are the primal
+        # closed forms at the same inputs, so they reuse the upper columns.
         split_inputs = BoundInputs(
             n=n,
             variance_sum=variance_sum,
@@ -1159,9 +1136,11 @@ def run_bound_check(config: ExperimentConfig) -> ExperimentResult:
             abs_moment_sum=abs_moment_sum,
             split=config.bound_delta,
         )
-        out["conj_split"] = float(conjugate_split_bound(split_inputs, x, constants))
-        out["conj_chebyshev"] = float(conjugate_chebyshev_bound(base_inputs, x))
-        return out
+        return {
+            "conj_exponential": ub["exponential"],
+            "conj_split": float(conjugate_split_bound(split_inputs, x, constants)),
+            "conj_chebyshev": ub["chebyshev"],
+        }
 
     upper_names = ("exponential", "split", "power", "chebyshev", "positive_moment")
     lower_names = ("conj_exponential", "conj_split", "conj_chebyshev")
@@ -1169,7 +1148,7 @@ def run_bound_check(config: ExperimentConfig) -> ExperimentResult:
     flags = []
     for i, x in enumerate(x_grid):
         ub = upper_bounds(float(x))
-        lb = lower_bounds(float(x))
+        lb = lower_bounds(float(x), ub)
         for name in upper_names:
             if emp_upper[i] > ub[name] + 3.0 * emp_upper_se[i] + 1e-12:
                 flags.append((float(x), name, float(emp_upper[i]), ub[name]))

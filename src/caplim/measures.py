@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy import integrate, special
@@ -23,9 +23,7 @@ from scipy import integrate, special
 __all__ = [
     "Marginal",
     "MeasureFamily",
-    "MomentValue",
     "ProductMeasure",
-    "moment",
     "normal_scores",
     "philox_stream",
     "uniform_block",
@@ -72,13 +70,6 @@ def _double_factorial_odd(j: int) -> float:
     for i in range(1, 2 * j, 2):
         out *= i
     return out
-
-
-class MomentValue(NamedTuple):
-    """Raw and absolute k-th moments; math.inf marks a nonexistent moment."""
-
-    raw: float
-    absolute: float
 
 
 @dataclass(frozen=True)
@@ -401,11 +392,6 @@ class Marginal:
         return total
 
 
-def moment(marginal: Marginal, k: float) -> MomentValue:
-    """Raw and absolute k-th moments of a marginal; +inf flags nonexistence."""
-    return MomentValue(raw=marginal.raw_moment(k), absolute=marginal.abs_moment(k))
-
-
 @dataclass(frozen=True)
 class ProductMeasure:
     """Product measure with independent coordinates.
@@ -427,10 +413,6 @@ class ProductMeasure:
         if not self.stationary:
             raise IndexError(f"coordinate {i} beyond the {len(self.marginals)} listed marginals")
         return self.marginals[i % len(self.marginals)]
-
-    @property
-    def listed_dim(self) -> int:
-        return len(self.marginals)
 
     def all_discrete(self, arity: int) -> bool:
         return all(self.marginal(i).is_discrete for i in range(arity))

@@ -468,11 +468,14 @@ class SublinearEngine:
     family: MeasureFamily
     mc_replications: int = 100_000
     refinement: bool = True
-    tolerance: float = 1e-9
     seed: int = 2026
     enumeration_cap: int = 2_000_000
     fixed_context: int | None = None
     _mc_context: int = field(default=0, repr=False)
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.seed < 1 << 64:
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
 
     # -- exact per-measure expectation ------------------------------------------
 

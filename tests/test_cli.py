@@ -105,6 +105,19 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="mode"):
             parse_config_text(MINIMAL).experiment_config()
 
+    def test_experiment_keys_are_the_hashed_fields(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(MINIMAL + "experiment:\n  mystery: 1\n")
+        allowed = str(err.value).split("allowed: ", 1)[1].split(", ")
+        cfg = parse_config(str(CONFIG_DIR / "slln_normal_band.yaml")).experiment_config()
+        assert set(allowed) == set(cfg.descriptor()) - {"family", "dependence"}
+
+    def test_engine_tolerance_is_rejected_with_its_line(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(MINIMAL + "engine:\n  tolerance: 1.0e-9\n")
+        assert "unknown key 'tolerance'" in str(err.value)
+        assert "line 12" in str(err.value)
+
 
 class TestCommandLine:
     def test_bounds_eval_prints_the_chebyshev_value(self, capsys):
@@ -183,9 +196,12 @@ class TestCommandLine:
         assert manifest["wall_clock_seconds"] >= 0.5 * wall
 
     def test_out_of_range_seed_exits_one(self, capsys):
-        cfg = str(CONFIG_DIR / "wlln_normal_band.yaml")
-        assert main(["experiment", "wlln", "--config", cfg, "--seed", "-1"]) == 1
-        assert "seed" in capsys.readouterr().err
+        wlln = str(CONFIG_DIR / "wlln_normal_band.yaml")
+        for command in (["experiment", "wlln", "--config", wlln],
+                        ["choquet", "--config", str(GOLDEN)]):
+            for seed in ("-1", str(1 << 64)):
+                assert main([*command, "--seed", seed]) == 1
+                assert "seed" in capsys.readouterr().err
 
     def test_choquet_reports_the_heaviest_scale(self, capsys):
         rc = main(["choquet", "--config", str(GOLDEN)])
