@@ -1,12 +1,14 @@
 """Pinned sha256 digests of experiment artifacts.
 
-Each case runs one small experiment through the command line at
-``--workers`` 1 and 2 and compares the digests of ``result.json`` and every
-CSV it writes against values recorded before the sampling code was
+Each case runs one small experiment or verification through the command
+line at ``--workers`` 1 and 2 and compares the digests of ``result.json`` and
+every CSV it writes against values recorded before the sampling code was
 refactored. A change to any sampled number, summary field or CSV cell shows
 up here. The cases cover paths the benchmark's pinned configs do not reach:
 Monte Carlo wlln, the pairwise copula in slln and bound-check, uneven
-trajectory batches, uniform marginals, and scans that span several chunks.
+trajectory batches, uniform marginals, scans that span several chunks, an
+axiom corpus whose Monte Carlo case draws wide uniform blocks (and its
+``by_axiom`` table), and the END check on the shipped countermonotone config.
 
 If a change alters results on purpose, it says why and re-records the
 digests with ``python tests/test_golden.py``.
@@ -19,6 +21,8 @@ from pathlib import Path
 import pytest
 
 from caplim.cli import main
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 UNIFORM_FAMILY = """\
 family:
@@ -81,16 +85,16 @@ dependence:
   K: 1.0
 """
 
-# name -> (experiment mode, config text)
+# name -> (command words, config text)
 CASES = {
-    "wlln_mc_uniform": ("wlln", UNIFORM_FAMILY + """\
+    "wlln_mc_uniform": (("experiment", "wlln"), UNIFORM_FAMILY + """\
 experiment:
   horizon: 6000
   trajectories: 1500
   epsilon: 0.05
   seed: 11
 """),
-    "slln_copula_uniform": ("slln", UNIT_UNIFORM + COPULA + """\
+    "slln_copula_uniform": (("experiment", "slln"), UNIT_UNIFORM + COPULA + """\
 experiment:
   horizon: 5001
   burn_in: 100
@@ -98,7 +102,7 @@ experiment:
   epsilon: 0.05
   seed: 12
 """),
-    "slln_uneven_batches": ("slln", NORMAL_FAMILY + """\
+    "slln_uneven_batches": (("experiment", "slln"), NORMAL_FAMILY + """\
 experiment:
   horizon: 3000
   burn_in: 100
@@ -106,7 +110,7 @@ experiment:
   epsilon: 0.1
   seed: 13
 """),
-    "lil_uniform_multichunk": ("lil", UNIFORM_FAMILY + """\
+    "lil_uniform_multichunk": (("experiment", "lil"), UNIFORM_FAMILY + """\
 experiment:
   horizon: 300000
   burn_in: 100
@@ -114,27 +118,38 @@ experiment:
   checkpoint_growth: 1.1
   seed: 14
 """),
-    "necessity_normal_multichunk": ("necessity", STANDARD_NORMAL + """\
+    "necessity_normal_multichunk": (("experiment", "necessity"), STANDARD_NORMAL + """\
 experiment:
   horizon: 200000
   trajectories: 4
   divergence_threshold: 2.0
   seed: 15
 """),
-    "bound_check_copula_normal": ("bound-check", STANDARD_NORMAL + COPULA + """\
+    "bound_check_copula_normal": (("experiment", "bound-check"), STANDARD_NORMAL + COPULA + """\
 experiment:
   horizon: 300
   trajectories: 40000
   x_grid_points: 6
   seed: 16
 """),
-    "bound_check_uniform": ("bound-check", UNIFORM_FAMILY + """\
+    "bound_check_uniform": (("experiment", "bound-check"), UNIFORM_FAMILY + """\
 experiment:
   horizon: 200
   trajectories: 800
   x_grid_points: 6
   seed: 17
 """),
+    # Case 9 of this corpus is its Monte Carlo case; at seed 2 it draws a
+    # three-coordinate family, so its envelopes sample 3 x 3000 blocks. The
+    # suite draws its own families; the config needs one only to parse.
+    "verify_axioms_mc": (("verify", "axioms", "--seed", "2"), STANDARD_NORMAL + """\
+verify:
+  n_cases: 10
+  mc_every: 10
+  mc_replications: 3000
+"""),
+    "verify_end_countermonotone": (("verify", "end"),
+                                   (CONFIGS / "end_countermonotone.yaml").read_text()),
 }
 
 # name -> {artifact: sha256}
@@ -163,6 +178,14 @@ DIGESTS = {
         "result.json": "84db2a4c2991d493b6ceb4465c7639e3dce661c069282e679e56cc3e468b5730",
         "slln.csv": "8551440bc76538e4821c33c717840c5ac14ba9393cd32eaa938622bbaeedd0f0",
     },
+    "verify_axioms_mc": {
+        "axioms.csv": "f8382c8a5de3254bd9215cdc42e81c4a80ff6f3bf03a20e520eed7cf694d8444",
+        "result.json": "92814c73e95f9c3a5eb5d29dd500a94a769329f2b14a60e733c3adce664628a1",
+    },
+    "verify_end_countermonotone": {
+        "cases.csv": "7c070f5e1b15fb688a87cbe73826ddec475d2038bb5d5931fb69ddf76d22b357",
+        "result.json": "8c248b009f5493d7a5d768c76ef69cd28c339705af81cc9a8b6087e87e161c12",
+    },
     "wlln_mc_uniform": {
         "result.json": "7b1ee3e2bdeed5c858d92449d9d3d8d59cb49eace6c1b171e42ad96e0c35d3a0",
         "wlln.csv": "92641faa70692a3b814a284cf3fb4f4a7a22074aef76b20a4a42b3aaaa0ea2fe",
@@ -171,11 +194,11 @@ DIGESTS = {
 
 
 def _artifact_digests(name: str, out: Path, workers: int) -> dict:
-    mode, text = CASES[name]
+    command, text = CASES[name]
     config = out / f"{name}.yaml"
     config.write_text(text)
     run_dir = out / f"{name}-w{workers}"
-    code = main(["experiment", mode, "--config", str(config),
+    code = main([*command, "--config", str(config),
                  "--workers", str(workers), "--out", str(run_dir)])
     assert code in (0, 2), f"{name} exited with {code}"
     files = [run_dir / "result.json", *sorted(run_dir.glob("*.csv"))]
