@@ -36,7 +36,14 @@ from .bounds import (
     split_moment_bound,
 )
 from .dependence import DependenceSpec, correlate_pairs
-from .measures import Marginal, MeasureFamily, ProductMeasure, normal_scores, philox_stream
+from .measures import (
+    Marginal,
+    MeasureFamily,
+    ProductMeasure,
+    normal_scores,
+    philox_stream,
+    philox_uniforms,
+)
 from .sublinear import SublinearEngine, TestFunction
 
 __all__ = [
@@ -376,12 +383,8 @@ def _uniform_chunks(seed: int, context: int, columns, horizon: int):
     and column j continues stream ``(seed, context, columns[j])`` from the
     previous chunk.
     """
-    streams = [philox_stream(seed, context, int(j)) for j in columns]
-    for start, stop in _chunk_ranges(horizon, _rows_per_chunk(len(streams))):
-        u = np.empty((stop - start, len(streams)))
-        for j, stream in enumerate(streams):
-            u[:, j] = stream.random(stop - start)
-        yield start, stop, u
+    for start, stop in _chunk_ranges(horizon, _rows_per_chunk(len(columns))):
+        yield start, stop, philox_uniforms(seed, context, columns, start, stop)
 
 
 def _partial_sums(config: ExperimentConfig, context: int, columns, marginal: Marginal):

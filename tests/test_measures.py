@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from caplim import Marginal, MeasureFamily, ProductMeasure
-from caplim.measures import philox_stream, uniform_block
+from caplim import limits, measures
+from caplim.measures import _philox4x64, philox_stream, philox_uniforms, uniform_block
 
 from conftest import make_location_family
 
@@ -229,6 +230,99 @@ def test_philox_stream_rejects_out_of_range_keys():
         with pytest.raises(ValueError):
             philox_stream(**key)
     philox_stream((1 << 64) - 1, (1 << 32) - 1, (1 << 32) - 1)
+
+
+# Random123's known-answer vectors for Philox4x64-10: (counter, key, output).
+PHILOX_KAT = [
+    ((0, 0, 0, 0), (0, 0),
+     (0x16554D9ECA36314C, 0xDB20FE9D672D0FDC, 0xD7E772CEE186176B, 0x7E68B68AEC7BA23B)),
+    (((1 << 64) - 1,) * 4, ((1 << 64) - 1,) * 2,
+     (0x87B092C3013FE90B, 0x438C3C67BE8D0224, 0x9CC7D7C69CD777B6, 0xA09CAEBF594F0BA0)),
+    ((0x243F6A8885A308D3, 0x13198A2E03707344, 0xA4093822299F31D0, 0x082EFA98EC4E6C89),
+     (0x452821E638D01377, 0xBE5466CF34E90C6C),
+     (0xA528F45403E61D95, 0x38C72DBD566E9788, 0xA5A1610E72FD18B5, 0x57BD43B5E52B7FE6)),
+]
+
+
+@pytest.mark.parametrize("counter,key,expected", PHILOX_KAT)
+def test_philox_round_function_matches_known_answers(counter, key, expected):
+    assert [int(w[0]) for w in _philox4x64(counter, key)] == list(expected)
+
+
+def test_numpy_philox_gives_the_known_answer_at_counter_zero():
+    bitgen = np.random.Philox(key=0)
+    state = bitgen.state
+    # numpy increments the counter before each block, so all ones wraps to 0.
+    state["state"]["counter"] = np.full(4, (1 << 64) - 1, dtype=np.uint64)
+    state["buffer_pos"] = 4
+    bitgen.state = state
+    assert [int(w) for w in bitgen.random_raw(4)] == list(PHILOX_KAT[0][2])
+
+
+def _stream_reference(seed, context, columns, start, stop):
+    out = np.empty((stop - start, len(columns)))
+    for j, column in enumerate(columns):
+        out[:, j] = philox_stream(seed, context, column).random(stop)[start:]
+    return out
+
+
+def _assert_same_block(u, reference):
+    assert u.dtype == np.float64 and u.flags.c_contiguous
+    assert u.shape == reference.shape
+    assert u.tobytes() == reference.tobytes()
+
+
+# Row counts on both sides of the switch from the numpy cipher to the reset
+# bit generator, each at every offset within a counter's four words.
+_ROWS = (1, 3, 5, measures._TALL_ROWS - 1, measures._TALL_ROWS, measures._TALL_ROWS + 7)
+
+
+@pytest.mark.parametrize("rows", _ROWS)
+@pytest.mark.parametrize("start", [0, 1, 2, 3, 4 * 11 + 1])
+def test_philox_uniforms_equals_stream_draws(start, rows):
+    for seed, context in ((0, 0), (2026, 7), ((1 << 64) - 1, (1 << 32) - 1)):
+        columns = [0, 5, 6, (1 << 32) - 1]
+        _assert_same_block(philox_uniforms(seed, context, columns, start, start + rows),
+                           _stream_reference(seed, context, columns, start, start + rows))
+
+
+def test_philox_uniforms_continues_across_chunks():
+    columns = range(3, 9)
+    edges = [0, 3, 4, 9, 9 + measures._TALL_ROWS + 2, 9 + 2 * measures._TALL_ROWS + 5, 200]
+    chunks = [philox_uniforms(2026, 40, columns, a, b) for a, b in zip(edges, edges[1:])]
+    _assert_same_block(np.concatenate(chunks), _stream_reference(2026, 40, columns, 0, 200))
+
+
+@pytest.mark.parametrize("row_chunk", [6, measures._TALL_ROWS + 6])
+def test_uniform_chunks_continue_each_stream(row_chunk, monkeypatch):
+    # Chunks of 2 mod 4 rows start every other chunk mid-counter.
+    monkeypatch.setattr(limits, "_ROW_CHUNK", row_chunk)
+    columns = [2, 3, 11]
+    parts = list(limits._uniform_chunks(2026, 40, columns, 200))
+    assert len(parts) > 2
+    joined = np.concatenate([u for _, _, u in parts])
+    _assert_same_block(joined, _stream_reference(2026, 40, columns, 0, 200))
+
+
+@pytest.mark.parametrize("n,m", [(0, 0), (0, 4), (5, 0), (measures._TALL_ROWS, 0)])
+def test_uniform_block_empty_shapes(n, m):
+    u = uniform_block(2026, n, m, context=1)
+    assert u.shape == (n, m) and u.dtype == np.float64 and u.flags.c_contiguous
+
+
+def test_uniform_kernels_validate_keys_without_columns():
+    message = "seed must lie in"
+    for call in (lambda: uniform_block(-1, 2, 0),
+                 lambda: uniform_block(1 << 64, 0, 3),
+                 lambda: list(limits._uniform_chunks(-1, 0, [], 10))):
+        with pytest.raises(ValueError, match=message):
+            call()
+    message = "stream context and column must lie in"
+    for call in (lambda: uniform_block(1, 2, 0, context=1 << 32),
+                 lambda: philox_uniforms(1, 0, [0, 1 << 32], 0, 3),
+                 lambda: philox_uniforms(1, 0, [-1, 2], 0, 3)):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def test_sample_pushes_through_marginals():
