@@ -6,8 +6,9 @@ every CSV it writes against values recorded before the sampling code was
 refactored. A change to any sampled number, summary field or CSV cell shows
 up here. The cases cover paths the benchmark's pinned configs do not reach:
 Monte Carlo wlln, the pairwise copula in slln and bound-check, uneven
-trajectory batches, uniform marginals, scans that span several chunks, an
-axiom corpus whose Monte Carlo case draws wide uniform blocks (and its
+trajectory batches, uniform marginals, scans that span several chunks,
+copula pairs across chunk edges that start mid-counter, the shipped
+``necessity_normal`` config, an axiom corpus whose Monte Carlo case draws wide uniform blocks (and its
 ``by_axiom`` table), and the END check on the shipped countermonotone config.
 
 If a change alters results on purpose, it says why and re-records the
@@ -139,6 +140,19 @@ experiment:
   x_grid_points: 6
   seed: 17
 """),
+    # 6000 trajectories give chunks of 1398 rows, which is 2 mod 4, so tall
+    # chunks start mid-counter and copula pairs straddle chunk edges.
+    "bound_check_copula_wide_chunks": (("experiment", "bound-check"),
+                                       STANDARD_NORMAL + COPULA + """\
+experiment:
+  horizon: 3000
+  trajectories: 6000
+  x_grid_points: 6
+  seed: 18
+"""),
+    # The full-size normal scan of the shipped config: 50 trajectories of 1e6.
+    "necessity_normal_config": (("experiment", "necessity"),
+                                (CONFIGS / "necessity_normal.yaml").read_text()),
     # Case 9 of this corpus is its Monte Carlo case; at seed 2 it draws a
     # three-coordinate family, so its envelopes sample 3 x 3000 blocks. The
     # suite draws its own families; the config needs one only to parse.
@@ -158,6 +172,10 @@ DIGESTS = {
         "bound_check.csv": "d872cad1854209a34654c3d3bc7aa3ab92b73ce2f35d99ed4cd332f251a342e9",
         "result.json": "d92377e3f129fc13f28daf3a572072d2f3f42a9f6df137dfc7e79b65b1251be3",
     },
+    "bound_check_copula_wide_chunks": {
+        "bound_check.csv": "4d87a42bd237e1d188a8444f1947848e8847c3c7a35b081c55eb2620d6633065",
+        "result.json": "32d8cac2c2a7043a12628c34717771758853a11bbec28456d4526162b3a6e6ec",
+    },
     "bound_check_uniform": {
         "bound_check.csv": "caebc83f6fff9f19a367704627120f9c5fffe4451f6dfc450328686670243388",
         "result.json": "f3a17dc48000d3f9e2db5822317f93d3486a173f6770adc708c1d5ef619a98a0",
@@ -165,6 +183,10 @@ DIGESTS = {
     "lil_uniform_multichunk": {
         "lil.csv": "662aae5cdea03ac1ed2f014c9a6d0549ceceda653f70e52d7f0259b9f39f1ed8",
         "result.json": "847241d76478e740d412ea6d580a09b3037af4855d36c7ce225e7ba2dfb0e5e0",
+    },
+    "necessity_normal_config": {
+        "necessity.csv": "9a5a9ca8186526704742b14b05164ce9494866aa855d4e282f51d49683265bff",
+        "result.json": "1d52797ba4180f9495c30a1316e0f32528965ece5ca536f828babbc4f636079a",
     },
     "necessity_normal_multichunk": {
         "necessity.csv": "6dc6cf46064c41ce53d30ce80b0747cc680bb095fac9eb3870354ce6eca32fe4",
