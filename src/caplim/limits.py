@@ -261,16 +261,19 @@ def _indexed_map(fn, items, workers: int) -> list:
 def _transform_chunk(
     u: np.ndarray, marginal: Marginal, dependence: DependenceSpec
 ) -> np.ndarray:
-    """Map a uniform chunk to draws of the sequence, column by column.
+    """Map a uniform chunk to draws of the sequence, trajectory by trajectory.
 
-    Rows are time. Under the pairwise copula the correlation couples
-    consecutive rows, so callers must keep chunk lengths even to
-    preserve the pairing across chunk boundaries.
+    Rows are trajectories and columns are time. Under the pairwise copula
+    the correlation couples consecutive columns, so callers must keep chunk
+    lengths even to preserve the pairing across chunk boundaries. The
+    result is a new array; ``u`` is left as it is.
     """
     if dependence.mode == "per_measure_independent":
         return marginal.ppf(u)
     if dependence.mode == "gaussian_copula":
-        z = correlate_pairs(normal_scores(u), dependence.correlation)
+        # correlate_pairs pairs along its first axis, here the time axis of
+        # the transposed view; the transposes only relabel the axes.
+        z = correlate_pairs(normal_scores(u).T, dependence.correlation).T
         return marginal.from_normal_score(z)
     raise ValueError(
         "joint-table dependence describes a fixed short block and cannot "
@@ -366,10 +369,6 @@ def _traj_batches(trajectories: int, batch: int = 32):
         yield list(range(start, stop))
 
 
-def _even_chunk(rows: int) -> int:
-    return rows if rows % 2 == 0 else rows + 1
-
-
 def _rows_per_chunk(columns: int) -> int:
     """Even row count keeping a chunk near 8M entries."""
     rows = max(2, min(_ROW_CHUNK, (1 << 23) // max(columns, 1)))
@@ -377,11 +376,11 @@ def _rows_per_chunk(columns: int) -> int:
 
 
 def _uniform_chunks(seed: int, context: int, columns, horizon: int):
-    """Uniforms for the trajectories in ``columns``, in chunks of rows.
+    """Uniforms for the trajectories in ``columns``, in chunks of time.
 
-    Yields ``(start, stop, u)`` where ``u`` holds rows ``start..stop-1``
-    and column j continues stream ``(seed, context, columns[j])`` from the
-    previous chunk.
+    Yields ``(start, stop, u)`` where ``u`` holds draws ``start..stop-1``
+    in a ``(len(columns), stop - start)`` block, and row j continues stream
+    ``(seed, context, columns[j])`` from the previous chunk.
     """
     for start, stop in _chunk_ranges(horizon, _rows_per_chunk(len(columns))):
         yield start, stop, philox_uniforms(seed, context, columns, start, stop)
@@ -390,15 +389,29 @@ def _uniform_chunks(seed: int, context: int, columns, horizon: int):
 def _partial_sums(config: ExperimentConfig, context: int, columns, marginal: Marginal):
     """Partial sums of the trajectories in ``columns`` under ``marginal``.
 
-    Yields ``(start, stop, s)`` where row r of ``s`` holds ``S_{start+r+1}``
-    for each trajectory, over the whole horizon.
+    Yields ``(start, stop, s)`` where ``s[j, r]`` holds ``S_{start+r+1}`` of
+    trajectory ``columns[j]``, over the whole horizon. ``s`` is a scratch
+    block, the chunk's transformed draws overwritten by the sums: the caller
+    may overwrite it but must not keep it past the next step of the iteration.
     """
-    carry = np.zeros(len(columns))
+    carry = np.zeros((len(columns), 1))
     for start, stop, u in _uniform_chunks(config.seed, context, columns, config.horizon):
-        x = _transform_chunk(u, marginal, config.dependence)
-        s = carry + np.cumsum(x, axis=0)
-        carry = s[-1].copy()
+        # The transform returns a new block, so the sums overwrite it; these
+        # are the additions of carry + cumsum(x), so bit-equal to it.
+        s = _transform_chunk(u, marginal, config.dependence)
+        np.cumsum(s, axis=1, out=s)
+        s += carry
+        carry = s[:, -1:].copy()
         yield start, stop, s
+
+
+def _row_sums(x: np.ndarray) -> np.ndarray:
+    """Each row's sum, added left to right; overwrites ``x``.
+
+    A contiguous ``sum(axis=1)`` adds pairwise and moves the low bits, so
+    the sum is the last partial sum of a sequential cumsum, taken in place.
+    """
+    return np.cumsum(x, axis=1, out=x)[:, -1]
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +489,7 @@ def run_wlln(config: ExperimentConfig) -> ExperimentResult:
         for _, _, u in _uniform_chunks(config.seed, _CTX_WLLN + idx, range(m_traj), n):
             for k, marg in enumerate(marginals):
                 x = _transform_chunk(u, marg, config.dependence)
-                sums[k] += x.sum(axis=0)
+                sums[k] += _row_sums(x)
         means = sums / n
         probs, ses = {}, {}
         for key, (lo, hi) in (
@@ -576,12 +589,12 @@ def run_slln(config: ExperimentConfig) -> ExperimentResult:
         max_ratio = np.full(len(cols), -np.inf)
         min_ratio = np.full(len(cols), np.inf)
         for start, stop, s in _partial_sums(config, _CTX_SLLN + m_idx, cols, marginal):
-            k = np.arange(start + 1, stop + 1, dtype=float)[:, None]
             if stop > n0:
                 cut = max(n0 - start - 1, 0)
-                ratios = s[cut:] / k[cut:]
-                max_ratio = np.maximum(max_ratio, ratios.max(axis=0))
-                min_ratio = np.minimum(min_ratio, ratios.min(axis=0))
+                ratios = s[:, cut:]
+                ratios /= np.arange(start + cut + 1, stop + 1, dtype=float)
+                max_ratio = np.maximum(max_ratio, ratios.max(axis=1))
+                min_ratio = np.minimum(min_ratio, ratios.min(axis=1))
         return [
             (label, col, float(mx), float(mn))
             for col, mx, mn in zip(cols, max_ratio, min_ratio)
@@ -791,12 +804,12 @@ def run_lil(config: ExperimentConfig) -> ExperimentResult:
             mask = (checkpoints > start) & (checkpoints <= stop)
             if mask.any():
                 cps = checkpoints[mask]
-                s_cp = s[cps - start - 1]
-                a_cp = norming[mask][:, None]
-                up = (s_cp - cps[:, None] * mu_up) / a_cp
-                low = (s_cp - cps[:, None] * mu_low) / a_cp
-                r_up = np.maximum(r_up, up.max(axis=0))
-                r_low = np.minimum(r_low, low.min(axis=0))
+                s_cp = s[:, cps - start - 1]
+                a_cp = norming[mask]
+                up = (s_cp - cps * mu_up) / a_cp
+                low = (s_cp - cps * mu_low) / a_cp
+                r_up = np.maximum(r_up, up.max(axis=1))
+                r_low = np.minimum(r_low, low.min(axis=1))
         return [
             (label, col, float(a), float(b))
             for col, a, b in zip(cols, r_up, r_low)
@@ -883,8 +896,8 @@ def run_necessity(config: ExperimentConfig) -> ExperimentResult:
     def run_batch(cols):
         peak = np.zeros(len(cols))
         for start, stop, s in _partial_sums(config, _CTX_NECESSITY, cols, marginal):
-            k = np.arange(start + 1, stop + 1, dtype=float)[:, None]
-            peak = np.maximum(peak, np.abs(s / k).max(axis=0))
+            s /= np.arange(start + 1, stop + 1, dtype=float)
+            peak = np.maximum(peak, np.abs(s, out=s).max(axis=1))
         return [(col, float(p)) for col, p in zip(cols, peak)]
 
     batches = _indexed_map(
@@ -1077,7 +1090,7 @@ def run_bound_check(config: ExperimentConfig) -> ExperimentResult:
             sums = np.zeros(m_traj)
             for _, _, u in _uniform_chunks(config.seed, _CTX_BOUNDS + k, range(m_traj), n):
                 x = _transform_chunk(u, marginal, config.dependence)
-                sums += x.sum(axis=0)
+                sums += _row_sums(x)
             f = np.array([(sums >= x).mean() for x in x_grid])
             return f, np.sqrt(f * (1.0 - f) / m_traj)
 

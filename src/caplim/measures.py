@@ -17,10 +17,13 @@ numbers: as easy as 1, 2, 3", SC'11) under the key words
 first counter word (the other three stay 0), each counter gives 4 output words
 in order, and output word ``w`` becomes the uniform ``(w >> 11) * 2**-53``.
 This is what ``np.random.Generator(np.random.Philox(key=...)).random``
-returns. ``philox_uniforms`` computes any rows of many such streams at once
-along one of two paths, chosen from the rows per column alone: few rows run
-the cipher in numpy over a (counter, column) grid; many rows reuse one
-numpy bit generator and reset its key and counter for each column.
+returns. ``philox_uniforms`` computes any range of draws of many such
+streams at once, one contiguous row per stream, along one of two paths
+chosen from the draws per stream alone: few draws run the cipher in numpy
+over a (counter, column) grid; many draws reuse one numpy bit generator,
+reset its key and counter for each stream and fill that stream's row in
+place. ``uniform_block`` turns such a block into the (coordinate,
+replication) layout the envelope code reads.
 """
 
 from __future__ import annotations
@@ -121,12 +124,14 @@ def philox_uniforms(seed: int, context: int, columns: Sequence[int],
                     start: int, stop: int) -> np.ndarray:
     """Draws ``start..stop-1`` of the streams ``(seed, context, c)``, c in ``columns``.
 
-    Returns a C-contiguous ``(stop - start, len(columns))`` float64 block whose
-    column j equals ``philox_stream(seed, context, columns[j]).random(stop)[start:]``
+    Returns a C-contiguous ``(len(columns), stop - start)`` float64 block whose
+    row j equals ``philox_stream(seed, context, columns[j]).random(stop)[start:]``
     bit for bit. Draw i of a stream is word ``i % 4`` of counter ``i // 4 + 1``.
-    Blocks with fewer than ``_TALL_ROWS`` rows run the cipher in numpy over
-    every (counter, column) pair; taller blocks reset one reused bit generator
-    to each column's key and first counter.
+    Blocks with fewer than ``_TALL_ROWS`` draws per stream run the cipher in
+    numpy over every (counter, column) pair and write the words transposed;
+    longer ones reset one reused bit generator to each column's key and
+    first counter, drop the first ``start % 4`` words and fill that
+    stream's row in place.
     """
     cols = np.asarray(columns)
     for column in {int(cols.min()), int(cols.max())} if cols.size else {0}:
@@ -134,9 +139,10 @@ def philox_uniforms(seed: int, context: int, columns: Sequence[int],
     if not 0 <= start <= stop:
         raise ValueError(f"need 0 <= start <= stop, got {start} and {stop}")
     rows, skip = stop - start, start % 4
-    # C order matters: numpy sums an F-ordered block along axis 0 pairwise,
-    # which changes the low bits of every downstream sum.
-    out = np.empty((rows, cols.size), dtype=np.float64)
+    # One contiguous row per stream: a trajectory's draws sit side by side,
+    # so the tall path fills each row in place and a scan along time reads
+    # memory in order.
+    out = np.empty((cols.size, rows), dtype=np.float64)
     if out.size == 0:
         return out
     key0 = cols.astype(np.uint64) | np.uint64(context << 32)
@@ -151,7 +157,9 @@ def philox_uniforms(seed: int, context: int, columns: Sequence[int],
         for j, k0 in enumerate(key0.tolist()):
             key[0] = k0
             bitgen.state = state
-            out[:, j] = gen.random(rows + skip)[skip:]
+            if skip:
+                gen.random(skip)
+            gen.random(out=out[j])
         return out
 
     counters = (skip + rows + 3) // 4
@@ -162,7 +170,7 @@ def philox_uniforms(seed: int, context: int, columns: Sequence[int],
     for j in range(0, cols.size, step):
         words = _philox4x64((ctr, zero, zero, zero), (key0[None, j:j + step], seed))
         block = np.stack(words, axis=1).reshape(4 * counters, -1)[skip:skip + rows]
-        out[:, j:j + step] = (block >> 11).astype(np.float64) * 2.0**-53
+        out[j:j + step] = ((block >> 11).astype(np.float64) * 2.0**-53).T
     return out
 
 
@@ -171,16 +179,17 @@ def uniform_block(seed: int, n: int, m: int, context: int = 0) -> np.ndarray:
 
     Bit contract: entry (i, j) is word ``i % 4`` of Philox4x64-10 at counter
     ``i // 4 + 1`` under the key words ``(context << 32 | j, seed)``, taken as
-    ``(w >> 11) * 2**-53``; the block is C-contiguous. It comes from
-    ``philox_uniforms(seed, context, np.arange(m), 0, n)``. Blocks of fewer
-    than ``_TALL_ROWS`` (64) rows, such as the 1 to 3 rows over tens of
-    thousands of columns that a Monte Carlo envelope draws, run the cipher
-    vectorized in numpy; taller ones reset one reused ``np.random.Philox`` per
-    column. The threshold is where the two costs met when measured: the
-    numpy cipher's roughly constant cost per draw against the reset's fixed
-    cost per column, shared over its rows.
+    ``(w >> 11) * 2**-53``; the block is C-contiguous. It is the transpose of
+    ``philox_uniforms(seed, context, np.arange(m), 0, n)``, copied once into
+    C order, which for the few coordinates the envelope code draws is a
+    small copy. Blocks of fewer than ``_TALL_ROWS`` (64) rows, such as the 1
+    to 3 rows over tens of thousands of columns that a Monte Carlo envelope
+    draws, run the cipher vectorized in numpy; taller ones reset one reused
+    ``np.random.Philox`` per column. The threshold is where the two costs met
+    when measured: the numpy cipher's roughly constant cost per draw against
+    the reset's fixed cost per column, shared over its rows.
     """
-    return philox_uniforms(seed, context, np.arange(m), 0, n)
+    return np.ascontiguousarray(philox_uniforms(seed, context, np.arange(m), 0, n).T)
 
 
 def normal_scores(u: np.ndarray) -> np.ndarray:

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from caplim import Marginal, MeasureFamily, ProductMeasure
-from caplim.dependence import DependenceSpec
+from caplim import Marginal, MeasureFamily, ProductMeasure, limits
+from caplim.dependence import DependenceSpec, correlate_pairs
+from caplim.measures import normal_scores, philox_stream
 from caplim.limits import (
     ExperimentConfig,
     borel_cantelli_diag,
@@ -370,3 +371,80 @@ class TestBorelCantelliDiag:
             borel_cantelli_diag([])
         with pytest.raises(ValueError, match="capacities"):
             borel_cantelli_diag([0.5, 1.5])
+
+
+# ---------------------------------------------------------------------------
+# The trajectory-major scan against the time-major layout it replaced, in
+# which chunks were (time, trajectory) blocks and sums ran along axis 0.
+
+_KINDS = (
+    Marginal.normal(0.3, 2.0),
+    Marginal.uniform(-1.0, 0.5),
+    Marginal.pareto(1.5, 2.0),
+    Marginal.bernoulli(0.3),
+    Marginal.discrete(((-1.0, 0.25), (0.5, 0.5), (2.0, 0.25))),
+)
+_SPECS = (
+    DependenceSpec.independent(),
+    DependenceSpec(mode="gaussian_copula", correlation=-0.4),
+)
+_COLUMNS = [2, 3, 11]
+
+
+def _time_major_uniforms(seed, context, columns, start, stop):
+    """Draws ``start..stop-1`` with one column per stream, in C order."""
+    return np.stack(
+        [philox_stream(seed, context, c).random(stop)[start:] for c in columns], axis=1
+    )
+
+
+def _time_major_draws(u, marginal, spec):
+    """The transform of a time-major block; the copula pairs consecutive rows."""
+    if spec.mode == "per_measure_independent":
+        return marginal.ppf(u)
+    return marginal.from_normal_score(correlate_pairs(normal_scores(u), spec.correlation))
+
+
+def _same_bytes(trajectory_major, time_major):
+    assert trajectory_major.flags.c_contiguous
+    assert trajectory_major.tobytes() == np.ascontiguousarray(time_major.T).tobytes()
+
+
+# Chunks of 6 rows run the numpy cipher and chunks of 70 the reset bit
+# generator; both are 2 mod 4, so every other chunk starts mid-counter and
+# the horizon of 200 ends on a short chunk.
+@pytest.mark.parametrize("row_chunk", [6, 70])
+@pytest.mark.parametrize("spec", _SPECS, ids=lambda spec: spec.mode)
+@pytest.mark.parametrize("marginal", _KINDS, ids=lambda m: m.kind)
+def test_partial_sums_match_the_time_major_scan(marginal, spec, row_chunk, monkeypatch):
+    monkeypatch.setattr(limits, "_ROW_CHUNK", row_chunk)
+    config = ExperimentConfig(
+        mode="slln", family=MeasureFamily.singleton(ProductMeasure((marginal,))),
+        dependence=spec, horizon=200, trajectories=len(_COLUMNS), burn_in=1, seed=2026,
+    )
+    carry = np.zeros(len(_COLUMNS))
+    stops = []
+    for start, stop, s in limits._partial_sums(config, 40, _COLUMNS, marginal):
+        u = _time_major_uniforms(2026, 40, _COLUMNS, start, stop)
+        reference = carry + np.cumsum(_time_major_draws(u, marginal, spec), axis=0)
+        carry = reference[-1].copy()
+        _same_bytes(s, reference)
+        stops.append(stop)
+    assert len(stops) > 2 and stops[-1] == 200
+
+
+@pytest.mark.parametrize("row_chunk", [6, 70])
+@pytest.mark.parametrize("spec", _SPECS, ids=lambda spec: spec.mode)
+@pytest.mark.parametrize("marginal", _KINDS, ids=lambda m: m.kind)
+def test_row_sums_match_the_time_major_sum(marginal, spec, row_chunk, monkeypatch):
+    monkeypatch.setattr(limits, "_ROW_CHUNK", row_chunk)
+    sums = np.zeros(len(_COLUMNS))
+    reference = np.zeros(len(_COLUMNS))
+    for start, stop, u in limits._uniform_chunks(2026, 41, _COLUMNS, 200):
+        drawn = u.copy()
+        sums += limits._row_sums(limits._transform_chunk(u, marginal, spec))
+        # run_wlln transforms one shared block for every grid measure.
+        assert u.tobytes() == drawn.tobytes()
+        old = _time_major_uniforms(2026, 41, _COLUMNS, start, stop)
+        reference += _time_major_draws(old, marginal, spec).sum(axis=0)
+    assert sums.tobytes() == reference.tobytes()

@@ -260,9 +260,10 @@ def test_numpy_philox_gives_the_known_answer_at_counter_zero():
 
 
 def _stream_reference(seed, context, columns, start, stop):
-    out = np.empty((stop - start, len(columns)))
+    """One row per stream: draws ``start..stop-1`` of each column's generator."""
+    out = np.empty((len(columns), stop - start))
     for j, column in enumerate(columns):
-        out[:, j] = philox_stream(seed, context, column).random(stop)[start:]
+        out[j] = philox_stream(seed, context, column).random(stop)[start:]
     return out
 
 
@@ -290,7 +291,8 @@ def test_philox_uniforms_continues_across_chunks():
     columns = range(3, 9)
     edges = [0, 3, 4, 9, 9 + measures._TALL_ROWS + 2, 9 + 2 * measures._TALL_ROWS + 5, 200]
     chunks = [philox_uniforms(2026, 40, columns, a, b) for a, b in zip(edges, edges[1:])]
-    _assert_same_block(np.concatenate(chunks), _stream_reference(2026, 40, columns, 0, 200))
+    _assert_same_block(np.concatenate(chunks, axis=1),
+                       _stream_reference(2026, 40, columns, 0, 200))
 
 
 @pytest.mark.parametrize("row_chunk", [6, measures._TALL_ROWS + 6])
@@ -300,8 +302,14 @@ def test_uniform_chunks_continue_each_stream(row_chunk, monkeypatch):
     columns = [2, 3, 11]
     parts = list(limits._uniform_chunks(2026, 40, columns, 200))
     assert len(parts) > 2
-    joined = np.concatenate([u for _, _, u in parts])
+    joined = np.concatenate([u for _, _, u in parts], axis=1)
     _assert_same_block(joined, _stream_reference(2026, 40, columns, 0, 200))
+
+
+@pytest.mark.parametrize("n", [3, measures._TALL_ROWS + 1])
+def test_uniform_block_is_the_stream_block_transposed(n):
+    reference = _stream_reference(2026, 5, range(7), 0, n).T
+    _assert_same_block(uniform_block(2026, n, 7, context=5), np.ascontiguousarray(reference))
 
 
 @pytest.mark.parametrize("n,m", [(0, 0), (0, 4), (5, 0), (measures._TALL_ROWS, 0)])
