@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from caplim import Marginal, MeasureFamily, ProductMeasure
 from caplim import limits, measures
 from caplim.measures import _philox4x64, philox_stream, philox_uniforms, uniform_block
+from caplim.sublinear import smooth_indicator
 
 from conftest import make_location_family
 
@@ -124,6 +125,22 @@ def test_expect_matches_moments():
         got = m.expect(lambda x: x**2)
         assert got == pytest.approx(m.raw_moment(2), rel=1e-9)
 
+
+
+# float.hex of quadrature expectations: a plain callable split at a
+# breakpoint, and a test function, which expect evaluates through its kernel.
+PINNED_EXPECT = {
+    "normal": ("-0x1.79c52adffe135p-4", "0x1.d132ad389da20p-2"),
+    "uniform": ("-0x1.c3a57349a02a0p-8", "0x1.7777777777753p-3"),
+}
+
+
+@pytest.mark.parametrize("m", [Marginal.normal(0.3, 1.7), Marginal.uniform(-2.0, 1.0)],
+                         ids=lambda m: m.kind)
+def test_expect_quadrature_is_pinned(m):
+    plain = m.expect(lambda x: np.cos(x) * x, breakpoints=(0.5,))
+    ramp = m.expect(smooth_indicator(0.2, 0.5, "inner"))
+    assert (plain.hex(), ramp.hex()) == PINNED_EXPECT[m.kind]
 
 @settings(max_examples=50, deadline=None)
 @given(

@@ -116,6 +116,45 @@ class TestReciprocalVariancePair:
 
 
 # ---------------------------------------------------------------------------
+# Refined quadrature envelopes, pinned bit for bit.
+
+# float.hex of (value, parameter) of the refined envelopes on a normal family
+# whose location 1 - (t - 0.37)**2 peaks between grid points: the upper
+# envelopes move off the grid through the golden-section refinement, the
+# lower ones stay on the boundary point.
+REFINED_ENVELOPES = {
+    ("clamp_affine", "upper_exp"): ("0x1.6fbb7ff19f3cfp-2", "0x1.7ae1465b6e7a6p-2"),
+    ("clamp_affine", "lower_exp"): ("0x1.81b77c1bc7e2cp-7", "-0x1.0000000000000p-1"),
+    ("smooth_indicator", "upper_exp"): ("0x1.48ade492d4afep-1", "0x1.7ae1468fdc8b8p-2"),
+    ("smooth_indicator", "lower_exp"): ("0x1.7dba9509aa340p-2", "-0x1.0000000000000p-1"),
+}
+
+
+def _peaked_location_family() -> MeasureFamily:
+    def build(t: float) -> ProductMeasure:
+        return ProductMeasure((Marginal.normal(1.0 - (t - 0.37) ** 2, 1.2),))
+
+    return MeasureFamily(parameter_domain=((-0.5, 1.0),), builder=build,
+                         grid_resolution=5, name="peaked-location")
+
+
+@pytest.mark.parametrize("name", ["clamp_affine", "smooth_indicator"])
+def test_refined_quadrature_envelopes_are_pinned(name):
+    f = {
+        "clamp_affine": TestFunction.coordinate_sum(
+            [TestFunction.clamp_affine(0.8, -0.1, -1.0, 0.7)]),
+        "smooth_indicator": smooth_indicator(0.9, 0.6, "outer"),
+    }[name]
+    engine = SublinearEngine(_peaked_location_family())
+    for side in ("upper_exp", "lower_exp"):
+        report = getattr(engine, side)(f)
+        assert report.method == "quadrature"
+        assert report.refined == (side == "upper_exp")
+        got = (report.value.hex(), float(report.parameter).hex())
+        assert got == REFINED_ENVELOPES[name, side]
+
+
+# ---------------------------------------------------------------------------
 # Axiom suite.
 
 
