@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 __all__ = [
     "Marginal",
@@ -409,6 +409,8 @@ class Marginal:
                 for j in range(ki + 1):
                     total += math.comb(ki, j) * a ** (ki - j) * mj[j]
                 return sd**k * total
+            from scipy import integrate
+
             val, _ = integrate.quad(lambda x: x**k * self.pdf(x), 0.0, math.inf, limit=200)
             return float(val)
         if self.kind == "uniform":
@@ -505,20 +507,54 @@ class Marginal:
 
     # -- expectations of general integrands ----------------------------------
 
+    def _point_density(self) -> Callable[[float], float]:
+        """``float(pdf(x))`` at one point, with the constants bound once.
+
+        The normal and uniform forms repeat ``pdf``'s arithmetic in the same
+        order, so each value has the same bits.
+        """
+        if self.kind == "normal":
+            mean, var = self.params
+            sd = math.sqrt(var)
+            norm = sd * _SQRT_2PI
+            exp = np.exp
+            return lambda x: float(exp(-0.5 * ((x - mean) / sd) ** 2) / norm)
+        if self.kind == "uniform":
+            lo, hi = self.params
+            height = 1.0 / (hi - lo)
+            return lambda x: height if lo <= x <= hi else 0.0
+        return lambda x: float(self.pdf(x))
+
     def expect(self, f: Callable[[np.ndarray], np.ndarray], breakpoints: Sequence[float] = (),
                tol: float = 1e-10) -> float:
-        """E[f(X)] by exact summation (discrete kinds) or adaptive quadrature."""
+        """E[f(X)] by exact summation (discrete kinds) or adaptive quadrature.
+
+        ``f`` maps an array of points to their values. An arity-1 test
+        function (an object with ``fn`` and ``arity``) is integrated through
+        its kernel ``fn`` on one (1, 1) point per quadrature node, which
+        skips the argument checks of its ``__call__``.
+        """
         if self.is_discrete:
             vals, probs = self._sorted_atoms()
             return float(np.sum(probs * np.asarray(f(vals), dtype=float)))
+        from scipy import integrate
+
+        kernel = getattr(f, "fn", None)
+        if kernel is not None and getattr(f, "arity", None) == 1:
+            def value(x: float) -> float:
+                return float(np.asarray(kernel(np.array(x, dtype=float, ndmin=2))).item(0))
+        else:
+            def value(x: float) -> float:
+                return float(np.reshape(f(np.asarray(x, dtype=float)), -1)[0])
+        density = self._point_density()
+
         lo, hi = self.support()
         pts = sorted(p for p in breakpoints if lo < p < hi)
         edges = [lo, *pts, hi]
         total = 0.0
         for a, b in zip(edges[:-1], edges[1:]):
             val, err = integrate.quad(
-                lambda x: float(np.reshape(f(np.asarray(x, dtype=float)), -1)[0])
-                * float(self.pdf(x)),
+                lambda x: value(x) * density(x),
                 a, b, limit=200, epsabs=tol, epsrel=1e-9,
             )
             total += val

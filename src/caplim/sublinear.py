@@ -218,7 +218,8 @@ class TestFunction:
         elif a < 0:
             mono = "nonincreasing"
         return TestFunction(
-            fn=lambda x, aa=float(a), bb=float(b), l=float(lo), h=float(hi): np.clip(aa * x[0] + bb, l, h),
+            # ndarray.clip is what np.clip calls, without its dispatch layers
+            fn=lambda x, aa=float(a), bb=float(b), l=float(lo), h=float(hi): (aa * x[0] + bb).clip(l, h),
             arity=1,
             name=f"clip({a:g}x+{b:g},[{lo:g},{hi:g}])",
             monotone=mono,
@@ -234,8 +235,8 @@ class TestFunction:
         if any(p.arity != 1 for p in parts):
             raise ValueError("coordinate_sum takes arity-1 parts")
 
-        def fn(x, ps=parts):
-            return sum(p(x[i]) for i, p in enumerate(ps))
+        def fn(x, kernels=tuple(p.fn for p in parts)):
+            return sum(k(x[i:i + 1]) for i, k in enumerate(kernels))
 
         monos = {p.monotone for p in parts}
         sup = None
@@ -316,19 +317,6 @@ class TestFunction:
             fn=lambda x, f=a.fn, g=b.fn: np.maximum(f(x), g(x)),
             arity=a.arity,
             name=f"({a.name}|{b.name})",
-            nonnegative=True,
-            sup_bound=1.0,
-            breakpoints=tuple(sorted(set(a.breakpoints) | set(b.breakpoints))),
-        )
-
-    @staticmethod
-    def indicator_intersection(a: "TestFunction", b: "TestFunction") -> "TestFunction":
-        if a.arity != b.arity:
-            raise ValueError("arity mismatch")
-        return TestFunction(
-            fn=lambda x, f=a.fn, g=b.fn: np.minimum(f(x), g(x)),
-            arity=a.arity,
-            name=f"({a.name}&{b.name})",
             nonnegative=True,
             sup_bound=1.0,
             breakpoints=tuple(sorted(set(a.breakpoints) | set(b.breakpoints))),
@@ -463,6 +451,13 @@ class SublinearEngine:
     exact path; all measures in the family then share one uniform block, so
     differences between measures are low-variance and inequalities that hold
     samplewise hold for the estimates too.
+
+    An engine does not repeat its exact work: it builds the family's grid
+    measures once, keeps every exact per-measure expectation keyed by
+    (measure, test function), and, when ``fixed_context`` pins every Monte
+    Carlo call to one stream context, keeps the read-only per-measure samples
+    of each arity. The caches live as long as the engine and assume its
+    fields stay as constructed.
     """
 
     family: MeasureFamily
@@ -472,14 +467,29 @@ class SublinearEngine:
     enumeration_cap: int = 2_000_000
     fixed_context: int | None = None
     _mc_context: int = field(default=0, repr=False)
+    _grid: list | None = field(default=None, init=False, repr=False, compare=False)
+    _exact: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _mc_fixed: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0 <= self.seed < 1 << 64:
             raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
 
+    def _measures(self) -> list[tuple[object, ProductMeasure]]:
+        """The family's (parameter, measure) grid, built on first use."""
+        if self._grid is None:
+            self._grid = self.family.measures()
+        return self._grid
+
     # -- exact per-measure expectation ------------------------------------------
 
     def _exact_expectation(self, measure: ProductMeasure, f: TestFunction) -> tuple[float, str] | None:
+        key = (measure, f)
+        if key not in self._exact:
+            self._exact[key] = self._compute_exact(measure, f)
+        return self._exact[key]
+
+    def _compute_exact(self, measure: ProductMeasure, f: TestFunction) -> tuple[float, str] | None:
         if f.closed_form is not None and f.arity == 1:
             v = _closed_moment(measure.marginal(0), f.closed_form)
             if v is not None:
@@ -513,16 +523,26 @@ class SublinearEngine:
         self._mc_context += 1
         return self._mc_context
 
-    def _mc_samples(self, pairs, arity: int) -> list[np.ndarray]:
-        """One (arity, m) sample per measure, all from the same uniform block."""
-        m = self.mc_replications
-        u = uniform_block(self.seed, arity, m, context=self._next_context())
-        return [mu.ppf(u) for _, mu in pairs]
+    def _mc_samples(self, arity: int) -> list[np.ndarray]:
+        """One (arity, m) sample per grid measure, all from the same uniform block.
 
-    def _mc_family_stats(self, f: TestFunction, pairs) -> tuple[np.ndarray, np.ndarray]:
+        Under a ``fixed_context`` every call would draw the same block, so
+        the samples are drawn once per arity and kept read-only.
+        """
+        if arity in self._mc_fixed:
+            return self._mc_fixed[arity]
+        u = uniform_block(self.seed, arity, self.mc_replications, context=self._next_context())
+        samples = [mu.ppf(u) for _, mu in self._measures()]
+        if self.fixed_context is not None:
+            for x in samples:
+                x.flags.writeable = False
+            self._mc_fixed[arity] = samples
+        return samples
+
+    def _mc_family_stats(self, f: TestFunction) -> tuple[np.ndarray, np.ndarray]:
         means = []
         ses = []
-        for x in self._mc_samples(pairs, f.arity):
+        for x in self._mc_samples(f.arity):
             vals = f(x)
             means.append(float(np.mean(vals)))
             ses.append(float(np.std(vals, ddof=1) / math.sqrt(len(vals))))
@@ -578,7 +598,7 @@ class SublinearEngine:
         return value, (theta[0] if dim == 1 else tuple(theta)), moved
 
     def _expectation_report(self, f: TestFunction, sense: str) -> EvaluationReport:
-        pairs = self.family.measures()
+        pairs = self._measures()
         exact = []
         labels = set()
         for _, mu in pairs:
@@ -609,7 +629,7 @@ class SublinearEngine:
                 refined=refined,
             )
 
-        means, ses = self._mc_family_stats(f, pairs)
+        means, ses = self._mc_family_stats(f)
         idx = int(pick(means))
         return EvaluationReport(
             value=float(means[idx]),
@@ -668,7 +688,7 @@ class SublinearEngine:
         if tag is None or f.arity != 1:
             return None
         kind = tag[0]
-        marginals = [mu.marginal(0) for _, mu in self.family.measures()]
+        marginals = [mu.marginal(0) for _, mu in self._measures()]
         if any(m.is_discrete for m in marginals):
             return None
 
@@ -699,7 +719,7 @@ class SublinearEngine:
         if capacity not in ("upper", "lower"):
             raise ValueError(f"capacity must be 'upper' or 'lower', got {capacity!r}")
         envelope = np.max if capacity == "upper" else np.min
-        pairs = self.family.measures()
+        pairs = self._measures()
 
         if all(mu.all_discrete(f.arity) for _, mu in pairs):
             per_measure = []
@@ -725,7 +745,7 @@ class SublinearEngine:
             return ChoquetReport(value=value, capacity=capacity, method="survival",
                                  divergent=divergent, tail_exponent=beta)
 
-        samples = [np.sort(f(x)) for x in self._mc_samples(pairs, f.arity)]
+        samples = [np.sort(f(x)) for x in self._mc_samples(f.arity)]
         m = self.mc_replications
 
         def wfun(t: np.ndarray) -> np.ndarray:

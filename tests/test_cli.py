@@ -3,11 +3,15 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import caplim
 from caplim.cli import main
 from caplim.config import ConfigError, parse_config, parse_config_text
 
@@ -229,3 +233,12 @@ class TestCommandLine:
         assert "--formula" in capsys.readouterr().err
         assert main(["bounds", "eval", "--formula", "chebyshev"]) == 1
         assert "--x" in capsys.readouterr().err
+
+
+def test_importing_the_cli_leaves_quadrature_unloaded():
+    """Only quadrature needs scipy.integrate, so commands without it skip its import."""
+    env = dict(os.environ, PYTHONPATH=str(Path(caplim.__file__).resolve().parents[1]))
+    probe = "import sys, caplim.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "False"

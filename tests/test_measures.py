@@ -126,7 +126,6 @@ def test_expect_matches_moments():
         assert got == pytest.approx(m.raw_moment(2), rel=1e-9)
 
 
-
 # float.hex of quadrature expectations: a plain callable split at a
 # breakpoint, and a test function, which expect evaluates through its kernel.
 PINNED_EXPECT = {
@@ -141,6 +140,7 @@ def test_expect_quadrature_is_pinned(m):
     plain = m.expect(lambda x: np.cos(x) * x, breakpoints=(0.5,))
     ramp = m.expect(smooth_indicator(0.2, 0.5, "inner"))
     assert (plain.hex(), ramp.hex()) == PINNED_EXPECT[m.kind]
+
 
 @settings(max_examples=50, deadline=None)
 @given(

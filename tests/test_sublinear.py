@@ -155,6 +155,65 @@ def test_refined_quadrature_envelopes_are_pinned(name):
 
 
 # ---------------------------------------------------------------------------
+# Per-engine caches.
+
+
+def _count_expect_calls(monkeypatch) -> list:
+    calls = []
+    original = Marginal.expect
+
+    def counting(self, *args, **kwargs):
+        calls.append(self)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Marginal, "expect", counting)
+    return calls
+
+
+def test_lower_envelope_reuses_the_upper_envelopes_quadratures(monkeypatch):
+    fam = make_location_family(-0.5, 0.5, var=1.2, resolution=5)
+    f = TestFunction.coordinate_sum([TestFunction.clamp_affine(0.8, -0.1, -1.0, 0.7)])
+    fresh = SublinearEngine(fam, refinement=False).lower_exp(f)
+    calls = _count_expect_calls(monkeypatch)
+    engine = SublinearEngine(fam, refinement=False)
+    engine.upper_exp(f)
+    assert len(calls) == 5
+    again = engine.lower_exp(f)
+    assert len(calls) == 5
+    assert again.value.hex() == fresh.value.hex()
+    assert again.per_parameter == fresh.per_parameter
+
+
+def _no_exact_path() -> TestFunction:
+    return TestFunction(lambda x: np.abs(x[0] - x[1]), 2, name="|x1-x2|")
+
+
+def test_fixed_context_samples_are_drawn_once_and_read_only(sigma_family):
+    f = _no_exact_path()
+    engine = SublinearEngine(sigma_family, mc_replications=2000, seed=7, fixed_context=0)
+    upper = engine.upper_exp(f)
+    samples = engine._mc_samples(2)
+    assert samples is engine._mc_samples(2)
+    assert len(samples) == len(sigma_family.grid_parameters())
+    with pytest.raises(ValueError):
+        samples[0][0, 0] = 1.0
+    lower = engine.lower_exp(f)
+    for report, side in ((upper, "upper_exp"), (lower, "lower_exp")):
+        fresh = getattr(SublinearEngine(sigma_family, mc_replications=2000, seed=7,
+                                        fixed_context=0), side)(f)
+        assert report.method == "mc"
+        assert report.per_parameter == fresh.per_parameter
+
+
+def test_no_samples_are_kept_without_a_fixed_context(sigma_family):
+    engine = SublinearEngine(sigma_family, mc_replications=2000, seed=7)
+    first = engine.upper_exp(_no_exact_path())
+    second = engine.upper_exp(_no_exact_path())
+    assert engine._mc_fixed == {}
+    assert first.value != second.value  # each call draws its own context
+
+
+# ---------------------------------------------------------------------------
 # Axiom suite.
 
 
