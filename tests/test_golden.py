@@ -5,7 +5,8 @@ line at ``--workers`` 1 and 2 and compares the digests of ``result.json`` and
 every CSV it writes against values recorded before the sampling code was
 refactored. A change to any sampled number, summary field or CSV cell shows
 up here. The cases cover paths the benchmark's pinned configs do not reach:
-Monte Carlo wlln, the pairwise copula in slln and bound-check, uneven
+Monte Carlo and closed-form wlln, cluster blocks that span several draw
+chunks, the pairwise copula in slln and bound-check, uneven
 trajectory batches, uniform marginals, scans that span several chunks,
 copula pairs across chunk edges that start mid-counter, the shipped
 ``necessity_normal`` config, an axiom corpus whose Monte Carlo case draws wide uniform blocks (and its
@@ -150,6 +151,25 @@ experiment:
   x_grid_points: 6
   seed: 18
 """),
+    # Never advancing keeps the sampler drawing to the horizon. The first two
+    # blocks, of 4 500 001 and 4 500 002 draws, each span two 2**22-draw
+    # chunks, and the later blocks start mid-counter.
+    "cluster_two_chunk_blocks": (("experiment", "cluster"), NORMAL_FAMILY + """\
+experiment:
+  horizon: 10000000
+  block_start: 4500001
+  block_growth: 2.0
+  cluster_grid_step: 0.25
+  cluster_advance_tolerance: 1.0e-9
+  seed: 20
+"""),
+    # Normal marginals take the closed-form band probabilities.
+    "wlln_exact_normal": (("experiment", "wlln"), NORMAL_FAMILY + """\
+experiment:
+  horizon: 50000
+  epsilon: 0.02
+  seed: 21
+"""),
     # The full-size normal scan of the shipped config: 50 trajectories of 1e6.
     "necessity_normal_config": (("experiment", "necessity"),
                                 (CONFIGS / "necessity_normal.yaml").read_text()),
@@ -180,6 +200,10 @@ DIGESTS = {
         "bound_check.csv": "caebc83f6fff9f19a367704627120f9c5fffe4451f6dfc450328686670243388",
         "result.json": "f3a17dc48000d3f9e2db5822317f93d3486a173f6770adc708c1d5ef619a98a0",
     },
+    "cluster_two_chunk_blocks": {
+        "cluster.csv": "a39e1aa27b53559987fc5633a118930e459d744307b1c5c70b8c6984ee113f1f",
+        "result.json": "4ecbffcafd8bd38bcdfe2c0c8d1a2ff18d7e10fb09488f7d7799c478be165269",
+    },
     "lil_uniform_multichunk": {
         "lil.csv": "662aae5cdea03ac1ed2f014c9a6d0549ceceda653f70e52d7f0259b9f39f1ed8",
         "result.json": "847241d76478e740d412ea6d580a09b3037af4855d36c7ce225e7ba2dfb0e5e0",
@@ -207,6 +231,10 @@ DIGESTS = {
     "verify_end_countermonotone": {
         "cases.csv": "7c070f5e1b15fb688a87cbe73826ddec475d2038bb5d5931fb69ddf76d22b357",
         "result.json": "8c248b009f5493d7a5d768c76ef69cd28c339705af81cc9a8b6087e87e161c12",
+    },
+    "wlln_exact_normal": {
+        "result.json": "66d972a5461193fcaf6fd296cd8df4ccc305e0b33ebfc9b7ee832c84809f2364",
+        "wlln.csv": "4900cea5e4c848a572666dd87713c769f8a8af32d5bdf0070c0e2f1e06383485",
     },
     "wlln_mc_uniform": {
         "result.json": "7b1ee3e2bdeed5c858d92449d9d3d8d59cb49eace6c1b171e42ad96e0c35d3a0",
