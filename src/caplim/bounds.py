@@ -417,8 +417,12 @@ def evaluate_formula(name: str, inputs: BoundInputs, x, *,
             vals = {"choquet_moment_sum_form": np.full_like(x, res)}
         return vals, trace
     if name == "moricz":
+        if max_pos_choquet is None and per_term_pos_choquet is not None:
+            # The bound reads only the largest per-term moment.
+            max_pos_choquet = max(per_term_pos_choquet)
         if max_pos_choquet is None or max_second_moment is None:
-            raise ValueError("moricz needs max_pos_choquet and max_second_moment")
+            raise ValueError("moricz needs per_term_pos_choquet (or max_pos_choquet) "
+                             "and max_second_moment")
         dyadic = moricz_maximal_bound(inputs, max_pos_choquet, max_second_moment, constants)
         text = moricz_maximal_bound_text_form(inputs, max_pos_choquet, max_second_moment,
                                               constants)

@@ -6,6 +6,11 @@ index. Work is split across trajectories, so results are bit-identical
 for any worker count: a trajectory's draws never depend on which worker
 produced them or on how trajectories were batched.
 
+A runner states only its statistic. The strong law, the iterated
+logarithm and the divergence check hand a chunk reducer to one scan
+driver, ``_scan_trajectories``, which owns the marginals, the batches,
+the worker pool and the rows; every runner returns through ``_result``.
+
 The runners cover the law of large numbers in both weak and strong
 form, the cluster behaviour of running means under measure switching,
 the law of the iterated logarithm, a divergence check for heavy tails
@@ -41,7 +46,6 @@ from .measures import (
     MeasureFamily,
     ProductMeasure,
     normal_scores,
-    philox_stream,
     philox_uniforms,
 )
 from .sublinear import SublinearEngine, TestFunction
@@ -49,7 +53,6 @@ from .sublinear import SublinearEngine, TestFunction
 __all__ = [
     "ExperimentConfig",
     "ExperimentResult",
-    "borel_cantelli_diag",
     "run_bound_check",
     "run_cluster",
     "run_experiment",
@@ -76,6 +79,10 @@ _CTX_NECESSITY = 5_000
 _CTX_BOUNDS = 6_000
 
 _ROW_CHUNK = 1 << 17
+
+# Trajectories per scan task. A batch of up to 64 keeps chunks at
+# _ROW_CHUNK rows, so below that the width moves no bytes.
+_TRAJ_BATCH = 32
 
 
 @dataclass(frozen=True)
@@ -309,10 +316,18 @@ def _dense_extreme(family: MeasureFamily, of_marginal, sense: str):
     return best, best_theta
 
 
-def _mean_extremes(family: MeasureFamily):
+def _extreme_measures(family: MeasureFamily):
+    """The mean interval ``mu_low, mu_up`` and the measures at its ends.
+
+    The measures are ``(label, theta)`` pairs: ``mean_low``, then
+    ``mean_up`` when a different parameter attains it.
+    """
     mu_up, theta_up = _dense_extreme(family, lambda m: m.mean(), "max")
     mu_low, theta_low = _dense_extreme(family, lambda m: m.mean(), "min")
-    return (mu_low, theta_low), (mu_up, theta_up)
+    measures = [("mean_low", theta_low)]
+    if theta_up != theta_low:
+        measures.append(("mean_up", theta_up))
+    return mu_low, mu_up, measures
 
 
 def _sup_centered_second_moment(family: MeasureFamily, center: float) -> float:
@@ -364,8 +379,8 @@ def _chunk_ranges(total: int, chunk: int):
         start = stop
 
 
-def _traj_batches(trajectories: int, batch: int = 32):
-    for start, stop in _chunk_ranges(trajectories, batch):
+def _traj_batches(trajectories: int):
+    for start, stop in _chunk_ranges(trajectories, _TRAJ_BATCH):
         yield list(range(start, stop))
 
 
@@ -414,6 +429,59 @@ def _row_sums(x: np.ndarray) -> np.ndarray:
     return np.cumsum(x, axis=1, out=x)[:, -1]
 
 
+def _final_sums(config: ExperimentConfig, context: int, marginals, n: int) -> np.ndarray:
+    """``S_n`` of every trajectory under each of ``marginals``.
+
+    All marginals transform the same uniforms, drawn from streams
+    ``(seed, context, j)``; row k of the result holds the sums under
+    ``marginals[k]``.
+    """
+    sums = np.zeros((len(marginals), config.trajectories))
+    for _, _, u in _uniform_chunks(config.seed, context, range(config.trajectories), n):
+        for k, marginal in enumerate(marginals):
+            # Bound until the next transform replaces it: freeing the block
+            # earlier changes which arrays the allocator keeps resident.
+            x = _transform_chunk(u, marginal, config.dependence)
+            sums[k] += _row_sums(x)
+    return sums
+
+
+def _scan_trajectories(config: ExperimentConfig, context: int, measures, reduce) -> list:
+    """Rows ``(label, trajectory, *statistics)`` over every measure's trajectories.
+
+    ``measures`` lists ``(label, theta)`` pairs, and measure i draws from
+    stream context ``context + i``. For each batch of trajectories,
+    ``reduce(chunks, size)`` takes the ``_partial_sums`` chunks of ``size``
+    trajectories and returns one array per statistic, indexed by trajectory.
+    Rows come in measure order, then trajectory order.
+    """
+    marginals = [config.family.measure_at(theta).marginal(0) for _, theta in measures]
+
+    def scan(task):
+        i, cols = task
+        stats = reduce(_partial_sums(config, context + i, cols, marginals[i]), len(cols))
+        label = measures[i][0]
+        return [(label, col, *map(float, row)) for col, row in zip(cols, zip(*stats))]
+
+    tasks = [(i, cols) for i in range(len(measures))
+             for cols in _traj_batches(config.trajectories)]
+    return [row for rows in _indexed_map(scan, tasks, config.workers) for row in rows]
+
+
+def _result(config: ExperimentConfig, passed: bool, summary: dict, header, rows,
+            *assumptions: str) -> ExperimentResult:
+    """The run's result, its one table named after the mode."""
+    return ExperimentResult(
+        mode=config.mode,
+        config_hash=config.config_hash(),
+        seed=config.seed,
+        passed=passed,
+        summary=summary,
+        tables={config.mode: (tuple(header), tuple(rows))},
+        assumptions=assumptions,
+    )
+
+
 # ---------------------------------------------------------------------------
 # Weak law: capacity of the running-mean band along a schedule.
 
@@ -456,7 +524,7 @@ def run_wlln(config: ExperimentConfig) -> ExperimentResult:
     _require_sequence_dependence(config)
     family = config.family
     eps = config.epsilon
-    (mu_low, _), (mu_up, _) = _mean_extremes(family)
+    mu_low, mu_up, _ = _extreme_measures(family)
     schedule = config.schedule or _default_schedule(config.horizon)
     thetas = family.grid_parameters()
     marginals = [family.measure_at(t).marginal(0) for t in thetas]
@@ -485,12 +553,7 @@ def run_wlln(config: ExperimentConfig) -> ExperimentResult:
             ses = {key: np.zeros(len(marginals)) for key in probs}
             return n, probs, ses
         m_traj = config.trajectories
-        sums = np.zeros((len(marginals), m_traj))
-        for _, _, u in _uniform_chunks(config.seed, _CTX_WLLN + idx, range(m_traj), n):
-            for k, marg in enumerate(marginals):
-                x = _transform_chunk(u, marg, config.dependence)
-                sums[k] += _row_sums(x)
-        means = sums / n
+        means = _final_sums(config, _CTX_WLLN + idx, marginals, n) / n
         probs, ses = {}, {}
         for key, (lo, hi) in (
             ("band", band),
@@ -537,29 +600,12 @@ def run_wlln(config: ExperimentConfig) -> ExperimentResult:
         "monotone_trend": monotone_trend,
         "estimator": "exact" if exact_ok else "mc",
     }
-    tables = {
-        "wlln": (
-            (
-                "n",
-                "band_lower_capacity",
-                "band_se",
-                "near_upper_mean_capacity",
-                "near_lower_mean_capacity",
-            ),
-            tuple(rows),
-        )
-    }
-    return ExperimentResult(
-        mode="wlln",
-        config_hash=config.config_hash(),
-        seed=config.seed,
-        passed=passed,
-        summary=summary,
-        tables=tables,
-        assumptions=(
-            "convergence of the lower band capacity is checked on a finite "
-            "schedule, not in the limit",
-        ),
+    header = ("n", "band_lower_capacity", "band_se", "near_upper_mean_capacity",
+              "near_lower_mean_capacity")
+    return _result(
+        config, passed, summary, header, rows,
+        "convergence of the lower band capacity is checked on a finite "
+        "schedule, not in the limit",
     )
 
 
@@ -575,73 +621,43 @@ def run_slln(config: ExperimentConfig) -> ExperimentResult:
     ``k`` past the burn-in. Violations are counted per trajectory.
     """
     _require_sequence_dependence(config)
-    family = config.family
-    (mu_low, theta_low), (mu_up, theta_up) = _mean_extremes(family)
-    measures = [("mean_low", theta_low)]
-    if theta_up != theta_low:
-        measures.append(("mean_up", theta_up))
-    n0, horizon = config.burn_in, config.horizon
+    mu_low, mu_up, measures = _extreme_measures(config.family)
+    n0 = config.burn_in
     lo_bar, hi_bar = mu_low - config.epsilon, mu_up + config.epsilon
 
-    def run_batch(item):
-        m_idx, (label, theta), cols = item
-        marginal = family.measure_at(theta).marginal(0)
-        max_ratio = np.full(len(cols), -np.inf)
-        min_ratio = np.full(len(cols), np.inf)
-        for start, stop, s in _partial_sums(config, _CTX_SLLN + m_idx, cols, marginal):
+    def reduce(chunks, size):
+        max_ratio = np.full(size, -np.inf)
+        min_ratio = np.full(size, np.inf)
+        for start, stop, s in chunks:
             if stop > n0:
                 cut = max(n0 - start - 1, 0)
                 ratios = s[:, cut:]
                 ratios /= np.arange(start + cut + 1, stop + 1, dtype=float)
                 max_ratio = np.maximum(max_ratio, ratios.max(axis=1))
                 min_ratio = np.minimum(min_ratio, ratios.min(axis=1))
-        return [
-            (label, col, float(mx), float(mn))
-            for col, mx, mn in zip(cols, max_ratio, min_ratio)
-        ]
+        return max_ratio, min_ratio
 
-    tasks = [
-        (m_idx, measure, cols)
-        for m_idx, measure in enumerate(measures)
-        for cols in _traj_batches(config.trajectories)
+    rows = [
+        (label, col, mx, mn, int(mx > hi_bar + 1e-12 or mn < lo_bar - 1e-12))
+        for label, col, mx, mn in _scan_trajectories(config, _CTX_SLLN, measures, reduce)
     ]
-    batches = _indexed_map(run_batch, tasks, config.workers)
-
-    rows = []
-    violations = 0
-    for batch in batches:
-        for label, col, mx, mn in batch:
-            bad = mx > hi_bar + 1e-12 or mn < lo_bar - 1e-12
-            violations += bad
-            rows.append((label, col, mx, mn, int(bad)))
+    violations = sum(row[-1] for row in rows)
 
     summary = {
         "mean_interval": [mu_low, mu_up],
         "epsilon": config.epsilon,
         "burn_in": n0,
-        "horizon": horizon,
+        "horizon": config.horizon,
         "trajectories_per_measure": config.trajectories,
         "violations": violations,
         "worst_max_ratio": max(r[2] for r in rows),
         "worst_min_ratio": min(r[3] for r in rows),
     }
-    tables = {
-        "slln": (
-            ("measure", "trajectory", "max_ratio", "min_ratio", "violated"),
-            tuple(rows),
-        )
-    }
-    return ExperimentResult(
-        mode="slln",
-        config_hash=config.config_hash(),
-        seed=config.seed,
-        passed=violations == 0,
-        summary=summary,
-        tables=tables,
-        assumptions=(
-            "the running-mean envelope is checked from the burn-in to a "
-            "finite horizon under the two mean-extreme measures",
-        ),
+    return _result(
+        config, violations == 0, summary,
+        ("measure", "trajectory", "max_ratio", "min_ratio", "violated"), rows,
+        "the running-mean envelope is checked from the burn-in to a "
+        "finite horizon under the two mean-extreme measures",
     )
 
 
@@ -662,7 +678,7 @@ def run_cluster(config: ExperimentConfig) -> ExperimentResult:
         raise ValueError("the cluster sampler switches measures between "
                          "blocks and requires independent draws")
     family = config.family
-    (mu_low, _), (mu_up, _) = _mean_extremes(config.family)
+    mu_low, mu_up, _ = _extreme_measures(family)
     if mu_up - mu_low < config.cluster_grid_step:
         raise ValueError("mean interval is narrower than the target grid step")
 
@@ -676,7 +692,6 @@ def run_cluster(config: ExperimentConfig) -> ExperimentResult:
     def nearest_theta(desired: float):
         return params[int(np.argmin(np.abs(means - desired)))]
 
-    stream = philox_stream(config.seed, _CTX_CLUSTER, 0)
     consumed = 0
     total = 0.0
     v = 0.0
@@ -705,8 +720,10 @@ def run_cluster(config: ExperimentConfig) -> ExperimentResult:
         theta = nearest_theta(desired)
         marginal = family.measure_at(theta).marginal(0)
         block_sum = 0.0
+        # The chunks set the summation order, so they stay at 2**22 draws.
         for start, stop in _chunk_ranges(count, 1 << 22):
-            u = stream.random(stop - start)
+            u = philox_uniforms(config.seed, _CTX_CLUSTER, [0],
+                                consumed + start, consumed + stop)[0]
             block_sum += float(marginal.ppf(u).sum())
         total += block_sum
         consumed = n_next
@@ -729,24 +746,11 @@ def run_cluster(config: ExperimentConfig) -> ExperimentResult:
         "draws": consumed,
         "unvisited": [float(t) for t, ok in zip(targets, visited) if not ok],
     }
-    tables = {
-        "cluster": (
-            ("block", "n", "block_mean", "target", "running_mean", "distance"),
-            tuple(rows),
-        )
-    }
-    return ExperimentResult(
-        mode="cluster",
-        config_hash=config.config_hash(),
-        seed=config.seed,
-        passed=passed,
-        summary=summary,
-        tables=tables,
-        assumptions=(
-            "visiting every grid target on a finite trajectory is a "
-            "consistency check for the cluster of running-mean limit "
-            "points, not a proof of it",
-        ),
+    return _result(
+        config, passed, summary,
+        ("block", "n", "block_mean", "target", "running_mean", "distance"), rows,
+        "visiting every grid target on a finite trajectory is a consistency "
+        "check for the cluster of running-mean limit points, not a proof of it",
     )
 
 
@@ -784,23 +788,18 @@ def run_lil(config: ExperimentConfig) -> ExperimentResult:
     """
     _require_sequence_dependence(config)
     family = config.family
-    (mu_low, theta_low), (mu_up, theta_up) = _mean_extremes(family)
+    mu_low, mu_up, measures = _extreme_measures(family)
     sigma_up = math.sqrt(_sup_centered_second_moment(family, mu_up))
     sigma_low = math.sqrt(_sup_centered_second_moment(family, mu_low))
-    measures = [("mean_low", theta_low)]
-    if theta_up != theta_low:
-        measures.append(("mean_up", theta_up))
     checkpoints = _geometric_checkpoints(
         config.burn_in, config.horizon, config.checkpoint_growth
     )
     norming = _lil_norming(checkpoints.astype(float))
 
-    def run_batch(item):
-        m_idx, (label, theta), cols = item
-        marginal = family.measure_at(theta).marginal(0)
-        r_up = np.full(len(cols), -np.inf)
-        r_low = np.full(len(cols), np.inf)
-        for start, stop, s in _partial_sums(config, _CTX_LIL + m_idx, cols, marginal):
+    def reduce(chunks, size):
+        r_up = np.full(size, -np.inf)
+        r_low = np.full(size, np.inf)
+        for start, stop, s in chunks:
             mask = (checkpoints > start) & (checkpoints <= stop)
             if mask.any():
                 cps = checkpoints[mask]
@@ -810,32 +809,16 @@ def run_lil(config: ExperimentConfig) -> ExperimentResult:
                 low = (s_cp - cps * mu_low) / a_cp
                 r_up = np.maximum(r_up, up.max(axis=1))
                 r_low = np.minimum(r_low, low.min(axis=1))
-        return [
-            (label, col, float(a), float(b))
-            for col, a, b in zip(cols, r_up, r_low)
-        ]
-
-    tasks = [
-        (m_idx, measure, cols)
-        for m_idx, measure in enumerate(measures)
-        for cols in _traj_batches(config.trajectories)
-    ]
-    batches = _indexed_map(run_batch, tasks, config.workers)
+        return r_up, r_low
 
     up_cap = sigma_up * (1.0 + config.lil_epsilon)
     low_cap = -sigma_low * (1.0 + config.lil_epsilon)
-    rows = []
-    ok_up = ok_low = total = 0
-    for batch in batches:
-        for label, col, a, b in batch:
-            good_up = a <= up_cap + 1e-12
-            good_low = b >= low_cap - 1e-12
-            ok_up += good_up
-            ok_low += good_low
-            total += 1
-            rows.append((label, col, a, b, int(good_up), int(good_low)))
-    frac_up = ok_up / total
-    frac_low = ok_low / total
+    rows = [
+        (label, col, a, b, int(a <= up_cap + 1e-12), int(b >= low_cap - 1e-12))
+        for label, col, a, b in _scan_trajectories(config, _CTX_LIL, measures, reduce)
+    ]
+    frac_up = sum(row[4] for row in rows) / len(rows)
+    frac_low = sum(row[5] for row in rows) / len(rows)
     passed = frac_up >= config.lil_quantile
 
     summary = {
@@ -849,23 +832,11 @@ def run_lil(config: ExperimentConfig) -> ExperimentResult:
         "checkpoints": int(checkpoints.size),
         "horizon": config.horizon,
     }
-    tables = {
-        "lil": (
-            ("measure", "trajectory", "r_upper", "r_lower", "ok_upper", "ok_lower"),
-            tuple(rows),
-        )
-    }
-    return ExperimentResult(
-        mode="lil",
-        config_hash=config.config_hash(),
-        seed=config.seed,
-        passed=passed,
-        summary=summary,
-        tables=tables,
-        assumptions=(
-            "fluctuations are sampled at geometric checkpoints, so the "
-            "statistic slightly undershoots the running supremum",
-        ),
+    return _result(
+        config, passed, summary,
+        ("measure", "trajectory", "r_upper", "r_lower", "ok_upper", "ok_lower"), rows,
+        "fluctuations are sampled at geometric checkpoints, so the "
+        "statistic slightly undershoots the running supremum",
     )
 
 
@@ -889,27 +860,22 @@ def run_necessity(config: ExperimentConfig) -> ExperimentResult:
         raise ValueError(
             "the divergence check draws from a single law; use a singleton family"
         )
-    marginal = family.measure_at(family.grid_parameters()[0]).marginal(0)
     engine = SublinearEngine(family, seed=config.seed)
     tail = engine.choquet(TestFunction.abs_power(1.0), capacity="upper")
 
-    def run_batch(cols):
-        peak = np.zeros(len(cols))
-        for start, stop, s in _partial_sums(config, _CTX_NECESSITY, cols, marginal):
+    def reduce(chunks, size):
+        peak = np.zeros(size)
+        for start, stop, s in chunks:
             s /= np.arange(start + 1, stop + 1, dtype=float)
             peak = np.maximum(peak, np.abs(s, out=s).max(axis=1))
-        return [(col, float(p)) for col, p in zip(cols, peak)]
+        return (peak,)
 
-    batches = _indexed_map(
-        run_batch, _traj_batches(config.trajectories), config.workers
-    )
-    rows = []
-    exceed = 0
-    for batch in batches:
-        for col, peak in batch:
-            hit = peak > config.divergence_threshold
-            exceed += hit
-            rows.append((col, peak, int(hit)))
+    measures = [("", family.grid_parameters()[0])]
+    rows = [
+        (col, peak, int(peak > config.divergence_threshold))
+        for _, col, peak in _scan_trajectories(config, _CTX_NECESSITY, measures, reduce)
+    ]
+    exceed = sum(row[-1] for row in rows)
     exceed_fraction = exceed / config.trajectories
 
     if tail.divergent:
@@ -932,60 +898,13 @@ def run_necessity(config: ExperimentConfig) -> ExperimentResult:
         "required_fraction": config.divergence_quantile,
         "verdict": verdict,
     }
-    tables = {
-        "necessity": (("trajectory", "max_abs_ratio", "exceeded"), tuple(rows))
-    }
-    return ExperimentResult(
-        mode="necessity",
-        config_hash=config.config_hash(),
-        seed=config.seed,
-        passed=passed,
-        summary=summary,
-        tables=tables,
-        assumptions=(
-            "a finite-horizon exceedance frequency is a qualitative proxy "
-            "for almost-sure divergence",
-            "the converse direction assumes capacity continuity, which "
-            "this run does not certify",
-        ),
+    return _result(
+        config, passed, summary, ("trajectory", "max_abs_ratio", "exceeded"), rows,
+        "a finite-horizon exceedance frequency is a qualitative proxy "
+        "for almost-sure divergence",
+        "the converse direction assumes capacity continuity, which "
+        "this run does not certify",
     )
-
-
-def borel_cantelli_diag(
-    capacities, late_event_frequency: float | None = None
-) -> dict:
-    """First Borel-Cantelli consistency check on a capacity series.
-
-    Heuristically classifies the series of event capacities as summable
-    or not from its partial sums, and, when a late-event frequency is
-    supplied, flags the combination "summable series but events keep
-    happening" as inconsistent.
-    """
-    caps = np.asarray(list(capacities), dtype=float)
-    if caps.size == 0 or np.any(caps < -1e-12) or np.any(caps > 1.0 + 1e-12):
-        raise ValueError("capacities must be a non-empty sequence in [0, 1]")
-    partial = np.cumsum(caps)
-    total = float(partial[-1])
-    tail_start = max(1, int(0.75 * caps.size))
-    tail_mass = float(caps[tail_start:].sum())
-    looks_summable = bool(
-        caps.size >= 8
-        and tail_mass <= 0.05 * (1.0 + total)
-        and caps[-1] <= 1e-3
-    )
-    consistent = None
-    if late_event_frequency is not None:
-        if looks_summable:
-            consistent = late_event_frequency <= 0.01
-        else:
-            consistent = True
-    return {
-        "partial_sums": tuple(float(s) for s in partial),
-        "total": total,
-        "looks_summable": looks_summable,
-        "late_event_frequency": late_event_frequency,
-        "consistent": consistent,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -1050,8 +969,7 @@ def run_bound_check(config: ExperimentConfig) -> ExperimentResult:
 
     else:
         n = config.horizon
-        (_, _), (mu_up, _) = _mean_extremes(family)
-        center = mu_up
+        _, center, _ = _extreme_measures(family)
         centered = _shifted_family(family, -center)
         thetas = centered.grid_parameters()
         marginals = [centered.measure_at(t).marginal(0) for t in thetas]
@@ -1086,13 +1004,9 @@ def run_bound_check(config: ExperimentConfig) -> ExperimentResult:
 
         def tail_stats(item):
             k, marginal = item
-            m_traj = config.trajectories
-            sums = np.zeros(m_traj)
-            for _, _, u in _uniform_chunks(config.seed, _CTX_BOUNDS + k, range(m_traj), n):
-                x = _transform_chunk(u, marginal, config.dependence)
-                sums += _row_sums(x)
+            sums = _final_sums(config, _CTX_BOUNDS + k, [marginal], n)[0]
             f = np.array([(sums >= x).mean() for x in x_grid])
-            return f, np.sqrt(f * (1.0 - f) / m_traj)
+            return f, np.sqrt(f * (1.0 - f) / config.trajectories)
 
         stats = _indexed_map(tail_stats, enumerate(marginals), config.workers)
         freqs = np.stack([f for f, _ in stats])
@@ -1206,19 +1120,11 @@ def run_bound_check(config: ExperimentConfig) -> ExperimentResult:
         "emp_lower_se",
         *("bound_" + name for name in lower_names),
     )
-    tables = {"bound_check": (header, tuple(rows))}
-    return ExperimentResult(
-        mode="bound_check",
-        config_hash=config.config_hash(),
-        seed=config.seed,
-        passed=not flags,
-        summary=summary,
-        tables=tables,
-        assumptions=(
-            "empirical capacities get three standard errors of headroom",
-            "the max-term capacity uses the exact i.i.d. form for "
-            "independent draws and a union bound otherwise",
-        ),
+    return _result(
+        config, not flags, summary, header, rows,
+        "empirical capacities get three standard errors of headroom",
+        "the max-term capacity uses the exact i.i.d. form for "
+        "independent draws and a union bound otherwise",
     )
 
 

@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .measures import Marginal, MeasureFamily, ProductMeasure, philox_stream, uniform_block
 
 __all__ = [
-    "CapacityPair",
     "ChoquetReport",
     "EvaluationReport",
     "SublinearEngine",
@@ -32,22 +31,9 @@ __all__ = [
     "marginal_expectation",
     "run_axiom_suite",
     "smooth_indicator",
-    "truncate",
 ]
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def truncate(x, level: float):
-    """Split x into a part clamped to [-level, level] and the remainder.
-
-    The pieces always add back to x; the remainder vanishes on |x| <= level.
-    """
-    if not level > 0:
-        raise ValueError(f"truncation level must be positive, got {level}")
-    x = np.asarray(x, dtype=float)
-    clipped = np.clip(x, -level, level)
-    return clipped, x - clipped
 
 
 def _smooth01(u):
@@ -165,10 +151,6 @@ class TestFunction:
             nonnegative=not odd,
             closed_form=("power", k),
         )
-
-    @staticmethod
-    def identity() -> "TestFunction":
-        return TestFunction.power(1)
 
     @staticmethod
     def abs_power(k: float) -> "TestFunction":
@@ -368,11 +350,6 @@ class EvaluationReport:
     per_parameter: tuple = ()
     refined: bool = False
     n_replications: int = 0
-
-
-class CapacityPair(NamedTuple):
-    upper: EvaluationReport
-    lower: EvaluationReport
 
 
 @dataclass(frozen=True)
@@ -647,22 +624,6 @@ class SublinearEngine:
     def lower_exp(self, f: TestFunction) -> EvaluationReport:
         """inf over the family of E[f]."""
         return self._expectation_report(f, "min")
-
-    # -- capacities ------------------------------------------------------------------
-
-    def capacity_pair(self, indicator: TestFunction) -> CapacityPair:
-        """Upper and lower capacity of an event: the envelopes of its indicator."""
-        return CapacityPair(upper=self.upper_exp(indicator), lower=self.lower_exp(indicator))
-
-    def capacity_bracket(self, indicator: TestFunction, inner: TestFunction,
-                         outer: TestFunction) -> dict:
-        """Sandwich an upper capacity between envelope expectations of smooth
-        functions dominated by / dominating the indicator."""
-        return {
-            "inner": self.upper_exp(inner),
-            "capacity": self.upper_exp(indicator),
-            "outer": self.upper_exp(outer),
-        }
 
     # -- family-level moments ------------------------------------------------------
 

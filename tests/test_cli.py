@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import caplim
+from caplim.bounds import BoundInputs, moricz_maximal_bound, moricz_maximal_bound_text_form
 from caplim.cli import main
 from caplim.config import ConfigError, parse_config, parse_config_text
 
@@ -233,6 +234,19 @@ class TestCommandLine:
         assert "--formula" in capsys.readouterr().err
         assert main(["bounds", "eval", "--formula", "chebyshev"]) == 1
         assert "--x" in capsys.readouterr().err
+
+    def test_bounds_eval_moricz_takes_the_largest_choquet_term(self, tmp_path):
+        terms = (0.2, 0.7, 0.4)
+        rc = main(["bounds", "eval", "--formula", "moricz", "--x", "1,2",
+                   "--n", "3", "--order", "3", "--choquet-terms", ",".join(map(str, terms)),
+                   "--max-second-moment", "1", "--out", str(tmp_path)])
+        assert rc == 0
+        columns = json.loads((tmp_path / "result.json").read_text())["columns"]
+        inputs = BoundInputs(n=3, variance_sum=1.0, K=1.0, order=3)
+        assert columns == {
+            "moricz_dyadic": [moricz_maximal_bound(inputs, max(terms), 1.0)] * 2,
+            "moricz_text_form": [moricz_maximal_bound_text_form(inputs, max(terms), 1.0)] * 2,
+        }
 
 
 def test_importing_the_cli_leaves_quadrature_unloaded():

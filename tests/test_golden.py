@@ -22,6 +22,7 @@ from pathlib import Path
 
 import pytest
 
+from caplim import limits
 from caplim.cli import main
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -259,6 +260,16 @@ def _artifact_digests(name: str, out: Path, workers: int) -> dict:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_artifacts_match_pinned_digests(name, workers, tmp_path):
     assert _artifact_digests(name, tmp_path, workers) == DIGESTS[name]
+
+
+# Up to 64 trajectories, a scan chunk keeps its full row count, so the
+# trajectories per task only schedule. Width 3 splits the 4-trajectory scans.
+@pytest.mark.parametrize("width", [3, 7, 32, 64])
+@pytest.mark.parametrize("name", ["slln_copula_uniform", "slln_uneven_batches",
+                                  "lil_uniform_multichunk", "necessity_normal_multichunk"])
+def test_batch_width_moves_no_bytes(name, width, tmp_path, monkeypatch):
+    monkeypatch.setattr(limits, "_TRAJ_BATCH", width)
+    assert _artifact_digests(name, tmp_path, 2) == DIGESTS[name]
 
 
 if __name__ == "__main__":

@@ -8,7 +8,6 @@ from caplim.dependence import DependenceSpec, correlate_pairs
 from caplim.measures import normal_scores, philox_stream
 from caplim.limits import (
     ExperimentConfig,
-    borel_cantelli_diag,
     run_experiment,
     _geometric_checkpoints,
     _lil_norming,
@@ -345,32 +344,6 @@ class TestBoundCheck:
                                horizon=3, trajectories=100, seed=7)
         with pytest.raises(ValueError):
             run_experiment(cfg)
-
-
-class TestBorelCantelliDiag:
-    def test_square_summable_series_is_classified_summable(self):
-        caps = [1.0 / n**2 for n in range(1, 200)]
-        diag = borel_cantelli_diag(caps)
-        assert diag["looks_summable"]
-        assert diag["total"] == pytest.approx(sum(caps))
-        assert diag["consistent"] is None
-
-    def test_summable_series_with_persistent_events_is_inconsistent(self):
-        caps = [1.0 / n**2 for n in range(1, 200)]
-        assert borel_cantelli_diag(caps, late_event_frequency=0.1)["consistent"] is False
-        assert borel_cantelli_diag(caps, late_event_frequency=0.0)["consistent"] is True
-
-    def test_harmonic_series_is_not_summable(self):
-        caps = [1.0 / n for n in range(1, 200)]
-        diag = borel_cantelli_diag(caps, late_event_frequency=0.8)
-        assert not diag["looks_summable"]
-        assert diag["consistent"] is True
-
-    def test_inputs_validated(self):
-        with pytest.raises(ValueError, match="capacities"):
-            borel_cantelli_diag([])
-        with pytest.raises(ValueError, match="capacities"):
-            borel_cantelli_diag([0.5, 1.5])
 
 
 # ---------------------------------------------------------------------------
