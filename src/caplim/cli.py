@@ -287,13 +287,15 @@ def _cmd_bounds(args) -> int:
     inputs_map.setdefault("K", 1.0)
     inputs = BoundInputs(**inputs_map)
 
+    # Each flag overrides its config key.
     extra = {}
-    if args.choquet_terms is not None:
-        extra["per_term_pos_choquet"] = tuple(args.choquet_terms)
-    if args.max_second_moment is not None:
-        extra["max_second_moment"] = args.max_second_moment
-    if args.tilt is not None:
-        extra["tilt"] = args.tilt
+    for key, name in (("choquet_terms", "per_term_pos_choquet"),
+                      ("max_second_moment", "max_second_moment"), ("tilt", "tilt")):
+        value = getattr(args, key)
+        if value is None:
+            value = options.get(key)
+        if value is not None:
+            extra[name] = tuple(value) if key == "choquet_terms" else value
     form = args.form or options.get("form", "pre")
 
     columns, trace = evaluate_formula(formula, inputs, xs, form=form, **extra)

@@ -431,7 +431,7 @@ def _interval(ctx: _Context, value, path: str) -> tuple[float, float]:
     return (_number(ctx, value[0], f"{path}[0]"), _number(ctx, value[1], f"{path}[1]"))
 
 
-def _thresholds(ctx: _Context, value, path: str) -> tuple[float, ...]:
+def _numbers(ctx: _Context, value, path: str) -> tuple[float, ...]:
     if isinstance(value, list):
         return tuple(_number(ctx, v, f"{path}[{i}]") for i, v in enumerate(value))
     return (_number(ctx, value, path),)
@@ -493,7 +493,9 @@ _SECTIONS = {
         "formula": _one_of("formula", _BOUND_FORMULAS),
         "form": _either("form", "pre", "post"),
         "tilt": _number,
-        "x": _thresholds,
+        "x": _numbers,
+        "choquet_terms": _numbers,
+        "max_second_moment": _number,
         "inputs": _bound_inputs,
     },
     "choquet": {

@@ -11,6 +11,14 @@ logarithm and the divergence check hand a chunk reducer to one scan
 driver, ``_scan_trajectories``, which owns the marginals, the batches,
 the worker pool and the rows; every runner returns through ``_result``.
 
+Sums keep the bits of a chunked scan: chunks of ``_rows_per_chunk``
+draws, each summed sequentially and added to the running total. The work
+itself goes in tiles of about ``_TILE`` entries (512 KiB), each drawn,
+transformed and summed while it sits in a core's cache, and cut at the
+chunk edges; a tile that continues a chunk starts from the chunk's running
+sum, so tile size moves no bytes. Only the cluster sampler, whose chunk
+sums are pairwise, draws whole chunks, into one reused buffer.
+
 The runners cover the law of large numbers in both weak and strong
 form, the cluster behaviour of running means under measure switching,
 the law of the iterated logarithm, a divergence check for heavy tails
@@ -79,10 +87,15 @@ _CTX_NECESSITY = 5_000
 _CTX_BOUNDS = 6_000
 
 _ROW_CHUNK = 1 << 17
+_CLUSTER_CHUNK = 1 << 22
 
-# Trajectories per scan task. A batch of up to 64 keeps chunks at
+# Most trajectories per scan task. A batch of up to 64 keeps chunks at
 # _ROW_CHUNK rows, so below that the width moves no bytes.
-_TRAJ_BATCH = 32
+_TRAJ_BATCH = 64
+
+# Entries in one tile of draws: 512 KiB of float64, which stays in a core's
+# L2 cache while it is drawn, transformed and summed.
+_TILE = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -268,11 +281,11 @@ def _indexed_map(fn, items, workers: int) -> list:
 def _transform_chunk(
     u: np.ndarray, marginal: Marginal, dependence: DependenceSpec
 ) -> np.ndarray:
-    """Map a uniform chunk to draws of the sequence, trajectory by trajectory.
+    """Map a uniform tile to draws of the sequence, trajectory by trajectory.
 
     Rows are trajectories and columns are time. Under the pairwise copula
-    the correlation couples consecutive columns, so callers must keep chunk
-    lengths even to preserve the pairing across chunk boundaries. The
+    the correlation couples consecutive columns, so callers must start tiles
+    at even draws to preserve the pairing across tile boundaries. The
     result is a new array; ``u`` is left as it is.
     """
     if dependence.mode == "per_measure_independent":
@@ -379,8 +392,12 @@ def _chunk_ranges(total: int, chunk: int):
         start = stop
 
 
-def _traj_batches(trajectories: int):
-    for start, stop in _chunk_ranges(trajectories, _TRAJ_BATCH):
+def _traj_batches(trajectories: int, workers: int):
+    """Batches of trajectories, one scan task each: one per worker, at most
+    ``_TRAJ_BATCH`` wide.
+    """
+    width = min(_TRAJ_BATCH, -(-trajectories // workers))
+    for start, stop in _chunk_ranges(trajectories, width):
         yield list(range(start, stop))
 
 
@@ -390,15 +407,21 @@ def _rows_per_chunk(columns: int) -> int:
     return rows - (rows % 2)
 
 
-def _uniform_chunks(seed: int, context: int, columns, horizon: int):
-    """Uniforms for the trajectories in ``columns``, in chunks of time.
+def _tile_rows(columns: int) -> int:
+    """Even row count keeping a tile over ``columns`` streams near ``_TILE`` entries."""
+    rows = max(2, _TILE // max(columns, 1))
+    return rows - (rows % 2)
 
-    Yields ``(start, stop, u)`` where ``u`` holds draws ``start..stop-1``
-    in a ``(len(columns), stop - start)`` block, and row j continues stream
-    ``(seed, context, columns[j])`` from the previous chunk.
+
+def _pieces(start: int, stop: int, chunk: int):
+    """``(a, b, fresh)``: the draws ``start..stop-1`` cut at multiples of ``chunk``.
+
+    ``fresh`` marks a piece that begins a chunk.
     """
-    for start, stop in _chunk_ranges(horizon, _rows_per_chunk(len(columns))):
-        yield start, stop, philox_uniforms(seed, context, columns, start, stop)
+    while start < stop:
+        b = min(stop, start - start % chunk + chunk)
+        yield start, b, start % chunk == 0
+        start = b
 
 
 def _partial_sums(config: ExperimentConfig, context: int, columns, marginal: Marginal):
@@ -406,18 +429,33 @@ def _partial_sums(config: ExperimentConfig, context: int, columns, marginal: Mar
 
     Yields ``(start, stop, s)`` where ``s[j, r]`` holds ``S_{start+r+1}`` of
     trajectory ``columns[j]``, over the whole horizon. ``s`` is a scratch
-    block, the chunk's transformed draws overwritten by the sums: the caller
-    may overwrite it but must not keep it past the next step of the iteration.
+    block of at most one tile: the caller may overwrite it but must not keep
+    it past the next step of the iteration.
+
+    The bits are those of chunks of ``_rows_per_chunk(len(columns))`` draws,
+    each summed as ``carry + cumsum(x)``. Tiles of ``_tile_rows`` draws (an
+    even count, so copula pairs stay whole) are drawn and transformed one at
+    a time and cut at the chunk edges. A piece that continues a chunk first
+    adds the chunk's running sum ``inner`` into its first column, so its
+    cumsum continues the chunk's; the outer ``carry``, the sum at the
+    chunk's first edge, is added afterwards.
     """
+    chunk = _rows_per_chunk(len(columns))
     carry = np.zeros((len(columns), 1))
-    for start, stop, u in _uniform_chunks(config.seed, context, columns, config.horizon):
-        # The transform returns a new block, so the sums overwrite it; these
-        # are the additions of carry + cumsum(x), so bit-equal to it.
-        s = _transform_chunk(u, marginal, config.dependence)
-        np.cumsum(s, axis=1, out=s)
-        s += carry
-        carry = s[:, -1:].copy()
-        yield start, stop, s
+    inner = np.zeros((len(columns), 1))
+    for start, stop in _chunk_ranges(config.horizon, _tile_rows(len(columns))):
+        u = philox_uniforms(config.seed, context, columns, start, stop)
+        x = _transform_chunk(u, marginal, config.dependence)
+        for a, b, fresh in _pieces(start, stop, chunk):
+            s = x[:, a - start:b - start]
+            if fresh:
+                carry += inner
+            else:
+                s[:, :1] += inner
+            np.cumsum(s, axis=1, out=s)
+            inner[:] = s[:, -1:]
+            s += carry
+            yield a, b, s
 
 
 def _row_sums(x: np.ndarray) -> np.ndarray:
@@ -435,14 +473,32 @@ def _final_sums(config: ExperimentConfig, context: int, marginals, n: int) -> np
     All marginals transform the same uniforms, drawn from streams
     ``(seed, context, j)``; row k of the result holds the sums under
     ``marginals[k]``.
+
+    The bits are those of chunks of ``_rows_per_chunk(trajectories)`` draws
+    over all trajectories, each chunk's row sums added in turn. The work
+    goes in tiles of about ``_TILE`` entries: a tile holds whole horizons of
+    a few trajectories, drawn in one call, or, when a horizon exceeds a
+    tile, an even span of one trajectory's draws. Each tile is summed in
+    pieces cut at the chunk edges; a piece that continues a chunk starts
+    from the chunk's running sum, and a piece that ends one adds it in.
     """
-    sums = np.zeros((len(marginals), config.trajectories))
-    for _, _, u in _uniform_chunks(config.seed, context, range(config.trajectories), n):
-        for k, marginal in enumerate(marginals):
-            # Bound until the next transform replaces it: freeing the block
-            # earlier changes which arrays the allocator keeps resident.
-            x = _transform_chunk(u, marginal, config.dependence)
-            sums[k] += _row_sums(x)
+    trajectories = config.trajectories
+    chunk = _rows_per_chunk(trajectories)
+    span = min(trajectories, max(1, _TILE // n))
+    sums = np.zeros((len(marginals), trajectories))
+    for t0, t1 in _chunk_ranges(trajectories, span):
+        inner = np.zeros((len(marginals), t1 - t0))
+        for start, stop in _chunk_ranges(n, _tile_rows(t1 - t0)):
+            u = philox_uniforms(config.seed, context, range(t0, t1), start, stop)
+            for k, marginal in enumerate(marginals):
+                x = _transform_chunk(u, marginal, config.dependence)
+                for a, b, fresh in _pieces(start, stop, chunk):
+                    piece = x[:, a - start:b - start]
+                    if not fresh:
+                        piece[:, 0] += inner[k]
+                    inner[k] = _row_sums(piece)
+                    if b % chunk == 0 or b == n:
+                        sums[k, t0:t1] += inner[k]
     return sums
 
 
@@ -464,7 +520,7 @@ def _scan_trajectories(config: ExperimentConfig, context: int, measures, reduce)
         return [(label, col, *map(float, row)) for col, row in zip(cols, zip(*stats))]
 
     tasks = [(i, cols) for i in range(len(measures))
-             for cols in _traj_batches(config.trajectories)]
+             for cols in _traj_batches(config.trajectories, config.workers)]
     return [row for rows in _indexed_map(scan, tasks, config.workers) for row in rows]
 
 
@@ -699,6 +755,7 @@ def run_cluster(config: ExperimentConfig) -> ExperimentResult:
     best = np.full(n_targets, np.inf)
     rows = []
     max_blocks = 30 * n_targets
+    buffer = np.empty((1, min(config.horizon, _CLUSTER_CHUNK)))
 
     for block in range(max_blocks):
         if active >= n_targets or consumed >= config.horizon:
@@ -720,11 +777,13 @@ def run_cluster(config: ExperimentConfig) -> ExperimentResult:
         theta = nearest_theta(desired)
         marginal = family.measure_at(theta).marginal(0)
         block_sum = 0.0
-        # The chunks set the summation order, so they stay at 2**22 draws.
-        for start, stop in _chunk_ranges(count, 1 << 22):
-            u = philox_uniforms(config.seed, _CTX_CLUSTER, [0],
-                                consumed + start, consumed + stop)[0]
-            block_sum += float(marginal.ppf(u).sum())
+        # The chunks set the summation order, so they stay at 2**22 draws;
+        # each is drawn and transformed in place in the one buffer.
+        for start, stop in _chunk_ranges(count, _CLUSTER_CHUNK):
+            u = buffer[:, :stop - start]
+            philox_uniforms(config.seed, _CTX_CLUSTER, [0],
+                            consumed + start, consumed + stop, out=u)
+            block_sum += float(marginal.ppf(u[0], out=u[0]).sum())
         total += block_sum
         consumed = n_next
         v = total / consumed

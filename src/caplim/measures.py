@@ -121,12 +121,14 @@ def _philox4x64(counter, key) -> tuple[np.ndarray, ...]:
 
 
 def philox_uniforms(seed: int, context: int, columns: Sequence[int],
-                    start: int, stop: int) -> np.ndarray:
+                    start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
     """Draws ``start..stop-1`` of the streams ``(seed, context, c)``, c in ``columns``.
 
     Returns a C-contiguous ``(len(columns), stop - start)`` float64 block whose
     row j equals ``philox_stream(seed, context, columns[j]).random(stop)[start:]``
-    bit for bit. Draw i of a stream is word ``i % 4`` of counter ``i // 4 + 1``.
+    bit for bit; with ``out``, a C-contiguous float64 array of that shape,
+    the block is written there. Draw i of a stream is word ``i % 4`` of
+    counter ``i // 4 + 1``.
     Blocks with fewer than ``_TALL_ROWS`` draws per stream run the cipher in
     numpy over every (counter, column) pair and write the words transposed;
     longer ones reset one reused bit generator to each column's key and
@@ -142,7 +144,12 @@ def philox_uniforms(seed: int, context: int, columns: Sequence[int],
     # One contiguous row per stream: a trajectory's draws sit side by side,
     # so the tall path fills each row in place and a scan along time reads
     # memory in order.
-    out = np.empty((cols.size, rows), dtype=np.float64)
+    if out is None:
+        out = np.empty((cols.size, rows), dtype=np.float64)
+    elif out.shape != (cols.size, rows) or out.dtype != np.float64 \
+            or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous float64 array of shape "
+                         f"{(cols.size, rows)}")
     if out.size == 0:
         return out
     key0 = cols.astype(np.uint64) | np.uint64(context << 32)
@@ -478,25 +485,39 @@ class Marginal:
             return np.where(x >= scale, alpha * scale**alpha / np.maximum(x, scale) ** (alpha + 1.0), 0.0)
         raise ValueError(f"{self.kind} marginal has no density")
 
-    def ppf(self, u):
-        """Generalized inverse cdf, defined for u in [0, 1)."""
+    def ppf(self, u, out=None):
+        """Generalized inverse cdf, defined for u in [0, 1).
+
+        With ``out`` (a float64 array shaped like ``u``, possibly ``u``
+        itself) the draws are written there with the same bits, and no array
+        of ``u``'s size is allocated for the continuous kinds.
+        """
         u = np.asarray(u, dtype=float)
+        if out is None:
+            out = np.empty_like(u)
         if self.kind == "normal":
+            # The bits of mean + sd * ndtri(max(u, floor)).
             mean, var = self.params
-            return mean + math.sqrt(var) * special.ndtri(np.maximum(u, _U_FLOOR))
-        if self.kind == "uniform":
+            special.ndtri(np.maximum(u, _U_FLOOR, out=out), out=out)
+            out *= math.sqrt(var)
+            out += mean
+        elif self.kind == "uniform":
             lo, hi = self.params
-            return lo + (hi - lo) * u
-        if self.kind == "bernoulli":
-            p = self.params[0]
-            return (u >= 1.0 - p).astype(float)
-        if self.kind == "pareto":
+            np.multiply(u, hi - lo, out=out)
+            out += lo
+        elif self.kind == "bernoulli":
+            np.greater_equal(u, 1.0 - self.params[0], out=out)
+        elif self.kind == "pareto":
             alpha, scale = self.params
-            return scale * (1.0 - u) ** (-1.0 / alpha)
-        vals, probs = self._sorted_atoms()
-        cum = np.cumsum(probs)
-        idx = np.minimum(np.searchsorted(cum, u, side="left"), len(vals) - 1)
-        return vals[idx]
+            np.subtract(1.0, u, out=out)
+            out **= -1.0 / alpha
+            out *= scale
+        else:
+            vals, probs = self._sorted_atoms()
+            idx = np.searchsorted(np.cumsum(probs), u, side="left")
+            # "clip" maps an index past the last atom to the last atom.
+            np.take(vals, idx, out=out, mode="clip")
+        return out if out.ndim else out[()]
 
     def from_normal_score(self, z):
         """Draws with standard normal scores ``z``: ``ppf(ndtr(z))``, exact for normals."""

@@ -12,7 +12,12 @@ from pathlib import Path
 import pytest
 
 import caplim
-from caplim.bounds import BoundInputs, moricz_maximal_bound, moricz_maximal_bound_text_form
+from caplim.bounds import (
+    BoundInputs,
+    chernoff_explicit_bound,
+    moricz_maximal_bound,
+    moricz_maximal_bound_text_form,
+)
 from caplim.cli import main
 from caplim.config import ConfigError, parse_config, parse_config_text
 
@@ -247,6 +252,35 @@ class TestCommandLine:
             "moricz_dyadic": [moricz_maximal_bound(inputs, max(terms), 1.0)] * 2,
             "moricz_text_form": [moricz_maximal_bound_text_form(inputs, max(terms), 1.0)] * 2,
         }
+
+    def test_bounds_eval_reads_the_config_tilt(self, tmp_path):
+        config = tmp_path / "exp.yaml"
+        config.write_text(MINIMAL + "bounds:\n  formula: exp\n  tilt: 0.7\n  x: [1.0]\n"
+                          "  inputs:\n    truncation: 2.0\n")
+        inputs = BoundInputs(n=1, variance_sum=1.0, K=1.0, truncation=2.0)
+        for flags, tilt in (((), 0.7), (("--tilt", "0.3"), 0.3)):
+            out = tmp_path / f"tilt-{tilt}"
+            assert main(["bounds", "eval", "--config", str(config), *flags,
+                         "--out", str(out)]) == 0
+            columns = json.loads((out / "result.json").read_text())["columns"]
+            assert columns["tilted"] == [chernoff_explicit_bound(inputs, 1.0, tilt)]
+            assert "tilted_optimal" not in columns
+
+    @pytest.mark.parametrize("formula", ["moricz", "choquet-moment"])
+    def test_bounds_eval_reads_choquet_terms_from_the_config(self, formula, tmp_path):
+        config = tmp_path / "bounds.yaml"
+        config.write_text(MINIMAL + f"bounds:\n  formula: {formula}\n  x: [1.0, 2.0]\n"
+                          "  choquet_terms: [0.2, 0.7, 0.4]\n  max_second_moment: 1.0\n"
+                          "  inputs:\n    n: 3\n    order: 3\n")
+        assert main(["bounds", "eval", "--config", str(config),
+                     "--out", str(tmp_path / "file")]) == 0
+        assert main(["bounds", "eval", "--formula", formula, "--x", "1,2", "--n", "3",
+                     "--order", "3", "--choquet-terms", "0.2,0.7,0.4",
+                     "--max-second-moment", "1", "--out", str(tmp_path / "flags")]) == 0
+        from_file, from_flags = (
+            json.loads((tmp_path / run / "result.json").read_text())["columns"]
+            for run in ("file", "flags"))
+        assert from_file == from_flags
 
 
 def test_importing_the_cli_leaves_quadrature_unloaded():

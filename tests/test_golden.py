@@ -263,12 +263,35 @@ def test_artifacts_match_pinned_digests(name, workers, tmp_path):
 
 
 # Up to 64 trajectories, a scan chunk keeps its full row count, so the
-# trajectories per task only schedule. Width 3 splits the 4-trajectory scans.
+# trajectories per task only schedule. Width 3 splits the 4-trajectory scans;
+# at two workers, the width is at most half the trajectories.
 @pytest.mark.parametrize("width", [3, 7, 32, 64])
 @pytest.mark.parametrize("name", ["slln_copula_uniform", "slln_uneven_batches",
                                   "lil_uniform_multichunk", "necessity_normal_multichunk"])
 def test_batch_width_moves_no_bytes(name, width, tmp_path, monkeypatch):
     monkeypatch.setattr(limits, "_TRAJ_BATCH", width)
+    assert _artifact_digests(name, tmp_path, 2) == DIGESTS[name]
+
+
+# Every Monte Carlo case at tiles far below its chunks and at one of 2**22
+# entries, which holds a whole chunk or more. A tile of 1100 entries is 550
+# draws of a 2-trajectory task, 110 of a 10-trajectory one and 30 (the numpy
+# cipher) of a 35-trajectory one, each 2 mod 4 so every other tile starts
+# mid-counter; bound-check and Monte Carlo wlln horizons longer than it are
+# cut at the chunk edges. The 50 x 1e6 shipped necessity scan would take
+# 40 s at 1100 entries, so it runs at 51 050: 2042 draws of a 25-trajectory
+# task, also 2 mod 4 and not a divisor of the 131 072-draw chunks.
+MONTE_CARLO = ("wlln_mc_uniform", "slln_copula_uniform", "slln_uneven_batches",
+               "lil_uniform_multichunk", "necessity_normal_multichunk",
+               "bound_check_copula_normal", "bound_check_uniform",
+               "bound_check_copula_wide_chunks", "cluster_two_chunk_blocks")
+TILE_CASES = [(name, tile) for name in MONTE_CARLO for tile in (1100, 1 << 22)] + [
+    ("necessity_normal_config", 51_050), ("necessity_normal_config", 1 << 22)]
+
+
+@pytest.mark.parametrize("name,tile", TILE_CASES)
+def test_tile_size_moves_no_bytes(name, tile, tmp_path, monkeypatch):
+    monkeypatch.setattr(limits, "_TILE", tile)
     assert _artifact_digests(name, tmp_path, 2) == DIGESTS[name]
 
 

@@ -1,11 +1,13 @@
 """Experiment configs and the six long-run trajectory runners."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from caplim import Marginal, MeasureFamily, ProductMeasure, limits
 from caplim.dependence import DependenceSpec, correlate_pairs
-from caplim.measures import normal_scores, philox_stream
+from caplim.measures import normal_scores, philox_stream, philox_uniforms
 from caplim.limits import (
     ExperimentConfig,
     run_experiment,
@@ -383,9 +385,27 @@ def _same_bytes(trajectory_major, time_major):
     assert trajectory_major.tobytes() == np.ascontiguousarray(time_major.T).tobytes()
 
 
+def _chunked_time_major_sums(seed, context, columns, marginal, spec, chunk, horizon):
+    """Partial sums chunk by chunk, as ``carry + cumsum(chunk)``, time-major."""
+    carry = np.zeros(len(columns))
+    blocks = []
+    for start in range(0, horizon, chunk):
+        u = _time_major_uniforms(seed, context, columns, start, min(horizon, start + chunk))
+        block = carry + np.cumsum(_time_major_draws(u, marginal, spec), axis=0)
+        carry = block[-1].copy()
+        blocks.append(block)
+    return np.concatenate(blocks)
+
+
 # Chunks of 6 rows run the numpy cipher and chunks of 70 the reset bit
 # generator; both are 2 mod 4, so every other chunk starts mid-counter and
-# the horizon of 200 ends on a short chunk.
+# the horizon of 200 ends on a short chunk. Over 3 streams, a tile of 30
+# entries is 10 draws long (numpy cipher) and one of 198 is 66 long (reset
+# bit generator); neither divides the chunks, so tiles are cut at the chunk
+# edges, and 2**16 entries hold the whole horizon.
+_TILES = (30, 198, 1 << 16)
+
+
 @pytest.mark.parametrize("row_chunk", [6, 70])
 @pytest.mark.parametrize("spec", _SPECS, ids=lambda spec: spec.mode)
 @pytest.mark.parametrize("marginal", _KINDS, ids=lambda m: m.kind)
@@ -395,15 +415,17 @@ def test_partial_sums_match_the_time_major_scan(marginal, spec, row_chunk, monke
         mode="slln", family=MeasureFamily.singleton(ProductMeasure((marginal,))),
         dependence=spec, horizon=200, trajectories=len(_COLUMNS), burn_in=1, seed=2026,
     )
-    carry = np.zeros(len(_COLUMNS))
-    stops = []
-    for start, stop, s in limits._partial_sums(config, 40, _COLUMNS, marginal):
-        u = _time_major_uniforms(2026, 40, _COLUMNS, start, stop)
-        reference = carry + np.cumsum(_time_major_draws(u, marginal, spec), axis=0)
-        carry = reference[-1].copy()
-        _same_bytes(s, reference)
-        stops.append(stop)
-    assert len(stops) > 2 and stops[-1] == 200
+    reference = _chunked_time_major_sums(2026, 40, _COLUMNS, marginal, spec, row_chunk, 200)
+    for tile in _TILES:
+        monkeypatch.setattr(limits, "_TILE", tile)
+        blocks, stops = [], [0]
+        for start, stop, s in limits._partial_sums(config, 40, _COLUMNS, marginal):
+            assert start == stops[-1] and s.shape == (len(_COLUMNS), stop - start)
+            assert s.size <= max(tile, 2 * len(_COLUMNS))
+            blocks.append(s.copy())
+            stops.append(stop)
+        _same_bytes(np.concatenate(blocks, axis=1), reference)
+        assert len(stops) > 3 and stops[-1] == 200
 
 
 @pytest.mark.parametrize("row_chunk", [6, 70])
@@ -411,13 +433,47 @@ def test_partial_sums_match_the_time_major_scan(marginal, spec, row_chunk, monke
 @pytest.mark.parametrize("marginal", _KINDS, ids=lambda m: m.kind)
 def test_row_sums_match_the_time_major_sum(marginal, spec, row_chunk, monkeypatch):
     monkeypatch.setattr(limits, "_ROW_CHUNK", row_chunk)
-    sums = np.zeros(len(_COLUMNS))
-    reference = np.zeros(len(_COLUMNS))
-    for start, stop, u in limits._uniform_chunks(2026, 41, _COLUMNS, 200):
-        drawn = u.copy()
-        sums += limits._row_sums(limits._transform_chunk(u, marginal, spec))
-        # run_wlln transforms one shared block for every grid measure.
-        assert u.tobytes() == drawn.tobytes()
-        old = _time_major_uniforms(2026, 41, _COLUMNS, start, stop)
-        reference += _time_major_draws(old, marginal, spec).sum(axis=0)
-    assert sums.tobytes() == reference.tobytes()
+    # run_wlln transforms one shared block for every grid measure.
+    u = philox_uniforms(2026, 41, _COLUMNS, 0, 200)
+    drawn = u.copy()
+    limits._transform_chunk(u, marginal, spec)
+    assert u.tobytes() == drawn.tobytes()
+
+    # The sums of trajectories 0..11 under two marginals that share uniforms;
+    # the reference adds each chunk's time-major column sums in turn.
+    other = Marginal.normal(-0.5, 0.25)
+    columns = range(12)
+    reference = np.zeros((2, len(columns)))
+    for start in range(0, 200, row_chunk):
+        old = _time_major_uniforms(2026, 41, columns, start, min(200, start + row_chunk))
+        for k, m in enumerate((marginal, other)):
+            reference[k] += _time_major_draws(old, m, spec).sum(axis=0)
+    config = ExperimentConfig(
+        mode="wlln", family=MeasureFamily.singleton(ProductMeasure((marginal,))),
+        dependence=spec, horizon=200, trajectories=len(columns), seed=2026,
+    )
+    # A tile of 30 or 198 entries holds part of one horizon, cut at the chunk
+    # edges; 2**16 entries hold the horizons of all 12 trajectories.
+    for tile in _TILES:
+        monkeypatch.setattr(limits, "_TILE", tile)
+        sums = limits._final_sums(config, 41, [marginal, other], 200)
+        assert sums.tobytes() == reference.tobytes()
+
+
+# A scan holds a few tiles at a time however long it runs: the uniforms, the
+# draws and a temporary of the transform. Chunks of the same runs, drawn
+# whole, held 48 MB (2000 x 3000) and 32 MiB (32 x 131 072) arrays, three at
+# a time (tracemalloc peaks of 137 and 96 MiB).
+@pytest.mark.parametrize("mode,horizon,trajectories",
+                         [("bound_check", 3000, 2000), ("slln", 200_000, 32)])
+def test_scans_hold_a_few_tiles(mode, horizon, trajectories):
+    config = ExperimentConfig(mode=mode, family=make_singleton([Marginal.normal(0.0, 1.0)]),
+                              horizon=horizon, trajectories=trajectories, x_grid_points=4,
+                              seed=3)
+    tracemalloc.start()
+    try:
+        run_experiment(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 8 * limits._TILE, f"peak {peak / 2**20:.1f} MiB"

@@ -314,13 +314,62 @@ def test_philox_uniforms_continues_across_chunks():
 
 @pytest.mark.parametrize("row_chunk", [6, measures._TALL_ROWS + 6])
 def test_uniform_chunks_continue_each_stream(row_chunk, monkeypatch):
-    # Chunks of 2 mod 4 rows start every other chunk mid-counter.
+    # Chunks of 2 mod 4 rows start every other chunk mid-counter, and tiles
+    # of 10 draws (30 entries over 3 streams) are cut at their edges; tiles of
+    # 70 draws take the reset bit generator.
     monkeypatch.setattr(limits, "_ROW_CHUNK", row_chunk)
+    drawn = []
+
+    def recording(*args, **kwargs):
+        drawn.append(philox_uniforms(*args, **kwargs))
+        return drawn[-1].copy()
+
+    monkeypatch.setattr(limits, "philox_uniforms", recording)
     columns = [2, 3, 11]
-    parts = list(limits._uniform_chunks(2026, 40, columns, 200))
-    assert len(parts) > 2
-    joined = np.concatenate([u for _, _, u in parts], axis=1)
-    _assert_same_block(joined, _stream_reference(2026, 40, columns, 0, 200))
+    marginal = Marginal.uniform(0.0, 1.0)
+    config = limits.ExperimentConfig(
+        mode="slln", family=MeasureFamily.singleton(ProductMeasure((marginal,))),
+        horizon=200, trajectories=len(columns), burn_in=1, seed=2026)
+    for tile in (30, 210):
+        monkeypatch.setattr(limits, "_TILE", tile)
+        drawn.clear()
+        for _ in limits._partial_sums(config, 40, columns, marginal):
+            pass
+        assert len(drawn) > 2 and all(u.size <= tile for u in drawn)
+        joined = np.concatenate(drawn, axis=1)
+        _assert_same_block(joined, _stream_reference(2026, 40, columns, 0, 200))
+
+
+def test_philox_uniforms_fill_out():
+    out = np.full((3, measures._TALL_ROWS + 2), np.nan)
+    assert philox_uniforms(2026, 40, [2, 3, 11], 6, 6 + out.shape[1], out=out) is out
+    _assert_same_block(out, _stream_reference(2026, 40, [2, 3, 11], 6, 6 + out.shape[1]))
+    for bad in (np.empty((3, 5)), np.empty((3, 4), dtype=np.float32), np.empty((4, 3)).T):
+        with pytest.raises(ValueError, match="out must be"):
+            philox_uniforms(2026, 40, [2, 3, 11], 0, 4, out=bad)
+
+
+_PPF_KINDS = (
+    Marginal.normal(0.3, 2.0),
+    Marginal.uniform(-1.0, 0.5),
+    Marginal.pareto(1.5, 2.0),
+    Marginal.pareto(1.0),
+    Marginal.bernoulli(0.3),
+    Marginal.discrete(((-1.0, 0.25), (0.5, 0.5), (2.0, 0.25))),
+)
+
+
+@pytest.mark.parametrize("marginal", _PPF_KINDS, ids=lambda m: f"{m.kind}{m.params}")
+def test_ppf_in_place_gives_the_same_bits(marginal):
+    u = uniform_block(2026, 3, 500, context=9)
+    u[0, :3] = (0.0, 1.0 - 2.0**-53, 0.7)
+    fresh = marginal.ppf(u)
+    out = np.empty_like(u)
+    assert marginal.ppf(u, out=out) is out and out.tobytes() == fresh.tobytes()
+    assert marginal.ppf(u, out=u) is u and u.tobytes() == fresh.tobytes()
+    # A scalar gives a numpy scalar, as the array expressions did.
+    assert isinstance(marginal.ppf(0.25), np.floating)
+    assert marginal.ppf(0.25) == marginal.ppf(np.array([0.25]))[0]
 
 
 @pytest.mark.parametrize("n", [3, measures._TALL_ROWS + 1])
@@ -339,7 +388,7 @@ def test_uniform_kernels_validate_keys_without_columns():
     message = "seed must lie in"
     for call in (lambda: uniform_block(-1, 2, 0),
                  lambda: uniform_block(1 << 64, 0, 3),
-                 lambda: list(limits._uniform_chunks(-1, 0, [], 10))):
+                 lambda: philox_uniforms(-1, 0, [], 0, 10)):
         with pytest.raises(ValueError, match=message):
             call()
     message = "stream context and column must lie in"
