@@ -484,7 +484,7 @@ def _final_sums(config: ExperimentConfig, context: int, marginals, n: int) -> np
     """
     trajectories = config.trajectories
     chunk = _rows_per_chunk(trajectories)
-    span = min(trajectories, max(1, _TILE // n))
+    span = max(1, _TILE // n)
     sums = np.zeros((len(marginals), trajectories))
     for t0, t1 in _chunk_ranges(trajectories, span):
         inner = np.zeros((len(marginals), t1 - t0))
