@@ -277,10 +277,12 @@ def test_batch_width_moves_no_bytes(name, width, tmp_path, monkeypatch):
 # entries, which holds a whole chunk or more. A tile of 1100 entries is 550
 # draws of a 2-trajectory task, 110 of a 10-trajectory one and 30 (the numpy
 # cipher) of a 35-trajectory one, each 2 mod 4 so every other tile starts
-# mid-counter; bound-check and Monte Carlo wlln horizons longer than it are
-# cut at the chunk edges. The 50 x 1e6 shipped necessity scan would take
-# 40 s at 1100 entries, so it runs at 51 050: 2042 draws of a 25-trajectory
-# task, also 2 mod 4 and not a divisor of the 131 072-draw chunks.
+# mid-counter; bound-check and Monte Carlo wlln horizons longer than a tile
+# are drawn 1100 draws at a time and summed in pieces cut at the chunk edges.
+# The cluster sampler keeps its own chunks whatever the tile. The 50 x 1e6
+# shipped necessity scan took about 40 s at a tile of 1000 entries, so it
+# runs at 51 050: 2042 draws of a 25-trajectory task, also 2 mod 4 and not a
+# divisor of the 131 072-draw chunks.
 MONTE_CARLO = ("wlln_mc_uniform", "slln_copula_uniform", "slln_uneven_batches",
                "lil_uniform_multichunk", "necessity_normal_multichunk",
                "bound_check_copula_normal", "bound_check_uniform",
