@@ -148,11 +148,12 @@ class _RunWriter:
 
 
 def _emit(args, command: str, payload: dict, tables: dict, summary_text: str,
-          config_hash: str | None = None) -> None:
+          seed: int | None = None, config_hash: str | None = None) -> None:
+    """Write the artifacts; ``seed`` is the one the run drew with, if any."""
     if args.out is None:
         return
-    writer = _RunWriter(args.out, command, getattr(args, "seed", None),
-                        getattr(args, "workers", 1), config_hash, args.t0)
+    writer = _RunWriter(args.out, command, seed, getattr(args, "workers", 1),
+                        config_hash, args.t0)
     try:
         writer.add_json("result.json", payload)
         for name, (header, rows) in tables.items():
@@ -213,7 +214,7 @@ def _cmd_verify(args) -> int:
             f"({suite['n_cases']} cases, {suite['n_failures']} failures)\n\n"
             + _render_table(header, rows)
         )
-        _emit(args, "verify axioms", payload, {"axioms": (header, rows)}, text)
+        _emit(args, "verify axioms", payload, {"axioms": (header, rows)}, text, seed=seed)
         print(f"verify axioms: {'PASS' if passed else 'FAIL'} "
               f"({suite['n_cases']} cases)")
         return 0 if passed else 2
@@ -256,7 +257,8 @@ def _cmd_verify(args) -> int:
         f"worst margin {report.worst_margin:.6g} at {report.worst_case}\n\n"
         + _render_table(header, rows)
     )
-    _emit(args, f"verify {args.target}", payload, {"cases": (header, rows)}, text)
+    _emit(args, f"verify {args.target}", payload, {"cases": (header, rows)}, text,
+          seed=seed)
     print(f"verify {args.target}: {verdict} (worst margin "
           f"{report.worst_margin:.6g} at {report.worst_case})")
     return 0 if report.passed else 2
@@ -357,7 +359,7 @@ def _cmd_choquet(args) -> int:
             "method": report.method,
         }
     )
-    _emit(args, "choquet", payload, {}, text)
+    _emit(args, "choquet", payload, {}, text, seed=engine.seed)
     print(f"choquet {fn_name}({exponent:g}) [{capacity}]: {value_text}")
     return 0
 
@@ -409,7 +411,7 @@ def _cmd_experiment(args) -> int:
     }
     text = _summary_text(result, bundle)
     _emit(args, f"experiment {args.mode}", payload, result.tables, text,
-          config_hash=result.config_hash)
+          seed=result.seed, config_hash=result.config_hash)
     verdict = "PASS" if result.passed else "FAIL"
     print(f"experiment {args.mode}: {verdict}")
     return 0 if result.passed else 2

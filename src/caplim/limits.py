@@ -301,14 +301,26 @@ def _transform_chunk(
     )
 
 
+def _require_pairwise_copula(config: ExperimentConfig) -> None:
+    """Reject a copula spec that a long trajectory cannot apply."""
+    if config.dependence.mode != "gaussian_copula":
+        return
+    if config.dependence.correlation_matrix is not None:
+        raise ValueError(
+            "correlation_matrix describes one fixed block; sequence runs couple "
+            "consecutive pairs, so give the pair correlation as correlation"
+        )
+    if not config.family.is_singleton:
+        raise ValueError("the pairwise copula requires a single-measure family")
+
+
 def _require_sequence_dependence(config: ExperimentConfig) -> None:
     if config.dependence.mode == "discrete_joint":
         raise ValueError(
             "joint-table dependence is only meaningful for bound_check "
             "with horizon equal to the table arity"
         )
-    if config.dependence.mode == "gaussian_copula" and not config.family.is_singleton:
-        raise ValueError("the pairwise copula requires a single-measure family")
+    _require_pairwise_copula(config)
 
 
 def _dense_parameters(family: MeasureFamily):
@@ -998,8 +1010,7 @@ def run_bound_check(config: ExperimentConfig) -> ExperimentResult:
     """
     family = config.family
     joint = config.dependence.mode == "discrete_joint"
-    if config.dependence.mode == "gaussian_copula" and not family.is_singleton:
-        raise ValueError("the pairwise copula requires a single-measure family")
+    _require_pairwise_copula(config)
     p = config.bound_order
     K = max(family.K, config.dependence.K)
     constants = DerivedConstants.for_order(p)

@@ -20,15 +20,16 @@ This is what ``np.random.Generator(np.random.Philox(key=...)).random``
 returns. ``philox_uniforms`` computes any range of draws of many such
 streams at once, one contiguous row per stream, along one of two paths
 chosen from the draws per stream alone: few draws run the cipher in numpy
-over a (counter, column) grid; many draws reuse one numpy bit generator,
-reset its key and counter for each stream and fill that stream's row in
-place. ``uniform_block`` turns such a block into the (coordinate,
-replication) layout the envelope code reads.
+over a (counter, column) grid; many draws reuse one numpy bit generator
+per thread, reset its key and counter for each stream and fill that
+stream's row in place. ``uniform_block`` turns such a block into the
+(coordinate, replication) layout the envelope code reads.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -89,6 +90,29 @@ _TALL_ROWS = 64
 # Column slices keep each uint64 temporary of the numpy cipher near 64k words.
 _CIPHER_WORDS = 1 << 16
 
+# Each thread's reused bit generator for the tall path of philox_uniforms.
+_TALL = threading.local()
+
+
+def _tall_generator() -> tuple[np.random.Philox, np.random.Generator, dict]:
+    """This thread's Philox bit generator, its Generator and a state dict.
+
+    Built once per thread: a new ``Philox`` costs about 13 us, its
+    ``os.urandom`` seed included. The dict holds Python ints, which the state
+    setter reads in about 0.8 us against 1.7 us for the numpy arrays of
+    ``bitgen.state`` (timeit, 2-vCPU x86 box); callers set its counter and
+    key words and leave the buffer empty.
+    """
+    cached = getattr(_TALL, "generator", None)
+    if cached is None:
+        bitgen = np.random.Philox(key=0)
+        state = bitgen.state
+        state["state"] = {"counter": [0, 0, 0, 0], "key": [0, 0]}
+        state["buffer"] = [0, 0, 0, 0]
+        state["buffer_pos"] = 4  # empty buffer: the first draw steps the counter
+        cached = _TALL.generator = (bitgen, np.random.Generator(bitgen), state)
+    return cached
+
 
 def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """High and low 64-bit words of the 128-bit products ``a * b``."""
@@ -131,9 +155,9 @@ def philox_uniforms(seed: int, context: int, columns: Sequence[int],
     counter ``i // 4 + 1``.
     Blocks with fewer than ``_TALL_ROWS`` draws per stream run the cipher in
     numpy over every (counter, column) pair and write the words transposed;
-    longer ones reset one reused bit generator to each column's key and
-    first counter, drop the first ``start % 4`` words and fill that
-    stream's row in place.
+    longer ones reset the calling thread's reused bit generator to each
+    column's key and first counter, drop the first ``start % 4`` words and
+    fill that stream's row in place.
     """
     cols = np.asarray(columns)
     for column in {int(cols.min()), int(cols.max())} if cols.size else {0}:
@@ -155,12 +179,10 @@ def philox_uniforms(seed: int, context: int, columns: Sequence[int],
     key0 = cols.astype(np.uint64) | np.uint64(context << 32)
 
     if rows >= _TALL_ROWS:
-        bitgen = np.random.Philox(key=seed << 64)
-        gen = np.random.Generator(bitgen)
-        state = bitgen.state
+        bitgen, gen, state = _tall_generator()
         state["state"]["counter"][0] = start // 4
-        state["buffer_pos"] = 4  # empty buffer: the first draw steps the counter
         key = state["state"]["key"]
+        key[1] = seed
         for j, k0 in enumerate(key0.tolist()):
             key[0] = k0
             bitgen.state = state
@@ -191,10 +213,11 @@ def uniform_block(seed: int, n: int, m: int, context: int = 0) -> np.ndarray:
     C order, which for the few coordinates the envelope code draws is a
     small copy. Blocks of fewer than ``_TALL_ROWS`` (64) rows, such as the 1
     to 3 rows over tens of thousands of columns that a Monte Carlo envelope
-    draws, run the cipher vectorized in numpy; taller ones reset one reused
-    ``np.random.Philox`` per column. The threshold is where the two costs met
-    when measured: the numpy cipher's roughly constant cost per draw against
-    the reset's fixed cost per column, shared over its rows.
+    draws, run the cipher vectorized in numpy; taller ones reset the calling
+    thread's reused ``np.random.Philox`` for each column. The threshold is
+    where the two costs met when measured: the numpy cipher's roughly
+    constant cost per draw against the reset's fixed cost per column, shared
+    over its rows.
     """
     return np.ascontiguousarray(philox_uniforms(seed, context, np.arange(m), 0, n).T)
 
@@ -550,24 +573,25 @@ class Marginal:
                tol: float = 1e-10) -> float:
         """E[f(X)] by exact summation (discrete kinds) or adaptive quadrature.
 
-        ``f`` maps an array of points to their values. An arity-1 test
-        function (an object with ``fn`` and ``arity``) is integrated through
-        its kernel ``fn`` on one (1, 1) point per quadrature node, which
-        skips the argument checks of its ``__call__``.
+        ``f`` maps an array of points to their values. When it has a scalar
+        kernel ``point`` (a test function's, which returns ``f``'s value at
+        one float with the same bits), QUADPACK's integrand is
+        ``point(x) * density(x)`` on plain floats; any other ``f`` is called
+        on each node as a one-point array.
         """
         if self.is_discrete:
             vals, probs = self._sorted_atoms()
             return float(np.sum(probs * np.asarray(f(vals), dtype=float)))
         from scipy import integrate
 
-        kernel = getattr(f, "fn", None)
-        if kernel is not None and getattr(f, "arity", None) == 1:
-            def value(x: float) -> float:
-                return float(np.asarray(kernel(np.array(x, dtype=float, ndmin=2))).item(0))
-        else:
-            def value(x: float) -> float:
-                return float(np.reshape(f(np.asarray(x, dtype=float)), -1)[0])
         density = self._point_density()
+        point = getattr(f, "point", None)
+        if point is not None:
+            def integrand(x: float) -> float:
+                return point(x) * density(x)
+        else:
+            def integrand(x: float) -> float:
+                return float(np.reshape(f(np.asarray(x, dtype=float)), -1)[0]) * density(x)
 
         lo, hi = self.support()
         pts = sorted(p for p in breakpoints if lo < p < hi)
@@ -575,8 +599,7 @@ class Marginal:
         total = 0.0
         for a, b in zip(edges[:-1], edges[1:]):
             val, err = integrate.quad(
-                lambda x: value(x) * density(x),
-                a, b, limit=200, epsabs=tol, epsrel=1e-9,
+                integrand, a, b, limit=200, epsabs=tol, epsrel=1e-9,
             )
             total += val
         return total

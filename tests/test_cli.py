@@ -129,7 +129,55 @@ class TestConfigParsing:
         assert "line 12" in str(err.value)
 
 
+# command family -> (command words, config text, seed the run uses without --seed);
+# bounds eval draws nothing, so it records none.
+SEEDED_RUNS = {
+    "verify axioms": (["verify", "axioms"], MINIMAL + "verify:\n  n_cases: 3\n", 2026),
+    "verify end": (["verify", "end"], (CONFIG_DIR / "end_countermonotone.yaml").read_text(),
+                   2026),
+    "choquet": (["choquet"], GOLDEN.read_text(), 2026),
+    "experiment": (["experiment", "wlln"],
+                   MINIMAL + "experiment:\n  horizon: 1000\n  epsilon: 0.1\n  seed: 31\n", 31),
+    "bounds eval": (["bounds", "eval", "--formula", "chebyshev", "--x", "2"], MINIMAL, None),
+}
+
+
 class TestCommandLine:
+    @pytest.mark.parametrize("family", sorted(SEEDED_RUNS))
+    def test_manifest_records_the_seed_the_run_used(self, family, tmp_path, capsys):
+        command, text, seed = SEEDED_RUNS[family]
+        config = tmp_path / "run.yaml"
+        config.write_text(text)
+        for flags, want in (((), seed), (("--seed", "7"), None if seed is None else 7)):
+            out = tmp_path / f"out-{len(flags)}"
+            assert main([*command, "--config", str(config), *flags, "--out", str(out)]) == 0
+            assert json.loads((out / "manifest.json").read_text())["seed"] == want
+            result = json.loads((out / "result.json").read_text())
+            assert result.get("seed", want) == want
+
+    @pytest.mark.parametrize("mode", ["wlln", "slln", "cluster", "lil", "necessity",
+                                      "bound-check"])
+    def test_sequence_runs_reject_a_correlation_matrix(self, mode, tmp_path, capsys):
+        text = (CONFIG_DIR / "lil_negative_copula.yaml").read_text()
+        assert text.count("correlation: -0.5") == 1
+        path = tmp_path / "matrix.yaml"
+        path.write_text(text.replace("correlation: -0.5",
+                                     "correlation_matrix: [[1.0, -0.5], [-0.5, 1.0]]"))
+        assert main(["experiment", mode, "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "correlation_matrix" in err and "NoneType" not in err
+
+    def test_verify_end_accepts_a_correlation_matrix(self, tmp_path, capsys):
+        rho = -0.2
+        rows = ", ".join("[" + ", ".join("1.0" if i == j else str(rho) for j in range(4)) + "]"
+                         for i in range(4))
+        path = tmp_path / "block.yaml"
+        path.write_text(MINIMAL + "dependence:\n  mode: gaussian_copula\n"
+                        f"  correlation_matrix: [{rows}]\n  K: 1.0\n"
+                        "verify:\n  corpus_cases: 4\n  mc_replications: 20000\n")
+        assert main(["verify", "end", "--config", str(path)]) == 0
+        assert "PASS" in capsys.readouterr().out
+
     def test_bounds_eval_prints_the_chebyshev_value(self, capsys):
         rc = main(["bounds", "eval", "--formula", "chebyshev", "--x", "2",
                    "--n", "1", "--variance-sum", "1.0", "--K", "1.0"])

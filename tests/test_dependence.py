@@ -1,12 +1,18 @@
 """Dependence declarations, coupled samplers, and the product-bound checks."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from caplim import Marginal
 from caplim.dependence import (
     DependenceSpec,
     SequenceSampler,
+    _abs_window,
+    _reversed_smooth,
     correlate_pairs,
     verify_end,
     verify_extended_independence,
@@ -302,3 +308,17 @@ def test_report_summary_is_flat_and_complete():
         "worst_case": "supplied",
         "n_cases": 1,
     }
+
+
+@given(data=st.data(), center=st.floats(-5.0, 5.0), width=st.floats(1e-3, 5.0),
+       reversed_ramp=st.booleans())
+def test_corpus_functions_have_scalar_kernels(data, center, width, reversed_ramp):
+    """The END corpus's own functions integrate through bit-equal scalar kernels."""
+    f = (_reversed_smooth if reversed_ramp else _abs_window)(center, width)
+    edges = [v for e in f.breakpoints
+             for v in (e, math.nextafter(e, -math.inf), math.nextafter(e, math.inf))]
+    x = data.draw(st.one_of(st.sampled_from([0.0, -0.0, *edges]),
+                            st.floats(allow_nan=False, allow_infinity=False)))
+    with np.errstate(all="ignore"):
+        want = float(f.fn(np.array([[x]]))[0])
+    assert f.point(x).hex() == want.hex()

@@ -10,7 +10,8 @@ chunks, the pairwise copula in slln and bound-check, uneven
 trajectory batches, uniform marginals, scans that span several chunks,
 copula pairs across chunk edges that start mid-counter, the shipped
 ``necessity_normal`` config, an axiom corpus whose Monte Carlo case draws wide uniform blocks (and its
-``by_axiom`` table), and the END check on the shipped countermonotone config.
+``by_axiom`` table), an axiom corpus whose Monte Carlo case integrates by
+quadrature, and the END check on the shipped countermonotone config.
 
 If a change alters results on purpose, it says why and re-records the
 digests with ``python tests/test_golden.py``.
@@ -22,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from caplim import limits
+from caplim import Marginal, limits
 from caplim.cli import main
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -183,6 +184,15 @@ verify:
   mc_every: 10
   mc_replications: 3000
 """),
+    # At the default seed 2026, case 9 draws a one-coordinate continuous
+    # family, so its exact envelopes take 33 quadrature calls; the cases of
+    # verify_axioms_mc make none.
+    "verify_axioms_quadrature": (("verify", "axioms"), STANDARD_NORMAL + """\
+verify:
+  n_cases: 10
+  mc_every: 10
+  mc_replications: 3000
+"""),
     "verify_end_countermonotone": (("verify", "end"),
                                    (CONFIGS / "end_countermonotone.yaml").read_text()),
 }
@@ -228,6 +238,10 @@ DIGESTS = {
     "verify_axioms_mc": {
         "axioms.csv": "f8382c8a5de3254bd9215cdc42e81c4a80ff6f3bf03a20e520eed7cf694d8444",
         "result.json": "92814c73e95f9c3a5eb5d29dd500a94a769329f2b14a60e733c3adce664628a1",
+    },
+    "verify_axioms_quadrature": {
+        "axioms.csv": "a87b6fa1fc7fdf2d43f0036851968bf99bdb2380b1f0b893cae960e295fdd169",
+        "result.json": "f3d0ff943a955e7d2195d1e9a4186368302767c203fbae44781af9b93ea6b65b",
     },
     "verify_end_countermonotone": {
         "cases.csv": "7c070f5e1b15fb688a87cbe73826ddec475d2038bb5d5931fb69ddf76d22b357",
@@ -295,6 +309,24 @@ TILE_CASES = [(name, tile) for name in MONTE_CARLO for tile in (1100, 1 << 22)] 
 def test_tile_size_moves_no_bytes(name, tile, tmp_path, monkeypatch):
     monkeypatch.setattr(limits, "_TILE", tile)
     assert _artifact_digests(name, tmp_path, 2) == DIGESTS[name]
+
+
+# Every quadrature of the corpus cases integrates a test function's scalar
+# kernel; the digests above pin the values it gives.
+@pytest.mark.parametrize("name", ["verify_axioms_mc", "verify_axioms_quadrature"])
+def test_quadrature_takes_the_scalar_kernels(name, tmp_path, monkeypatch):
+    continuous = []
+    expect = Marginal.expect
+
+    def recording(self, f, *args, **kwargs):
+        if not self.is_discrete:
+            continuous.append(getattr(f, "point", None) is not None)
+        return expect(self, f, *args, **kwargs)
+
+    monkeypatch.setattr(Marginal, "expect", recording)
+    assert _artifact_digests(name, tmp_path, 1) == DIGESTS[name]
+    assert all(continuous)
+    assert len(continuous) == (33 if name == "verify_axioms_quadrature" else 0)
 
 
 if __name__ == "__main__":

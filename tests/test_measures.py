@@ -1,6 +1,8 @@
 """Marginal moments against closed forms, family grids, and the keyed RNG."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -127,7 +129,8 @@ def test_expect_matches_moments():
 
 
 # float.hex of quadrature expectations: a plain callable split at a
-# breakpoint, and a test function, which expect evaluates through its kernel.
+# breakpoint, and a test function, which expect evaluates through its scalar
+# kernel.
 PINNED_EXPECT = {
     "normal": ("-0x1.79c52adffe135p-4", "0x1.d132ad389da20p-2"),
     "uniform": ("-0x1.c3a57349a02a0p-8", "0x1.7777777777753p-3"),
@@ -310,6 +313,70 @@ def test_philox_uniforms_continues_across_chunks():
     chunks = [philox_uniforms(2026, 40, columns, a, b) for a, b in zip(edges, edges[1:])]
     _assert_same_block(np.concatenate(chunks, axis=1),
                        _stream_reference(2026, 40, columns, 0, 200))
+
+
+def test_tall_draws_in_two_threads_keep_their_streams():
+    # Each thread reuses its own bit generator; the two threads take turns,
+    # each with its own seed, context and starts, so a shared or stale state
+    # would give one thread the other's bits or its own earlier counter.
+    rows = measures._TALL_ROWS + 3
+    keys = ((2026, 40, [2, 3, 11]), ((1 << 64) - 1, 7, [0, (1 << 32) - 1]))
+    starts = (0, 1, 4 * 9 + 2, 3, 130)
+    turns = [threading.Semaphore(1), threading.Semaphore(0)]
+    drawn = [[], []]
+
+    def draw(me):
+        seed, context, columns = keys[me]
+        for start in starts:
+            assert turns[me].acquire(timeout=30)
+            try:
+                drawn[me].append(philox_uniforms(seed, context, columns, start, start + rows))
+            finally:
+                turns[1 - me].release()
+
+    threads = [threading.Thread(target=draw, args=(me,)) for me in (0, 1)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    for me, (seed, context, columns) in enumerate(keys):
+        assert len(drawn[me]) == len(starts)
+        for start, u in zip(starts, drawn[me]):
+            _assert_same_block(u, _stream_reference(seed, context, columns, start, start + rows))
+
+
+def test_tall_draws_in_concurrent_threads_keep_their_streams():
+    # More threads than cores draw at once with a short switch interval, so
+    # one bit generator shared between threads would hand a thread another's
+    # key or counter between its state write and its draw.
+    rows = measures._TALL_ROWS + 1
+    keys = [(2026 + k, 50 + k, [k, k + 9]) for k in range(4)]
+    starts = (0, 2, 4 * 7 + 3)
+    barrier = threading.Barrier(len(keys), timeout=30)
+    mismatches = [0] * len(keys)
+    interval = sys.getswitchinterval()
+
+    def draw(me):
+        seed, context, columns = keys[me]
+        want = [_stream_reference(seed, context, columns, a, a + rows) for a in starts]
+        barrier.wait()
+        for _ in range(40):
+            for a, ref in zip(starts, want):
+                got = philox_uniforms(seed, context, columns, a, a + rows)
+                mismatches[me] += got.tobytes() != ref.tobytes()
+
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=draw, args=(me,)) for me in range(len(keys))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert mismatches == [0] * len(keys)
 
 
 @pytest.mark.parametrize("row_chunk", [6, measures._TALL_ROWS + 6])

@@ -72,6 +72,162 @@ def test_smooth_indicator_brackets_step():
     assert np.all((o >= 0) & (o <= 1)) and np.all((i >= 0) & (i <= 1))
 
 
+# ---------------------------------------------------------------------------
+# Scalar kernels: point(x) has the bits of fn on the one-point array [[x]].
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+PARAM = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-10.0, 10.0))
+
+# Every exponent the package passes to abs_power or pos_power: 1 and 2 (the
+# axiom suite), 1.0 (necessity) and the bound order p >= 2 as a float
+# (bound-check), with 0.5, which ``ndarray ** p`` sends to np.sqrt.
+SRC_EXPONENTS = (1, 1.0, 2, 2.0, 3.0, 4.0, 5.0, 6.0, 0.5)
+
+
+def _nodes(*edges: float):
+    """Any finite float, favouring signed zeros and each edge with its neighbours."""
+    near = [v for e in map(float, edges) if math.isfinite(e)
+            for v in (e, math.nextafter(e, -math.inf), math.nextafter(e, math.inf))]
+    return st.one_of(st.sampled_from([0.0, -0.0, *near]), FINITE)
+
+
+def _assert_point_matches(f: TestFunction, x: float) -> None:
+    with np.errstate(all="ignore"):
+        want = float(f.fn(np.array([[x]]))[0])
+        got = f.point(x)
+    assert type(got) is float
+    assert got.hex() == want.hex(), (f.name, x)
+
+
+BASES = (
+    TestFunction.clamp_affine(0.8, -0.1, -1.0, 0.7),
+    TestFunction.clamp_affine(-1.5, -0.0, 0.0, 2.0),
+    TestFunction.clamp(1.0),
+    TestFunction.abs_power(1),
+    TestFunction.pos_power(2),
+    TestFunction.power(3),
+    TestFunction.const(-0.0),
+    TestFunction.indicator_halfspace([1.0], 0.2),
+    smooth_indicator(0.3, 0.4, "inner"),
+)
+BASE_EDGES = sorted({e for f in BASES for e in f.breakpoints})
+
+
+@given(x=_nodes(), c=FINITE)
+def test_const_point(x, c):
+    _assert_point_matches(TestFunction.const(c), x)
+
+
+@given(x=_nodes(1.0, -1.0), k=st.sampled_from([1, 2, 3, 4, -1, 0, 2.0, 3.0, 0.5, 1.5]))
+def test_power_point(x, k):
+    _assert_point_matches(TestFunction.power(k), x)
+
+
+@given(x=_nodes(1.0, -1.0), k=st.one_of(st.sampled_from(SRC_EXPONENTS), st.floats(0.05, 8.0)))
+def test_abs_power_point(x, k):
+    _assert_point_matches(TestFunction.abs_power(k), x)
+
+
+@given(x=_nodes(1.0, -1.0), k=st.one_of(st.sampled_from(SRC_EXPONENTS), st.floats(0.05, 8.0)))
+def test_pos_power_point(x, k):
+    _assert_point_matches(TestFunction.pos_power(k), x)
+
+
+@given(data=st.data(), level=st.one_of(st.just(0.0), st.floats(0.0, 10.0)))
+def test_clamp_point(data, level):
+    _assert_point_matches(TestFunction.clamp(level), data.draw(_nodes(level, -level)))
+
+
+@given(data=st.data(), a=PARAM, b=PARAM, lo=PARAM, width=st.floats(1e-3, 10.0))
+def test_clamp_affine_point(data, a, b, lo, width):
+    f = TestFunction.clamp_affine(a, b, lo, lo + width)
+    _assert_point_matches(f, data.draw(_nodes(*f.breakpoints)))
+
+
+@given(x=_nodes(*BASE_EDGES), part=st.sampled_from(BASES))
+def test_coordinate_sum_point(x, part):
+    _assert_point_matches(TestFunction.coordinate_sum([part]), x)
+
+
+@given(x=_nodes(*BASE_EDGES), part=st.sampled_from(BASES))
+def test_prod_point(x, part):
+    _assert_point_matches(TestFunction.prod([part]), x)
+
+
+@given(data=st.data(), w=PARAM, t=PARAM)
+def test_indicator_halfspace_point(data, w, t):
+    with np.errstate(over="ignore"):  # the edge t / w of a subnormal weight
+        f = TestFunction.indicator_halfspace([w], t)
+    _assert_point_matches(f, data.draw(_nodes(*f.breakpoints)))
+
+
+@given(x=_nodes(*BASE_EDGES), a=st.sampled_from(BASES), b=st.sampled_from(BASES))
+def test_indicator_union_point(x, a, b):
+    # np.maximum's tie rule shows on signed zeros, so the parts need not be indicators
+    _assert_point_matches(TestFunction.indicator_union(a, b), x)
+
+
+@given(x=_nodes(*BASE_EDGES), a=st.sampled_from(BASES))
+def test_indicator_complement_point(x, a):
+    _assert_point_matches(TestFunction.indicator_complement(a), x)
+
+
+@given(x=_nodes(*BASE_EDGES), a=st.sampled_from(BASES), b=st.sampled_from(BASES))
+def test_plus_point(x, a, b):
+    _assert_point_matches(a.plus(b), x)
+
+
+@given(x=_nodes(*BASE_EDGES), a=st.sampled_from(BASES), lam=PARAM)
+def test_scaled_point(x, a, lam):
+    _assert_point_matches(a.scaled(lam), x)
+    _assert_point_matches(a.negated(), x)
+
+
+@given(x=_nodes(*BASE_EDGES), a=st.sampled_from(BASES), c=PARAM)
+def test_shifted_point(x, a, c):
+    _assert_point_matches(a.shifted(c), x)
+
+
+@given(data=st.data(), threshold=st.floats(-5.0, 5.0), width=st.floats(1e-3, 5.0),
+       side=st.sampled_from(["inner", "outer"]))
+def test_smooth_indicator_point(data, threshold, width, side):
+    f = smooth_indicator(threshold, width, side)
+    start, stop = f.breakpoints
+    # the ramp at 0 and 1, just inside them, at its midpoint and anywhere on
+    # it, where numpy's exp and libm's disagree on about 1 in 20 arguments
+    inside = st.floats(start, stop)
+    _assert_point_matches(f, data.draw(st.one_of(_nodes(start, stop, start + 0.5 * width),
+                                                 inside, inside)))
+
+
+def test_scalar_kernels_need_arity_one_parts():
+    assert TestFunction.const(1.0, arity=2).point is None
+    assert TestFunction.indicator_halfspace([1.0, -1.0], 0.0).point is None
+    assert TestFunction.coordinate_sum([TestFunction.abs_power(1)] * 2).point is None
+    by_hand = TestFunction(lambda x: np.abs(x[0]), 1, name="|x| by hand")
+    assert by_hand.point is None
+    assert by_hand.plus(TestFunction.abs_power(1)).point is None
+    assert TestFunction.indicator_complement(by_hand).point is None
+    assert TestFunction.abs_power(1).scaled(2.0).shifted(1.0).point is not None
+
+
+def test_expect_without_a_scalar_kernel_takes_the_array_path():
+    m = Marginal.normal(0.3, 1.7)
+    f = TestFunction.clamp_affine(0.8, -0.1, -1.0, 0.7)
+    by_hand = TestFunction(f.fn, 1, name="no scalar kernel")
+    shapes = []
+
+    def plain(x):
+        shapes.append(np.shape(x))
+        return f.fn(np.reshape(x, (1, -1)))
+
+    want = m.expect(f, breakpoints=f.breakpoints)
+    assert m.expect(by_hand, breakpoints=f.breakpoints).hex() == want.hex()
+    assert m.expect(plain, breakpoints=f.breakpoints).hex() == want.hex()
+    assert shapes and set(shapes) == {()}
+
+
 def test_marginal_expectation_closed_forms():
     m = Marginal.normal(0.0, 1.0)
     assert marginal_expectation(m, TestFunction.power(2)) == pytest.approx(1.0)
