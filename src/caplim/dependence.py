@@ -119,18 +119,25 @@ class DependenceSpec:
         return DependenceSpec(mode="per_measure_independent", K=1.0)
 
 
-def correlate_pairs(z: np.ndarray, rho: float) -> np.ndarray:
+def correlate_pairs(z: np.ndarray, rho: float, out: np.ndarray | None = None) -> np.ndarray:
     """Couple consecutive rows of independent standard normals pairwise.
 
     Rows (0,1), (2,3), ... become correlated with coefficient rho; an odd
-    trailing row is left untouched. Marginals stay standard normal.
+    trailing row is left untouched. Marginals stay standard normal. The
+    result is a new array, or ``out`` (a float64 array shaped like ``z``,
+    possibly ``z`` itself) with the same bits.
     """
-    out = np.array(z, dtype=float, copy=True)
-    n = out.shape[0]
-    pairs = n // 2
+    if out is None:
+        out = np.array(z, dtype=float, copy=True)
+    elif out is not z:
+        out[...] = z
+    pairs = out.shape[0] // 2
     if pairs and rho != 0.0:
-        lead = out[0 : 2 * pairs : 2]
-        out[1 : 2 * pairs : 2] = rho * lead + math.sqrt(1.0 - rho**2) * out[1 : 2 * pairs : 2]
+        # The bits of rho * lead + sqrt(1 - rho**2) * trail: both operations
+        # commute exactly, so trail is scaled in place and rho * lead added.
+        trail = out[1 : 2 * pairs : 2]
+        trail *= math.sqrt(1.0 - rho**2)
+        trail += rho * out[0 : 2 * pairs : 2]
     return out
 
 
@@ -472,8 +479,10 @@ def verify_end(spec: DependenceSpec, family: MeasureFamily,
         n = spec.joint_arity if n is None else n
         if n != spec.joint_arity:
             raise ValueError(f"joint table has {spec.joint_arity} coordinates, asked for {n}")
+    elif n is None and g_case is not None:
+        n = len(g_case)
     elif n is None:
-        n = len(g_case) if g_case is not None else 4
+        n = 4 if spec.correlation_matrix is None else len(spec.correlation_matrix)
 
     box = _audit_box(family, spec, n)
     all_cases: list[tuple[str, tuple[TestFunction, ...]]] = []

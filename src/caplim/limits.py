@@ -16,8 +16,10 @@ draws, each summed sequentially and added to the running total. The work
 itself goes in tiles of about ``_TILE`` entries (512 KiB), each drawn,
 transformed and summed while it sits in a core's cache, and cut at the
 chunk edges; a tile that continues a chunk starts from the chunk's running
-sum, so tile size moves no bytes. Only the cluster sampler, whose chunk
-sums are pairwise, draws whole chunks, into one reused buffer.
+sum, so tile size moves no bytes. The cluster sampler's chunk sums are
+pairwise, as numpy adds them; it splits each chunk where numpy's pairwise
+sum does until a piece fits in a tile, so it too draws one tile at a time.
+A tile is transformed in place unless several marginals share its uniforms.
 
 The runners cover the law of large numbers in both weak and strong
 form, the cluster behaviour of running means under measure switching,
@@ -88,6 +90,10 @@ _CTX_BOUNDS = 6_000
 
 _ROW_CHUNK = 1 << 17
 _CLUSTER_CHUNK = 1 << 22
+
+# numpy's pairwise sum adds a run of up to this many entries with eight
+# accumulators and splits a longer one in two.
+_PAIRWISE_BLOCK = 128
 
 # Most trajectories per scan task. A batch of up to 64 keeps chunks at
 # _ROW_CHUNK rows, so below that the width moves no bytes.
@@ -279,22 +285,27 @@ def _indexed_map(fn, items, workers: int) -> list:
 
 
 def _transform_chunk(
-    u: np.ndarray, marginal: Marginal, dependence: DependenceSpec
+    u: np.ndarray, marginal: Marginal, dependence: DependenceSpec,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Map a uniform tile to draws of the sequence, trajectory by trajectory.
 
     Rows are trajectories and columns are time. Under the pairwise copula
     the correlation couples consecutive columns, so callers must start tiles
     at even draws to preserve the pairing across tile boundaries. The
-    result is a new array; ``u`` is left as it is.
+    result is a new array and ``u`` is left as it is, or the draws are
+    written to ``out`` (a float64 array shaped like ``u``, possibly ``u``
+    itself) with the same bits.
     """
     if dependence.mode == "per_measure_independent":
-        return marginal.ppf(u)
+        return marginal.ppf(u, out=out)
     if dependence.mode == "gaussian_copula":
         # correlate_pairs pairs along its first axis, here the time axis of
-        # the transposed view; the transposes only relabel the axes.
-        z = correlate_pairs(normal_scores(u).T, dependence.correlation).T
-        return marginal.from_normal_score(z)
+        # the transposed view; the transpose only relabels the axes.
+        z = normal_scores(u, out=out)
+        zt = z.T
+        correlate_pairs(zt, dependence.correlation, out=zt)
+        return marginal.from_normal_score(z, out=z)
     raise ValueError(
         "joint-table dependence describes a fixed short block and cannot "
         "drive a long trajectory; use an independent or copula spec"
@@ -446,10 +457,10 @@ def _partial_sums(config: ExperimentConfig, context: int, columns, marginal: Mar
 
     The bits are those of chunks of ``_rows_per_chunk(len(columns))`` draws,
     each summed as ``carry + cumsum(x)``. Tiles of ``_tile_rows`` draws (an
-    even count, so copula pairs stay whole) are drawn and transformed one at
-    a time and cut at the chunk edges. A piece that continues a chunk first
-    adds the chunk's running sum ``inner`` into its first column, so its
-    cumsum continues the chunk's; the outer ``carry``, the sum at the
+    even count, so copula pairs stay whole) are drawn and transformed in
+    place one at a time and cut at the chunk edges. A piece that continues a
+    chunk first adds the chunk's running sum ``inner`` into its first column,
+    so its cumsum continues the chunk's; the outer ``carry``, the sum at the
     chunk's first edge, is added afterwards.
     """
     chunk = _rows_per_chunk(len(columns))
@@ -457,7 +468,7 @@ def _partial_sums(config: ExperimentConfig, context: int, columns, marginal: Mar
     inner = np.zeros((len(columns), 1))
     for start, stop in _chunk_ranges(config.horizon, _tile_rows(len(columns))):
         u = philox_uniforms(config.seed, context, columns, start, stop)
-        x = _transform_chunk(u, marginal, config.dependence)
+        x = _transform_chunk(u, marginal, config.dependence, out=u)
         for a, b, fresh in _pieces(start, stop, chunk):
             s = x[:, a - start:b - start]
             if fresh:
@@ -490,9 +501,11 @@ def _final_sums(config: ExperimentConfig, context: int, marginals, n: int) -> np
     over all trajectories, each chunk's row sums added in turn. The work
     goes in tiles of about ``_TILE`` entries: a tile holds whole horizons of
     a few trajectories, drawn in one call, or, when a horizon exceeds a
-    tile, an even span of one trajectory's draws. Each tile is summed in
-    pieces cut at the chunk edges; a piece that continues a chunk starts
-    from the chunk's running sum, and a piece that ends one adds it in.
+    tile, an even span of one trajectory's draws. One marginal transforms
+    each tile in place; several, which share its uniforms, each transform it
+    into the same scratch tile. Each tile is summed in pieces cut at the chunk
+    edges; a piece that continues a chunk starts from the chunk's running
+    sum, and a piece that ends one adds it in.
     """
     trajectories = config.trajectories
     chunk = _rows_per_chunk(trajectories)
@@ -502,8 +515,9 @@ def _final_sums(config: ExperimentConfig, context: int, marginals, n: int) -> np
         inner = np.zeros((len(marginals), t1 - t0))
         for start, stop in _chunk_ranges(n, _tile_rows(t1 - t0)):
             u = philox_uniforms(config.seed, context, range(t0, t1), start, stop)
+            out = u if len(marginals) == 1 else np.empty_like(u)
             for k, marginal in enumerate(marginals):
-                x = _transform_chunk(u, marginal, config.dependence)
+                x = _transform_chunk(u, marginal, config.dependence, out=out)
                 for a, b, fresh in _pieces(start, stop, chunk):
                     piece = x[:, a - start:b - start]
                     if not fresh:
@@ -512,6 +526,26 @@ def _final_sums(config: ExperimentConfig, context: int, marginals, n: int) -> np
                     if b % chunk == 0 or b == n:
                         sums[k, t0:t1] += inner[k]
     return sums
+
+
+def _pairwise_draw_sum(seed: int, context: int, marginal: Marginal,
+                       first: int, n: int) -> float:
+    """Sum of draws ``first..first+n-1`` of stream ``(seed, context, 0)`` under ``marginal``.
+
+    The bits are those of ``np.sum`` over all ``n`` draws at once, which adds
+    pairwise (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    section 4.2): a run longer than ``_PAIRWISE_BLOCK`` entries splits at
+    ``n2 = n // 2 - (n // 2) % 8`` and adds the sums of its two parts. This
+    splits the same way until a part fits in a tile, draws and transforms
+    each part in place and sums it with ``np.sum``, and adds the part sums
+    back up the same tree, so only one tile is held at a time.
+    """
+    if n <= max(_TILE, _PAIRWISE_BLOCK):
+        u = philox_uniforms(seed, context, [0], first, first + n)[0]
+        return float(np.sum(marginal.ppf(u, out=u)))
+    n2 = n // 2 - (n // 2) % 8
+    return (_pairwise_draw_sum(seed, context, marginal, first, n2)
+            + _pairwise_draw_sum(seed, context, marginal, first + n2, n - n2))
 
 
 def _scan_trajectories(config: ExperimentConfig, context: int, measures, reduce) -> list:
@@ -767,7 +801,6 @@ def run_cluster(config: ExperimentConfig) -> ExperimentResult:
     best = np.full(n_targets, np.inf)
     rows = []
     max_blocks = 30 * n_targets
-    buffer = np.empty((1, min(config.horizon, _CLUSTER_CHUNK)))
 
     for block in range(max_blocks):
         if active >= n_targets or consumed >= config.horizon:
@@ -789,13 +822,10 @@ def run_cluster(config: ExperimentConfig) -> ExperimentResult:
         theta = nearest_theta(desired)
         marginal = family.measure_at(theta).marginal(0)
         block_sum = 0.0
-        # The chunks set the summation order, so they stay at 2**22 draws;
-        # each is drawn and transformed in place in the one buffer.
+        # The chunks set the summation order, so they stay at 2**22 draws.
         for start, stop in _chunk_ranges(count, _CLUSTER_CHUNK):
-            u = buffer[:, :stop - start]
-            philox_uniforms(config.seed, _CTX_CLUSTER, [0],
-                            consumed + start, consumed + stop, out=u)
-            block_sum += float(marginal.ppf(u[0], out=u[0]).sum())
+            block_sum += _pairwise_draw_sum(config.seed, _CTX_CLUSTER, marginal,
+                                            consumed + start, stop - start)
         total += block_sum
         consumed = n_next
         v = total / consumed

@@ -145,14 +145,12 @@ def _philox4x64(counter, key) -> tuple[np.ndarray, ...]:
 
 
 def philox_uniforms(seed: int, context: int, columns: Sequence[int],
-                    start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
+                    start: int, stop: int) -> np.ndarray:
     """Draws ``start..stop-1`` of the streams ``(seed, context, c)``, c in ``columns``.
 
     Returns a C-contiguous ``(len(columns), stop - start)`` float64 block whose
     row j equals ``philox_stream(seed, context, columns[j]).random(stop)[start:]``
-    bit for bit; with ``out``, a C-contiguous float64 array of that shape,
-    the block is written there. Draw i of a stream is word ``i % 4`` of
-    counter ``i // 4 + 1``.
+    bit for bit. Draw i of a stream is word ``i % 4`` of counter ``i // 4 + 1``.
     Blocks with fewer than ``_TALL_ROWS`` draws per stream run the cipher in
     numpy over every (counter, column) pair and write the words transposed;
     longer ones reset the calling thread's reused bit generator to each
@@ -168,12 +166,7 @@ def philox_uniforms(seed: int, context: int, columns: Sequence[int],
     # One contiguous row per stream: a trajectory's draws sit side by side,
     # so the tall path fills each row in place and a scan along time reads
     # memory in order.
-    if out is None:
-        out = np.empty((cols.size, rows), dtype=np.float64)
-    elif out.shape != (cols.size, rows) or out.dtype != np.float64 \
-            or not out.flags.c_contiguous:
-        raise ValueError(f"out must be a C-contiguous float64 array of shape "
-                         f"{(cols.size, rows)}")
+    out = np.empty((cols.size, rows), dtype=np.float64)
     if out.size == 0:
         return out
     key0 = cols.astype(np.uint64) | np.uint64(context << 32)
@@ -222,9 +215,13 @@ def uniform_block(seed: int, n: int, m: int, context: int = 0) -> np.ndarray:
     return np.ascontiguousarray(philox_uniforms(seed, context, np.arange(m), 0, n).T)
 
 
-def normal_scores(u: np.ndarray) -> np.ndarray:
-    """Standard normal quantiles of uniforms, clipped away from 0 and 1."""
-    return special.ndtri(np.clip(u, _U_FLOOR, 1.0 - 1e-16))
+def normal_scores(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Standard normal quantiles of uniforms, clipped away from 0 and 1.
+
+    With ``out`` (a float64 array shaped like ``u``, possibly ``u`` itself)
+    the scores are written there with the same bits.
+    """
+    return special.ndtri(np.clip(u, _U_FLOOR, 1.0 - 1e-16, out=out), out=out)
 
 
 def _double_factorial_odd(j: int) -> float:
@@ -542,12 +539,19 @@ class Marginal:
             np.take(vals, idx, out=out, mode="clip")
         return out if out.ndim else out[()]
 
-    def from_normal_score(self, z):
-        """Draws with standard normal scores ``z``: ``ppf(ndtr(z))``, exact for normals."""
+    def from_normal_score(self, z, out=None):
+        """Draws with standard normal scores ``z``: ``ppf(ndtr(z))``, exact for normals.
+
+        With ``out`` (a float64 array shaped like ``z``, possibly ``z``
+        itself) the draws are written there with the same bits.
+        """
         if self.kind == "normal":
+            # The bits of mean + sd * z: both operations commute exactly.
             mean, var = self.params
-            return mean + math.sqrt(var) * z
-        return self.ppf(special.ndtr(z))
+            out = np.multiply(z, math.sqrt(var), out=out)
+            out += mean
+            return out
+        return self.ppf(special.ndtr(z, out=out), out=out)
 
     # -- expectations of general integrands ----------------------------------
 

@@ -178,6 +178,14 @@ class TestCommandLine:
         assert main(["verify", "end", "--config", str(path)]) == 0
         assert "PASS" in capsys.readouterr().out
 
+    def test_verify_end_takes_its_length_from_the_correlation_matrix(self, tmp_path, capsys):
+        path = tmp_path / "pair.yaml"
+        path.write_text(MINIMAL + "dependence:\n  mode: gaussian_copula\n"
+                        "  correlation_matrix: [[1.0, -0.5], [-0.5, 1.0]]\n  K: 1.0\n"
+                        "verify:\n  corpus_cases: 4\n  mc_replications: 20000\n")
+        assert main(["verify", "end", "--config", str(path)]) == 0
+        assert "PASS" in capsys.readouterr().out
+
     def test_bounds_eval_prints_the_chebyshev_value(self, capsys):
         rc = main(["bounds", "eval", "--formula", "chebyshev", "--x", "2",
                    "--n", "1", "--variance-sum", "1.0", "--K", "1.0"])

@@ -146,6 +146,22 @@ class TestCorrelatePairs:
         correlate_pairs(z, -0.5)
         np.testing.assert_array_equal(z, before)
 
+    def test_out_gives_the_bytes_of_a_new_array(self):
+        z = np.random.default_rng(13).standard_normal((7, 300))
+        rho = -0.4
+        fresh = correlate_pairs(z, rho)
+        expected = z.copy()
+        expected[1:6:2] = rho * z[0:6:2] + math.sqrt(1.0 - rho**2) * z[1:6:2]
+        assert fresh.tobytes() == expected.tobytes()
+        other = np.empty_like(z)
+        assert correlate_pairs(z, rho, out=other) is other
+        assert other.tobytes() == fresh.tobytes()
+        # A transposed view, as the pairwise copula passes its tiles.
+        zt = np.ascontiguousarray(z.T).T
+        assert correlate_pairs(zt, rho, out=zt) is zt
+        assert np.ascontiguousarray(zt).tobytes() == fresh.tobytes()
+        assert correlate_pairs(z, rho, out=z) is z and z.tobytes() == fresh.tobytes()
+
 
 class TestSequenceSampler:
     def test_blocks_reproducible_and_context_separated(self, standard_normal_family):

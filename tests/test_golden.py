@@ -293,7 +293,10 @@ def test_batch_width_moves_no_bytes(name, width, tmp_path, monkeypatch):
 # cipher) of a 35-trajectory one, each 2 mod 4 so every other tile starts
 # mid-counter; bound-check and Monte Carlo wlln horizons longer than a tile
 # are drawn 1100 draws at a time and summed in pieces cut at the chunk edges.
-# The cluster sampler keeps its own chunks whatever the tile. The 50 x 1e6
+# The cluster sampler splits each of its 2**22-draw chunks where numpy's
+# pairwise sum does until a part fits in the tile, so at 1100 entries its
+# blocks are drawn in parts of at most 1100 draws and at 2**22 in whole
+# chunks, and both add the part sums back up numpy's tree. The 50 x 1e6
 # shipped necessity scan took about 40 s at a tile of 1000 entries, so it
 # runs at 51 050: 2042 draws of a 25-trajectory task, also 2 mod 4 and not a
 # divisor of the 131 072-draw chunks.

@@ -1,9 +1,12 @@
 """Experiment configs and the six long-run trajectory runners."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from caplim import Marginal, MeasureFamily, ProductMeasure, limits
 from caplim.dependence import DependenceSpec, correlate_pairs
@@ -460,16 +463,60 @@ def test_row_sums_match_the_time_major_sum(marginal, spec, row_chunk, monkeypatc
         assert sums.tobytes() == reference.tobytes()
 
 
+@pytest.mark.parametrize("spec", _SPECS, ids=lambda spec: spec.mode)
+@pytest.mark.parametrize("marginal", _KINDS, ids=lambda m: m.kind)
+def test_transform_in_place_gives_the_same_bytes(marginal, spec):
+    u = philox_uniforms(2026, 41, _COLUMNS, 0, 200)
+    fresh = limits._transform_chunk(u, marginal, spec)
+    assert limits._transform_chunk(u, marginal, spec, out=u) is u
+    assert u.tobytes() == fresh.tobytes()
+
+
+# The cluster's block sums against one np.sum over every draw. numpy adds
+# runs of fewer than 8 entries in turn, runs of 8 to 128 with eight
+# accumulators, and splits longer ones; 2**22 - 1 and the sizes that are not
+# multiples of 8 split unevenly. A tile of 1100 entries cuts runs from 1101
+# draws on into parts, and the default tile holds each run below 2**16
+# whole; a tile of 30 still holds a run of up to 128 whole, as numpy does.
+# The examples start at every counter offset.
+@pytest.mark.parametrize("marginal", _KINDS, ids=lambda m: m.kind)
+@settings(max_examples=25, deadline=None)
+@given(n=st.one_of(st.integers(1, 7), st.integers(8, 128),
+                   st.integers(129, 40_000).filter(lambda n: n % 8)),
+       first=st.integers(0, 1000), tile=st.sampled_from([30, 1100, limits._TILE]))
+@example(n=5, first=0, tile=1100)
+@example(n=100, first=1, tile=1100)
+@example(n=40_003, first=2, tile=1100)
+@example(n=1 << 22, first=3, tile=1100)
+@example(n=(1 << 22) - 1, first=4, tile=limits._TILE)
+def test_tiled_cluster_sum_matches_numpy_sum(marginal, n, first, tile):
+    with mock.patch.object(limits, "_TILE", tile):
+        tiled = limits._pairwise_draw_sum(2026, 42, marginal, first, n)
+    reference = float(marginal.ppf(philox_uniforms(2026, 42, [0], first, first + n)[0]).sum())
+    assert tiled.hex() == reference.hex()
+
+
 # A scan holds a few tiles at a time however long it runs: the uniforms, the
 # draws and a temporary of the transform. Chunks of the same runs, drawn
 # whole, held 48 MB (2000 x 3000) and 32 MiB (32 x 131 072) arrays, three at
-# a time (tracemalloc peaks of 137 and 96 MiB).
+# a time (tracemalloc peaks of 137 and 96 MiB), and the cluster's 2**22-draw
+# chunks one 32 MiB buffer. The cluster's first two blocks hold 4 500 000
+# draws each, two chunks apiece.
+_FEW_TILES_EXTRA = {
+    "lil": dict(dependence=_SPECS[1]),
+    "cluster": dict(family=make_location_family(-0.5, 0.5, resolution=5),
+                    block_start=4_500_000, block_growth=2.0, cluster_grid_step=0.25),
+}
+
+
 @pytest.mark.parametrize("mode,horizon,trajectories",
-                         [("bound_check", 3000, 2000), ("slln", 200_000, 32)])
+                         [("bound_check", 3000, 2000), ("slln", 200_000, 32),
+                          ("lil", 200_000, 32), ("cluster", 9_000_001, 1)])
 def test_scans_hold_a_few_tiles(mode, horizon, trajectories):
-    config = ExperimentConfig(mode=mode, family=make_singleton([Marginal.normal(0.0, 1.0)]),
-                              horizon=horizon, trajectories=trajectories, x_grid_points=4,
-                              seed=3)
+    options = {"family": make_singleton([Marginal.normal(0.0, 1.0)]),
+               **_FEW_TILES_EXTRA.get(mode, {})}
+    config = ExperimentConfig(mode=mode, horizon=horizon, trajectories=trajectories,
+                              x_grid_points=4, seed=3, **options)
     tracemalloc.start()
     try:
         run_experiment(config)

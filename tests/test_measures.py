@@ -407,15 +407,6 @@ def test_uniform_chunks_continue_each_stream(row_chunk, monkeypatch):
         _assert_same_block(joined, _stream_reference(2026, 40, columns, 0, 200))
 
 
-def test_philox_uniforms_fill_out():
-    out = np.full((3, measures._TALL_ROWS + 2), np.nan)
-    assert philox_uniforms(2026, 40, [2, 3, 11], 6, 6 + out.shape[1], out=out) is out
-    _assert_same_block(out, _stream_reference(2026, 40, [2, 3, 11], 6, 6 + out.shape[1]))
-    for bad in (np.empty((3, 5)), np.empty((3, 4), dtype=np.float32), np.empty((4, 3)).T):
-        with pytest.raises(ValueError, match="out must be"):
-            philox_uniforms(2026, 40, [2, 3, 11], 0, 4, out=bad)
-
-
 _PPF_KINDS = (
     Marginal.normal(0.3, 2.0),
     Marginal.uniform(-1.0, 0.5),
