@@ -521,8 +521,10 @@ def verify_extended_independence(spec: DependenceSpec, family: MeasureFamily,
     """
     if spec.mode == "discrete_joint":
         n = spec.joint_arity if n is None else n
+    elif n is None and psi_case is not None:
+        n = len(psi_case)
     elif n is None:
-        n = len(psi_case) if psi_case is not None else 4
+        n = 4 if spec.correlation_matrix is None else len(spec.correlation_matrix)
 
     box = _audit_box(family, spec, n)
     all_cases: list[tuple[str, tuple[TestFunction, ...]]] = []

@@ -525,8 +525,14 @@ class SublinearEngine:
     measures once, keeps every exact per-measure expectation keyed by
     (measure, test function), and, when ``fixed_context`` pins every Monte
     Carlo call to one stream context, keeps the read-only per-measure samples
-    of each arity. The caches live as long as the engine and assume its
-    fields stay as constructed.
+    of each arity. It also keeps the joint support ``(values, weights)`` of
+    each discrete (measure, arity) pair it enumerates, so a later test
+    function on that pair costs one call of ``f`` and one dot product. The
+    support arrays are read-only, so a test function that writes into its
+    input raises ``ValueError``. The kept supports hold at most
+    ``enumeration_cap`` joint atoms in total; a support past that budget is
+    enumerated again on each use. The caches live as long as the engine and
+    assume its fields stay as constructed.
     """
 
     family: MeasureFamily
@@ -539,6 +545,8 @@ class SublinearEngine:
     _grid: list | None = field(default=None, init=False, repr=False, compare=False)
     _exact: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _mc_fixed: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _supports: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _support_atoms: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0 <= self.seed < 1 << 64:
@@ -575,14 +583,36 @@ class SublinearEngine:
             v = marginal_expectation(measure.marginal(0), f)
             return None if v is None else (v, "quadrature")
         if measure.all_discrete(f.arity):
-            size = 1
-            for i in range(f.arity):
-                size *= len(measure.marginal(i).atoms())
-                if size > self.enumeration_cap:
-                    return None
-            vals, weights = _enumerate_support(measure, f.arity)
+            support = self._support(measure, f.arity)
+            if support is None:
+                return None
+            vals, weights = support
             return float(np.dot(weights, f(vals))), "enumeration"
         return None
+
+    def _support(self, measure: ProductMeasure, arity: int) -> tuple[np.ndarray, np.ndarray] | None:
+        """Read-only joint atoms of a discrete measure's first ``arity``
+        coordinates, or None when there are more than ``enumeration_cap``.
+
+        A support is kept if the kept ones then hold at most
+        ``enumeration_cap`` atoms in all.
+        """
+        key = (measure, arity)
+        kept = self._supports.get(key)
+        if kept is not None:
+            return kept
+        size = 1
+        for i in range(arity):
+            size *= len(measure.marginal(i).atoms())
+            if size > self.enumeration_cap:
+                return None
+        vals, weights = _enumerate_support(measure, arity)
+        vals.flags.writeable = False
+        weights.flags.writeable = False
+        if self._support_atoms + size <= self.enumeration_cap:
+            self._supports[key] = vals, weights
+            self._support_atoms += size
+        return vals, weights
 
     # -- Monte Carlo -------------------------------------------------------------
 
@@ -776,17 +806,12 @@ class SublinearEngine:
 
         if all(mu.all_discrete(f.arity) for _, mu in pairs):
             per_measure = []
-            ok = True
             for _, mu in pairs:
-                size = 1
-                for i in range(f.arity):
-                    size *= len(mu.marginal(i).atoms())
-                if size > self.enumeration_cap:
-                    ok = False
+                support = self._support(mu, f.arity)
+                if support is None:
                     break
-                vals, weights = _enumerate_support(mu, f.arity)
-                per_measure.append((f(vals), weights))
-            if ok:
+                per_measure.append((f(support[0]), support[1]))
+            else:
                 value = _discrete_choquet(per_measure, envelope)
                 return ChoquetReport(value=value, capacity=capacity, method="enumeration")
 
@@ -812,15 +837,21 @@ class SublinearEngine:
 
 
 def _enumerate_support(measure: ProductMeasure, arity: int) -> tuple[np.ndarray, np.ndarray]:
-    """All joint atoms of a discrete product measure as ((arity, M), (M,))."""
+    """All joint atoms of a discrete product measure as ((arity, M), (M,)).
+
+    The atoms run in row-major order over each coordinate's sorted atoms, and
+    each weight is the product of its coordinates' probabilities taken from
+    the first coordinate on. No other array of the support's size is made.
+    """
     grids = [measure.marginal(i)._sorted_atoms() for i in range(arity)]
-    val_mesh = np.meshgrid(*[g[0] for g in grids], indexing="ij")
-    prob_mesh = np.meshgrid(*[g[1] for g in grids], indexing="ij")
-    vals = np.stack([v.reshape(-1) for v in val_mesh])
-    weights = prob_mesh[0].reshape(-1).copy()
-    for p in prob_mesh[1:]:
-        weights *= p.reshape(-1)
-    return vals, weights
+    shape = tuple(len(v) for v, _ in grids)
+    vals = np.empty((arity, math.prod(shape)))
+    weights = np.ones(shape)
+    for i, (v, p) in enumerate(grids):
+        along = (1,) * i + (-1,) + (1,) * (arity - i - 1)
+        vals[i].reshape(shape)[...] = v.reshape(along)
+        weights *= p.reshape(along)
+    return vals, weights.reshape(-1)
 
 
 def _discrete_choquet(per_measure: list[tuple[np.ndarray, np.ndarray]], envelope) -> float:

@@ -186,6 +186,17 @@ class TestCommandLine:
         assert main(["verify", "end", "--config", str(path)]) == 0
         assert "PASS" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("rho, rc, verdict", [(0.0, 0, "PASS"), (-0.5, 2, "FAIL")])
+    def test_verify_extindep_takes_its_length_from_the_correlation_matrix(
+            self, rho, rc, verdict, tmp_path, capsys):
+        # Independent coordinates factorize; a negatively correlated pair does not.
+        path = tmp_path / "pair.yaml"
+        path.write_text(MINIMAL + "dependence:\n  mode: gaussian_copula\n"
+                        f"  correlation_matrix: [[1.0, {rho}], [{rho}, 1.0]]\n  K: 1.0\n"
+                        "verify:\n  corpus_cases: 4\n  mc_replications: 20000\n")
+        assert main(["verify", "extindep", "--config", str(path)]) == rc
+        assert verdict in capsys.readouterr().out
+
     def test_bounds_eval_prints_the_chebyshev_value(self, capsys):
         rc = main(["bounds", "eval", "--formula", "chebyshev", "--x", "2",
                    "--n", "1", "--variance-sum", "1.0", "--K", "1.0"])

@@ -145,6 +145,24 @@ def test_expect_quadrature_is_pinned(m):
     assert (plain.hex(), ramp.hex()) == PINNED_EXPECT[m.kind]
 
 
+@pytest.mark.parametrize("m", [Marginal.normal(0.3, 1.7), Marginal.normal(-1.0, 0.25),
+                               Marginal.uniform(-2.0, 1.0)], ids=repr)
+def test_point_density_is_within_spacings_of_pdf(m):
+    """The normal's scalar density squares with libm ``pow`` and ``pdf`` with
+    ``np.square``; a one-ulp square moves the density by at most about
+    ``z**2 / 2`` of its own spacings. The uniform's has ``pdf``'s bits."""
+    x = np.linspace(-8.0, 8.0, 4001)
+    density = m._point_density()
+    scalar = np.array([density(v) for v in x])
+    pdf = m.pdf(x)
+    if m.kind == "uniform":
+        assert [v.hex() for v in scalar] == [v.hex() for v in pdf]
+        return
+    mean, var = m.params
+    z = (x - mean) / math.sqrt(var)
+    assert np.all(np.abs(scalar - pdf) <= (1.0 + z * z) * np.spacing(pdf))
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     mean=st.floats(-3, 3),

@@ -6,6 +6,7 @@ function, independently of the engine's own integration path.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from caplim import (
     ProductMeasure,
     SublinearEngine,
     TestFunction,
+    sublinear,
 )
 from caplim.sublinear import marginal_expectation, run_axiom_suite, smooth_indicator
 
@@ -367,6 +369,133 @@ def test_no_samples_are_kept_without_a_fixed_context(sigma_family):
     second = engine.upper_exp(_no_exact_path())
     assert engine._mc_fixed == {}
     assert first.value != second.value  # each call draws its own context
+
+
+def _discrete_pair_family(n_atoms: int, resolution: int) -> MeasureFamily:
+    """Mixtures of two laws on ``n_atoms`` points, whose pairs have
+    ``n_atoms**2`` joint atoms."""
+    vals = np.linspace(-2.0, 2.0, n_atoms)
+    flat = np.full(n_atoms, 1.0 / n_atoms)
+    ramp = np.arange(1.0, n_atoms + 1.0) / (n_atoms * (n_atoms + 1) / 2.0)
+
+    def build(theta: float) -> ProductMeasure:
+        probs = (1.0 - theta) * flat + theta * ramp
+        return ProductMeasure((Marginal.discrete(tuple(zip(vals, probs))),))
+
+    return MeasureFamily(parameter_domain=((0.0, 1.0),), builder=build,
+                         grid_resolution=resolution, K=1.0, name=f"discrete-{n_atoms}")
+
+
+def _pair_functions() -> list[TestFunction]:
+    clamp = TestFunction.coordinate_sum([TestFunction.clamp_affine(0.8, -0.1, -1.0, 0.7),
+                                         TestFunction.clamp_affine(-1.3, 0.4, -0.5, 1.5)])
+    return [clamp, clamp.scaled(2.5), *(TestFunction.indicator_halfspace([1.0, w], 0.3)
+                                        for w in (-1.0, 0.5, 2.0))]
+
+
+def _report_bits(report) -> tuple:
+    return (report.value.hex(), report.method,
+            tuple((theta, v.hex()) for theta, v, _ in report.per_parameter))
+
+
+def _meshgrid_support(measure: ProductMeasure, arity: int):
+    """Reference enumeration through full meshes of values and probabilities."""
+    grids = [measure.marginal(i)._sorted_atoms() for i in range(arity)]
+    val_mesh = np.meshgrid(*[g[0] for g in grids], indexing="ij")
+    prob_mesh = np.meshgrid(*[g[1] for g in grids], indexing="ij")
+    weights = prob_mesh[0].reshape(-1).copy()
+    for p in prob_mesh[1:]:
+        weights *= p.reshape(-1)
+    return np.stack([v.reshape(-1) for v in val_mesh]), weights
+
+
+@settings(max_examples=200, deadline=None)
+@given(atoms=st.lists(st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(0.01, 1.0)),
+                               min_size=1, max_size=5), min_size=1, max_size=3),
+       arity=st.integers(1, 4), bernoulli=st.floats(0.0, 1.0))
+def test_enumerate_support_matches_the_meshgrid_reference(atoms, arity, bernoulli):
+    margs = [Marginal.bernoulli(bernoulli)]
+    for pairs in atoms:
+        total = math.fsum(p for _, p in pairs)
+        margs.append(Marginal.discrete([(v, p / total) for v, p in pairs]))
+    measure = ProductMeasure(tuple(margs))
+    vals, weights = sublinear._enumerate_support(measure, arity)
+    want_vals, want_weights = _meshgrid_support(measure, arity)
+    assert vals.shape == want_vals.shape and vals.tobytes() == want_vals.tobytes()
+    assert weights.shape == want_weights.shape and weights.tobytes() == want_weights.tobytes()
+
+
+def test_each_grid_support_is_enumerated_once(monkeypatch):
+    fam = _discrete_pair_family(n_atoms=4, resolution=5)
+    fs = _pair_functions()
+    # A fresh engine per function enumerates every support for that function.
+    fresh = [(_report_bits(SublinearEngine(fam, refinement=False).upper_exp(f)),
+              _report_bits(SublinearEngine(fam, refinement=False).lower_exp(f))) for f in fs]
+    fresh_choquet = SublinearEngine(fam, refinement=False).choquet(fs[0])
+    calls = []
+    original = sublinear._enumerate_support
+
+    def counting(measure, arity):
+        calls.append((measure, arity))
+        return original(measure, arity)
+
+    monkeypatch.setattr(sublinear, "_enumerate_support", counting)
+    engine = SublinearEngine(fam, refinement=False)
+    got = [(_report_bits(engine.upper_exp(f)), _report_bits(engine.lower_exp(f))) for f in fs]
+    choquet = engine.choquet(fs[0])
+    assert len(calls) == len(fam.grid_parameters()) == 5
+    assert got == fresh
+    assert choquet.method == "enumeration"
+    assert choquet.value.hex() == fresh_choquet.value.hex()
+
+
+def test_a_test_function_cannot_write_into_a_kept_support():
+    fam = _discrete_pair_family(n_atoms=4, resolution=5)
+    engine = SublinearEngine(fam, refinement=False)
+    clamp, *rest = _pair_functions()
+    engine.upper_exp(clamp)
+
+    def scribble(x):
+        x[0] += 1.0
+        return x[0]
+
+    writer = TestFunction(scribble, 2, name="scribble")
+    with pytest.raises(ValueError, match="read-only"):
+        engine.upper_exp(writer)
+    with pytest.raises(ValueError, match="read-only"):
+        engine.choquet(writer)
+    for f in rest:
+        fresh = SublinearEngine(fam, refinement=False)
+        assert _report_bits(engine.upper_exp(f)) == _report_bits(fresh.upper_exp(f))
+
+
+def test_supports_past_the_cap_give_the_same_reports_in_bounded_memory():
+    n_atoms, resolution = 64, 9
+    support_bytes = 3 * 8 * n_atoms**2  # two coordinate rows and the weights
+    cap = 2 * n_atoms**2 + 100  # room for two of the nine supports
+    fam = _discrete_pair_family(n_atoms, resolution)
+    fs = _pair_functions()
+    kept_all = SublinearEngine(fam, refinement=False)
+    capped = SublinearEngine(fam, refinement=False, enumeration_cap=cap)
+    capped._measures()
+    tracemalloc.start()
+    try:
+        got = [(_report_bits(capped.upper_exp(f)), _report_bits(capped.lower_exp(f)))
+               for f in fs]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    want = [(_report_bits(kept_all.upper_exp(f)), _report_bits(kept_all.lower_exp(f)))
+            for f in fs]
+    assert got == want
+    assert all(bits[1] == "enumeration" for pair in got for bits in pair)
+    assert capped.choquet(fs[0]).value.hex() == kept_all.choquet(fs[0]).value.hex()
+    # At most cap kept atoms of 24 bytes, the support enumerated per call and
+    # two supports' worth of the test functions' temporaries (4.1 supports in
+    # all with numpy 2.4); keeping all nine supports would take nine.
+    assert peak < 24 * cap + 3 * support_bytes, f"peak {peak / support_bytes:.2f} supports"
+    assert len(capped._supports) == 2 and len(kept_all._supports) == resolution
+    assert sum(w.size for _, w in capped._supports.values()) <= cap
 
 
 # ---------------------------------------------------------------------------
