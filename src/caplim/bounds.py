@@ -31,8 +31,6 @@ __all__ = [
     "chernoff_explicit_bound",
     "chernoff_optimal_bound",
     "choquet_moment_bound",
-    "conjugate_chebyshev_bound",
-    "conjugate_exponential_bound",
     "conjugate_split_bound",
     "evaluate_formula",
     "kolmogorov_exponent",
@@ -352,12 +350,10 @@ def moricz_maximal_bound_text_form(inputs: BoundInputs, max_pos_choquet: float,
 
 # -- conjugate-target bounds -----------------------------------------------------------
 
-# The lower-capacity inequalities reuse the primal closed forms; what changes
-# is the moment aggregate they accept and the empirical capacity they are
+# The lower-capacity inequalities reuse the primal closed forms
+# (``kolmogorov_exponential_bound`` and ``chebyshev_bound``); what changes is
+# the moment aggregate they accept and the empirical capacity they are
 # compared against downstream.
-
-conjugate_exponential_bound = kolmogorov_exponential_bound
-conjugate_chebyshev_bound = chebyshev_bound
 
 
 def conjugate_split_bound(inputs: BoundInputs, x, constants: DerivedConstants | None = None,
@@ -429,9 +425,9 @@ def evaluate_formula(name: str, inputs: BoundInputs, x, *,
         return ({"moricz_dyadic": np.full_like(x, dyadic),
                  "moricz_text_form": np.full_like(x, text)}, trace)
     if name == "conjugate":
-        out = {"conjugate_chebyshev": conjugate_chebyshev_bound(inputs, x)}
+        out = {"conjugate_chebyshev": chebyshev_bound(inputs, x)}
         if inputs.truncation is not None:
-            out["conjugate_exp"] = conjugate_exponential_bound(inputs, x)
+            out["conjugate_exp"] = kolmogorov_exponential_bound(inputs, x)
         if inputs.order is not None and inputs.abs_moment_sum is not None:
             out["conjugate_split"] = conjugate_split_bound(inputs, x, constants, form=form)
         return out, trace

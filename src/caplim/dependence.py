@@ -458,6 +458,21 @@ def _run_cases(kind: str, spec: DependenceSpec, family: MeasureFamily,
     )
 
 
+def _case_length(spec: DependenceSpec, n: int | None, case) -> int:
+    """Coordinates to check: a joint table's own, else ``n``, else the
+    supplied case's, else the correlation matrix's, else 4.
+    """
+    if spec.mode == "discrete_joint":
+        n = spec.joint_arity if n is None else n
+        if n != spec.joint_arity:
+            raise ValueError(f"joint table has {spec.joint_arity} coordinates, asked for {n}")
+    elif n is None and case is not None:
+        n = len(case)
+    elif n is None:
+        n = 4 if spec.correlation_matrix is None else len(spec.correlation_matrix)
+    return n
+
+
 def verify_end(spec: DependenceSpec, family: MeasureFamily,
                g_case: Sequence[TestFunction] | None = None, *,
                direction: str = "upper", n: int | None = None,
@@ -475,15 +490,7 @@ def verify_end(spec: DependenceSpec, family: MeasureFamily,
     if direction not in ("upper", "lower"):
         raise ValueError(f"direction must be 'upper' or 'lower', got {direction!r}")
     K = spec.K if K is None else K
-    if spec.mode == "discrete_joint":
-        n = spec.joint_arity if n is None else n
-        if n != spec.joint_arity:
-            raise ValueError(f"joint table has {spec.joint_arity} coordinates, asked for {n}")
-    elif n is None and g_case is not None:
-        n = len(g_case)
-    elif n is None:
-        n = 4 if spec.correlation_matrix is None else len(spec.correlation_matrix)
-
+    n = _case_length(spec, n, g_case)
     box = _audit_box(family, spec, n)
     all_cases: list[tuple[str, tuple[TestFunction, ...]]] = []
     if g_case is not None:
@@ -519,13 +526,7 @@ def verify_extended_independence(spec: DependenceSpec, family: MeasureFamily,
     zero within tolerance; genuinely non-linear envelopes are expected to fail
     here, and the gap quantifies by how much.
     """
-    if spec.mode == "discrete_joint":
-        n = spec.joint_arity if n is None else n
-    elif n is None and psi_case is not None:
-        n = len(psi_case)
-    elif n is None:
-        n = 4 if spec.correlation_matrix is None else len(spec.correlation_matrix)
-
+    n = _case_length(spec, n, psi_case)
     box = _audit_box(family, spec, n)
     all_cases: list[tuple[str, tuple[TestFunction, ...]]] = []
     if psi_case is not None:

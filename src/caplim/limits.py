@@ -6,10 +6,13 @@ index. Work is split across trajectories, so results are bit-identical
 for any worker count: a trajectory's draws never depend on which worker
 produced them or on how trajectories were batched.
 
-A runner states only its statistic. The strong law, the iterated
-logarithm and the divergence check hand a chunk reducer to one scan
-driver, ``_scan_trajectories``, which owns the marginals, the batches,
-the worker pool and the rows; every runner returns through ``_result``.
+A runner states only its statistic. One scan, ``_partial_sums``, builds
+the partial sums ``S_k`` of every runner but the cluster sampler. The strong
+law, the iterated logarithm and the divergence check hand a reducer of its
+pieces to one scan driver, ``_scan_trajectories``, which owns the
+marginals, the batches, the worker pool and the rows; the weak law and the
+bound sweep read its last column, ``S_n``, through ``_final_sums``. Every
+runner returns through ``_result``.
 
 Sums keep the bits of a chunked scan: chunks of ``_rows_per_chunk``
 draws, each summed sequentially and added to the running total. The work
@@ -447,84 +450,60 @@ def _pieces(start: int, stop: int, chunk: int):
         start = b
 
 
-def _partial_sums(config: ExperimentConfig, context: int, columns, marginal: Marginal):
-    """Partial sums of the trajectories in ``columns`` under ``marginal``.
+def _partial_sums(config: ExperimentConfig, context: int, columns, marginals, n: int,
+                  chunk: int):
+    """Partial sums of the trajectories in ``columns`` under each of ``marginals``.
 
-    Yields ``(start, stop, s)`` where ``s[j, r]`` holds ``S_{start+r+1}`` of
-    trajectory ``columns[j]``, over the whole horizon. ``s`` is a scratch
-    block of at most one tile: the caller may overwrite it but must not keep
-    it past the next step of the iteration.
+    Yields ``(k, start, stop, s, carry)`` where ``s[j, r] + carry[j, 0]``
+    is ``S_{start+r+1}`` of trajectory ``columns[j]`` under ``marginals[k]``,
+    up to ``S_n``. All marginals transform the same uniforms, drawn from
+    streams ``(seed, context, column)``. ``s`` is a scratch block of at most
+    one tile: the caller may overwrite it but must not keep it, or
+    ``carry``, past the next step of the iteration.
 
-    The bits are those of chunks of ``_rows_per_chunk(len(columns))`` draws,
-    each summed as ``carry + cumsum(x)``. Tiles of ``_tile_rows`` draws (an
-    even count, so copula pairs stay whole) are drawn and transformed in
-    place one at a time and cut at the chunk edges. A piece that continues a
-    chunk first adds the chunk's running sum ``inner`` into its first column,
-    so its cumsum continues the chunk's; the outer ``carry``, the sum at the
-    chunk's first edge, is added afterwards.
+    The bits are those of chunks of ``chunk`` draws (an even count), each
+    summed as ``carry + cumsum(x)``. Tiles of ``_tile_rows`` draws (an even
+    count, so copula pairs stay whole) are drawn one at a time and cut at
+    the chunk edges. One marginal transforms each tile in place; several
+    each transform it into the same scratch tile. A piece that continues a
+    chunk first adds the chunk's running sum ``inner`` into its first
+    column, so its cumsum continues the chunk's. The outer ``carry``, the
+    sum at the chunk's first edge, is left to the caller, so a caller that
+    reads one column adds it to that column alone.
     """
-    chunk = _rows_per_chunk(len(columns))
-    carry = np.zeros((len(columns), 1))
-    inner = np.zeros((len(columns), 1))
-    for start, stop in _chunk_ranges(config.horizon, _tile_rows(len(columns))):
+    carry = np.zeros((len(marginals), len(columns), 1))
+    inner = np.zeros((len(marginals), len(columns), 1))
+    for start, stop in _chunk_ranges(n, _tile_rows(len(columns))):
         u = philox_uniforms(config.seed, context, columns, start, stop)
-        x = _transform_chunk(u, marginal, config.dependence, out=u)
-        for a, b, fresh in _pieces(start, stop, chunk):
-            s = x[:, a - start:b - start]
-            if fresh:
-                carry += inner
-            else:
-                s[:, :1] += inner
-            np.cumsum(s, axis=1, out=s)
-            inner[:] = s[:, -1:]
-            s += carry
-            yield a, b, s
-
-
-def _row_sums(x: np.ndarray) -> np.ndarray:
-    """Each row's sum, added left to right; overwrites ``x``.
-
-    A contiguous ``sum(axis=1)`` adds pairwise and moves the low bits, so
-    the sum is the last partial sum of a sequential cumsum, taken in place.
-    """
-    return np.cumsum(x, axis=1, out=x)[:, -1]
+        out = u if len(marginals) == 1 else np.empty_like(u)
+        for k, marginal in enumerate(marginals):
+            x = _transform_chunk(u, marginal, config.dependence, out=out)
+            for a, b, fresh in _pieces(start, stop, chunk):
+                s = x[:, a - start:b - start]
+                if fresh:
+                    carry[k] += inner[k]
+                else:
+                    s[:, :1] += inner[k]
+                np.cumsum(s, axis=1, out=s)
+                inner[k] = s[:, -1:]
+                yield k, a, b, s, carry[k]
 
 
 def _final_sums(config: ExperimentConfig, context: int, marginals, n: int) -> np.ndarray:
-    """``S_n`` of every trajectory under each of ``marginals``.
+    """``S_n`` of every trajectory under each of ``marginals``, in row k for
+    ``marginals[k]``: the last column of ``_partial_sums`` plus its carry.
 
-    All marginals transform the same uniforms, drawn from streams
-    ``(seed, context, j)``; row k of the result holds the sums under
-    ``marginals[k]``.
-
-    The bits are those of chunks of ``_rows_per_chunk(trajectories)`` draws
-    over all trajectories, each chunk's row sums added in turn. The work
-    goes in tiles of about ``_TILE`` entries: a tile holds whole horizons of
-    a few trajectories, drawn in one call, or, when a horizon exceeds a
-    tile, an even span of one trajectory's draws. One marginal transforms
-    each tile in place; several, which share its uniforms, each transform it
-    into the same scratch tile. Each tile is summed in pieces cut at the chunk
-    edges; a piece that continues a chunk starts from the chunk's running
-    sum, and a piece that ends one adds it in.
+    Groups of ``_TILE // n`` trajectories keep whole horizons in one tile,
+    or a tile holds an even span of one trajectory's horizon; chunks of
+    ``_rows_per_chunk(trajectories)`` draws span all trajectories.
     """
-    trajectories = config.trajectories
-    chunk = _rows_per_chunk(trajectories)
-    span = max(1, _TILE // n)
-    sums = np.zeros((len(marginals), trajectories))
-    for t0, t1 in _chunk_ranges(trajectories, span):
-        inner = np.zeros((len(marginals), t1 - t0))
-        for start, stop in _chunk_ranges(n, _tile_rows(t1 - t0)):
-            u = philox_uniforms(config.seed, context, range(t0, t1), start, stop)
-            out = u if len(marginals) == 1 else np.empty_like(u)
-            for k, marginal in enumerate(marginals):
-                x = _transform_chunk(u, marginal, config.dependence, out=out)
-                for a, b, fresh in _pieces(start, stop, chunk):
-                    piece = x[:, a - start:b - start]
-                    if not fresh:
-                        piece[:, 0] += inner[k]
-                    inner[k] = _row_sums(piece)
-                    if b % chunk == 0 or b == n:
-                        sums[k, t0:t1] += inner[k]
+    chunk = _rows_per_chunk(config.trajectories)
+    sums = np.zeros((len(marginals), config.trajectories))
+    for t0, t1 in _chunk_ranges(config.trajectories, max(1, _TILE // n)):
+        for k, _, stop, s, carry in _partial_sums(config, context, range(t0, t1), marginals,
+                                                  n, chunk):
+            if stop == n:
+                sums[k, t0:t1] = s[:, -1] + carry[:, 0]
     return sums
 
 
@@ -553,15 +532,19 @@ def _scan_trajectories(config: ExperimentConfig, context: int, measures, reduce)
 
     ``measures`` lists ``(label, theta)`` pairs, and measure i draws from
     stream context ``context + i``. For each batch of trajectories,
-    ``reduce(chunks, size)`` takes the ``_partial_sums`` chunks of ``size``
-    trajectories and returns one array per statistic, indexed by trajectory.
+    ``reduce(chunks, size)`` takes the ``(start, stop, s)`` pieces of
+    ``_partial_sums`` over ``size`` trajectories, with the carry added into
+    ``s``, and returns one array per statistic, indexed by trajectory.
     Rows come in measure order, then trajectory order.
     """
     marginals = [config.family.measure_at(theta).marginal(0) for _, theta in measures]
 
     def scan(task):
         i, cols = task
-        stats = reduce(_partial_sums(config, context + i, cols, marginals[i]), len(cols))
+        chunks = _partial_sums(config, context + i, cols, [marginals[i]], config.horizon,
+                               _rows_per_chunk(len(cols)))
+        stats = reduce(((a, b, np.add(s, carry, out=s)) for _, a, b, s, carry in chunks),
+                       len(cols))
         label = measures[i][0]
         return [(label, col, *map(float, row)) for col, row in zip(cols, zip(*stats))]
 
@@ -631,9 +614,11 @@ def run_wlln(config: ExperimentConfig) -> ExperimentResult:
     thetas = family.grid_parameters()
     marginals = [family.measure_at(t).marginal(0) for t in thetas]
 
-    band = (mu_low - eps, mu_up + eps)
-    near_up = (mu_up - eps, mu_up + eps)
-    near_low = (mu_low - eps, mu_low + eps)
+    windows = {
+        "band": (mu_low - eps, mu_up + eps),
+        "near_up": (mu_up - eps, mu_up + eps),
+        "near_low": (mu_low - eps, mu_low + eps),
+    }
 
     exact_ok = config.dependence.mode == "per_measure_independent" and all(
         _band_prob_exact(m, 2, 0.0, 1.0) is not None for m in marginals
@@ -642,30 +627,13 @@ def run_wlln(config: ExperimentConfig) -> ExperimentResult:
     def stats_for(item):
         idx, n = item
         if exact_ok:
-            probs = {
-                key: np.array(
-                    [_band_prob_exact(m, n, lo, hi) for m in marginals]
-                )
-                for key, (lo, hi) in (
-                    ("band", band),
-                    ("near_up", near_up),
-                    ("near_low", near_low),
-                )
-            }
-            ses = {key: np.zeros(len(marginals)) for key in probs}
-            return n, probs, ses
-        m_traj = config.trajectories
+            probs = {key: np.array([_band_prob_exact(m, n, lo, hi) for m in marginals])
+                     for key, (lo, hi) in windows.items()}
+            return n, probs, {key: np.zeros(len(marginals)) for key in windows}
         means = _final_sums(config, _CTX_WLLN + idx, marginals, n) / n
-        probs, ses = {}, {}
-        for key, (lo, hi) in (
-            ("band", band),
-            ("near_up", near_up),
-            ("near_low", near_low),
-        ):
-            hit = (means >= lo) & (means <= hi)
-            f = hit.mean(axis=1)
-            probs[key] = f
-            ses[key] = np.sqrt(f * (1.0 - f) / m_traj)
+        probs = {key: ((means >= lo) & (means <= hi)).mean(axis=1)
+                 for key, (lo, hi) in windows.items()}
+        ses = {key: np.sqrt(f * (1.0 - f) / config.trajectories) for key, f in probs.items()}
         return n, probs, ses
 
     results = _indexed_map(stats_for, enumerate(schedule), config.workers)

@@ -310,6 +310,13 @@ class TestVerifyExtendedIndependence:
         assert not report.passed
         assert report.cases[0]["gap"] == pytest.approx(0.25, abs=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_joint_arity_mismatch_rejected(self, n):
+        # A one-coordinate check of the countermonotone pair would factorize
+        # trivially and pass.
+        with pytest.raises(ValueError, match=f"joint table has 2 coordinates, asked for {n}"):
+            verify_extended_independence(COUNTERMONOTONE, bernoulli_pair_family(), n=n)
+
 
 def test_report_summary_is_flat_and_complete():
     report = verify_end(COUNTERMONOTONE, bernoulli_pair_family(),

@@ -402,14 +402,16 @@ def _chunked_time_major_sums(seed, context, columns, marginal, spec, chunk, hori
 
 # Chunks of 6 rows run the numpy cipher and chunks of 70 the reset bit
 # generator; both are 2 mod 4, so every other chunk starts mid-counter and
-# the horizon of 200 ends on a short chunk. Over 3 streams, a tile of 30
-# entries is 10 draws long (numpy cipher) and one of 198 is 66 long (reset
-# bit generator); neither divides the chunks, so tiles are cut at the chunk
-# edges, and 2**16 entries hold the whole horizon.
+# the horizon of 200 ends on a short chunk. Chunks of 50 rows divide the
+# horizon, so its last piece ends a chunk and the horizon at once, where a
+# carry added twice would show. Over 3 streams, a tile of 30 entries is 10
+# draws long (numpy cipher) and one of 198 is 66 long (reset bit
+# generator); neither divides the chunks of 6 or 70, so tiles are cut at the
+# chunk edges, and 2**16 entries hold the whole horizon.
 _TILES = (30, 198, 1 << 16)
 
 
-@pytest.mark.parametrize("row_chunk", [6, 70])
+@pytest.mark.parametrize("row_chunk", [6, 50, 70])
 @pytest.mark.parametrize("spec", _SPECS, ids=lambda spec: spec.mode)
 @pytest.mark.parametrize("marginal", _KINDS, ids=lambda m: m.kind)
 def test_partial_sums_match_the_time_major_scan(marginal, spec, row_chunk, monkeypatch):
@@ -419,19 +421,22 @@ def test_partial_sums_match_the_time_major_scan(marginal, spec, row_chunk, monke
         dependence=spec, horizon=200, trajectories=len(_COLUMNS), burn_in=1, seed=2026,
     )
     reference = _chunked_time_major_sums(2026, 40, _COLUMNS, marginal, spec, row_chunk, 200)
+    chunk = limits._rows_per_chunk(len(_COLUMNS))
     for tile in _TILES:
         monkeypatch.setattr(limits, "_TILE", tile)
         blocks, stops = [], [0]
-        for start, stop, s in limits._partial_sums(config, 40, _COLUMNS, marginal):
+        for k, start, stop, s, carry in limits._partial_sums(config, 40, _COLUMNS,
+                                                             [marginal], 200, chunk):
+            assert k == 0
             assert start == stops[-1] and s.shape == (len(_COLUMNS), stop - start)
             assert s.size <= max(tile, 2 * len(_COLUMNS))
-            blocks.append(s.copy())
+            blocks.append(s + carry)
             stops.append(stop)
         _same_bytes(np.concatenate(blocks, axis=1), reference)
         assert len(stops) > 3 and stops[-1] == 200
 
 
-@pytest.mark.parametrize("row_chunk", [6, 70])
+@pytest.mark.parametrize("row_chunk", [6, 50, 70])
 @pytest.mark.parametrize("spec", _SPECS, ids=lambda spec: spec.mode)
 @pytest.mark.parametrize("marginal", _KINDS, ids=lambda m: m.kind)
 def test_row_sums_match_the_time_major_sum(marginal, spec, row_chunk, monkeypatch):

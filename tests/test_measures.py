@@ -418,7 +418,8 @@ def test_uniform_chunks_continue_each_stream(row_chunk, monkeypatch):
     for tile in (30, 210):
         monkeypatch.setattr(limits, "_TILE", tile)
         drawn.clear()
-        for _ in limits._partial_sums(config, 40, columns, marginal):
+        for _ in limits._partial_sums(config, 40, columns, [marginal], 200,
+                                      limits._rows_per_chunk(len(columns))):
             pass
         assert len(drawn) > 2 and all(u.size <= tile for u in drawn)
         joined = np.concatenate(drawn, axis=1)
