@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .measures import MeasureFamily, ProductMeasure, normal_scores, philox_stream, uniform_block
-from .sublinear import TestFunction, _clip_point, marginal_expectation, smooth_indicator
+from .sublinear import TestFunction, marginal_expectation, smooth_indicator
 
 __all__ = [
     "DependenceSpec",
@@ -274,7 +274,6 @@ def _reversed_smooth(threshold: float, width: float) -> TestFunction:
         nonnegative=True,
         sup_bound=1.0,
         breakpoints=base.breakpoints,
-        point=lambda x, g=base.point: 1.0 - g(x),
     )
 
 
@@ -287,7 +286,6 @@ def _abs_window(center: float, halfwidth: float) -> TestFunction:
         nonnegative=True,
         sup_bound=a,
         breakpoints=(c - a, c, c + a),
-        point=lambda x: abs(_clip_point(x - c, -a, a)),
     )
 
 

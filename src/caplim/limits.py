@@ -532,9 +532,10 @@ def _scan_trajectories(config: ExperimentConfig, context: int, measures, reduce)
 
     ``measures`` lists ``(label, theta)`` pairs, and measure i draws from
     stream context ``context + i``. For each batch of trajectories,
-    ``reduce(chunks, size)`` takes the ``(start, stop, s)`` pieces of
-    ``_partial_sums`` over ``size`` trajectories, with the carry added into
-    ``s``, and returns one array per statistic, indexed by trajectory.
+    ``reduce(chunks, size)`` takes the ``(start, stop, s, carry)`` pieces of
+    ``_partial_sums`` over ``size`` trajectories and returns one array per
+    statistic, indexed by trajectory. ``s + carry`` is the partial sums, so
+    a reducer adds the carry to the columns it reads and to no others.
     Rows come in measure order, then trajectory order.
     """
     marginals = [config.family.measure_at(theta).marginal(0) for _, theta in measures]
@@ -543,8 +544,7 @@ def _scan_trajectories(config: ExperimentConfig, context: int, measures, reduce)
         i, cols = task
         chunks = _partial_sums(config, context + i, cols, [marginals[i]], config.horizon,
                                _rows_per_chunk(len(cols)))
-        stats = reduce(((a, b, np.add(s, carry, out=s)) for _, a, b, s, carry in chunks),
-                       len(cols))
+        stats = reduce(((a, b, s, carry) for _, a, b, s, carry in chunks), len(cols))
         label = measures[i][0]
         return [(label, col, *map(float, row)) for col, row in zip(cols, zip(*stats))]
 
@@ -698,10 +698,11 @@ def run_slln(config: ExperimentConfig) -> ExperimentResult:
     def reduce(chunks, size):
         max_ratio = np.full(size, -np.inf)
         min_ratio = np.full(size, np.inf)
-        for start, stop, s in chunks:
+        for start, stop, s, carry in chunks:
             if stop > n0:
                 cut = max(n0 - start - 1, 0)
                 ratios = s[:, cut:]
+                ratios += carry
                 ratios /= np.arange(start + cut + 1, stop + 1, dtype=float)
                 max_ratio = np.maximum(max_ratio, ratios.max(axis=1))
                 min_ratio = np.minimum(min_ratio, ratios.min(axis=1))
@@ -868,11 +869,11 @@ def run_lil(config: ExperimentConfig) -> ExperimentResult:
     def reduce(chunks, size):
         r_up = np.full(size, -np.inf)
         r_low = np.full(size, np.inf)
-        for start, stop, s in chunks:
+        for start, stop, s, carry in chunks:
             mask = (checkpoints > start) & (checkpoints <= stop)
             if mask.any():
                 cps = checkpoints[mask]
-                s_cp = s[:, cps - start - 1]
+                s_cp = s[:, cps - start - 1] + carry
                 a_cp = norming[mask]
                 up = (s_cp - cps * mu_up) / a_cp
                 low = (s_cp - cps * mu_low) / a_cp
@@ -934,7 +935,8 @@ def run_necessity(config: ExperimentConfig) -> ExperimentResult:
 
     def reduce(chunks, size):
         peak = np.zeros(size)
-        for start, stop, s in chunks:
+        for start, stop, s, carry in chunks:
+            s += carry
             s /= np.arange(start + 1, stop + 1, dtype=float)
             peak = np.maximum(peak, np.abs(s, out=s).max(axis=1))
         return (peak,)

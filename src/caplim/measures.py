@@ -36,6 +36,8 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import special
 
+from .quadpack import quad
+
 __all__ = [
     "Marginal",
     "MeasureFamily",
@@ -436,10 +438,9 @@ class Marginal:
                 for j in range(ki + 1):
                     total += math.comb(ki, j) * a ** (ki - j) * mj[j]
                 return sd**k * total
-            from scipy import integrate
-
-            val, _ = integrate.quad(lambda x: x**k * self.pdf(x), 0.0, math.inf, limit=200)
-            return float(val)
+            # np.float_power is libm pow, as Python's float ** float
+            return quad(lambda x: np.float_power(x, k) * self.pdf(x), 0.0, math.inf,
+                        limit=200).value
         if self.kind == "uniform":
             lo, hi = self.params
             if hi <= 0:
@@ -555,62 +556,47 @@ class Marginal:
 
     # -- expectations of general integrands ----------------------------------
 
-    def _point_density(self) -> Callable[[float], float]:
-        """``pdf(x)`` at one float, with the constants bound once.
+    def _density(self) -> Callable[[np.ndarray], np.ndarray]:
+        """The density quadrature multiplies into its integrand, on arrays.
 
-        The uniform form returns ``pdf``'s bits. The normal form repeats
-        ``pdf``'s operations in the same order, but squares with Python's
-        ``** 2`` (libm ``pow``) where ``pdf`` calls numpy's ``square``; the
-        squares differ by one ulp on about 0.08% of arguments, so the density
-        can differ from ``pdf`` by a few ulps, growing with the squared
-        standard score. Quadrature results, and the digests pinned on them,
-        follow this form.
+        It is ``pdf`` but for the normal, whose form repeats ``pdf``'s
+        operations in the same order but squares with ``np.float_power``
+        (libm ``pow``, as Python's ``** 2``) where ``pdf`` calls numpy's
+        ``square``; the squares differ by one ulp on about 0.08% of
+        arguments, so the density can differ from ``pdf`` by a few ulps,
+        growing with the squared standard score. Quadrature results, and the
+        digests pinned on them, follow this form.
         """
-        if self.kind == "normal":
-            mean, var = self.params
-            sd = math.sqrt(var)
-            norm = sd * _SQRT_2PI
-            exp = np.exp
-            return lambda x: float(exp(-0.5 * ((x - mean) / sd) ** 2) / norm)
-        if self.kind == "uniform":
-            lo, hi = self.params
-            height = 1.0 / (hi - lo)
-            return lambda x: height if lo <= x <= hi else 0.0
-        return lambda x: float(self.pdf(x))
+        if self.kind != "normal":
+            return self.pdf
+        mean, var = self.params
+        sd = math.sqrt(var)
+        norm = sd * _SQRT_2PI
+        return lambda x: np.exp(-0.5 * np.float_power((x - mean) / sd, 2.0)) / norm
 
     def expect(self, f: Callable[[np.ndarray], np.ndarray], breakpoints: Sequence[float] = (),
                tol: float = 1e-10) -> float:
         """E[f(X)] by exact summation (discrete kinds) or adaptive quadrature.
 
-        ``f`` maps an array of points to their values. When it has a scalar
-        kernel ``point`` (a test function's, which returns ``f``'s value at
-        one float with the same bits), QUADPACK's integrand is
-        ``point(x) * density(x)`` on plain floats; any other ``f`` is called
-        on each node as a one-point array.
+        ``f`` maps an array of points to their values. Quadrature is
+        QUADPACK (``quadpack.quad``) over each piece of the support between
+        the breakpoints; each rule application calls ``f`` once on all of
+        its nodes and multiplies by the density there.
         """
         if self.is_discrete:
             vals, probs = self._sorted_atoms()
             return float(np.sum(probs * np.asarray(f(vals), dtype=float)))
-        from scipy import integrate
+        density = self._density()
 
-        density = self._point_density()
-        point = getattr(f, "point", None)
-        if point is not None:
-            def integrand(x: float) -> float:
-                return point(x) * density(x)
-        else:
-            def integrand(x: float) -> float:
-                return float(np.reshape(f(np.asarray(x, dtype=float)), -1)[0]) * density(x)
+        def integrand(x: np.ndarray) -> np.ndarray:
+            return np.asarray(f(x), dtype=float).reshape(-1) * density(x)
 
         lo, hi = self.support()
         pts = sorted(p for p in breakpoints if lo < p < hi)
         edges = [lo, *pts, hi]
         total = 0.0
         for a, b in zip(edges[:-1], edges[1:]):
-            val, err = integrate.quad(
-                integrand, a, b, limit=200, epsabs=tol, epsrel=1e-9,
-            )
-            total += val
+            total += quad(integrand, a, b, limit=200, epsabs=tol, epsrel=1e-9).value
         return total
 
 

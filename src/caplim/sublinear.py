@@ -9,7 +9,9 @@ transform.
 Evaluation prefers exact per-measure paths (closed-form moments, separable
 products, one-dimensional quadrature, exact enumeration of discrete supports)
 and falls back to common-random-number Monte Carlo only when no exact path
-applies. Exact optima over continuous parameter axes are sharpened by a
+applies. Quadrature is the package's own QUADPACK (``quadpack``), which
+calls a test function's ``fn`` once per rule application on all its nodes.
+Exact optima over continuous parameter axes are sharpened by a
 golden-section pass around the best grid point.
 """
 
@@ -49,58 +51,6 @@ def _smooth01(u):
     return out
 
 
-def _point_smooth01(start: float, width: float) -> Callable[[float], float]:
-    """``_smooth01((x - start) / width)`` on one float, with the same bits."""
-    exp = np.exp
-
-    def point(x: float) -> float:
-        u = (x - start) / width
-        if u >= 1.0:
-            return 1.0
-        if u > 0.0:
-            a = float(exp(-1.0 / u))
-            b = float(exp(-1.0 / (1.0 - u)))
-            return a / (a + b)
-        return 0.0
-    return point
-
-
-class _UfuncProbe(np.ndarray):
-    """An array whose ufunc calls return the ufunc instead of a result."""
-
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        return ufunc
-
-
-def _point_power(p) -> Callable[[float], float]:
-    """``x -> x ** p`` on one float with the bits of ``ndarray ** p``.
-
-    ``ndarray ** p`` hands some exponents to another ufunc (numpy 2 the int
-    2 to ``square``, the int -1 to ``reciprocal`` and 0.5 to ``sqrt``), so
-    the kernel asks an array which one it calls. numpy's kernels can round
-    differently from libm, so the float goes through that same ufunc; only
-    ``square`` is written out, as ``x * x``.
-    """
-    ufunc = np.empty(1).view(_UfuncProbe) ** p
-    if ufunc is np.square:
-        return lambda x: x * x
-    if ufunc is np.power:
-        return lambda x: float(ufunc(x, p))
-    return lambda x: float(ufunc(x))
-
-
-def _clip_point(v: float, lo: float, hi: float) -> float:
-    """``np.clip(v, lo, hi)`` on one float: ``v`` unless it is below ``lo``,
-    then that unless it is above ``hi``, so ties and signed zeros keep ``v``."""
-    v = lo if v < lo else v
-    return hi if v > hi else v
-
-
-def _max_point(a: float, b: float) -> float:
-    """``np.maximum(a, b)`` on floats: ``b`` unless ``a`` is larger or NaN."""
-    return a if a > b or a != a else b
-
-
 @dataclass(frozen=True)
 class TestFunction:
     """Vectorized test function on ``arity`` coordinates.
@@ -110,13 +60,10 @@ class TestFunction:
     a uniform bound, points of non-smoothness, a closed-form tag for moments,
     or a separable factorization across coordinates.
 
-    ``point``, when set, is the scalar kernel of an arity-1 function: it maps
-    one finite float to ``float(fn(np.array([[x]]))[0])`` bit for bit, by the
-    same IEEE operations in the same order with the same tie rules, calling
-    the numpy ufunc on the float wherever numpy's kernel can round
-    differently from libm (``exp``, ``power``). Quadrature evaluates it in
-    place of ``fn`` at each node. Every constructor of an arity-1 function
-    sets it; a composed function has one only when all of its parts do.
+    Quadrature calls ``fn`` on a (1, m) array of nodes at once, so an arity-1
+    ``fn`` must act elementwise: its value at a node may not depend on the
+    other nodes or on their number. Every constructor's does, as numpy's
+    ufuncs do.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -128,7 +75,6 @@ class TestFunction:
     closed_form: tuple | None = None
     breakpoints: tuple = ()
     factors: tuple | None = None
-    point: Callable[[float], float] | None = field(default=None, compare=False)
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -149,7 +95,6 @@ class TestFunction:
         sup = None
         if self.sup_bound is not None and other.sup_bound is not None:
             sup = self.sup_bound + other.sup_bound
-        p, q = self.point, other.point
         return TestFunction(
             fn=lambda x, f=self.fn, g=other.fn: f(x) + g(x),
             arity=self.arity,
@@ -158,36 +103,31 @@ class TestFunction:
             nonnegative=self.nonnegative and other.nonnegative,
             sup_bound=sup,
             breakpoints=tuple(sorted(set(self.breakpoints) | set(other.breakpoints))),
-            point=None if p is None or q is None else lambda x: p(x) + q(x),
         )
 
     def scaled(self, lam: float) -> "TestFunction":
         mono = self.monotone
         if lam < 0 and mono is not None:
             mono = "nonincreasing" if mono == "nondecreasing" else "nondecreasing"
-        p, c = self.point, float(lam)
         return TestFunction(
-            fn=lambda x, f=self.fn: c * f(x),
+            fn=lambda x, f=self.fn, c=float(lam): c * f(x),
             arity=self.arity,
             name=f"{lam:g}*{self.name}",
             monotone=mono,
             nonnegative=self.nonnegative and lam >= 0,
             sup_bound=None if self.sup_bound is None else abs(lam) * self.sup_bound,
             breakpoints=self.breakpoints,
-            point=None if p is None else lambda x: c * p(x),
         )
 
     def shifted(self, c: float) -> "TestFunction":
-        p, b = self.point, float(c)
         return TestFunction(
-            fn=lambda x, f=self.fn: f(x) + b,
+            fn=lambda x, f=self.fn, b=float(c): f(x) + b,
             arity=self.arity,
             name=f"({self.name}+{c:g})",
             monotone=self.monotone,
             nonnegative=self.nonnegative and c >= 0,
             sup_bound=None if self.sup_bound is None else self.sup_bound + abs(c),
             breakpoints=self.breakpoints,
-            point=None if p is None else lambda x: p(x) + b,
         )
 
     def negated(self) -> "TestFunction":
@@ -205,7 +145,6 @@ class TestFunction:
             nonnegative=c >= 0,
             sup_bound=abs(c),
             closed_form=("const", float(c)),
-            point=(lambda x, v=float(c): v) if arity == 1 else None,
         )
 
     @staticmethod
@@ -218,12 +157,10 @@ class TestFunction:
             monotone="nondecreasing" if odd else None,
             nonnegative=not odd,
             closed_form=("power", k),
-            point=_point_power(k),
         )
 
     @staticmethod
     def abs_power(k: float) -> "TestFunction":
-        power = _point_power(float(k))
         return TestFunction(
             fn=lambda x, p=float(k): np.abs(x[0]) ** p,
             arity=1,
@@ -231,12 +168,10 @@ class TestFunction:
             nonnegative=True,
             closed_form=("abs_power", float(k)),
             breakpoints=(0.0,),
-            point=lambda x: power(abs(x)),
         )
 
     @staticmethod
     def pos_power(k: float) -> "TestFunction":
-        power = _point_power(float(k))
         return TestFunction(
             fn=lambda x, p=float(k): np.maximum(x[0], 0.0) ** p,
             arity=1,
@@ -245,8 +180,6 @@ class TestFunction:
             nonnegative=True,
             closed_form=("pos_power", float(k)),
             breakpoints=(0.0,),
-            # np.maximum keeps its second argument unless the first is larger
-            point=lambda x: power(x if x > 0.0 else 0.0),
         )
 
     @staticmethod
@@ -259,7 +192,6 @@ class TestFunction:
             monotone="nondecreasing",
             sup_bound=c,
             breakpoints=(-c, c),
-            point=lambda x, lo=-c: _clip_point(x, lo, c),
         )
 
     @staticmethod
@@ -274,17 +206,15 @@ class TestFunction:
             mono = "nondecreasing"
         elif a < 0:
             mono = "nonincreasing"
-        aa, bb, low, high = float(a), float(b), float(lo), float(hi)
         return TestFunction(
             # ndarray.clip is what np.clip calls, without its dispatch layers
-            fn=lambda x: (aa * x[0] + bb).clip(low, high),
+            fn=lambda x, aa=float(a), bb=float(b), l=float(lo), h=float(hi): (aa * x[0] + bb).clip(l, h),
             arity=1,
             name=f"clip({a:g}x+{b:g},[{lo:g},{hi:g}])",
             monotone=mono,
             nonnegative=lo >= 0,
             sup_bound=max(abs(lo), abs(hi)),
             breakpoints=tuple(pts),
-            point=lambda x: _clip_point(aa * x + bb, low, high),
         )
 
     @staticmethod
@@ -301,10 +231,6 @@ class TestFunction:
         sup = None
         if all(p.sup_bound is not None for p in parts):
             sup = sum(p.sup_bound for p in parts)
-        point = None
-        if len(parts) == 1 and parts[0].point is not None:
-            # sum() starts from the int 0, which turns a -0.0 into 0.0
-            point = lambda x, p=parts[0].point: 0 + p(x)
         return TestFunction(
             fn=fn,
             arity=len(parts),
@@ -312,7 +238,6 @@ class TestFunction:
             monotone=monos.pop() if len(monos) == 1 else None,
             nonnegative=all(p.nonnegative for p in parts),
             sup_bound=sup,
-            point=point,
         )
 
     @staticmethod
@@ -343,7 +268,6 @@ class TestFunction:
             nonnegative=all_nonneg,
             sup_bound=sup,
             factors=factors,
-            point=factors[0].point if len(factors) == 1 else None,
         )
 
     # -- indicator builders ------------------------------------------------------
@@ -359,13 +283,10 @@ class TestFunction:
             mono = "nonincreasing"
         closed = None
         pts: tuple = ()
-        point = None
-        if len(w) == 1:
-            point = lambda x, w0=float(w[0]), t=float(threshold): 1.0 if w0 * x >= t else 0.0
-            if w[0] != 0:
-                edge = threshold / w[0]
-                pts = (edge,)
-                closed = ("ind_ge", edge) if w[0] > 0 else ("ind_le", edge)
+        if len(w) == 1 and w[0] != 0:
+            edge = threshold / w[0]
+            pts = (edge,)
+            closed = ("ind_ge", edge) if w[0] > 0 else ("ind_le", edge)
         return TestFunction(
             fn=lambda x, ww=w, t=float(threshold): (ww @ x >= t).astype(float),
             arity=len(w),
@@ -375,14 +296,12 @@ class TestFunction:
             sup_bound=1.0,
             closed_form=closed,
             breakpoints=pts,
-            point=point,
         )
 
     @staticmethod
     def indicator_union(a: "TestFunction", b: "TestFunction") -> "TestFunction":
         if a.arity != b.arity:
             raise ValueError("arity mismatch")
-        p, q = a.point, b.point
         return TestFunction(
             fn=lambda x, f=a.fn, g=b.fn: np.maximum(f(x), g(x)),
             arity=a.arity,
@@ -390,12 +309,10 @@ class TestFunction:
             nonnegative=True,
             sup_bound=1.0,
             breakpoints=tuple(sorted(set(a.breakpoints) | set(b.breakpoints))),
-            point=None if p is None or q is None else lambda x: _max_point(p(x), q(x)),
         )
 
     @staticmethod
     def indicator_complement(a: "TestFunction") -> "TestFunction":
-        p = a.point
         return TestFunction(
             fn=lambda x, f=a.fn: 1.0 - f(x),
             arity=a.arity,
@@ -403,7 +320,6 @@ class TestFunction:
             nonnegative=True,
             sup_bound=1.0,
             breakpoints=a.breakpoints,
-            point=None if p is None else lambda x: 1.0 - p(x),
         )
 
 
@@ -427,7 +343,6 @@ def smooth_indicator(threshold: float, width: float, side: str = "outer") -> Tes
         nonnegative=True,
         sup_bound=1.0,
         breakpoints=(start, start + width),
-        point=_point_smooth01(float(start), float(width)),
     )
 
 

@@ -350,10 +350,16 @@ class TestCommandLine:
         assert from_file == from_flags
 
 
-def test_importing_the_cli_leaves_quadrature_unloaded():
-    """Only quadrature needs scipy.integrate, so commands without it skip its import."""
-    env = dict(os.environ, PYTHONPATH=str(Path(caplim.__file__).resolve().parents[1]))
-    probe = "import sys, caplim.cli; print('scipy.integrate' in sys.modules)"
+def test_importing_the_cli_leaves_quadrature_unloaded(tmp_path):
+    """caplim integrates with its own QUADPACK, so even the golden axiom
+    corpus, which takes 33 quadratures, runs without scipy.integrate."""
+    tests = Path(__file__).resolve().parent
+    path = [str(Path(caplim.__file__).resolve().parents[1]), str(tests)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    probe = ("import pathlib, sys, test_golden as g\n"
+             "name = 'verify_axioms_quadrature'\n"
+             f"digests = g._artifact_digests(name, pathlib.Path({str(tmp_path)!r}), 1)\n"
+             "print(digests == g.DIGESTS[name], 'scipy.integrate' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                         text=True, timeout=120, check=True)
-    assert out.stdout.strip() == "False"
+                         text=True, timeout=300, check=True)
+    assert out.stdout.splitlines()[-1].split() == ["True", "False"]

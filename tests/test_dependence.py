@@ -334,14 +334,17 @@ def test_report_summary_is_flat_and_complete():
 
 
 @given(data=st.data(), center=st.floats(-5.0, 5.0), width=st.floats(1e-3, 5.0),
-       reversed_ramp=st.booleans())
-def test_corpus_functions_have_scalar_kernels(data, center, width, reversed_ramp):
-    """The END corpus's own functions integrate through bit-equal scalar kernels."""
+       reversed_ramp=st.booleans(), pos=st.integers(0, 41))
+def test_corpus_functions_act_elementwise(data, center, width, reversed_ramp, pos):
+    """The END corpus's own functions give quadrature, which calls them on
+    many nodes at once, the bits of each node on its own."""
     f = (_reversed_smooth if reversed_ramp else _abs_window)(center, width)
     edges = [v for e in f.breakpoints
              for v in (e, math.nextafter(e, -math.inf), math.nextafter(e, math.inf))]
     x = data.draw(st.one_of(st.sampled_from([0.0, -0.0, *edges]),
                             st.floats(allow_nan=False, allow_infinity=False)))
+    nodes = np.insert(np.linspace(center - 2.0 * width, center + 2.0 * width, 41), pos, x)
     with np.errstate(all="ignore"):
         want = float(f.fn(np.array([[x]]))[0])
-    assert f.point(x).hex() == want.hex()
+        got = float(f.fn(nodes[None, :])[pos])
+    assert got.hex() == want.hex()

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from caplim import Marginal, limits
+from caplim import Marginal, limits, measures
 from caplim.cli import main
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -314,19 +314,24 @@ def test_tile_size_moves_no_bytes(name, tile, tmp_path, monkeypatch):
     assert _artifact_digests(name, tmp_path, 2) == DIGESTS[name]
 
 
-# Every quadrature of the corpus cases integrates a test function's scalar
-# kernel; the digests above pin the values it gives.
+# Every quadrature of the corpus cases goes through the package's QUADPACK
+# port; the digests above pin the values it gives.
 @pytest.mark.parametrize("name", ["verify_axioms_mc", "verify_axioms_quadrature"])
-def test_quadrature_takes_the_scalar_kernels(name, tmp_path, monkeypatch):
+def test_quadrature_goes_through_the_port(name, tmp_path, monkeypatch):
     continuous = []
-    expect = Marginal.expect
+    expect, port = Marginal.expect, measures.quad
 
     def recording(self, f, *args, **kwargs):
         if not self.is_discrete:
-            continuous.append(getattr(f, "point", None) is not None)
+            continuous.append(0)
         return expect(self, f, *args, **kwargs)
 
+    def counting(*args, **kwargs):
+        continuous[-1] += 1
+        return port(*args, **kwargs)
+
     monkeypatch.setattr(Marginal, "expect", recording)
+    monkeypatch.setattr(measures, "quad", counting)
     assert _artifact_digests(name, tmp_path, 1) == DIGESTS[name]
     assert all(continuous)
     assert len(continuous) == (33 if name == "verify_axioms_quadrature" else 0)

@@ -129,8 +129,7 @@ def test_expect_matches_moments():
 
 
 # float.hex of quadrature expectations: a plain callable split at a
-# breakpoint, and a test function, which expect evaluates through its scalar
-# kernel.
+# breakpoint, and a test function.
 PINNED_EXPECT = {
     "normal": ("-0x1.79c52adffe135p-4", "0x1.d132ad389da20p-2"),
     "uniform": ("-0x1.c3a57349a02a0p-8", "0x1.7777777777753p-3"),
@@ -148,19 +147,23 @@ def test_expect_quadrature_is_pinned(m):
 @pytest.mark.parametrize("m", [Marginal.normal(0.3, 1.7), Marginal.normal(-1.0, 0.25),
                                Marginal.uniform(-2.0, 1.0)], ids=repr)
 def test_point_density_is_within_spacings_of_pdf(m):
-    """The normal's scalar density squares with libm ``pow`` and ``pdf`` with
+    """Quadrature's normal density squares with libm ``pow`` and ``pdf`` with
     ``np.square``; a one-ulp square moves the density by at most about
-    ``z**2 / 2`` of its own spacings. The uniform's has ``pdf``'s bits."""
+    ``z**2 / 2`` of its own spacings. The uniform's has ``pdf``'s bits. At
+    each node the array density has the bits of ``pow`` on that one float."""
     x = np.linspace(-8.0, 8.0, 4001)
-    density = m._point_density()
-    scalar = np.array([density(v) for v in x])
+    density = m._density()(x)
     pdf = m.pdf(x)
     if m.kind == "uniform":
-        assert [v.hex() for v in scalar] == [v.hex() for v in pdf]
+        assert [v.hex() for v in density] == [v.hex() for v in pdf]
         return
     mean, var = m.params
-    z = (x - mean) / math.sqrt(var)
-    assert np.all(np.abs(scalar - pdf) <= (1.0 + z * z) * np.spacing(pdf))
+    sd = math.sqrt(var)
+    norm = sd * math.sqrt(2.0 * math.pi)
+    one_by_one = [float(np.exp(-0.5 * ((v - mean) / sd) ** 2) / norm) for v in x.tolist()]
+    assert [v.hex() for v in density] == [v.hex() for v in one_by_one]
+    z = (x - mean) / sd
+    assert np.all(np.abs(density - pdf) <= (1.0 + z * z) * np.spacing(pdf))
 
 
 @settings(max_examples=50, deadline=None)
