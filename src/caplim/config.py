@@ -7,6 +7,9 @@ numbers or small arithmetic expressions in the family parameters, for
 example ``var: "sigma**-2"``. Validation is strict: unknown keys are
 rejected, and every error message carries the file line it refers to.
 
+A document is parsed once, and every section, down to each marginal and
+each joint atom, is read through a table with one checking reader per key.
+
 Parsing normalizes the document, so ``parse -> serialize -> parse``
 reproduces the canonical text exactly.
 """
@@ -45,38 +48,47 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Line anchoring: map document paths like family.marginals[0].var to lines.
+# Loading: one parse gives both the data and the line of every document path,
+# such as family.marginals[0].var.
 
 
-def _index_lines(text: str) -> dict[str, int]:
+def _load(text: str) -> tuple[object, dict[str, int]]:
+    loader = yaml.SafeLoader(text)
     try:
-        root = yaml.compose(text)
-    except yaml.YAMLError:
-        return {}
-    index: dict[str, int] = {}
+        root = loader.get_single_node()
+        lines: dict[str, int] = {}
 
-    def walk(node, path: str) -> None:
-        if node is None:
-            return
-        index.setdefault(path, node.start_mark.line + 1)
-        if isinstance(node, yaml.MappingNode):
-            for key_node, value_node in node.value:
-                sub = f"{path}.{key_node.value}" if path else str(key_node.value)
-                index.setdefault(sub, key_node.start_mark.line + 1)
-                walk(value_node, sub)
-        elif isinstance(node, yaml.SequenceNode):
-            for i, item in enumerate(node.value):
-                walk(item, f"{path}[{i}]")
+        def walk(node, path: str) -> None:
+            lines.setdefault(path, node.start_mark.line + 1)
+            if isinstance(node, yaml.MappingNode):
+                for key_node, value_node in node.value:
+                    sub = f"{path}.{key_node.value}" if path else str(key_node.value)
+                    lines.setdefault(sub, key_node.start_mark.line + 1)
+                    walk(value_node, sub)
+            elif isinstance(node, yaml.SequenceNode):
+                for i, item in enumerate(node.value):
+                    walk(item, f"{path}[{i}]")
 
-    walk(root, "")
-    return index
+        if root is None:
+            return None, lines
+        # Index before constructing, which flattens merge keys in place.
+        walk(root, "")
+        return loader.construct_document(root), lines
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        line = mark.line + 1 if mark is not None else None
+        raise ConfigError(f"not valid YAML: {exc}", line=line) from None
+    finally:
+        loader.dispose()
 
 
 class _Context:
-    """Carries the line index so errors can be anchored."""
+    """Carries the line index so errors can be anchored, and the family
+    parameter names that marginal expressions may use."""
 
     def __init__(self, lines: dict[str, int]):
         self.lines = lines
+        self.names: tuple[str, ...] = ()
 
     def fail(self, path: str, message: str) -> ConfigError:
         line = self.lines.get(path)
@@ -87,22 +99,53 @@ class _Context:
         return ConfigError(message, path, line)
 
 
+# ---------------------------------------------------------------------------
+# Readers. A reader takes ``(ctx, value, path)``, checks the value and
+# returns what it reads; a section is a table of readers, one per key.
+
+
 def _require_mapping(ctx: _Context, value, path: str) -> dict:
     if not isinstance(value, dict):
         raise ctx.fail(path, "expected a mapping")
     return value
 
 
-def _check_keys(ctx: _Context, mapping: dict, path: str, allowed, required=()):
-    for key in mapping:
-        if key not in allowed:
+def _read_section(ctx: _Context, section, path: str, readers: dict, required=()) -> dict:
+    """Check ``section`` against ``readers`` and read every key it holds,
+    in table order."""
+    _require_mapping(ctx, section, path)
+    for key in section:
+        if key not in readers:
             raise ctx.fail(
                 f"{path}.{key}" if path else str(key),
-                f"unknown key {key!r}; allowed: {', '.join(sorted(allowed))}",
+                f"unknown key {key!r}; allowed: {', '.join(sorted(readers))}",
             )
     for key in required:
-        if key not in mapping:
+        if key not in section:
             raise ctx.fail(path, f"missing required key {key!r}")
+    return {
+        key: read(ctx, section[key], f"{path}.{key}" if path else key)
+        for key, read in readers.items()
+        if key in section
+    }
+
+
+def _section(readers: dict, required=()):
+    def read(ctx: _Context, value, path: str) -> dict:
+        return _read_section(ctx, value, path, readers, required)
+
+    return read
+
+
+def _items(read, message: str, least: int = 1, most: float = float("inf")):
+    """A reader for a list of ``least`` to ``most`` items."""
+
+    def read_items(ctx: _Context, value, path: str) -> tuple:
+        if not isinstance(value, list) or not least <= len(value) <= most:
+            raise ctx.fail(path, message)
+        return tuple(read(ctx, item, f"{path}[{i}]") for i, item in enumerate(value))
+
+    return read_items
 
 
 def _number(ctx: _Context, value, path: str) -> float:
@@ -129,267 +172,19 @@ def _boolean(ctx: _Context, value, path: str) -> bool:
     return value
 
 
-# ---------------------------------------------------------------------------
-# Marginal parameter expressions.
+def _at_least(least: int, read=_integer):
+    def read_bounded(ctx: _Context, value, path: str):
+        got = read(ctx, value, path)
+        if got < least:
+            name = path.rsplit(".", 1)[-1]
+            raise ctx.fail(path, f"{name} must be at least {least:g}, got {got:g}")
+        return got
 
-_ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
-
-
-def _compile_expression(ctx: _Context, text: str, names: tuple[str, ...], path: str):
-    try:
-        tree = ast.parse(text, mode="eval")
-    except SyntaxError as exc:
-        raise ctx.fail(path, f"bad expression {text!r}: {exc.msg}") from None
-
-    def check(node) -> None:
-        if isinstance(node, ast.Expression):
-            check(node.body)
-        elif isinstance(node, ast.BinOp) and isinstance(node.op, _ALLOWED_BINOPS):
-            check(node.left)
-            check(node.right)
-        elif isinstance(node, ast.UnaryOp) and isinstance(
-            node.op, (ast.UAdd, ast.USub)
-        ):
-            check(node.operand)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
-            pass
-        elif isinstance(node, ast.Name):
-            if node.id not in names:
-                raise ctx.fail(
-                    path,
-                    f"expression {text!r} uses {node.id!r}; "
-                    f"known parameters: {', '.join(names)}",
-                )
-        else:
-            raise ctx.fail(
-                path,
-                f"expression {text!r} may only use numbers, the family "
-                "parameters, and + - * / **",
-            )
-
-    check(tree)
-    code = compile(tree, f"<config:{path}>", "eval")
-
-    def evaluate(env: dict[str, float]) -> float:
-        return float(eval(code, {"__builtins__": {}}, env))
-
-    return evaluate
+    return read_bounded
 
 
-def _value_or_expression(ctx: _Context, value, names, path: str):
-    """A number, or a compiled expression in the family parameters."""
-    if isinstance(value, bool):
-        raise ctx.fail(path, "expected a number or expression string")
-    if isinstance(value, (int, float)):
-        const = float(value)
-        return lambda env, _c=const: _c
-    if isinstance(value, str):
-        return _compile_expression(ctx, value, names, path)
-    raise ctx.fail(path, "expected a number or expression string")
-
-
-# ---------------------------------------------------------------------------
-# Section builders.
-
-_MARGINAL_KEYS = {
-    "normal": {"required": ("mean", "var"), "optional": ()},
-    "uniform": {"required": ("lo", "hi"), "optional": ()},
-    "bernoulli": {"required": ("p",), "optional": ()},
-    "discrete": {"required": ("atoms",), "optional": ()},
-    "pareto": {"required": ("alpha",), "optional": ("scale",)},
-}
-
-
-def _build_marginal_factory(ctx: _Context, spec: dict, names, path: str):
-    _require_mapping(ctx, spec, path)
-    kind = _string(ctx, spec.get("kind"), f"{path}.kind") if "kind" in spec else None
-    if kind is None:
-        raise ctx.fail(path, "missing required key 'kind'")
-    if kind not in _MARGINAL_KEYS:
-        raise ctx.fail(
-            f"{path}.kind",
-            f"unknown marginal kind {kind!r}; "
-            f"allowed: {', '.join(sorted(_MARGINAL_KEYS))}",
-        )
-    keys = _MARGINAL_KEYS[kind]
-    allowed = ("kind",) + keys["required"] + keys["optional"]
-    _check_keys(ctx, spec, path, allowed, required=("kind",) + keys["required"])
-
-    if kind == "discrete":
-        atoms_spec = spec["atoms"]
-        atoms_path = f"{path}.atoms"
-        if not isinstance(atoms_spec, list) or not atoms_spec:
-            raise ctx.fail(atoms_path, "expected a non-empty list of [value, prob]")
-        pairs = []
-        for i, pair in enumerate(atoms_spec):
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise ctx.fail(f"{atoms_path}[{i}]", "expected a [value, prob] pair")
-            v = _value_or_expression(ctx, pair[0], names, f"{atoms_path}[{i}][0]")
-            q = _value_or_expression(ctx, pair[1], names, f"{atoms_path}[{i}][1]")
-            pairs.append((v, q))
-
-        def make_discrete(env):
-            return Marginal.discrete([(v(env), q(env)) for v, q in pairs])
-
-        return make_discrete
-
-    params = {
-        key: _value_or_expression(ctx, spec[key], names, f"{path}.{key}")
-        for key in keys["required"]
-        if key != "kind"
-    }
-    for key in keys["optional"]:
-        if key in spec:
-            params[key] = _value_or_expression(ctx, spec[key], names, f"{path}.{key}")
-
-    def make(env):
-        got = {key: fn(env) for key, fn in params.items()}
-        if kind == "normal":
-            return Marginal.normal(got["mean"], got["var"])
-        if kind == "uniform":
-            return Marginal.uniform(got["lo"], got["hi"])
-        if kind == "bernoulli":
-            return Marginal.bernoulli(got["p"])
-        return Marginal.pareto(got["alpha"], got.get("scale", 1.0))
-
-    return make
-
-
-def _build_family(ctx: _Context, section: dict, path: str = "family") -> MeasureFamily:
-    _require_mapping(ctx, section, path)
-    _check_keys(
-        ctx,
-        section,
-        path,
-        allowed=("name", "parameters", "resolution", "K", "marginals"),
-        required=("parameters", "marginals"),
-    )
-    name = _string(ctx, section.get("name", "family"), f"{path}.name")
-    resolution = _integer(ctx, section.get("resolution", 9), f"{path}.resolution")
-    K = _number(ctx, section.get("K", 1.0), f"{path}.K")
-    if K < 1.0:
-        raise ctx.fail(f"{path}.K", f"K must be at least 1, got {K:g}")
-
-    raw_params = section["parameters"]
-    params_path = f"{path}.parameters"
-    if not isinstance(raw_params, list) or not 1 <= len(raw_params) <= 2:
-        raise ctx.fail(params_path, "expected a list of one or two parameters")
-    names = []
-    domain = []
-    for i, entry in enumerate(raw_params):
-        entry_path = f"{params_path}[{i}]"
-        _require_mapping(ctx, entry, entry_path)
-        _check_keys(ctx, entry, entry_path, ("name", "domain"), ("name", "domain"))
-        pname = _string(ctx, entry["name"], f"{entry_path}.name")
-        if not pname.isidentifier():
-            raise ctx.fail(f"{entry_path}.name", "parameter name must be an identifier")
-        if pname in names:
-            raise ctx.fail(f"{entry_path}.name", f"duplicate parameter {pname!r}")
-        dom = entry["domain"]
-        if not isinstance(dom, list) or len(dom) != 2:
-            raise ctx.fail(f"{entry_path}.domain", "expected [lo, hi]")
-        lo = _number(ctx, dom[0], f"{entry_path}.domain[0]")
-        hi = _number(ctx, dom[1], f"{entry_path}.domain[1]")
-        if hi < lo:
-            raise ctx.fail(f"{entry_path}.domain", "domain must satisfy lo <= hi")
-        names.append(pname)
-        domain.append((lo, hi))
-    names = tuple(names)
-
-    raw_marginals = section["marginals"]
-    if not isinstance(raw_marginals, list) or not raw_marginals:
-        raise ctx.fail(f"{path}.marginals", "expected a non-empty list")
-    factories = [
-        _build_marginal_factory(ctx, spec, names, f"{path}.marginals[{i}]")
-        for i, spec in enumerate(raw_marginals)
-    ]
-
-    def build(*theta):
-        env = dict(zip(names, theta))
-        return ProductMeasure(tuple(f(env) for f in factories), stationary=True)
-
-    try:
-        family = MeasureFamily(
-            parameter_domain=tuple(domain),
-            builder=build,
-            grid_resolution=resolution,
-            K=K,
-            name=name,
-        )
-        family.measure_at(family.grid_parameters()[0])
-    except (ValueError, TypeError) as exc:
-        raise ctx.fail(path, str(exc)) from None
-    return family
-
-
-def _build_dependence(ctx: _Context, section: dict, path: str = "dependence"):
-    _require_mapping(ctx, section, path)
-    _check_keys(
-        ctx,
-        section,
-        path,
-        allowed=("mode", "K", "correlation", "correlation_matrix", "joint_atoms"),
-    )
-    kwargs = {}
-    if "mode" in section:
-        kwargs["mode"] = _string(ctx, section["mode"], f"{path}.mode")
-    if "K" in section:
-        kwargs["K"] = _number(ctx, section["K"], f"{path}.K")
-        if kwargs["K"] < 1.0:
-            raise ctx.fail(f"{path}.K", f"K must be at least 1, got {kwargs['K']:g}")
-    if "correlation" in section:
-        kwargs["correlation"] = _number(
-            ctx, section["correlation"], f"{path}.correlation"
-        )
-    if "correlation_matrix" in section:
-        mat = section["correlation_matrix"]
-        mat_path = f"{path}.correlation_matrix"
-        if not isinstance(mat, list) or not all(isinstance(r, list) for r in mat):
-            raise ctx.fail(mat_path, "expected a list of rows")
-        kwargs["correlation_matrix"] = tuple(
-            tuple(_number(ctx, v, f"{mat_path}[{i}][{j}]") for j, v in enumerate(row))
-            for i, row in enumerate(mat)
-        )
-    if "joint_atoms" in section:
-        atoms = section["joint_atoms"]
-        atoms_path = f"{path}.joint_atoms"
-        if not isinstance(atoms, list) or not atoms:
-            raise ctx.fail(atoms_path, "expected a non-empty list of atoms")
-        rows = []
-        for i, atom in enumerate(atoms):
-            atom_path = f"{atoms_path}[{i}]"
-            _require_mapping(ctx, atom, atom_path)
-            _check_keys(ctx, atom, atom_path, ("point", "prob"), ("point", "prob"))
-            point = atom["point"]
-            if not isinstance(point, list) or not point:
-                raise ctx.fail(f"{atom_path}.point", "expected a coordinate list")
-            coords = tuple(
-                _number(ctx, v, f"{atom_path}.point[{j}]")
-                for j, v in enumerate(point)
-            )
-            rows.append((coords, _number(ctx, atom["prob"], f"{atom_path}.prob")))
-        kwargs["joint_atoms"] = tuple(rows)
-    kwargs.setdefault("mode", "per_measure_independent")
-    try:
-        return DependenceSpec(**kwargs)
-    except (ValueError, TypeError) as exc:
-        raise ctx.fail(path, str(exc)) from None
-
-
-# ---------------------------------------------------------------------------
-# Option sections. Each section is a table of readers, one per key; the
-# experiment and bound-input tables are built from their dataclass fields.
-
-
-def _read_section(ctx: _Context, section, path: str, readers: dict) -> dict:
-    """Check ``section`` against ``readers`` and read every key it holds."""
-    _require_mapping(ctx, section, path)
-    _check_keys(ctx, section, path, allowed=readers)
-    return {
-        key: read(ctx, section[key], f"{path}.{key}")
-        for key, read in readers.items()
-        if key in section
-    }
+# The dominating constant of the family, the dependence and the bound inputs.
+_dominating_constant = _at_least(1, _number)
 
 
 def _one_of(what: str, allowed: tuple[str, ...]):
@@ -414,27 +209,214 @@ def _either(what: str, first: str, second: str):
     return read
 
 
-def _mode(ctx: _Context, value, path: str) -> str:
-    mode = _string(ctx, value, path).replace("-", "_")
-    return _one_of("mode", _MODES)(ctx, mode, path)
-
-
-def _schedule(ctx: _Context, value, path: str) -> tuple[int, ...]:
-    if not isinstance(value, list):
-        raise ctx.fail(path, "expected a list of integers")
-    return tuple(_integer(ctx, v, f"{path}[{i}]") for i, v in enumerate(value))
-
-
-def _interval(ctx: _Context, value, path: str) -> tuple[float, float]:
-    if not isinstance(value, list) or len(value) != 2:
-        raise ctx.fail(path, "expected [lo, hi]")
-    return (_number(ctx, value[0], f"{path}[0]"), _number(ctx, value[1], f"{path}[1]"))
+_interval = _items(_number, "expected [lo, hi]", least=2, most=2)
 
 
 def _numbers(ctx: _Context, value, path: str) -> tuple[float, ...]:
     if isinstance(value, list):
         return tuple(_number(ctx, v, f"{path}[{i}]") for i, v in enumerate(value))
     return (_number(ctx, value, path),)
+
+
+# ---------------------------------------------------------------------------
+# Marginal parameter expressions. Each reads into a function of the
+# family's parameter values.
+
+_ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
+
+
+def _expression(ctx: _Context, value, path: str):
+    """A number, or a compiled expression in the family parameters."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise ctx.fail(path, "expected a number or expression string")
+    if not isinstance(value, str):
+        const = float(value)
+        return lambda env, _c=const: _c
+    try:
+        tree = ast.parse(value, mode="eval")
+    except SyntaxError as exc:
+        raise ctx.fail(path, f"bad expression {value!r}: {exc.msg}") from None
+
+    def check(node) -> None:
+        if isinstance(node, ast.Expression):
+            check(node.body)
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, _ALLOWED_BINOPS):
+            check(node.left)
+            check(node.right)
+        elif isinstance(node, ast.UnaryOp) and isinstance(
+            node.op, (ast.UAdd, ast.USub)
+        ):
+            check(node.operand)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
+            pass
+        elif isinstance(node, ast.Name):
+            if node.id not in ctx.names:
+                raise ctx.fail(
+                    path,
+                    f"expression {value!r} uses {node.id!r}; "
+                    f"known parameters: {', '.join(ctx.names)}",
+                )
+        else:
+            raise ctx.fail(
+                path,
+                f"expression {value!r} may only use numbers, the family "
+                "parameters, and + - * / **",
+            )
+
+    check(tree)
+    code = compile(tree, f"<config:{path}>", "eval")
+
+    def evaluate(env: dict[str, float]) -> float:
+        return float(eval(code, {"__builtins__": {}}, env))
+
+    return evaluate
+
+
+_atom = _items(_expression, "expected a [value, prob] pair", least=2, most=2)
+
+
+def _atoms(ctx: _Context, value, path: str):
+    pairs = _items(_atom, "expected a non-empty list of [value, prob]")(ctx, value, path)
+    return lambda env: [(v(env), q(env)) for v, q in pairs]
+
+
+# ---------------------------------------------------------------------------
+# Family and dependence sections.
+
+# kind -> (factory, required keys, optional keys); the factory takes the
+# values of the keys present, in this order.
+_MARGINALS = {
+    "normal": (Marginal.normal, ("mean", "var"), ()),
+    "uniform": (Marginal.uniform, ("lo", "hi"), ()),
+    "bernoulli": (Marginal.bernoulli, ("p",), ()),
+    "discrete": (Marginal.discrete, ("atoms",), ()),
+    "pareto": (Marginal.pareto, ("alpha",), ("scale",)),
+}
+
+_marginal_kind = _one_of("marginal kind", tuple(sorted(_MARGINALS)))
+
+
+def _marginal(ctx: _Context, spec, path: str):
+    """A function from the parameter values to the marginal."""
+    _require_mapping(ctx, spec, path)
+    if "kind" not in spec:
+        raise ctx.fail(path, "missing required key 'kind'")
+    kind = _marginal_kind(ctx, spec["kind"], f"{path}.kind")
+    factory, required, optional = _MARGINALS[kind]
+    readers = {"kind": _string}
+    readers.update({key: _atoms if key == "atoms" else _expression
+                    for key in required + optional})
+    got = _read_section(ctx, spec, path, readers, required=("kind", *required))
+    del got["kind"]
+    return lambda env: factory(*(read(env) for read in got.values()))
+
+
+def _parameter_name(ctx: _Context, value, path: str) -> str:
+    """Reading a name also admits it to the marginal expressions."""
+    name = _string(ctx, value, path)
+    if not name.isidentifier():
+        raise ctx.fail(path, "parameter name must be an identifier")
+    if name in ctx.names:
+        raise ctx.fail(path, f"duplicate parameter {name!r}")
+    ctx.names += (name,)
+    return name
+
+
+def _domain(ctx: _Context, value, path: str) -> tuple[float, float]:
+    lo, hi = _interval(ctx, value, path)
+    if hi < lo:
+        raise ctx.fail(path, "domain must satisfy lo <= hi")
+    return lo, hi
+
+
+_FAMILY_READERS = {
+    "name": _string,
+    "resolution": _integer,
+    "K": _dominating_constant,
+    # before the marginals, whose expressions use the parameter names
+    "parameters": _items(
+        _section({"name": _parameter_name, "domain": _domain}, required=("name", "domain")),
+        "expected a list of one or two parameters",
+        most=2,
+    ),
+    "marginals": _items(_marginal, "expected a non-empty list"),
+}
+
+
+def _family(ctx: _Context, section, path: str) -> MeasureFamily:
+    got = _read_section(
+        ctx, section, path, _FAMILY_READERS, required=("parameters", "marginals")
+    )
+    names = tuple(entry["name"] for entry in got["parameters"])
+    factories = got["marginals"]
+
+    def build(*theta):
+        env = dict(zip(names, theta))
+        return ProductMeasure(tuple(f(env) for f in factories), stationary=True)
+
+    try:
+        family = MeasureFamily(
+            parameter_domain=tuple(entry["domain"] for entry in got["parameters"]),
+            builder=build,
+            grid_resolution=got.get("resolution", 9),
+            K=got.get("K", 1.0),
+            name=got.get("name", "family"),
+        )
+        family.measure_at(family.grid_parameters()[0])
+    except (ValueError, TypeError) as exc:
+        raise ctx.fail(path, str(exc)) from None
+    return family
+
+
+def _correlation_matrix(ctx: _Context, value, path: str):
+    if not isinstance(value, list) or not all(isinstance(r, list) for r in value):
+        raise ctx.fail(path, "expected a list of rows")
+    return tuple(
+        tuple(_number(ctx, v, f"{path}[{i}][{j}]") for j, v in enumerate(row))
+        for i, row in enumerate(value)
+    )
+
+
+_JOINT_ATOM_READERS = {
+    "point": _items(_number, "expected a coordinate list"),
+    "prob": _number,
+}
+
+
+def _joint_atom(ctx: _Context, value, path: str):
+    got = _read_section(ctx, value, path, _JOINT_ATOM_READERS, required=("point", "prob"))
+    return got["point"], got["prob"]
+
+
+_DEPENDENCE_READERS = {
+    "mode": _string,
+    "K": _dominating_constant,
+    "correlation": _number,
+    "correlation_matrix": _correlation_matrix,
+    "joint_atoms": _items(_joint_atom, "expected a non-empty list of atoms"),
+}
+
+
+def _dependence(ctx: _Context, section, path: str) -> DependenceSpec:
+    kwargs = _read_section(ctx, section, path, _DEPENDENCE_READERS)
+    kwargs.setdefault("mode", "per_measure_independent")
+    try:
+        return DependenceSpec(**kwargs)
+    except (ValueError, TypeError) as exc:
+        raise ctx.fail(path, str(exc)) from None
+
+
+# ---------------------------------------------------------------------------
+# Option sections. The experiment and bound-input tables are built from
+# their dataclass fields.
+
+
+def _mode(ctx: _Context, value, path: str) -> str:
+    mode = _string(ctx, value, path).replace("-", "_")
+    return _one_of("mode", _MODES)(ctx, mode, path)
+
+
+_schedule = _items(_integer, "expected a list of integers", least=0)
 
 
 def _exponent(ctx: _Context, value, path: str) -> float:
@@ -455,19 +437,13 @@ _EXPERIMENT_READERS = {
 }
 
 # Every BoundInputs field is a key; the count and the moment order are
-# integers, everything else is a number.
+# integers, K is a dominating constant, everything else is a number.
 _BOUND_INPUT_READERS = {
-    f.name: _integer if f.name in ("n", "order") else _number
+    f.name: {"n": _integer, "order": _integer, "K": _dominating_constant}.get(
+        f.name, _number
+    )
     for f in fields(BoundInputs)
 }
-
-
-def _bound_inputs(ctx: _Context, value, path: str) -> dict:
-    got = _read_section(ctx, value, path, _BOUND_INPUT_READERS)
-    if "K" in got and got["K"] < 1.0:
-        raise ctx.fail(f"{path}.K", f"K must be at least 1, got {got['K']:g}")
-    return got
-
 
 _BOUND_FORMULAS = (
     "exp",
@@ -485,7 +461,7 @@ _CHOQUET_FUNCTIONS = ("abs_power", "pos_power", "power")
 _SECTIONS = {
     "experiment": _EXPERIMENT_READERS,
     "engine": {
-        "mc_replications": _integer,
+        "mc_replications": _at_least(2),
         "refinement": _boolean,
         "enumeration_cap": _integer,
     },
@@ -496,7 +472,7 @@ _SECTIONS = {
         "x": _numbers,
         "choquet_terms": _numbers,
         "max_second_moment": _number,
-        "inputs": _bound_inputs,
+        "inputs": _section(_BOUND_INPUT_READERS),
     },
     "choquet": {
         "function": _one_of("function", _CHOQUET_FUNCTIONS),
@@ -504,20 +480,25 @@ _SECTIONS = {
         "capacity": _either("capacity", "upper", "lower"),
     },
     "verify": {
-        "n_cases": _integer,
+        "n_cases": _at_least(1),
         "mc_every": _integer,
-        "mc_replications": _integer,
-        "corpus_cases": _integer,
+        "mc_replications": _at_least(2),
+        "corpus_cases": _at_least(0),
         "direction": _either("direction", "upper", "lower"),
         "mc_cross_check": _boolean,
     },
 }
 
+# The document: the family, then the dependence, then the option sections.
+_DOCUMENT_READERS = {
+    "family": _family,
+    "dependence": _dependence,
+    **{name: _section(readers) for name, readers in _SECTIONS.items()},
+}
+
 
 # ---------------------------------------------------------------------------
 # Bundle.
-
-_TOP_KEYS = ("family", "dependence", *_SECTIONS)
 
 
 @dataclass(frozen=True)
@@ -559,13 +540,7 @@ def _normalize(value):
         return {str(k): _normalize(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_normalize(v) for v in value]
-    if isinstance(value, bool) or value is None:
-        return value
-    if isinstance(value, int):
-        return value
-    if isinstance(value, float):
-        return value
-    if isinstance(value, str):
+    if value is None or isinstance(value, (bool, int, float, str)):
         return value
     raise ConfigError(f"unsupported value type {type(value).__name__}")
 
@@ -578,36 +553,19 @@ def serialize_config(data: dict) -> str:
 
 
 def parse_config_text(text: str) -> ConfigBundle:
-    ctx = _Context(_index_lines(text))
-    try:
-        raw = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        mark = getattr(exc, "problem_mark", None)
-        line = mark.line + 1 if mark is not None else None
-        raise ConfigError(f"not valid YAML: {exc}", line=line) from None
+    raw, lines = _load(text)
     if raw is None:
         raise ConfigError("empty config")
-    _require_mapping(ctx, raw, "")
-    _check_keys(ctx, raw, "", allowed=_TOP_KEYS, required=("family",))
-
-    family = _build_family(ctx, raw["family"])
-    dependence = (
-        _build_dependence(ctx, raw["dependence"])
-        if "dependence" in raw
-        else DependenceSpec.independent()
-    )
-    sections = {
-        f"{name}_options": _read_section(ctx, raw[name], name, readers)
-        for name, readers in _SECTIONS.items()
-        if name in raw
-    }
+    got = _read_section(_Context(lines), raw, "", _DOCUMENT_READERS, required=("family",))
     return ConfigBundle(
-        family=family, dependence=dependence, data=_normalize(raw), **sections
+        family=got.pop("family"),
+        dependence=got.pop("dependence", None) or DependenceSpec.independent(),
+        data=_normalize(raw),
+        **{f"{name}_options": options for name, options in got.items()},
     )
 
 
 def parse_config(path: str) -> ConfigBundle:
     """Parse and validate a config file; see the module docstring."""
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return parse_config_text(text)
+        return parse_config_text(fh.read())

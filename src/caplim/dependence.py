@@ -386,6 +386,8 @@ def _run_cases(kind: str, spec: DependenceSpec, family: MeasureFamily,
                all_cases: list[tuple[str, tuple[TestFunction, ...]]],
                direction: str | None, K: float, seed: int, mc_replications: int,
                mc_cross_check: bool) -> EndReport:
+    if not all_cases:
+        raise ValueError("no case to check: supply a case or ask for corpus_cases >= 1")
     sampler = SequenceSampler(spec, family, seed=seed)
     rows = []
     worst = math.inf

@@ -170,12 +170,18 @@ class ExperimentConfig:
             raise ValueError("epsilon must be positive")
         if self.checkpoint_growth <= 1.0 or self.block_growth <= 1.0:
             raise ValueError("growth factors must exceed 1")
+        if not 0.0 < self.wlln_target <= 1.0:
+            raise ValueError("wlln_target must lie in (0, 1]")
+        if self.lil_epsilon < 0.0:
+            raise ValueError("lil_epsilon must be nonnegative")
         if not 0.0 < self.lil_quantile <= 1.0:
             raise ValueError("lil_quantile must lie in (0, 1]")
         if not 0.0 < self.cluster_coverage_target <= 1.0:
             raise ValueError("cluster_coverage_target must lie in (0, 1]")
         if self.cluster_grid_step <= 0.0 or self.cluster_tolerance <= 0.0:
             raise ValueError("cluster grid step and tolerance must be positive")
+        if self.cluster_advance_tolerance <= 0.0:
+            raise ValueError("cluster_advance_tolerance must be positive")
         if self.block_start < 2:
             raise ValueError("block_start must be at least 2")
         if self.divergence_threshold <= 0.0:

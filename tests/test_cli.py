@@ -122,11 +122,109 @@ class TestConfigParsing:
         cfg = parse_config(str(CONFIG_DIR / "slln_normal_band.yaml")).experiment_config()
         assert set(allowed) == set(cfg.descriptor()) - {"family", "dependence"}
 
+    def test_one_loader_parses_each_document(self, monkeypatch):
+        # Every PyYAML loader starts its reader once, so this counts loaders.
+        import yaml.reader
+
+        built = []
+        start = yaml.reader.Reader.__init__
+
+        def counting(reader, stream):
+            built.append(reader)
+            start(reader, stream)
+
+        monkeypatch.setattr(yaml.reader.Reader, "__init__", counting)
+        parse_config_text(COMONOTONE)
+        assert len(built) == 1
+
     def test_engine_tolerance_is_rejected_with_its_line(self):
         with pytest.raises(ConfigError) as err:
             parse_config_text(MINIMAL + "engine:\n  tolerance: 1.0e-9\n")
         assert "unknown key 'tolerance'" in str(err.value)
         assert "line 12" in str(err.value)
+
+
+def _marginal(body: str) -> str:
+    return MINIMAL.replace("  - kind: normal\n    mean: mu\n    var: 1.0\n", body)
+
+
+# One broken document per reader -> the full message, which carries the
+# document path and its line.
+BROKEN = {
+    "normal-missing": (_marginal("  - kind: normal\n    mean: mu\n"),
+                       "family.marginals[0] (line 7): missing required key 'var'"),
+    "normal-unknown": (_marginal("  - kind: normal\n    mean: mu\n    var: 1.0\n"
+                                 "    scale: 2.0\n"),
+                       "family.marginals[0].scale (line 10): unknown key 'scale'; "
+                       "allowed: kind, mean, var"),
+    "uniform-missing": (_marginal("  - kind: uniform\n    lo: mu\n"),
+                        "family.marginals[0] (line 7): missing required key 'hi'"),
+    "uniform-unknown": (_marginal("  - kind: uniform\n    lo: mu\n    hi: 1.0\n"
+                                  "    mean: 0.5\n"),
+                        "family.marginals[0].mean (line 10): unknown key 'mean'; "
+                        "allowed: hi, kind, lo"),
+    "bernoulli-missing": (_marginal("  - kind: bernoulli\n"),
+                          "family.marginals[0] (line 7): missing required key 'p'"),
+    "bernoulli-unknown": (_marginal("  - kind: bernoulli\n    p: 0.5\n    q: 0.5\n"),
+                          "family.marginals[0].q (line 9): unknown key 'q'; "
+                          "allowed: kind, p"),
+    "discrete-missing": (_marginal("  - kind: discrete\n"),
+                         "family.marginals[0] (line 7): missing required key 'atoms'"),
+    "discrete-unknown": (_marginal("  - kind: discrete\n    atoms: [[0.0, 0.5], [1.0, 0.5]]\n"
+                                   "    p: 0.5\n"),
+                         "family.marginals[0].p (line 9): unknown key 'p'; "
+                         "allowed: atoms, kind"),
+    "pareto-missing": (_marginal("  - kind: pareto\n    scale: 1.0\n"),
+                       "family.marginals[0] (line 7): missing required key 'alpha'"),
+    "pareto-unknown": (_marginal("  - kind: pareto\n    alpha: 3.0\n    shape: 1.0\n"),
+                       "family.marginals[0].shape (line 9): unknown key 'shape'; "
+                       "allowed: alpha, kind, scale"),
+    "kind-missing": (_marginal("  - mean: mu\n    var: 1.0\n"),
+                     "family.marginals[0] (line 7): missing required key 'kind'"),
+    "kind-unknown": (_marginal("  - kind: cauchy\n    mean: mu\n"),
+                     "family.marginals[0].kind (line 7): unknown marginal kind 'cauchy'; "
+                     "allowed: bernoulli, discrete, normal, pareto, uniform"),
+    "discrete-bad-expression": (
+        _marginal("  - kind: discrete\n    atoms:\n    - [0.0, 0.5]\n    - [mu**, 0.5]\n"),
+        "family.marginals[0].atoms[1][0] (line 10): bad expression 'mu**': invalid syntax"),
+    "parameter-duplicate": (
+        MINIMAL.replace("  marginals:", "  - name: mu\n    domain: [1.0, 2.0]\n  marginals:"),
+        "family.parameters[1].name (line 6): duplicate parameter 'mu'"),
+    "parameter-not-identifier": (
+        MINIMAL.replace("name: mu", "name: 2mu"),
+        "family.parameters[0].name (line 4): parameter name must be an identifier"),
+    "domain-reversed": (MINIMAL.replace("[0.0, 0.0]", "[1.0, 0.0]"),
+                        "family.parameters[0].domain (line 5): domain must satisfy lo <= hi"),
+    "family-K": (MINIMAL.replace("K: 1.0", "K: 0.5"),
+                 "family.K (line 10): K must be at least 1, got 0.5"),
+    "dependence-K": (MINIMAL + "dependence:\n  mode: gaussian_copula\n  correlation: 0.0\n"
+                     "  K: 0.9\n",
+                     "dependence.K (line 14): K must be at least 1, got 0.9"),
+    "bounds-inputs-K": (MINIMAL + "bounds:\n  formula: chebyshev\n  inputs:\n    n: 2\n"
+                        "    K: 0.25\n",
+                        "bounds.inputs.K (line 15): K must be at least 1, got 0.25"),
+    "correlation-matrix-not-rows": (
+        MINIMAL + "dependence:\n  mode: gaussian_copula\n  correlation_matrix: [1.0, 0.5]\n",
+        "dependence.correlation_matrix (line 13): expected a list of rows"),
+    "correlation-matrix-entry": (
+        MINIMAL + "dependence:\n  mode: gaussian_copula\n  correlation_matrix:\n"
+        "  - [1.0, 0.5]\n  - [0.5, one]\n",
+        "dependence.correlation_matrix[1][1] (line 15): expected a number"),
+    "joint-atom-without-prob": (
+        MINIMAL + "dependence:\n  mode: discrete_joint\n  joint_atoms:\n"
+        "  - point: [0.0]\n    prob: 0.5\n  - point: [1.0]\n",
+        "dependence.joint_atoms[1] (line 16): missing required key 'prob'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN))
+def test_each_reader_reports_its_message_path_and_line(case):
+    text, message = BROKEN[case]
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(text)
+    assert str(err.value) == message
+    path, line = message.split(": ", 1)[0].removesuffix(")").split(" (line ")
+    assert (err.value.path, err.value.line) == (path, int(line))
 
 
 # command family -> (command words, config text, seed the run uses without --seed);
@@ -300,6 +398,36 @@ class TestCommandLine:
         err = capsys.readouterr().err
         assert "family.K" in err and "line 10" in err
         assert main(["choquet", "--config", str(tmp_path / "missing.yaml")]) == 1
+
+    @pytest.mark.parametrize("command, source, old, new, key, line", [
+        ("verify end", "end_countermonotone.yaml", "corpus_cases: 24", "corpus_cases: -3",
+         "verify.corpus_cases", 29),
+        ("verify end", "end_countermonotone.yaml", "corpus_cases: 24",
+         "corpus_cases: 2\n  mc_replications: 1", "verify.mc_replications", 30),
+        ("verify end", "end_countermonotone.yaml", "corpus_cases: 24",
+         "corpus_cases: 2\n  mc_replications: -5", "verify.mc_replications", 30),
+        ("verify axioms", "reciprocal_variance_pair.yaml", "n_cases: 120", "n_cases: 0",
+         "verify.n_cases", 21),
+        ("choquet", "reciprocal_variance_pair.yaml", "mc_replications: 100000",
+         "mc_replications: 1", "engine.mc_replications", 2),
+    ])
+    def test_out_of_range_counts_exit_one_with_the_key_and_line(
+            self, command, source, old, new, key, line, tmp_path, capsys):
+        text = (CONFIG_DIR / source).read_text()
+        assert text.count(old) == 1
+        path = tmp_path / "counts.yaml"
+        path.write_text(text.replace(old, new))
+        assert main([*command.split(), "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"{key} (line {line}): " in err and "must be at least" in err
+
+    def test_verify_end_over_no_cases_exits_one(self, tmp_path, capsys):
+        text = (CONFIG_DIR / "end_countermonotone.yaml").read_text()
+        path = tmp_path / "empty.yaml"
+        path.write_text(text.replace("corpus_cases: 24", "corpus_cases: 0"))
+        assert main(["verify", "end", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out and "no case to check" in captured.err
 
     def test_bounds_eval_requires_formula_and_thresholds(self, capsys):
         assert main(["bounds", "eval", "--x", "1"]) == 1

@@ -1,10 +1,12 @@
 """Pinned identity of every shipped config.
 
-For each ``configs/*.yaml`` this pins the sha256 of the canonical YAML
-text and, where the file names an experiment mode, the experiment's
-``config_hash`` (the run name written into every ``result.json``). The
-test only parses, so it is fast. A change to how sections are read, how
-values are normalized or which fields enter the hash shows up here.
+For each ``configs/*.yaml``, and for the benchmark's
+``bench/configs/axiom_corpus.yaml``, this pins the sha256 of the
+canonical YAML text and, where the file names an experiment mode, the
+experiment's ``config_hash`` (the run name written into every
+``result.json``). The test only parses, so it is fast. A change to how
+sections are read, how values are normalized or which fields enter the
+hash shows up here.
 
 If a change alters either value on purpose, it says why and re-records
 them with ``python tests/test_config_identity.py``.
@@ -18,7 +20,9 @@ import pytest
 
 from caplim.config import parse_config
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG_DIR = ROOT / "configs"
+BENCH_CONFIG = ROOT / "bench" / "configs" / "axiom_corpus.yaml"
 
 # file name -> (sha256 of canonical YAML, experiment config_hash or None)
 IDENTITIES = {
@@ -68,6 +72,9 @@ IDENTITIES = {
     ),
 }
 
+# The benchmark parses this file on every run; it names no experiment.
+BENCH_IDENTITY = ("40aa77b8027f1820d6d34bd12352133a9544e9f75564fa036ac59c41b467a91f", None)
+
 
 def _identity(path: Path) -> tuple:
     bundle = parse_config(str(path))
@@ -86,8 +93,13 @@ def test_config_identity_matches_pinned_values(name):
     assert _identity(CONFIG_DIR / name) == IDENTITIES[name]
 
 
+def test_benchmark_config_identity_matches_pinned_value():
+    assert _identity(BENCH_CONFIG) == BENCH_IDENTITY
+
+
 if __name__ == "__main__":
     import pprint
 
     recorded = {p.name: _identity(p) for p in sorted(CONFIG_DIR.glob("*.yaml"))}
     pprint.pprint(recorded, stream=sys.stdout, width=100)
+    print("BENCH_IDENTITY =", _identity(BENCH_CONFIG))

@@ -206,6 +206,13 @@ class TestVerifyEnd:
         # E[g1]E[g2] - E[g1 g2] = 1/4 - 0 for 0/1 ramps on this table
         assert row["margin"] == pytest.approx(0.25, abs=1e-12)
 
+    def test_no_case_to_check_is_an_error(self):
+        with pytest.raises(ValueError, match="no case to check"):
+            verify_end(COUNTERMONOTONE, bernoulli_pair_family(), corpus_cases=0)
+        with pytest.raises(ValueError, match="no case to check"):
+            verify_extended_independence(COUNTERMONOTONE, bernoulli_pair_family(),
+                                         corpus_cases=0)
+
     def test_comonotone_table_violates_the_product_bound(self):
         report = verify_end(COMONOTONE, bernoulli_pair_family(),
                             g_case=(RAMP, RAMP), corpus_cases=0)

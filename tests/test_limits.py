@@ -64,6 +64,10 @@ class TestExperimentConfigValidation:
         ("bound_delta", 1.5),
         ("x_grid_points", 1),
         ("x_grid_range", (2.0, 1.0)),
+        ("wlln_target", 2.0),
+        ("wlln_target", 0.0),
+        ("lil_epsilon", -0.1),
+        ("cluster_advance_tolerance", 0.0),
     ])
     def test_out_of_range_fields_rejected(self, field, bad):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
-"""The README's library quick start runs against the installed API, and
-every exported name resolves."""
+"""The README's library quick start runs against the installed API, its
+config key lists match the config readers, and every exported name
+resolves."""
 
 import contextlib
 import importlib
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import caplim
+from caplim.config import _SECTIONS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -22,6 +24,14 @@ def test_quick_start_runs_and_prints_what_it_claims():
     with contextlib.redirect_stdout(out):
         exec(compile(blocks[0], str(README), "exec"), {})
     assert out.getvalue() == "2.0 closed_form\n"
+
+
+@pytest.mark.parametrize("section", ["engine", "bounds", "choquet", "verify"])
+def test_readme_lists_each_sections_keys(section):
+    # The bullet's names before its first ';' are the section's keys.
+    bullet = re.search(rf"^- `{section}`: (.*?)(?:;|\.?\n\n)", README.read_text(),
+                       flags=re.S | re.M)
+    assert set(re.findall(r"`(\w+)`", bullet.group(1))) == set(_SECTIONS[section])
 
 
 @pytest.mark.parametrize("module", ["caplim", *(
