@@ -362,9 +362,18 @@ def _family(ctx: _Context, section, path: str) -> MeasureFamily:
             K=got.get("K", 1.0),
             name=got.get("name", "family"),
         )
-        family.measure_at(family.grid_parameters()[0])
     except (ValueError, TypeError) as exc:
         raise ctx.fail(path, str(exc)) from None
+    # Every grid measure the commands enumerate must build, so a marginal
+    # that fails at some grid point fails here, at the family's line.
+    for theta in family.grid_parameters():
+        try:
+            family.measure_at(theta)
+        except (ValueError, TypeError, ArithmeticError) as exc:
+            point = ", ".join(f"{name} = {value:g}" for name, value in
+                              zip(names, theta if isinstance(theta, tuple) else (theta,)))
+            reason = exc if isinstance(exc, ValueError) else f"{type(exc).__name__}: {exc}"
+            raise ctx.fail(path, f"at {point}: {reason}") from None
     return family
 
 
@@ -556,13 +565,22 @@ def parse_config_text(text: str) -> ConfigBundle:
     raw, lines = _load(text)
     if raw is None:
         raise ConfigError("empty config")
-    got = _read_section(_Context(lines), raw, "", _DOCUMENT_READERS, required=("family",))
-    return ConfigBundle(
+    ctx = _Context(lines)
+    got = _read_section(ctx, raw, "", _DOCUMENT_READERS, required=("family",))
+    bundle = ConfigBundle(
         family=got.pop("family"),
         dependence=got.pop("dependence", None) or DependenceSpec.independent(),
         data=_normalize(raw),
         **{f"{name}_options": options for name, options in got.items()},
     )
+    if "mode" in bundle.experiment_options:
+        # The range checks live in ExperimentConfig; run them on the file's
+        # values so a failure names the section's line.
+        try:
+            bundle.experiment_config()
+        except (ValueError, TypeError) as exc:
+            raise ctx.fail("experiment", str(exc)) from None
+    return bundle
 
 
 def parse_config(path: str) -> ConfigBundle:

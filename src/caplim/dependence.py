@@ -192,18 +192,18 @@ class SequenceSampler:
         if mode == "per_measure_independent":
             return measure.ppf(u)
 
-        # gaussian_copula
-        z = normal_scores(u)
+        # gaussian_copula: each step writes over the block it reads, with the
+        # bits of a fresh result.
+        z = normal_scores(u, out=u)
         if self._chol is not None:
             if n != self._chol.shape[0]:
                 raise ValueError("sequence length must match the correlation matrix size")
             z = self._chol @ z
         else:
-            z = correlate_pairs(z, float(self.spec.correlation))
-        out = np.empty_like(z)
+            correlate_pairs(z, float(self.spec.correlation), out=z)
         for i in range(n):
-            out[i] = measure.marginal(i).from_normal_score(z[i])
-        return out
+            measure.marginal(i).from_normal_score(z[i], out=z[i])
+        return z
 
 
 @dataclass(frozen=True)

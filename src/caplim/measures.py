@@ -19,11 +19,15 @@ in order, and output word ``w`` becomes the uniform ``(w >> 11) * 2**-53``.
 This is what ``np.random.Generator(np.random.Philox(key=...)).random``
 returns. ``philox_uniforms`` computes any range of draws of many such
 streams at once, one contiguous row per stream, along one of two paths
-chosen from the draws per stream alone: few draws run the cipher in numpy
-over a (counter, column) grid; many draws reuse one numpy bit generator
-per thread, reset its key and counter for each stream and fill that
-stream's row in place. ``uniform_block`` turns such a block into the
-(coordinate, replication) layout the envelope code reads.
+chosen from the draws per stream alone: many draws reuse one numpy bit
+generator per thread, reset its key and counter for each stream and fill
+that stream's row in place; fewer than ``_TALL_ROWS`` run the cipher in
+numpy over a (counter, column) grid. The cipher takes one slice of about
+``_CIPHER_WORDS // counters`` columns at a time, so its temporaries stay in
+L2 cache, and writes each output word straight into a (draw, stream) view
+of the caller's array: the transpose of ``philox_uniforms``' block, or
+``uniform_block``'s own (coordinate, replication) block, the layout the
+envelope code reads, which a short block thus fills without a copy.
 """
 
 from __future__ import annotations
@@ -79,8 +83,17 @@ def philox_stream(seed: int, context: int = 0, column: int = 0) -> np.random.Gen
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
-_MASK32 = np.uint64(0xFFFFFFFF)
-_MASK64 = (1 << 64) - 1
+# Word constants as 0-d arrays: on a small array numpy takes about 0.85 us
+# per operation with one, against 1.2-1.6 us with a numpy or Python scalar
+# (timeit, 2-vCPU x86 box), and per-operation overhead is most of the cost
+# of a short column slice.
+_MASK32 = np.array(0xFFFFFFFF, dtype=np.uint64)
+_SHIFT32 = np.array(32, dtype=np.uint64)
+_SHIFT11 = np.array(11, dtype=np.uint64)
+_ULP53 = np.array(2.0**-53)
+# Each lane's multiplier, its 32-bit halves and its key increment.
+_LANE_CONSTANTS = tuple(np.array(words, dtype=np.uint64) for words in (
+    _PHILOX_M, [m & 0xFFFFFFFF for m in _PHILOX_M], [m >> 32 for m in _PHILOX_M], _PHILOX_W))
 
 # Below this many rows per column, philox_uniforms runs the cipher in numpy;
 # from it on, it resets one bit generator per column. Over 2000 columns on a
@@ -89,8 +102,12 @@ _MASK64 = (1 << 64) - 1
 # per draw at 32 rows, 47-52 at 64 and 19-20 at 256: they meet near 56 rows.
 _TALL_ROWS = 64
 
-# Column slices keep each uint64 temporary of the numpy cipher near 64k words.
-_CIPHER_WORDS = 1 << 16
+# Columns per slice of the numpy cipher, times the counters per column: each
+# uint64 temporary then holds two lanes of about 4096 words (64 KiB), and the
+# eight that a round keeps live stay in L2 cache. A 3 x 20000 uniform_block
+# peaked at 1.2 MiB under tracemalloc, against 3.2 MiB when the whole block
+# went through the cipher at once and was transposed and copied.
+_CIPHER_WORDS = 1 << 12
 
 # Each thread's reused bit generator for the tall path of philox_uniforms.
 _TALL = threading.local()
@@ -116,15 +133,31 @@ def _tall_generator() -> tuple[np.random.Philox, np.random.Generator, dict]:
     return cached
 
 
-def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low 64-bit words of the 128-bit products ``a * b``."""
-    a_lo, a_hi = np.uint64(a & 0xFFFFFFFF), np.uint64(a >> 32)
-    b_lo, b_hi = b & _MASK32, b >> 32
-    # Schoolbook product of 32-bit halves; no partial sum can pass 2**64.
-    u = a_hi * b_lo + (a_lo * b_lo >> 32)
-    v = a_lo * b_hi + (u & _MASK32)
-    hi = a_hi * b_hi + (u >> 32) + (v >> 32)
-    return hi, np.uint64(a) * b
+def _mulhilo(a: np.ndarray, a_lo: np.ndarray, a_hi: np.ndarray,
+             b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of the 128-bit products ``a * b``.
+
+    ``a_lo`` and ``a_hi`` are the 32-bit halves of ``a``. Overwrites ``b``,
+    which saves a temporary.
+    """
+    lo = a * b
+    # Schoolbook product of 32-bit halves: no partial sum can pass 2**64, and
+    # sums mod 2**64 are exact, so they run in place in any order.
+    t = b & _MASK32
+    b >>= _SHIFT32
+    u = a_lo * t
+    u >>= _SHIFT32
+    t *= a_hi
+    u += t  # a_hi * b_lo + (a_lo * b_lo >> 32)
+    np.bitwise_and(u, _MASK32, out=t)
+    u >>= _SHIFT32
+    hi = a_hi * b
+    hi += u
+    b *= a_lo
+    t += b  # a_lo * b_hi + (u & mask)
+    t >>= _SHIFT32
+    hi += t
+    return hi, lo
 
 
 def _philox4x64(counter, key) -> tuple[np.ndarray, ...]:
@@ -133,17 +166,69 @@ def _philox4x64(counter, key) -> tuple[np.ndarray, ...]:
     ``counter`` holds four words and ``key`` two, each a scalar or an array;
     the four output word arrays have the broadcast shape of the inputs, at
     least one-dimensional (numpy scalars would warn where the words wrap).
+    A round multiplies words 0 and 2 and mixes the products into words 1
+    and 3, so the state runs as two lanes stacked on a new first axis: lane
+    0 holds words 0 and 1 under key word 0, lane 1 words 2 and 3 under key
+    word 1, and one array operation serves both lanes.
     """
-    x0, x1, x2, x3 = (np.array(w, dtype=np.uint64, ndmin=1) for w in counter)
-    k0, k1 = (np.array(w, dtype=np.uint64, ndmin=1) for w in key)
+    words = [np.asarray(w, dtype=np.uint64) for w in (*counter, *key)]
+    ndim = max(1, *(w.ndim for w in words))
+    x0, x1, x2, x3, k0, k1 = (w.reshape((1,) * (ndim - w.ndim) + w.shape) for w in words)
+    shape = np.broadcast_shapes(x0.shape, x1.shape, x2.shape, x3.shape, k0.shape, k1.shape)
+    mul = np.stack([np.broadcast_to(x0, shape), np.broadcast_to(x2, shape)])
+    mix = np.stack([np.broadcast_to(x1, shape), np.broadcast_to(x3, shape)])
+    k = np.stack(np.broadcast_arrays(k0, k1))
+    m, m_lo, m_hi, w = (c.reshape((2,) + (1,) * ndim) for c in _LANE_CONSTANTS)
     for r in range(_PHILOX_ROUNDS):
-        # The key schedule adds r increments; uint64 arrays wrap mod 2**64.
-        r0 = k0 + np.uint64(r * _PHILOX_W[0] & _MASK64)
-        r1 = k1 + np.uint64(r * _PHILOX_W[1] & _MASK64)
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], x0)
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], x2)
-        x0, x1, x2, x3 = hi1 ^ x1 ^ r0, lo1, hi0 ^ x3 ^ r1, lo0
-    return x0, x1, x2, x3
+        hi, lo = _mulhilo(m, m_lo, m_hi, mul)
+        # Lane 0 takes lane 1's product and lane 1 lane 0's.
+        hi ^= mix[::-1]
+        hi ^= k[::-1]
+        mul, mix = hi[::-1], lo[::-1]
+        if r + 1 < _PHILOX_ROUNDS:
+            # The key schedule adds one increment a round; uint64 wraps mod 2**64.
+            k += w
+    return mul[0], mix[0], mul[1], mix[1]
+
+
+def _stream_keys(seed: int, context: int, columns, start: int, stop: int) -> np.ndarray:
+    """First key words ``context << 32 | c`` of the streams ``(seed, context, c)``.
+
+    Checks every key field and the draw range ``start..stop-1`` first.
+    """
+    cols = np.asarray(columns)
+    for column in {int(cols.min()), int(cols.max())} if cols.size else {0}:
+        _check_key(seed, context, column)
+    if not 0 <= start <= stop:
+        raise ValueError(f"need 0 <= start <= stop, got {start} and {stop}")
+    key0 = cols.astype(np.uint64)
+    key0 |= np.uint64(context << 32)
+    return key0
+
+
+def _cipher(seed: int, key0: np.ndarray, start: int, out: np.ndarray) -> None:
+    """Draws ``start..`` of the streams keyed ``(key0[j], seed)``, by the numpy cipher.
+
+    ``out`` is a float64 ``(rows, len(key0))`` view of any strides; entry
+    (i, j) becomes draw ``start + i`` of stream j, which is word
+    ``(start + i) % 4`` of counter ``(start + i) // 4 + 1``. The cipher runs
+    over ``_CIPHER_WORDS // counters`` columns at a time and writes each
+    output word straight into the rows of ``out`` it feeds.
+    """
+    rows, skip = out.shape[0], start % 4
+    counters = (skip + rows + 3) // 4
+    first = start // 4 + 1
+    ctr = np.arange(first, first + counters, dtype=np.uint64)[:, None]
+    zero = np.zeros((1, 1), dtype=np.uint64)
+    step = max(1, _CIPHER_WORDS // counters)
+    for j in range(0, key0.size, step):
+        words = _philox4x64((ctr, zero, zero, zero), (key0[None, j:j + step], seed))
+        for w, word in enumerate(words):
+            i = (w - skip) % 4  # the first row this word feeds
+            target = out[i::4, j:j + step]
+            bits = word[(skip + i) // 4:][:target.shape[0]]
+            bits >>= _SHIFT11
+            np.multiply(bits, _ULP53, out=target)
 
 
 def philox_uniforms(seed: int, context: int, columns: Sequence[int],
@@ -153,31 +238,26 @@ def philox_uniforms(seed: int, context: int, columns: Sequence[int],
     Returns a C-contiguous ``(len(columns), stop - start)`` float64 block whose
     row j equals ``philox_stream(seed, context, columns[j]).random(stop)[start:]``
     bit for bit. Draw i of a stream is word ``i % 4`` of counter ``i // 4 + 1``.
-    Blocks with fewer than ``_TALL_ROWS`` draws per stream run the cipher in
-    numpy over every (counter, column) pair and write the words transposed;
-    longer ones reset the calling thread's reused bit generator to each
-    column's key and first counter, drop the first ``start % 4`` words and
-    fill that stream's row in place.
+    Blocks with fewer than ``_TALL_ROWS`` draws per stream run the numpy
+    cipher (``_cipher``) on the block's transposed view; longer ones reset
+    the calling thread's reused bit generator to each column's key and first
+    counter, drop the first ``start % 4`` words and fill that stream's row
+    in place.
     """
-    cols = np.asarray(columns)
-    for column in {int(cols.min()), int(cols.max())} if cols.size else {0}:
-        _check_key(seed, context, column)
-    if not 0 <= start <= stop:
-        raise ValueError(f"need 0 <= start <= stop, got {start} and {stop}")
-    rows, skip = stop - start, start % 4
+    key0 = _stream_keys(seed, context, columns, start, stop)
+    rows = stop - start
     # One contiguous row per stream: a trajectory's draws sit side by side,
     # so the tall path fills each row in place and a scan along time reads
     # memory in order.
-    out = np.empty((cols.size, rows), dtype=np.float64)
+    out = np.empty((key0.size, rows), dtype=np.float64)
     if out.size == 0:
         return out
-    key0 = cols.astype(np.uint64) | np.uint64(context << 32)
-
     if rows >= _TALL_ROWS:
         bitgen, gen, state = _tall_generator()
         state["state"]["counter"][0] = start // 4
         key = state["state"]["key"]
         key[1] = seed
+        skip = start % 4
         for j, k0 in enumerate(key0.tolist()):
             key[0] = k0
             bitgen.state = state
@@ -186,15 +266,7 @@ def philox_uniforms(seed: int, context: int, columns: Sequence[int],
             gen.random(out=out[j])
         return out
 
-    counters = (skip + rows + 3) // 4
-    first = start // 4 + 1
-    ctr = np.arange(first, first + counters, dtype=np.uint64)[:, None]
-    zero = np.zeros((1, 1), dtype=np.uint64)
-    step = max(1, _CIPHER_WORDS // counters)
-    for j in range(0, cols.size, step):
-        words = _philox4x64((ctr, zero, zero, zero), (key0[None, j:j + step], seed))
-        block = np.stack(words, axis=1).reshape(4 * counters, -1)[skip:skip + rows]
-        out[j:j + step] = ((block >> 11).astype(np.float64) * 2.0**-53).T
+    _cipher(seed, key0, start, out.T)
     return out
 
 
@@ -204,17 +276,25 @@ def uniform_block(seed: int, n: int, m: int, context: int = 0) -> np.ndarray:
     Bit contract: entry (i, j) is word ``i % 4`` of Philox4x64-10 at counter
     ``i // 4 + 1`` under the key words ``(context << 32 | j, seed)``, taken as
     ``(w >> 11) * 2**-53``; the block is C-contiguous. It is the transpose of
-    ``philox_uniforms(seed, context, np.arange(m), 0, n)``, copied once into
-    C order, which for the few coordinates the envelope code draws is a
-    small copy. Blocks of fewer than ``_TALL_ROWS`` (64) rows, such as the 1
-    to 3 rows over tens of thousands of columns that a Monte Carlo envelope
-    draws, run the cipher vectorized in numpy; taller ones reset the calling
-    thread's reused ``np.random.Philox`` for each column. The threshold is
-    where the two costs met when measured: the numpy cipher's roughly
-    constant cost per draw against the reset's fixed cost per column, shared
-    over its rows.
+    ``philox_uniforms(seed, context, np.arange(m), 0, n)``.
+
+    Blocks of fewer than ``_TALL_ROWS`` (64) rows, such as the 1 to 3 rows
+    over tens of thousands of columns that a Monte Carlo envelope draws, run
+    the numpy cipher straight into the (n, m) result, one slice of about
+    ``_CIPHER_WORDS // ceil(n / 4)`` columns at a time, so the cipher's
+    temporaries stay small and nothing is transposed or copied. Taller
+    blocks come from ``philox_uniforms``' reset bit generator, one row per
+    column, and are copied once into C order. The threshold is where the
+    two costs met when measured: the numpy cipher's roughly constant cost
+    per draw against the reset's fixed cost per column, shared over its rows.
     """
-    return np.ascontiguousarray(philox_uniforms(seed, context, np.arange(m), 0, n).T)
+    if n >= _TALL_ROWS:
+        return np.ascontiguousarray(philox_uniforms(seed, context, np.arange(m), 0, n).T)
+    key0 = _stream_keys(seed, context, np.arange(m), 0, n)
+    out = np.empty((n, key0.size), dtype=np.float64)
+    if out.size:
+        _cipher(seed, key0, 0, out)
+    return out
 
 
 def normal_scores(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -32,8 +32,16 @@ _OFLOW = sys.float_info.max
 # resabs above this makes abserr at least 50 * epmach * resabs.
 _RESABS_FLOOR = _UFLOW / (50.0 * _EPMACH)
 
-# 21-point Kronrod abscissae and weights with the 10-point Gauss weights of
-# the nodes xgk[1], xgk[3], ..., xgk[9]; xgk[10] = 0 is the centre.
+
+# A Gauss-Kronrod rule as QUADPACK applies it: the abscissae off the centre,
+# their Kronrod weights with the centre's last, the Gauss weight of the
+# centre (None: the Gauss sum starts at 0.0) and the (node, Gauss weight,
+# Kronrod weight) sums in QUADPACK's order of addition. As there, a None
+# Gauss weight adds nothing to the Gauss sum and a zero one adds 0.0 * fsum.
+
+# DQK21: 21-point Kronrod rule with the 10-point Gauss rule on the nodes
+# xgk[1], xgk[3], ..., xgk[9]; the Gauss nodes are summed first, then the
+# Kronrod-only ones.
 _XGK21 = (
     0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
     0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
@@ -54,8 +62,12 @@ _WG10 = (
     0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
     0.295524224714752870173892994651338,
 )
-# 15-point Kronrod abscissae and weights with the 7-point Gauss weights,
-# zero at the Kronrod-only nodes; xgk[7] = 0 is the centre.
+_QK21 = (np.array(_XGK21), _WGK21, None,
+         [(j, wg, _WGK21[j]) for j, wg in zip((1, 3, 5, 7, 9), _WG10)]
+         + [(j, None, _WGK21[j]) for j in (0, 2, 4, 6, 8)])
+
+# DQK15I: 15-point Kronrod rule with the 7-point Gauss rule, whose weights
+# are zero at the Kronrod-only nodes; the nodes are summed in order.
 _XGK15 = (
     0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
     0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
@@ -70,9 +82,7 @@ _WGK15 = (
 )
 _WG7 = (0.0, 0.129484966168869693270611432679082, 0.0, 0.279705391489276667901467771423780,
         0.0, 0.381830050505118944950369775488975, 0.0, 0.417959183673469387755102040816327)
-
-_XGK21_ARRAY = np.array(_XGK21)
-_XGK15_ARRAY = np.array(_XGK15)
+_QK15 = (np.array(_XGK15), _WGK15, _WG7[7], [(j, _WG7[j], _WGK15[j]) for j in range(7)])
 
 _MESSAGES = {
     1: "the maximum number of subintervals (limit) was reached",
@@ -123,66 +133,32 @@ def _nodes(ends: list, xgk: np.ndarray) -> tuple[np.ndarray, list]:
     return np.concatenate((c, c - absc, c + absc), axis=1), hlgth
 
 
-def _qk21(f: Callable, ends: list) -> list:
-    """DQK21 on each (a, b) of ``ends``: (result, abserr, resabs, resasc) each."""
-    x, hlgth = _nodes(ends, _XGK21_ARRAY)
+def _kronrod(f: Callable, rule: tuple, ends: list) -> list:
+    """DQK21 or DQK15I on each (a, b) of ``ends``: (result, abserr, resabs, resasc) each."""
+    xgk, wgk, gauss_centre, sums = rule
+    x, hlgth = _nodes(ends, xgk)
     rows = np.asarray(f(x.reshape(-1)), dtype=float).reshape(x.shape).tolist()
+    n = len(xgk)
     out = []
     for row, h in zip(rows, hlgth):
-        fc, fv1, fv2 = row[0], row[1:11], row[11:]
-        resg = 0.0
-        resk = _WGK21[10] * fc
+        fc, fv1, fv2 = row[0], row[1:n + 1], row[n + 1:]
+        resg = 0.0 if gauss_centre is None else gauss_centre * fc
+        resk = wgk[n] * fc
         resabs = abs(resk)
-        # the Gauss nodes xgk[1], xgk[3], ..., then the Kronrod-only ones
-        for wg, j in zip(_WG10, (1, 3, 5, 7, 9)):
+        for j, wg, wk in sums:
             fval1, fval2 = fv1[j], fv2[j]
             fsum = fval1 + fval2
-            resg += wg * fsum
-            resk += _WGK21[j] * fsum
-            resabs += _WGK21[j] * (abs(fval1) + abs(fval2))
-        for j in (0, 2, 4, 6, 8):
-            fval1, fval2 = fv1[j], fv2[j]
-            resk += _WGK21[j] * (fval1 + fval2)
-            resabs += _WGK21[j] * (abs(fval1) + abs(fval2))
+            if wg is not None:
+                resg += wg * fsum
+            resk += wk * fsum
+            resabs += wk * (abs(fval1) + abs(fval2))
         reskh = resk * 0.5
-        resasc = _WGK21[10] * abs(fc - reskh)
-        for wgk, fval1, fval2 in zip(_WGK21, fv1, fv2):
-            resasc += wgk * (abs(fval1 - reskh) + abs(fval2 - reskh))
+        resasc = wgk[n] * abs(fc - reskh)
+        for wk, fval1, fval2 in zip(wgk, fv1, fv2):
+            resasc += wk * (abs(fval1 - reskh) + abs(fval2 - reskh))
         dhlgth = abs(h)
         resabs *= dhlgth
         resasc *= dhlgth
-        out.append((resk * h, _error(resk, resg, h, resabs, resasc), resabs, resasc))
-    return out
-
-
-def _qk15i(f: Callable, boun: float, inf: int, ends: list) -> list:
-    """DQK15I on each (a, b) of ``ends`` inside (0, 1]: x = boun + dinf (1 - t) / t."""
-    dinf = float(min(1, inf))
-    t, hlgth = _nodes(ends, _XGK15_ARRAY)
-    x = (boun + dinf * (1.0 - t) / t).reshape(-1)
-    if inf == 2:
-        both = np.asarray(f(np.concatenate((x, -x))), dtype=float)
-        fval = both[:x.size] + both[x.size:]
-    else:
-        fval = np.asarray(f(x), dtype=float)
-    rows = (fval.reshape(t.shape) / t / t).tolist()
-    out = []
-    for row, h in zip(rows, hlgth):
-        fc, fv1, fv2 = row[0], row[1:8], row[8:]
-        resg = _WG7[7] * fc
-        resk = _WGK15[7] * fc
-        resabs = abs(resk)
-        for wg, wgk, fval1, fval2 in zip(_WG7, _WGK15, fv1, fv2):
-            fsum = fval1 + fval2
-            resg += wg * fsum
-            resk += wgk * fsum
-            resabs += wgk * (abs(fval1) + abs(fval2))
-        reskh = resk * 0.5
-        resasc = _WGK15[7] * abs(fc - reskh)
-        for wgk, fval1, fval2 in zip(_WGK15, fv1, fv2):
-            resasc += wgk * (abs(fval1 - reskh) + abs(fval2 - reskh))
-        resasc *= h
-        resabs *= h
         out.append((resk * h, _error(resk, resg, h, resabs, resasc), resabs, resasc))
     return out
 
@@ -542,15 +518,27 @@ def quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float, *,
     flip, a, b = b < a, float(min(a, b)), float(max(a, b))
     if a != -math.inf and b != math.inf:
         result, abserr, ier, last = _adaptive(
-            lambda ends: _qk21(f, ends), a, b, epsabs, epsrel, limit)
+            lambda ends: _kronrod(f, _QK21, ends), a, b, epsabs, epsrel, limit)
         neval = 42 * last - 21
     else:
         if a == -math.inf:
             inf, bound = (2, 0.0) if b == math.inf else (-1, b)
         else:
             inf, bound = 1, a
+        dinf = float(min(1, inf))
+
+        def mapped(t: np.ndarray) -> np.ndarray:
+            # DQK15I's x = bound + dinf (1 - t) / t, and f(x) dx = f(x) / t**2 dt.
+            x = bound + dinf * (1.0 - t) / t
+            if inf == 2:
+                both = np.asarray(f(np.concatenate((x, -x))), dtype=float)
+                fval = both[:x.size] + both[x.size:]
+            else:
+                fval = np.asarray(f(x), dtype=float)
+            return fval / t / t
+
         result, abserr, ier, last = _adaptive(
-            lambda ends: _qk15i(f, bound, inf, ends), 0.0, 1.0, epsabs, epsrel, limit)
+            lambda ends: _kronrod(mapped, _QK15, ends), 0.0, 1.0, epsabs, epsrel, limit)
         neval = (30 * last - 15) * (2 if inf == 2 else 1)
     if ier > 0:
         warnings.warn(IntegrationWarning(

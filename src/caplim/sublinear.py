@@ -395,15 +395,22 @@ def marginal_expectation(marginal: Marginal, f: TestFunction) -> float | None:
     """
     if f.arity != 1:
         raise ValueError("marginal_expectation takes an arity-1 function")
+    report = _marginal_report(marginal, f)
+    return None if report is None else report[0]
+
+
+def _marginal_report(marginal: Marginal, f: TestFunction) -> tuple[float, str] | None:
+    """``marginal_expectation`` with the path it took: ``closed_form``,
+    ``enumeration`` (an atom sum) or ``quadrature``."""
     if f.closed_form is not None:
         v = _closed_moment(marginal, f.closed_form)
         if v is not None:
-            return v
+            return v, "closed_form"
     if marginal.is_discrete:
-        return marginal.expect(f)
+        return marginal.expect(f), "enumeration"
     if marginal.kind == "pareto":
         return None
-    return marginal.expect(f, breakpoints=f.breakpoints)
+    return marginal.expect(f, breakpoints=f.breakpoints), "quadrature"
 
 
 def _golden_max(g: Callable[[float], float], lo: float, hi: float,
@@ -487,16 +494,17 @@ class SublinearEngine:
             if v is not None:
                 return v, "closed_form"
         if f.factors is not None:
-            total = 1.0
+            # A product takes its factors' path when they share one.
+            total, labels = 1.0, set()
             for j, factor in enumerate(f.factors):
-                v = marginal_expectation(measure.marginal(j), factor)
-                if v is None:
+                report = _marginal_report(measure.marginal(j), factor)
+                if report is None:
                     return None
-                total *= v
-            return total, "closed_form"
+                total *= report[0]
+                labels.add(report[1])
+            return total, labels.pop() if len(labels) == 1 else "exact"
         if f.arity == 1:
-            v = marginal_expectation(measure.marginal(0), f)
-            return None if v is None else (v, "quadrature")
+            return _marginal_report(measure.marginal(0), f)
         if measure.all_discrete(f.arity):
             support = self._support(measure, f.arity)
             if support is None:

@@ -197,6 +197,17 @@ BROKEN = {
                         "family.parameters[0].domain (line 5): domain must satisfy lo <= hi"),
     "family-K": (MINIMAL.replace("K: 1.0", "K: 0.5"),
                  "family.K (line 10): K must be at least 1, got 0.5"),
+    "grid-point-marginal": (
+        _marginal("  - kind: bernoulli\n    p: mu\n").replace("[0.0, 0.0]", "[0.5, 1.5]"),
+        "family (line 1): at mu = 1.125: bernoulli p must lie in [0, 1], got 1.125"),
+    "grid-point-division": (
+        MINIMAL.replace("[0.0, 0.0]", "[0.0, 1.0]").replace("var: 1.0", "var: 1/mu"),
+        "family (line 1): at mu = 0: ZeroDivisionError: float division by zero"),
+    "experiment-horizon": (MINIMAL + "experiment:\n  mode: slln\n  horizon: 0\n",
+                           "experiment (line 11): horizon must be at least 1"),
+    "experiment-burn-in": (MINIMAL + "experiment:\n  mode: lil\n  horizon: 10\n"
+                           "  burn_in: 20\n",
+                           "experiment (line 11): burn_in must not exceed the horizon"),
     "dependence-K": (MINIMAL + "dependence:\n  mode: gaussian_copula\n  correlation: 0.0\n"
                      "  K: 0.9\n",
                      "dependence.K (line 14): K must be at least 1, got 0.9"),
@@ -420,6 +431,42 @@ class TestCommandLine:
         assert main([*command.split(), "--config", str(path)]) == 1
         err = capsys.readouterr().err
         assert f"{key} (line {line}): " in err and "must be at least" in err
+
+    @pytest.mark.parametrize("command", ["verify end", "choquet"])
+    def test_a_grid_point_without_a_measure_exits_one_with_the_family_line(
+            self, command, tmp_path, capsys):
+        text = (CONFIG_DIR / "end_countermonotone.yaml").read_text()
+        assert text.count("domain: [0.5, 0.5]") == 1
+        path = tmp_path / "grid.yaml"
+        path.write_text(text.replace("domain: [0.5, 0.5]", "domain: [0.5, 1.5]"))
+        assert main([*command.split(), "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out
+        assert "family (line 6): at p = 1.125: bernoulli p must lie in [0, 1]" in captured.err
+
+    @pytest.mark.parametrize("command", ["choquet", "verify axioms"])
+    @pytest.mark.parametrize("var, error", [("1/mu", "ZeroDivisionError"),
+                                            ("10.0**400", "OverflowError")])
+    def test_a_marginal_expression_that_raises_exits_one_with_the_family_line(
+            self, command, var, error, tmp_path, capsys):
+        path = tmp_path / "raises.yaml"
+        path.write_text(MINIMAL.replace("[0.0, 0.0]", "[0.0, 1.0]")
+                        .replace("var: 1.0", f"var: {var}"))
+        assert main([*command.split(), "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert f"family (line 1): at mu = 0: {error}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["experiment necessity", "choquet"])
+    def test_out_of_range_experiment_values_exit_one_with_the_section_line(
+            self, command, tmp_path, capsys):
+        text = (CONFIG_DIR / "necessity_pareto.yaml").read_text()
+        assert text.count("horizon: 1000000") == 1
+        path = tmp_path / "horizon.yaml"
+        path.write_text(text.replace("horizon: 1000000", "horizon: 0"))
+        assert main([*command.split(), "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert "experiment (line 16): horizon must be at least 1" in capsys.readouterr().err
 
     def test_verify_end_over_no_cases_exits_one(self, tmp_path, capsys):
         text = (CONFIG_DIR / "end_countermonotone.yaml").read_text()

@@ -1,8 +1,10 @@
 """Marginal moments against closed forms, family grids, and the keyed RNG."""
 
 import math
+import functools
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -456,6 +458,41 @@ def test_ppf_in_place_gives_the_same_bits(marginal):
 def test_uniform_block_is_the_stream_block_transposed(n):
     reference = _stream_reference(2026, 5, range(7), 0, n).T
     _assert_same_block(uniform_block(2026, n, 7, context=5), np.ascontiguousarray(reference))
+
+
+@functools.lru_cache(maxsize=1)
+def _wide_reference(m):
+    """The first 90 draws of streams (2026, 12, j), j < m, one row per stream."""
+    return _stream_reference(2026, 12, range(m), 0, 90)
+
+
+# Widths on both sides of the cipher's first column-slice edge (one counter
+# per column), and one past three slices; each is also cut at the slice
+# edges of the taller blocks, whose slices are narrower.
+_SLICE = measures._CIPHER_WORDS
+
+
+@pytest.mark.parametrize("m", [_SLICE - 1, _SLICE, _SLICE + 1, 3 * _SLICE + 5])
+def test_short_blocks_match_the_streams_across_slice_edges(m):
+    reference = _wide_reference(m)
+    for n in (1, 3, measures._TALL_ROWS - 1):
+        _assert_same_block(uniform_block(2026, n, m, context=12),
+                           np.ascontiguousarray(reference[:, :n].T))
+        # A start inside a counter, so every output word feeds other rows.
+        _assert_same_block(philox_uniforms(2026, 12, range(m), 23, 23 + n),
+                           reference[:, 23:23 + n])
+
+
+def test_short_block_cipher_holds_little_memory():
+    uniform_block(2026, 3, 20_000)
+    tracemalloc.start()
+    try:
+        u = uniform_block(2026, 3, 20_000, context=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The block itself is 0.46 MiB; ciphered whole and transposed it peaked at 2.9 MiB.
+    assert u.nbytes < peak < 1.5 * 2**20
 
 
 @pytest.mark.parametrize("n,m", [(0, 0), (0, 4), (5, 0), (measures._TALL_ROWS, 0)])

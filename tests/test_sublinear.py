@@ -314,6 +314,35 @@ def test_refined_quadrature_envelopes_are_pinned(name):
         assert got == REFINED_ENVELOPES[name, side]
 
 
+def test_exact_envelopes_are_labelled_by_the_path_they_took():
+    def family(*marginals):
+        return MeasureFamily(
+            parameter_domain=((0.2, 0.6),), grid_resolution=3,
+            builder=lambda t: ProductMeasure(tuple(m(t) for m in marginals), stationary=False))
+
+    def normal(t):
+        return Marginal.normal(t, 1.0)
+
+    def coin(t):
+        return Marginal.bernoulli(t)
+
+    clamp = TestFunction.clamp_affine(0.8, -0.1, -1.0, 0.7)
+    square = TestFunction.power(2)
+    cases = [
+        (family(coin), clamp, "enumeration"),
+        (family(normal), clamp, "quadrature"),
+        (family(normal, normal), TestFunction.prod([clamp, clamp]), "quadrature"),
+        (family(coin, coin), TestFunction.prod([clamp, clamp]), "enumeration"),
+        (family(normal, normal), TestFunction.prod([square, square]), "closed_form"),
+        (family(normal, coin), TestFunction.prod([clamp, clamp]), "exact"),
+        (family(normal, normal), TestFunction.prod([square, clamp]), "exact"),
+    ]
+    for fam, f, method in cases:
+        engine = SublinearEngine(fam)
+        assert engine.upper_exp(f).method == method
+        assert engine.lower_exp(f).method == method
+
+
 # ---------------------------------------------------------------------------
 # Per-engine caches.
 
