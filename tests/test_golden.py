@@ -11,7 +11,9 @@ trajectory batches, uniform marginals, scans that span several chunks,
 copula pairs across chunk edges that start mid-counter, the shipped
 ``necessity_normal`` config, an axiom corpus whose Monte Carlo case draws wide uniform blocks (and its
 ``by_axiom`` table), an axiom corpus whose Monte Carlo case integrates by
-quadrature, and the END check on the shipped countermonotone config.
+quadrature, the END check on the shipped countermonotone config, and the
+Monte Carlo END and extended-independence checks under the pair and the
+matrix copula, over families that list two marginals.
 
 If a change alters results on purpose, it says why and re-records the
 digests with ``python tests/test_golden.py``.
@@ -79,6 +81,52 @@ family:
   - kind: uniform
     lo: c - 1.0
     hi: c + 1.0
+  K: 1.0
+"""
+
+NORMAL_UNIFORM_PAIR = """\
+family:
+  name: normal-uniform
+  parameters:
+  - name: mu
+    domain: [0.0, 0.0]
+  marginals:
+  - kind: normal
+    mean: mu
+    var: 2.0
+  - kind: uniform
+    lo: mu - 1.0
+    hi: mu + 2.0
+  K: 1.0
+"""
+
+UNIFORM_PARETO_PAIR = """\
+family:
+  name: uniform-pareto
+  parameters:
+  - name: a
+    domain: [3.0, 3.0]
+  marginals:
+  - kind: uniform
+    lo: -1.0
+    hi: 1.0
+  - kind: pareto
+    alpha: a
+  K: 1.0
+"""
+
+DISCRETE_NORMAL_PAIR = """\
+family:
+  name: discrete-normal
+  parameters:
+  - name: mu
+    domain: [0.5, 0.5]
+  marginals:
+  - kind: discrete
+    atoms: [[0.0, 0.25], [1.0, 0.5], [3.0, 0.25]]
+  - kind: normal
+    mean: mu
+    var: 1.0
   K: 1.0
 """
 
@@ -195,6 +243,42 @@ verify:
 """),
     "verify_end_countermonotone": (("verify", "end"),
                                    (CONFIGS / "end_countermonotone.yaml").read_text()),
+    # Monte Carlo END checks through the copula sampler. The family lists two
+    # marginals, which repeat over the four paired coordinates.
+    "verify_end_pair_copula": (("verify", "end"), NORMAL_UNIFORM_PAIR + """\
+dependence:
+  mode: gaussian_copula
+  correlation: -0.5
+  K: 1.0
+verify:
+  direction: upper
+  corpus_cases: 4
+  mc_replications: 20000
+"""),
+    # Three coordinates coupled by the Cholesky factor; coordinates 0 and 2
+    # take the first listed marginal.
+    "verify_end_matrix_copula": (("verify", "end"), UNIFORM_PARETO_PAIR + """\
+dependence:
+  mode: gaussian_copula
+  correlation_matrix:
+  - [1.0, -0.3, -0.2]
+  - [-0.3, 1.0, -0.4]
+  - [-0.2, -0.4, 1.0]
+  K: 1.0
+verify:
+  direction: lower
+  corpus_cases: 4
+  mc_replications: 20000
+"""),
+    "verify_extindep_copula": (("verify", "extindep"), DISCRETE_NORMAL_PAIR + """\
+dependence:
+  mode: gaussian_copula
+  correlation: -0.3
+  K: 1.0
+verify:
+  corpus_cases: 4
+  mc_replications: 20000
+"""),
 }
 
 # name -> {artifact: sha256}
@@ -246,6 +330,18 @@ DIGESTS = {
     "verify_end_countermonotone": {
         "cases.csv": "7c070f5e1b15fb688a87cbe73826ddec475d2038bb5d5931fb69ddf76d22b357",
         "result.json": "8c248b009f5493d7a5d768c76ef69cd28c339705af81cc9a8b6087e87e161c12",
+    },
+    "verify_end_matrix_copula": {
+        "cases.csv": "b30eba628d7fbd5053efdd1281b76651cdae6307317c77f32be7433872580a29",
+        "result.json": "4948ae70d9d2ba6e67a8a91633e81a119e17b2219efc1d01b2c3ddf77b5854ca",
+    },
+    "verify_end_pair_copula": {
+        "cases.csv": "33f42826244d7c0cc18cc46581c5a84ff9e4f260d86f9edd8f8dac57a88310ee",
+        "result.json": "9636a4c99050a8b2dd9a5d387e494d5c782f4296295cd98c634ee0dfdc23b7cc",
+    },
+    "verify_extindep_copula": {
+        "cases.csv": "880a6f0c1d4764df30840c2d7e89ef47bc2f0eedad8cf5dd2d752ec1d4ff475c",
+        "result.json": "9614de9242eda1f8bb90237e32dd8c1c01007926e3821b7c56e748a10be0ebf9",
     },
     "wlln_exact_normal": {
         "result.json": "66d972a5461193fcaf6fd296cd8df4ccc305e0b33ebfc9b7ee832c84809f2364",
