@@ -24,7 +24,7 @@ monotonicity requirement.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -37,6 +37,7 @@ __all__ = [
     "EndReport",
     "SequenceSampler",
     "correlate_pairs",
+    "transform_block",
     "verify_end",
     "verify_extended_independence",
 ]
@@ -141,6 +142,35 @@ def correlate_pairs(z: np.ndarray, rho: float, out: np.ndarray | None = None) ->
     return out
 
 
+def transform_block(u: np.ndarray, measure: ProductMeasure, spec: DependenceSpec,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """Draws under ``measure`` from an (n, m) uniform block: n coordinates,
+    coupled along axis 0 as ``spec`` declares, by m replications.
+
+    Independent coordinates go through ``measure.ppf``. The Gaussian copula
+    couples normal scores pairwise or by the Cholesky factor of
+    ``spec.correlation_matrix``, and each listed marginal maps its rows from
+    theirs. The result is new, or ``out`` (possibly ``u``) with the same bits.
+    """
+    if spec.mode == "per_measure_independent":
+        return measure.ppf(u, out=out)
+    if spec.mode != "gaussian_copula":
+        raise ValueError("joint-table dependence is a fixed block of atoms and drives no "
+                         "sequence; only a bound-check with horizon equal to its arity reads it")
+    z = normal_scores(u, out=out)
+    if spec.correlation_matrix is None:
+        correlate_pairs(z, spec.correlation, out=z)
+    elif z.shape[0] == len(spec.correlation_matrix):
+        mat = np.asarray(spec.correlation_matrix, dtype=float)
+        # tiny jitter keeps Cholesky happy at semidefinite boundaries
+        z[...] = np.linalg.cholesky(mat + 1e-12 * np.eye(len(mat))) @ z
+    else:
+        raise ValueError("sequence length must match the correlation matrix size")
+    for marginal, rows in measure.row_groups(z.shape[0]):
+        marginal.from_normal_score(z[rows], out=z[rows])
+    return z
+
+
 @dataclass
 class SequenceSampler:
     """Seeded sampler of coordinate blocks under a dependence spec.
@@ -155,26 +185,18 @@ class SequenceSampler:
     family: MeasureFamily
     seed: int = 2026
     context: int = 0
-    _chol: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        if self.spec.mode == "gaussian_copula":
-            if not self.family.is_singleton:
-                raise ValueError(
-                    "the Gaussian copula coupling is defined for a single measure; "
-                    "combine it with a singleton family"
-                )
-            if self.spec.correlation_matrix is not None:
-                mat = np.asarray(self.spec.correlation_matrix, dtype=float)
-                # tiny jitter keeps Cholesky happy at semidefinite boundaries
-                self._chol = np.linalg.cholesky(mat + 1e-12 * np.eye(len(mat)))
+        if self.spec.mode == "gaussian_copula" and not self.family.is_singleton:
+            raise ValueError(
+                "the Gaussian copula coupling is defined for a single measure; "
+                "combine it with a singleton family"
+            )
 
     def draw(self, n: int, m: int, measure: ProductMeasure | None = None,
              context: int | None = None) -> np.ndarray:
         ctx = self.context if context is None else context
-        mode = self.spec.mode
-
-        if mode == "discrete_joint":
+        if self.spec.mode == "discrete_joint":
             if n != self.spec.joint_arity:
                 raise ValueError(f"joint table has {self.spec.joint_arity} coordinates, asked for {n}")
             coords, probs = self.spec.joint_arrays()
@@ -184,26 +206,11 @@ class SequenceSampler:
             return coords[:, idx]
 
         if measure is None:
-            if mode == "per_measure_independent" and not self.family.is_singleton:
+            if not self.family.is_singleton:
                 raise ValueError("pass the measure to draw under for a non-singleton family")
             measure = self.family.measures()[0][1]
-
         u = uniform_block(self.seed, n, m, context=ctx)
-        if mode == "per_measure_independent":
-            return measure.ppf(u)
-
-        # gaussian_copula: each step writes over the block it reads, with the
-        # bits of a fresh result.
-        z = normal_scores(u, out=u)
-        if self._chol is not None:
-            if n != self._chol.shape[0]:
-                raise ValueError("sequence length must match the correlation matrix size")
-            z = self._chol @ z
-        else:
-            correlate_pairs(z, float(self.spec.correlation), out=z)
-        for i in range(n):
-            measure.marginal(i).from_normal_score(z[i], out=z[i])
-        return z
+        return transform_block(u, measure, self.spec, out=u)
 
 
 @dataclass(frozen=True)
@@ -351,21 +358,24 @@ def _joint_table_sides(spec: DependenceSpec, case: Sequence[TestFunction]):
 def _mc_sides(sampler: SequenceSampler, case: Sequence[TestFunction], m: int,
               context: int):
     """Monte Carlo (joint mean, product of marginal means, pooled SE) per measure,
-    enveloped across the family with shared uniforms."""
+    enveloped across the family with shared uniforms. Besides the draw block,
+    only the running product of the rows' values and one row's values are live.
+    """
     best_joint = -math.inf
-    env_means = None
-    env_ses = None
+    env_means = env_ses = None
     joint_se_at_best = 0.0
     for _, mu in sampler.family.measures():
         x = sampler.draw(len(case), m, measure=mu, context=context)
-        gvals = np.stack([case[i](x[i]) for i in range(len(case))])
-        joint_vals = np.prod(gvals, axis=0)
+        joint_vals = np.ones(m)
+        means, ses = np.empty(len(case)), np.empty(len(case))
+        for i, g in enumerate(case):
+            vals = g(x[i])
+            joint_vals *= vals
+            means[i], ses[i] = np.mean(vals), np.std(vals, ddof=1) / math.sqrt(m)
         joint = float(np.mean(joint_vals))
         if joint > best_joint:
             best_joint = joint
             joint_se_at_best = float(np.std(joint_vals, ddof=1) / math.sqrt(m))
-        means = gvals.mean(axis=1)
-        ses = gvals.std(axis=1, ddof=1) / math.sqrt(m)
         if env_means is None:
             env_means, env_ses = means, ses
         else:

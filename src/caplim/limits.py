@@ -53,14 +53,8 @@ from .bounds import (
     power_tail_bound,
     split_moment_bound,
 )
-from .dependence import DependenceSpec, correlate_pairs
-from .measures import (
-    Marginal,
-    MeasureFamily,
-    ProductMeasure,
-    normal_scores,
-    philox_uniforms,
-)
+from .dependence import DependenceSpec, transform_block
+from .measures import Marginal, MeasureFamily, ProductMeasure, philox_uniforms
 from .sublinear import SublinearEngine, TestFunction
 
 __all__ = [
@@ -154,6 +148,12 @@ class ExperimentConfig:
             raise ValueError(f"unknown mode {self.mode!r}; expected one of {_MODES}")
         if not isinstance(self.family, MeasureFamily):
             raise TypeError("family must be a MeasureFamily")
+        # Runs draw every coordinate from the first listed marginal; a
+        # joint-table bound-check reads only its table.
+        listed = max(len(mu.marginals) for _, mu in self.family.measures())
+        if listed > 1 and (self.mode, self.dependence.mode) != ("bound_check", "discrete_joint"):
+            raise ValueError(f"family.marginals lists {listed} marginals; {self.mode} draws "
+                             "every coordinate from one marginal, so list exactly one")
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
         if self.trajectories < 1:
@@ -240,14 +240,8 @@ class ExperimentResult:
 
 
 def _family_descriptor(family: MeasureFamily) -> dict:
-    grid = []
-    for theta in family.grid_parameters():
-        measure = family.measure_at(theta)
-        row = []
-        for i in range(len(measure.marginals)):
-            m = measure.marginal(i)
-            row.append({"kind": m.kind, "params": _jsonable(m.params)})
-        grid.append(row)
+    grid = [[{"kind": m.kind, "params": _jsonable(m.params)} for m in mu.marginals]
+            for _, mu in family.measures()]
     return {
         "name": family.name,
         "domain": [list(axis) for axis in family.parameter_domain],
@@ -299,26 +293,15 @@ def _transform_chunk(
 ) -> np.ndarray:
     """Map a uniform tile to draws of the sequence, trajectory by trajectory.
 
-    Rows are trajectories and columns are time. Under the pairwise copula
-    the correlation couples consecutive columns, so callers must start tiles
-    at even draws to preserve the pairing across tile boundaries. The
-    result is a new array and ``u`` is left as it is, or the draws are
-    written to ``out`` (a float64 array shaped like ``u``, possibly ``u``
-    itself) with the same bits.
+    Rows are trajectories and columns are time, so ``transform_block``
+    maps the transposed views. The pairwise copula couples consecutive
+    columns, so callers must start tiles at even draws. The result is new,
+    or ``out`` (possibly ``u``) with the same bits.
     """
-    if dependence.mode == "per_measure_independent":
-        return marginal.ppf(u, out=out)
-    if dependence.mode == "gaussian_copula":
-        # correlate_pairs pairs along its first axis, here the time axis of
-        # the transposed view; the transpose only relabels the axes.
-        z = normal_scores(u, out=out)
-        zt = z.T
-        correlate_pairs(zt, dependence.correlation, out=zt)
-        return marginal.from_normal_score(z, out=z)
-    raise ValueError(
-        "joint-table dependence describes a fixed short block and cannot "
-        "drive a long trajectory; use an independent or copula spec"
-    )
+    if out is None:
+        out = np.empty_like(u)
+    transform_block(u.T, ProductMeasure((marginal,)), dependence, out=out.T)
+    return out
 
 
 def _require_pairwise_copula(config: ExperimentConfig) -> None:
@@ -332,15 +315,6 @@ def _require_pairwise_copula(config: ExperimentConfig) -> None:
         )
     if not config.family.is_singleton:
         raise ValueError("the pairwise copula requires a single-measure family")
-
-
-def _require_sequence_dependence(config: ExperimentConfig) -> None:
-    if config.dependence.mode == "discrete_joint":
-        raise ValueError(
-            "joint-table dependence is only meaningful for bound_check "
-            "with horizon equal to the table arity"
-        )
-    _require_pairwise_copula(config)
 
 
 def _dense_parameters(family: MeasureFamily):
@@ -612,7 +586,7 @@ def run_wlln(config: ExperimentConfig) -> ExperimentResult:
     probabilities are used whenever the i.i.d. sum has a closed form;
     otherwise all measures are estimated from common random numbers.
     """
-    _require_sequence_dependence(config)
+    _require_pairwise_copula(config)
     family = config.family
     eps = config.epsilon
     mu_low, mu_up, _ = _extreme_measures(family)
@@ -696,7 +670,7 @@ def run_slln(config: ExperimentConfig) -> ExperimentResult:
     must keep ``S_k/k`` inside ``[mu_low - eps, mu_up + eps]`` for all
     ``k`` past the burn-in. Violations are counted per trajectory.
     """
-    _require_sequence_dependence(config)
+    _require_pairwise_copula(config)
     mu_low, mu_up, measures = _extreme_measures(config.family)
     n0 = config.burn_in
     lo_bar, hi_bar = mu_low - config.epsilon, mu_up + config.epsilon
@@ -750,7 +724,7 @@ def run_cluster(config: ExperimentConfig) -> ExperimentResult:
     toward the current grid target. A target counts as visited once
     some post-block running mean lands within ``cluster_tolerance``.
     """
-    _require_sequence_dependence(config)
+    _require_pairwise_copula(config)
     if config.dependence.mode != "per_measure_independent":
         raise ValueError("the cluster sampler switches measures between "
                          "blocks and requires independent draws")
@@ -862,7 +836,7 @@ def run_lil(config: ExperimentConfig) -> ExperimentResult:
     with ``r_upper`` at most ``sigma_up * (1 + lil_epsilon)`` reaches
     the configured quantile; the mirrored side is reported alongside.
     """
-    _require_sequence_dependence(config)
+    _require_pairwise_copula(config)
     family = config.family
     mu_low, mu_up, measures = _extreme_measures(family)
     sigma_up = math.sqrt(_sup_centered_second_moment(family, mu_up))
@@ -930,7 +904,7 @@ def run_necessity(config: ExperimentConfig) -> ExperimentResult:
     exceeds ``divergence_threshold`` and matches it against the
     integral's divergence flag.
     """
-    _require_sequence_dependence(config)
+    _require_pairwise_copula(config)
     family = config.family
     if not family.is_singleton:
         raise ValueError(

@@ -300,10 +300,12 @@ def uniform_block(seed: int, n: int, m: int, context: int = 0) -> np.ndarray:
 def normal_scores(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Standard normal quantiles of uniforms, clipped away from 0 and 1.
 
-    With ``out`` (a float64 array shaped like ``u``, possibly ``u`` itself)
-    the scores are written there with the same bits.
+    They are the standard normal's ``ppf`` of ``u`` capped below 1. With
+    ``out`` (a float64 array shaped like ``u``, possibly ``u`` itself) the
+    scores are written there with the same bits.
     """
-    return special.ndtri(np.clip(u, _U_FLOOR, 1.0 - 1e-16, out=out), out=out)
+    capped = np.minimum(u, 1.0 - 1e-16, out=out)
+    return Marginal.normal(0.0, 1.0).ppf(capped, out=capped)
 
 
 def _double_factorial_odd(j: int) -> float:
@@ -705,11 +707,21 @@ class ProductMeasure:
     def all_discrete(self, arity: int) -> bool:
         return all(self.marginal(i).is_discrete for i in range(arity))
 
-    def ppf(self, u: np.ndarray) -> np.ndarray:
-        """Push row i of an (n, m) uniform block through ``marginal(i)``."""
-        out = np.empty_like(u)
-        for i in range(u.shape[0]):
-            out[i] = self.marginal(i).ppf(u[i])
+    def row_groups(self, n: int) -> list[tuple[Marginal, slice]]:
+        """``(marginal(k), rows k, k + L, ...)`` over L listed marginals and n rows."""
+        count = len(self.marginals)
+        if n > count and not self.stationary:
+            raise IndexError(f"coordinate {count} beyond the {count} listed marginals")
+        return [(m, slice(k, None, count)) for k, m in enumerate(self.marginals[:n])]
+
+    def ppf(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Push row i of an (n, m) uniform block through ``marginal(i)``, one
+        call per listed marginal; ``out`` (possibly ``u``) gets the same bits.
+        """
+        if out is None:
+            out = np.empty_like(u)
+        for marginal, rows in self.row_groups(u.shape[0]):
+            marginal.ppf(u[rows], out=out[rows])
         return out
 
 

@@ -276,6 +276,24 @@ class TestCommandLine:
         err = capsys.readouterr().err
         assert "correlation_matrix" in err and "NoneType" not in err
 
+    @pytest.mark.parametrize("mode", ["wlln", "slln", "cluster", "lil", "necessity",
+                                      "bound-check"])
+    def test_experiments_reject_a_family_of_two_marginals(self, mode, tmp_path, capsys):
+        # Every second draw would come from U(5, 7), but the runners read
+        # only the first listed marginal.
+        family = MINIMAL.replace("  K: 1.0\n", "  - kind: uniform\n    lo: 5.0\n"
+                                 "    hi: 7.0\n  K: 1.0\n")
+        path = tmp_path / "two.yaml"
+        path.write_text(family + f"experiment:\n  mode: {mode.replace('-', '_')}\n"
+                        "  horizon: 20000\n  trajectories: 4\n")
+        assert main(["experiment", mode, "--config", str(path)]) == 1
+        assert ("experiment (line 14): family.marginals lists 2 marginals"
+                in capsys.readouterr().err)
+        # With the mode from the command line only, the run fails as it is built.
+        path.write_text(family)
+        assert main(["experiment", mode, "--config", str(path)]) == 1
+        assert "family.marginals lists 2 marginals" in capsys.readouterr().err
+
     def test_verify_end_accepts_a_correlation_matrix(self, tmp_path, capsys):
         rho = -0.2
         rows = ", ".join("[" + ", ".join("1.0" if i == j else str(rho) for j in range(4)) + "]"

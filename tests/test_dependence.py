@@ -8,16 +8,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from caplim import Marginal
+from caplim import Marginal, MeasureFamily, ProductMeasure
 from caplim.dependence import (
     DependenceSpec,
     SequenceSampler,
     _abs_window,
     _reversed_smooth,
     correlate_pairs,
+    transform_block,
     verify_end,
     verify_extended_independence,
 )
+from caplim.measures import normal_scores, uniform_block
 from caplim.sublinear import TestFunction, smooth_indicator
 
 from conftest import make_singleton
@@ -162,6 +164,50 @@ class TestCorrelatePairs:
         assert correlate_pairs(zt, rho, out=zt) is zt
         assert np.ascontiguousarray(zt).tobytes() == fresh.tobytes()
         assert correlate_pairs(z, rho, out=z) is z and z.tobytes() == fresh.tobytes()
+
+
+MATRIX = DependenceSpec(mode="gaussian_copula", correlation_matrix=(
+    (1.0, -0.4, -0.1), (-0.4, 1.0, -0.3), (-0.1, -0.3, 1.0)))
+# Two listed marginals, so rows 0 and 2 share the first.
+UNIFORM_PARETO = ProductMeasure((Marginal.uniform(-1.0, 0.5), Marginal.pareto(1.5, 2.0)))
+
+
+class TestTransformBlock:
+    def test_independent_rows_take_the_measure_ppf(self):
+        u = uniform_block(2026, 3, 400, context=2)
+        expected = UNIFORM_PARETO.ppf(u)
+        x = transform_block(u, UNIFORM_PARETO, DependenceSpec.independent())
+        assert x.tobytes() == expected.tobytes()
+        assert transform_block(u, UNIFORM_PARETO, DependenceSpec.independent(), out=u) is u
+        assert u.tobytes() == expected.tobytes()
+
+    def test_matrix_copula_is_the_cholesky_chain(self):
+        u = uniform_block(2026, 3, 400, context=2)
+        factor = np.linalg.cholesky(np.array(MATRIX.correlation_matrix) + 1e-12 * np.eye(3))
+        z = factor @ normal_scores(u)
+        expected = np.stack([UNIFORM_PARETO.marginal(i).from_normal_score(z[i])
+                             for i in range(3)])
+        x = transform_block(u, UNIFORM_PARETO, MATRIX)
+        assert x.tobytes() == expected.tobytes()
+        assert transform_block(u, UNIFORM_PARETO, MATRIX, out=u) is u
+        assert u.tobytes() == expected.tobytes()
+
+    def test_matrix_copula_needs_its_length(self):
+        with pytest.raises(ValueError, match="correlation matrix size"):
+            transform_block(uniform_block(2026, 4, 10), UNIFORM_PARETO, MATRIX)
+
+    def test_a_joint_table_is_not_a_transform(self):
+        with pytest.raises(ValueError, match="joint-table"):
+            transform_block(uniform_block(2026, 2, 10), UNIFORM_PARETO, COUNTERMONOTONE)
+
+    @pytest.mark.parametrize("spec", [DependenceSpec.independent(), MATRIX,
+                                      DependenceSpec(mode="gaussian_copula", correlation=-0.3)],
+                             ids=["independent", "matrix", "pairs"])
+    def test_the_sampler_draws_through_it(self, spec):
+        family = MeasureFamily.singleton(UNIFORM_PARETO)
+        x = SequenceSampler(spec, family, seed=5, context=4).draw(3, 300)
+        expected = transform_block(uniform_block(5, 3, 300, context=4), UNIFORM_PARETO, spec)
+        assert x.tobytes() == expected.tobytes()
 
 
 class TestSequenceSampler:

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from caplim import Marginal, MeasureFamily, ProductMeasure, limits
-from caplim.dependence import DependenceSpec, correlate_pairs
+from caplim.dependence import DependenceSpec, correlate_pairs, transform_block
 from caplim.measures import normal_scores, philox_stream, philox_uniforms
 from caplim.limits import (
     ExperimentConfig,
@@ -45,6 +45,24 @@ class TestExperimentConfigValidation:
     def test_family_type_checked(self):
         with pytest.raises(TypeError, match="MeasureFamily"):
             ExperimentConfig(mode="slln", family="not a family")
+
+    @pytest.mark.parametrize("mode", ["wlln", "slln", "cluster", "lil", "necessity",
+                                      "bound_check"])
+    def test_a_family_listing_two_marginals_is_rejected(self, mode):
+        # Every second draw would come from U(5, 7), but the runners read
+        # only the first listed marginal.
+        two = MeasureFamily.singleton(
+            ProductMeasure((Marginal.normal(0.0, 1.0), Marginal.uniform(5.0, 7.0))))
+        with pytest.raises(ValueError, match="family.marginals lists 2 marginals"):
+            ExperimentConfig(mode=mode, family=two)
+        joint = DependenceSpec(mode="discrete_joint",
+                               joint_atoms=(((0.0, 1.0), 0.5), ((1.0, 0.0), 0.5)))
+        if mode == "bound_check":
+            # A joint-table bound-check reads the table, not the marginals.
+            assert ExperimentConfig(mode=mode, family=two, dependence=joint, horizon=2)
+        else:
+            with pytest.raises(ValueError, match="family.marginals"):
+                ExperimentConfig(mode=mode, family=two, dependence=joint)
 
     @pytest.mark.parametrize("field,bad", [
         ("horizon", 0),
@@ -385,6 +403,15 @@ def _time_major_draws(u, marginal, spec):
     if spec.mode == "per_measure_independent":
         return marginal.ppf(u)
     return marginal.from_normal_score(correlate_pairs(normal_scores(u), spec.correlation))
+
+
+@pytest.mark.parametrize("spec", _SPECS, ids=lambda spec: spec.mode)
+@pytest.mark.parametrize("marginal", _KINDS, ids=lambda m: m.kind)
+def test_the_block_transform_is_the_reference_chain(marginal, spec):
+    # An odd row count leaves the last row out of the pairs.
+    u = _time_major_uniforms(2026, 43, _COLUMNS, 0, 201)
+    x = transform_block(u, ProductMeasure((marginal,)), spec)
+    assert x.tobytes() == _time_major_draws(u, marginal, spec).tobytes()
 
 
 def _same_bytes(trajectory_major, time_major):

@@ -524,4 +524,23 @@ def test_sample_pushes_through_marginals():
     assert values.shape == (2, 50)
     assert np.all((values[0] >= 2.0) & (values[0] <= 3.0))
     assert np.all(values[1] == 1.0)
-    np.testing.assert_array_equal(values[0], mu.marginal(0).ppf(u[0]))
+    # A non-stationary measure has no marginal past the ones it lists.
+    with pytest.raises(IndexError, match="coordinate 2 beyond the 2 listed marginals"):
+        mu.ppf(uniform_block(2026, 3, 50, context=1))
+
+
+# Each kind followed by the next, so every kind takes both the even and the
+# odd rows of a stationary two-marginal measure.
+_PPF_PAIRS = tuple(zip(_PPF_KINDS, _PPF_KINDS[1:] + _PPF_KINDS[:1]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("pair", _PPF_PAIRS,
+                         ids=lambda pair: "-".join(m.kind for m in pair))
+def test_product_ppf_gives_the_bits_of_each_row(pair, n):
+    mu = ProductMeasure(pair)
+    u = uniform_block(2026, n, 300, context=3)
+    u[-1, :2] = (0.0, 1.0 - 2.0**-53)
+    rows = np.stack([mu.marginal(i).ppf(u[i]) for i in range(n)])
+    assert mu.ppf(u).tobytes() == rows.tobytes()
+    assert mu.ppf(u, out=u) is u and u.tobytes() == rows.tobytes()

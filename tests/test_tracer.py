@@ -35,6 +35,14 @@ experiment:
 """
 
 
+COPULA = """\
+dependence:
+  mode: gaussian_copula
+  correlation: -0.5
+  K: 1.0
+"""
+
+
 def _load_tracer():
     spec = importlib.util.spec_from_file_location("caplim_bench_tracer", TRACER_PATH)
     module = importlib.util.module_from_spec(spec)
@@ -98,3 +106,16 @@ def test_install_rebinds_the_scan_helpers():
     assert all(new is not old for new, old in zip(replaced, originals))
     assert (limits._transform_chunk, limits._indexed_map,
             bounds.chebyshev_bound) == originals
+
+
+def test_a_copula_trajectory_run_records_the_transform_spans(traced, tmp_path, capsys):
+    path = tmp_path / "slln.yaml"
+    path.write_text(SLLN + COPULA)
+    assert cli.main(["experiment", "slln", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) in (0, 2)
+    snap = traced.snapshot()
+    assert {"limits.transform", "dependence.correlate_pairs",
+            "measures.ppf.normal"} <= snap["self_s"].keys()
+    # The normal scores are standard normal ppf draws; the normal marginal
+    # maps them without another ppf call.
+    assert snap["counts"]["measures.ppf.draws.normal"] == 4 * 2000
