@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -103,6 +104,13 @@ class DependenceSpec:
             if abs(float(probs.sum()) - 1.0) > 1e-12:
                 raise ValueError(f"joint probabilities sum to {probs.sum()}, not 1")
 
+    @cached_property
+    def cholesky_factor(self) -> np.ndarray:
+        """Lower Cholesky factor of ``correlation_matrix``, computed once."""
+        mat = np.asarray(self.correlation_matrix, dtype=float)
+        # tiny jitter keeps Cholesky happy at semidefinite boundaries
+        return np.linalg.cholesky(mat + 1e-12 * np.eye(len(mat)))
+
     @property
     def joint_arity(self) -> int:
         if self.joint_atoms is None:
@@ -161,9 +169,7 @@ def transform_block(u: np.ndarray, measure: ProductMeasure, spec: DependenceSpec
     if spec.correlation_matrix is None:
         correlate_pairs(z, spec.correlation, out=z)
     elif z.shape[0] == len(spec.correlation_matrix):
-        mat = np.asarray(spec.correlation_matrix, dtype=float)
-        # tiny jitter keeps Cholesky happy at semidefinite boundaries
-        z[...] = np.linalg.cholesky(mat + 1e-12 * np.eye(len(mat))) @ z
+        z[...] = spec.cholesky_factor @ z
     else:
         raise ValueError("sequence length must match the correlation matrix size")
     for marginal, rows in measure.row_groups(z.shape[0]):

@@ -184,6 +184,8 @@ class TestTransformBlock:
     def test_matrix_copula_is_the_cholesky_chain(self):
         u = uniform_block(2026, 3, 400, context=2)
         factor = np.linalg.cholesky(np.array(MATRIX.correlation_matrix) + 1e-12 * np.eye(3))
+        assert MATRIX.cholesky_factor is MATRIX.cholesky_factor
+        assert MATRIX.cholesky_factor.tobytes() == factor.tobytes()
         z = factor @ normal_scores(u)
         expected = np.stack([UNIFORM_PARETO.marginal(i).from_normal_score(z[i])
                              for i in range(3)])
