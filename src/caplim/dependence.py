@@ -106,9 +106,9 @@ class DependenceSpec:
 
     @cached_property
     def cholesky_factor(self) -> np.ndarray:
-        """Lower Cholesky factor of ``correlation_matrix``, computed once."""
+        """Lower Cholesky factor of ``correlation_matrix``, computed once; a
+        tiny jitter keeps it defined at semidefinite boundaries."""
         mat = np.asarray(self.correlation_matrix, dtype=float)
-        # tiny jitter keeps Cholesky happy at semidefinite boundaries
         return np.linalg.cholesky(mat + 1e-12 * np.eye(len(mat)))
 
     @property
@@ -152,13 +152,9 @@ def correlate_pairs(z: np.ndarray, rho: float, out: np.ndarray | None = None) ->
 
 def transform_block(u: np.ndarray, measure: ProductMeasure, spec: DependenceSpec,
                     out: np.ndarray | None = None) -> np.ndarray:
-    """Draws under ``measure`` from an (n, m) uniform block: n coordinates,
-    coupled along axis 0 as ``spec`` declares, by m replications.
-
-    Independent coordinates go through ``measure.ppf``. The Gaussian copula
-    couples normal scores pairwise or by the Cholesky factor of
-    ``spec.correlation_matrix``, and each listed marginal maps its rows from
-    theirs. The result is new, or ``out`` (possibly ``u``) with the same bits.
+    """Draws under ``measure`` from an (n, m) uniform block of n coordinates,
+    coupled along axis 0 as ``spec`` declares, by m replications. The result
+    is new, or ``out`` (possibly ``u``) with the same bits.
     """
     if spec.mode == "per_measure_independent":
         return measure.ppf(u, out=out)
@@ -364,9 +360,8 @@ def _joint_table_sides(spec: DependenceSpec, case: Sequence[TestFunction]):
 def _mc_sides(sampler: SequenceSampler, case: Sequence[TestFunction], m: int,
               context: int):
     """Monte Carlo (joint mean, product of marginal means, pooled SE) per measure,
-    enveloped across the family with shared uniforms. Besides the draw block,
-    only the running product of the rows' values and one row's values are live.
-    """
+    enveloped across the family with shared uniforms; besides the draw block,
+    only the running product and one row of case values are live."""
     best_joint = -math.inf
     env_means = env_ses = None
     joint_se_at_best = 0.0

@@ -148,8 +148,7 @@ class ExperimentConfig:
             raise ValueError(f"unknown mode {self.mode!r}; expected one of {_MODES}")
         if not isinstance(self.family, MeasureFamily):
             raise TypeError("family must be a MeasureFamily")
-        # Runs draw every coordinate from the first listed marginal; a
-        # joint-table bound-check reads only its table.
+        # A joint-table bound-check reads its table, not the marginals.
         listed = max(len(mu.marginals) for _, mu in self.family.measures())
         if listed > 1 and (self.mode, self.dependence.mode) != ("bound_check", "discrete_joint"):
             raise ValueError(f"family.marginals lists {listed} marginals; {self.mode} draws "
