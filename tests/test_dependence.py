@@ -392,6 +392,35 @@ class TestVerifyExtendedIndependence:
             verify_extended_independence(COUNTERMONOTONE, bernoulli_pair_family(), n=n)
 
 
+NEGATIVE = TestFunction.clamp_affine(1.0, 0.0, -1.0, 1.0)
+BUMP = TestFunction(lambda x: np.exp(-x[0] ** 2), 1, name="bump", sup_bound=1.0)
+
+
+# case, message from verify_end, message from verify_extended_independence
+# (None: the equality check takes the case).
+@pytest.mark.parametrize("case, end_message, extindep_message", [
+    ((RAMP, RAMP, RAMP), "expected 2 test functions, got 3",
+     "expected 2 test functions, got 3"),
+    ((RAMP, NEGATIVE),
+     "test function clip(1x+0,[-1,1]) takes negative values on the audit grid",
+     "test function clip(1x+0,[-1,1]) takes negative values on the audit grid"),
+    ((TestFunction.pos_power(2), RAMP), "test function pos(x)^2 declares no bound", None),
+    ((BUMP, RAMP), "test function bump is not nondecreasing on the audit grid", None),
+])
+def test_both_verifiers_audit_a_bad_supplied_case(case, end_message, extindep_message):
+    family = bernoulli_pair_family()
+    with pytest.raises(ValueError) as end_error:
+        verify_end(COUNTERMONOTONE, family, case, corpus_cases=0)
+    assert str(end_error.value) == end_message
+    if extindep_message is None:
+        report = verify_extended_independence(COUNTERMONOTONE, family, case, corpus_cases=0)
+        assert report.n_cases == 1
+    else:
+        with pytest.raises(ValueError) as extindep_error:
+            verify_extended_independence(COUNTERMONOTONE, family, case, corpus_cases=0)
+        assert str(extindep_error.value) == extindep_message
+
+
 def test_report_summary_is_flat_and_complete():
     report = verify_end(COUNTERMONOTONE, bernoulli_pair_family(),
                         g_case=(RAMP, RAMP), corpus_cases=0)

@@ -11,9 +11,12 @@ trajectory batches, uniform marginals, scans that span several chunks,
 copula pairs across chunk edges that start mid-counter, the shipped
 ``necessity_normal`` config, an axiom corpus whose Monte Carlo case draws wide uniform blocks (and its
 ``by_axiom`` table), an axiom corpus whose Monte Carlo case integrates by
-quadrature, the END check on the shipped countermonotone config, and the
+quadrature, the END check on the shipped countermonotone config, the
 Monte Carlo END and extended-independence checks under the pair and the
-matrix copula, over families that list two marginals.
+matrix copula, over families that list two marginals, and both verifiers'
+exact paths: quadrature over an independent family (END in the lower
+direction) and enumeration of the countermonotone table in the
+extended-independence check.
 
 If a change alters results on purpose, it says why and re-records the
 digests with ``python tests/test_golden.py``.
@@ -128,6 +131,25 @@ family:
     mean: mu
     var: 1.0
   K: 1.0
+"""
+
+# Two continuous marginals over a three-point location grid, independent
+# under each measure, so every case takes the exact quadrature path.
+NORMAL_UNIFORM_LOCATION = """\
+family:
+  name: normal-uniform-location
+  parameters:
+  - name: mu
+    domain: [-0.3, 0.3]
+  marginals:
+  - kind: normal
+    mean: mu
+    var: 1.5
+  - kind: uniform
+    lo: mu - 1.0
+    hi: mu + 1.0
+  K: 1.0
+  resolution: 3
 """
 
 COPULA = """\
@@ -270,6 +292,22 @@ verify:
   corpus_cases: 4
   mc_replications: 20000
 """),
+    # Exact paths: quadrature over the independent family, in both
+    # verifiers and in the lower direction, and enumeration of the shipped
+    # joint table in the extended-independence check.
+    "verify_extindep_quadrature": (("verify", "extindep"), NORMAL_UNIFORM_LOCATION + """\
+verify:
+  corpus_cases: 4
+"""),
+    "verify_end_lower_quadrature": (("verify", "end"), NORMAL_UNIFORM_LOCATION + """\
+verify:
+  direction: lower
+  corpus_cases: 4
+"""),
+    "verify_extindep_countermonotone": (
+        ("verify", "extindep"),
+        (CONFIGS / "end_countermonotone.yaml").read_text().replace("corpus_cases: 24",
+                                                                   "corpus_cases: 4")),
     "verify_extindep_copula": (("verify", "extindep"), DISCRETE_NORMAL_PAIR + """\
 dependence:
   mode: gaussian_copula
@@ -331,6 +369,10 @@ DIGESTS = {
         "cases.csv": "7c070f5e1b15fb688a87cbe73826ddec475d2038bb5d5931fb69ddf76d22b357",
         "result.json": "8c248b009f5493d7a5d768c76ef69cd28c339705af81cc9a8b6087e87e161c12",
     },
+    "verify_end_lower_quadrature": {
+        "cases.csv": "4382bd2e6fa237ae22383443db95b5d26b63e9e32569d9a84d1c59c3f9dbdebf",
+        "result.json": "c10546bf7aff1c34f88f7693e81369ac43314eff13d34d2b75174b3dbd7ca8d8",
+    },
     "verify_end_matrix_copula": {
         "cases.csv": "b30eba628d7fbd5053efdd1281b76651cdae6307317c77f32be7433872580a29",
         "result.json": "4948ae70d9d2ba6e67a8a91633e81a119e17b2219efc1d01b2c3ddf77b5854ca",
@@ -342,6 +384,14 @@ DIGESTS = {
     "verify_extindep_copula": {
         "cases.csv": "880a6f0c1d4764df30840c2d7e89ef47bc2f0eedad8cf5dd2d752ec1d4ff475c",
         "result.json": "9614de9242eda1f8bb90237e32dd8c1c01007926e3821b7c56e748a10be0ebf9",
+    },
+    "verify_extindep_countermonotone": {
+        "cases.csv": "f34e69108496977547ccaa2eae0d645738c2150948720266546c04e7841e909f",
+        "result.json": "92ef0e108fe92b9cd6429710e92072d0fd3d4b2fc4e7733f72c684bbba9d02f9",
+    },
+    "verify_extindep_quadrature": {
+        "cases.csv": "017d7a2406ff12606aba4c30d24649b274522a0c0f252b21c6c93850c923ab6f",
+        "result.json": "85cffc94c69126b8e0eef71e2352c25eaee8fbc65365c6aa6b34717fd5b8389c",
     },
     "wlln_exact_normal": {
         "result.json": "66d972a5461193fcaf6fd296cd8df4ccc305e0b33ebfc9b7ee832c84809f2364",
