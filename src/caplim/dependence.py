@@ -18,7 +18,9 @@ for nonnegative bounded test functions that are all nondecreasing (upper
 direction) or all nonincreasing (lower direction), on exact paths where the
 structure allows and by common-random-number Monte Carlo otherwise. The
 extended-independence verifier tests the equality variant with no
-monotonicity requirement.
+monotonicity requirement. Both audit every test function, supplied or drawn
+from the corpus, on a grid over each coordinate before computing either
+side.
 """
 
 from __future__ import annotations
@@ -274,16 +276,7 @@ def _audit_monotone(g: TestFunction, direction: str | None, lo: float, hi: float
 
 
 def _reversed_smooth(threshold: float, width: float) -> TestFunction:
-    base = smooth_indicator(threshold, width, "outer")
-    return TestFunction(
-        fn=lambda x, g=base.fn: 1.0 - g(x),
-        arity=1,
-        name=f"1-{base.name}",
-        monotone="nonincreasing",
-        nonnegative=True,
-        sup_bound=1.0,
-        breakpoints=base.breakpoints,
-    )
+    return TestFunction.indicator_complement(smooth_indicator(threshold, width, "outer"))
 
 
 def _abs_window(center: float, halfwidth: float) -> TestFunction:
@@ -292,7 +285,6 @@ def _abs_window(center: float, halfwidth: float) -> TestFunction:
         fn=lambda x: np.abs(np.clip(x[0] - c, -a, a)),
         arity=1,
         name=f"|clip(x-{c:g})|",
-        nonnegative=True,
         sup_bound=a,
         breakpoints=(c - a, c, c + a),
     )
@@ -484,6 +476,33 @@ def _case_length(spec: DependenceSpec, n: int | None, case) -> int:
     return n
 
 
+def _cases(spec: DependenceSpec, family: MeasureFamily, n: int | None, supplied,
+           direction: str | None, corpus_cases: int, seed: int,
+           context: int) -> list[tuple[str, tuple[TestFunction, ...]]]:
+    """The supplied case, then ``corpus_cases`` drawn from the streams
+    (seed, context + c), each audited on a 256-point grid per coordinate:
+    nonnegative, and monotone in ``direction`` and bounded unless it is None.
+    """
+    n = _case_length(spec, n, supplied)
+    box = _audit_box(family, spec, n)
+    cases = []
+    if supplied is not None:
+        case = tuple(supplied)
+        if len(case) != n:
+            raise ValueError(f"expected {n} test functions, got {len(case)}")
+        cases.append(("supplied", case))
+    for c in range(corpus_cases):
+        rng = philox_stream(seed, context=context + c, column=0)
+        cases.append((f"corpus[{c}]",
+                      tuple(_corpus_function(rng, direction, *box[i]) for i in range(n))))
+    for _, case in cases:
+        for g, (lo, hi) in zip(case, box):
+            if direction is not None and g.sup_bound is None:
+                raise ValueError(f"test function {g.name} declares no bound")
+            _audit_monotone(g, direction, lo, hi)
+    return cases
+
+
 def verify_end(spec: DependenceSpec, family: MeasureFamily,
                g_case: Sequence[TestFunction] | None = None, *,
                direction: str = "upper", n: int | None = None,
@@ -500,28 +519,9 @@ def verify_end(spec: DependenceSpec, family: MeasureFamily,
     """
     if direction not in ("upper", "lower"):
         raise ValueError(f"direction must be 'upper' or 'lower', got {direction!r}")
-    K = spec.K if K is None else K
-    n = _case_length(spec, n, g_case)
-    box = _audit_box(family, spec, n)
-    all_cases: list[tuple[str, tuple[TestFunction, ...]]] = []
-    if g_case is not None:
-        case = tuple(g_case)
-        if len(case) != n:
-            raise ValueError(f"expected {n} test functions, got {len(case)}")
-        for i, g in enumerate(case):
-            if g.sup_bound is None:
-                raise ValueError(f"test function {g.name} declares no bound")
-            _audit_monotone(g, direction, *box[i])
-        all_cases.append(("supplied", case))
-    for c in range(corpus_cases):
-        rng = philox_stream(seed, context=77_000 + c, column=0)
-        case = tuple(_corpus_function(rng, direction, *box[i]) for i in range(n))
-        for i, g in enumerate(case):
-            _audit_monotone(g, direction, *box[i])
-        all_cases.append((f"corpus[{c}]", case))
-
-    return _run_cases("end", spec, family, all_cases, direction, K, seed,
-                      mc_replications, mc_cross_check)
+    cases = _cases(spec, family, n, g_case, direction, corpus_cases, seed, 77_000)
+    return _run_cases("end", spec, family, cases, direction,
+                      spec.K if K is None else K, seed, mc_replications, mc_cross_check)
 
 
 def verify_extended_independence(spec: DependenceSpec, family: MeasureFamily,
@@ -531,27 +531,14 @@ def verify_extended_independence(spec: DependenceSpec, family: MeasureFamily,
                                  corpus_cases: int = 12) -> EndReport:
     """Check the factorization equality for nonnegative test functions.
 
-    No monotonicity is required and the supplied functions may be unbounded
+    Every test function, supplied or drawn, is audited for nonnegativity on a
+    256-point grid per coordinate and rejected on violation. No monotonicity
+    is required and the supplied functions may be unbounded
     when an exact evaluation path exists (closed-form moments). The report
     passes only if every gap product_of_envelopes - envelope_of_product is
     zero within tolerance; genuinely non-linear envelopes are expected to fail
     here, and the gap quantifies by how much.
     """
-    n = _case_length(spec, n, psi_case)
-    box = _audit_box(family, spec, n)
-    all_cases: list[tuple[str, tuple[TestFunction, ...]]] = []
-    if psi_case is not None:
-        case = tuple(psi_case)
-        if len(case) != n:
-            raise ValueError(f"expected {n} test functions, got {len(case)}")
-        for i, g in enumerate(case):
-            if not g.nonnegative:
-                _audit_monotone(g, None, *box[i])
-        all_cases.append(("supplied", case))
-    for c in range(corpus_cases):
-        rng = philox_stream(seed, context=88_000 + c, column=0)
-        case = tuple(_corpus_function(rng, None, *box[i]) for i in range(n))
-        all_cases.append((f"corpus[{c}]", case))
-
-    return _run_cases("extended_independence", spec, family, all_cases, None,
+    cases = _cases(spec, family, n, psi_case, None, corpus_cases, seed, 88_000)
+    return _run_cases("extended_independence", spec, family, cases, None,
                       spec.K, seed, mc_replications, False)

@@ -43,11 +43,16 @@ def _smooth01(u):
     u = np.asarray(u, dtype=float)
     out = np.zeros_like(u)
     out[u >= 1.0] = 1.0
+    # a / (a + b) with a = exp(-1/u) and b = exp(-1/(1 - u)), on (0, 1)
+    # only; ``out`` holds a while b is built, so two rows are live.
     mid = (u > 0.0) & (u < 1.0)
-    um = u[mid]
-    a = np.exp(-1.0 / um)
-    b = np.exp(-1.0 / (1.0 - um))
-    out[mid] = a / (a + b)
+    np.divide(-1.0, u, out=out, where=mid)
+    np.exp(out, out=out, where=mid)
+    b = np.subtract(1.0, u, out=np.empty_like(u), where=mid)
+    np.divide(-1.0, b, out=b, where=mid)
+    np.exp(b, out=b, where=mid)
+    np.add(out, b, out=b, where=mid)
+    np.divide(out, b, out=out, where=mid)
     return out
 
 
@@ -55,10 +60,11 @@ def _smooth01(u):
 class TestFunction:
     """Vectorized test function on ``arity`` coordinates.
 
-    ``fn`` maps an (arity, m) array to an (m,) array. Metadata records what the
-    evaluation engine may exploit: coordinatewise monotonicity, nonnegativity,
-    a uniform bound, points of non-smoothness, a closed-form tag for moments,
-    or a separable factorization across coordinates.
+    ``fn`` maps an (arity, m) array to an (m,) array. Each metadata field has
+    a reader: ``closed_form`` (a moment tag) and ``factors`` (a separable
+    product across coordinates) give the exact envelopes; ``breakpoints``
+    (points of non-smoothness) split quadrature; ``sup_bound`` (a uniform
+    bound) passes the END bound gate; ``name`` labels error messages.
 
     Quadrature calls ``fn`` on a (1, m) array of nodes at once, so an arity-1
     ``fn`` must act elementwise: its value at a node may not depend on the
@@ -69,8 +75,6 @@ class TestFunction:
     fn: Callable[[np.ndarray], np.ndarray]
     arity: int
     name: str = "f"
-    monotone: str | None = None
-    nonnegative: bool = False
     sup_bound: float | None = None
     closed_form: tuple | None = None
     breakpoints: tuple = ()
@@ -91,7 +95,6 @@ class TestFunction:
     def plus(self, other: "TestFunction") -> "TestFunction":
         if other.arity != self.arity:
             raise ValueError("arity mismatch")
-        mono = self.monotone if self.monotone == other.monotone else None
         sup = None
         if self.sup_bound is not None and other.sup_bound is not None:
             sup = self.sup_bound + other.sup_bound
@@ -99,22 +102,15 @@ class TestFunction:
             fn=lambda x, f=self.fn, g=other.fn: f(x) + g(x),
             arity=self.arity,
             name=f"({self.name}+{other.name})",
-            monotone=mono,
-            nonnegative=self.nonnegative and other.nonnegative,
             sup_bound=sup,
             breakpoints=tuple(sorted(set(self.breakpoints) | set(other.breakpoints))),
         )
 
     def scaled(self, lam: float) -> "TestFunction":
-        mono = self.monotone
-        if lam < 0 and mono is not None:
-            mono = "nonincreasing" if mono == "nondecreasing" else "nondecreasing"
         return TestFunction(
             fn=lambda x, f=self.fn, c=float(lam): c * f(x),
             arity=self.arity,
             name=f"{lam:g}*{self.name}",
-            monotone=mono,
-            nonnegative=self.nonnegative and lam >= 0,
             sup_bound=None if self.sup_bound is None else abs(lam) * self.sup_bound,
             breakpoints=self.breakpoints,
         )
@@ -124,8 +120,6 @@ class TestFunction:
             fn=lambda x, f=self.fn, b=float(c): f(x) + b,
             arity=self.arity,
             name=f"({self.name}+{c:g})",
-            monotone=self.monotone,
-            nonnegative=self.nonnegative and c >= 0,
             sup_bound=None if self.sup_bound is None else self.sup_bound + abs(c),
             breakpoints=self.breakpoints,
         )
@@ -141,21 +135,16 @@ class TestFunction:
             fn=lambda x, v=float(c): np.full(x.shape[1], v),
             arity=arity,
             name=f"const({c:g})",
-            monotone="nondecreasing",
-            nonnegative=c >= 0,
             sup_bound=abs(c),
             closed_form=("const", float(c)),
         )
 
     @staticmethod
     def power(k: int) -> "TestFunction":
-        odd = k % 2 == 1
         return TestFunction(
             fn=lambda x, p=k: x[0] ** p,
             arity=1,
             name=f"x^{k}",
-            monotone="nondecreasing" if odd else None,
-            nonnegative=not odd,
             closed_form=("power", k),
         )
 
@@ -165,7 +154,6 @@ class TestFunction:
             fn=lambda x, p=float(k): np.abs(x[0]) ** p,
             arity=1,
             name=f"|x|^{k:g}",
-            nonnegative=True,
             closed_form=("abs_power", float(k)),
             breakpoints=(0.0,),
         )
@@ -176,8 +164,6 @@ class TestFunction:
             fn=lambda x, p=float(k): np.maximum(x[0], 0.0) ** p,
             arity=1,
             name=f"pos(x)^{k:g}",
-            monotone="nondecreasing",
-            nonnegative=True,
             closed_form=("pos_power", float(k)),
             breakpoints=(0.0,),
         )
@@ -189,7 +175,6 @@ class TestFunction:
             fn=lambda x, v=c: np.clip(x[0], -v, v),
             arity=1,
             name=f"clamp({level:g})",
-            monotone="nondecreasing",
             sup_bound=c,
             breakpoints=(-c, c),
         )
@@ -201,18 +186,11 @@ class TestFunction:
         pts = []
         if a != 0:
             pts = sorted(((lo - b) / a, (hi - b) / a))
-        mono = None
-        if a > 0:
-            mono = "nondecreasing"
-        elif a < 0:
-            mono = "nonincreasing"
         return TestFunction(
             # ndarray.clip is what np.clip calls, without its dispatch layers
             fn=lambda x, aa=float(a), bb=float(b), l=float(lo), h=float(hi): (aa * x[0] + bb).clip(l, h),
             arity=1,
             name=f"clip({a:g}x+{b:g},[{lo:g},{hi:g}])",
-            monotone=mono,
-            nonnegative=lo >= 0,
             sup_bound=max(abs(lo), abs(hi)),
             breakpoints=tuple(pts),
         )
@@ -227,7 +205,6 @@ class TestFunction:
         def fn(x, kernels=tuple(p.fn for p in parts)):
             return sum(k(x[i:i + 1]) for i, k in enumerate(kernels))
 
-        monos = {p.monotone for p in parts}
         sup = None
         if all(p.sup_bound is not None for p in parts):
             sup = sum(p.sup_bound for p in parts)
@@ -235,8 +212,6 @@ class TestFunction:
             fn=fn,
             arity=len(parts),
             name="+".join(p.name for p in parts),
-            monotone=monos.pop() if len(monos) == 1 else None,
-            nonnegative=all(p.nonnegative for p in parts),
             sup_bound=sup,
         )
 
@@ -253,10 +228,6 @@ class TestFunction:
                 out = out * ps[j](x[j])
             return out
 
-        all_nonneg = all(p.nonnegative for p in factors)
-        mono = None
-        if all_nonneg and all(p.monotone == "nondecreasing" for p in factors):
-            mono = "nondecreasing"
         sup = None
         if all(p.sup_bound is not None for p in factors):
             sup = math.prod(p.sup_bound for p in factors)
@@ -264,8 +235,6 @@ class TestFunction:
             fn=fn,
             arity=len(factors),
             name="*".join(p.name for p in factors),
-            monotone=mono,
-            nonnegative=all_nonneg,
             sup_bound=sup,
             factors=factors,
         )
@@ -276,11 +245,6 @@ class TestFunction:
     def indicator_halfspace(weights: Sequence[float], threshold: float) -> "TestFunction":
         """Indicator of the closed event {sum_i w_i x_i >= threshold}."""
         w = np.asarray(weights, dtype=float)
-        mono = None
-        if np.all(w >= 0):
-            mono = "nondecreasing"
-        elif np.all(w <= 0):
-            mono = "nonincreasing"
         closed = None
         pts: tuple = ()
         if len(w) == 1 and w[0] != 0:
@@ -291,8 +255,6 @@ class TestFunction:
             fn=lambda x, ww=w, t=float(threshold): (ww @ x >= t).astype(float),
             arity=len(w),
             name=f"1[{'+'.join(f'{v:g}x{i+1}' for i, v in enumerate(w))}>={threshold:g}]",
-            monotone=mono,
-            nonnegative=True,
             sup_bound=1.0,
             closed_form=closed,
             breakpoints=pts,
@@ -306,7 +268,6 @@ class TestFunction:
             fn=lambda x, f=a.fn, g=b.fn: np.maximum(f(x), g(x)),
             arity=a.arity,
             name=f"({a.name}|{b.name})",
-            nonnegative=True,
             sup_bound=1.0,
             breakpoints=tuple(sorted(set(a.breakpoints) | set(b.breakpoints))),
         )
@@ -317,7 +278,6 @@ class TestFunction:
             fn=lambda x, f=a.fn: 1.0 - f(x),
             arity=a.arity,
             name=f"~{a.name}",
-            nonnegative=True,
             sup_bound=1.0,
             breakpoints=a.breakpoints,
         )
@@ -339,8 +299,6 @@ def smooth_indicator(threshold: float, width: float, side: str = "outer") -> Tes
         fn=lambda x, s=float(start), w=float(width): _smooth01((x[0] - s) / w),
         arity=1,
         name=f"smooth[{side},{threshold:g},{width:g}]",
-        monotone="nondecreasing",
-        nonnegative=True,
         sup_bound=1.0,
         breakpoints=(start, start + width),
     )
@@ -489,10 +447,6 @@ class SublinearEngine:
         return self._exact[key]
 
     def _compute_exact(self, measure: ProductMeasure, f: TestFunction) -> tuple[float, str] | None:
-        if f.closed_form is not None and f.arity == 1:
-            v = _closed_moment(measure.marginal(0), f.closed_form)
-            if v is not None:
-                return v, "closed_form"
         if f.factors is not None:
             # A product takes its factors' path when they share one.
             total, labels = 1.0, set()
@@ -1094,7 +1048,5 @@ def _lift_first_coordinate(f1: TestFunction, arity: int) -> TestFunction:
         fn=lambda x, g=f1: g(x[0]),
         arity=arity,
         name=f"{f1.name}(x1)",
-        monotone=None,
-        nonnegative=f1.nonnegative,
         sup_bound=f1.sup_bound,
     )

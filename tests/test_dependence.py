@@ -344,8 +344,7 @@ class TestVerifyEnd:
                        g_case=(g, g), corpus_cases=0)
 
     def test_non_monotone_supplied_function_rejected(self):
-        bump = TestFunction(lambda x: np.exp(-x[0] ** 2), 1, name="bump",
-                            nonnegative=True, sup_bound=1.0)
+        bump = TestFunction(lambda x: np.exp(-x[0] ** 2), 1, name="bump", sup_bound=1.0)
         with pytest.raises(ValueError, match="nondecreasing"):
             verify_end(COUNTERMONOTONE, bernoulli_pair_family(),
                        g_case=(bump, bump), corpus_cases=0)
