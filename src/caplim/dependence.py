@@ -45,7 +45,12 @@ __all__ = [
     "verify_extended_independence",
 ]
 
-_MODES = ("per_measure_independent", "gaussian_copula", "discrete_joint")
+# mode -> the optional keys it reads
+_MODES = {
+    "per_measure_independent": (),
+    "gaussian_copula": ("correlation", "correlation_matrix"),
+    "discrete_joint": ("joint_atoms",),
+}
 
 
 @dataclass(frozen=True)
@@ -67,18 +72,24 @@ class DependenceSpec:
 
     def __post_init__(self) -> None:
         if self.mode not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
+            raise ValueError(f"mode must be one of {tuple(_MODES)}, got {self.mode!r}")
         if not self.K >= 1.0:
             raise ValueError(f"dominating constant K must be >= 1, got {self.K}")
+        for key in ("correlation", "correlation_matrix", "joint_atoms"):
+            if getattr(self, key) is not None and key not in _MODES[self.mode]:
+                raise ValueError(f"{self.mode} does not read {key}")
         if self.mode == "gaussian_copula":
-            if self.correlation is None and self.correlation_matrix is None:
-                raise ValueError("gaussian_copula needs correlation or correlation_matrix")
+            if (self.correlation is None) == (self.correlation_matrix is None):
+                raise ValueError("gaussian_copula needs exactly one of correlation and "
+                                 "correlation_matrix")
             if self.correlation is not None and not -1.0 < self.correlation <= 0.0:
                 raise ValueError(f"pair correlation must lie in (-1, 0], got {self.correlation}")
             if self.correlation_matrix is not None:
                 mat = np.asarray(self.correlation_matrix, dtype=float)
                 if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
                     raise ValueError("correlation_matrix must be square")
+                if not np.all(np.isfinite(mat)):
+                    raise ValueError("correlation_matrix entries must be finite")
                 if not np.allclose(np.diag(mat), 1.0):
                     raise ValueError("correlation_matrix must have unit diagonal")
                 off = mat - np.diag(np.diag(mat))
@@ -100,7 +111,9 @@ class DependenceSpec:
                 values = {coords[i] for coords, _ in self.joint_atoms}
                 if len(values) > 5:
                     raise ValueError(f"coordinate {i} has {len(values)} distinct values, max is 5")
-            probs = np.array([p for _, p in self.joint_atoms], dtype=float)
+            coords, probs = self.joint_arrays()
+            if not (np.all(np.isfinite(coords)) and np.all(np.isfinite(probs))):
+                raise ValueError("joint_atoms points and probabilities must be finite")
             if np.any(probs < -1e-15):
                 raise ValueError("joint probabilities must be nonnegative")
             if abs(float(probs.sum()) - 1.0) > 1e-12:

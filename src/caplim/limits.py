@@ -165,6 +165,10 @@ class ExperimentConfig:
             raise ValueError("burn_in must be at least 1")
         if self.mode in ("slln", "lil") and self.burn_in > self.horizon:
             raise ValueError("burn_in must not exceed the horizon")
+        # NaN passes every range check below, and inf overflows the grids.
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if self.epsilon <= 0.0:
             raise ValueError("epsilon must be positive")
         if self.checkpoint_growth <= 1.0 or self.block_growth <= 1.0:
@@ -194,8 +198,8 @@ class ExperimentConfig:
         if self.x_grid_points < 2:
             raise ValueError("x_grid_points must be at least 2")
         lo, hi = self.x_grid_range
-        if not 0.0 < lo < hi:
-            raise ValueError("x_grid_range must satisfy 0 < lo < hi")
+        if not 0.0 < lo < hi < math.inf:
+            raise ValueError("x_grid_range must satisfy 0 < lo < hi < inf")
         if self.schedule is not None:
             sched = tuple(int(n) for n in self.schedule)
             if not sched or any(n < 1 for n in sched):

@@ -316,6 +316,11 @@ def _double_factorial_odd(j: int) -> float:
     return out
 
 
+# The config keys of each kind's parameters, in ``params`` order.
+_PARAM_KEYS = {"normal": ("mean", "var"), "uniform": ("lo", "hi"), "bernoulli": ("p",),
+               "pareto": ("alpha", "scale")}
+
+
 @dataclass(frozen=True)
 class Marginal:
     """One-dimensional marginal with closed-form moments, cdf/sf/ppf, and density.
@@ -329,6 +334,14 @@ class Marginal:
     params: tuple
 
     def __post_init__(self) -> None:
+        # NaN passes every range check below, so each number is checked first.
+        if self.kind == "discrete":
+            named = [("atoms", x) for atom in self.params[0] for x in atom]
+        else:
+            named = zip(_PARAM_KEYS.get(self.kind, ()), self.params)
+        for key, value in named:
+            if not math.isfinite(value):
+                raise ValueError(f"{self.kind} {key} must be finite, got {value}")
         if self.kind == "normal":
             mean, var = self.params
             if not var > 0:

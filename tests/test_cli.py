@@ -486,6 +486,54 @@ class TestCommandLine:
                      "--out", str(tmp_path / "out")]) == 1
         assert "experiment (line 16): horizon must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source, edits, key, value", [
+        ("slln_normal_band.yaml", {"epsilon: 0.05": "epsilon: .nan"}, "epsilon", "nan"),
+        ("slln_normal_band.yaml", {"epsilon: 0.05": "epsilon: .inf"}, "epsilon", "inf"),
+        ("necessity_normal.yaml", {"divergence_threshold: 10.0": "divergence_threshold: .nan"},
+         "divergence_threshold", "nan"),
+        ("lil_negative_copula.yaml", {"checkpoint_growth: 1.05": "checkpoint_growth: .inf"},
+         "checkpoint_growth", "inf"),
+    ])
+    def test_non_finite_experiment_values_exit_one_with_the_section_line(
+            self, source, edits, key, value, tmp_path, capsys):
+        # A NaN threshold used to pass every range check and the run PASSed.
+        text = (CONFIG_DIR / source).read_text()
+        for old, new in {"horizon: 1000000": "horizon: 3000",
+                         "horizon: 100000": "horizon: 3000", **edits}.items():
+            text = text.replace(old, new)
+        path = tmp_path / "nonfinite.yaml"
+        path.write_text(text)
+        mode = source.split("_")[0]
+        assert main(["experiment", mode, "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        line = text.splitlines().index("experiment:") + 1
+        assert "PASS" not in captured.out
+        assert f"experiment (line {line}): {key} must be finite, got {value}" in captured.err
+
+    @pytest.mark.parametrize("old, new, where, message", [
+        ("var: 1.0", "var: .nan", "family (line 1)",
+         "at mu = 0: normal var must be finite, got nan"),
+        ("K: 1.0\n", "K: 1.0\ndependence:\n  correlation: -0.5\n", "dependence (line 11)",
+         "per_measure_independent does not read correlation"),
+        ("K: 1.0\n", "K: 1.0\ndependence:\n  mode: gaussian_copula\n  correlation: -0.5\n"
+         "  correlation_matrix: [[1.0, -0.2], [-0.2, 1.0]]\n", "dependence (line 11)",
+         "gaussian_copula needs exactly one of correlation and correlation_matrix"),
+        ("K: 1.0\n", "K: 1.0\ndependence:\n  mode: gaussian_copula\n"
+         "  correlation_matrix: [[1.0, .nan], [.nan, 1.0]]\n", "dependence (line 11)",
+         "correlation_matrix entries must be finite"),
+    ])
+    def test_non_finite_and_unread_family_and_dependence_values_exit_one(
+            self, old, new, where, message, tmp_path, capsys):
+        assert MINIMAL.count(old) == 1
+        path = tmp_path / "bad.yaml"
+        path.write_text(MINIMAL.replace(old, new))
+        assert main(["verify", "extindep", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out
+        assert f"{where}: {message}" in captured.err
+
     def test_verify_end_over_no_cases_exits_one(self, tmp_path, capsys):
         text = (CONFIG_DIR / "end_countermonotone.yaml").read_text()
         path = tmp_path / "empty.yaml"

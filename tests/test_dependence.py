@@ -26,6 +26,7 @@ from conftest import make_singleton
 
 
 RAMP = TestFunction.clamp_affine(1.0, 0.0, 0.0, 1.0)
+NAN = math.nan
 
 COUNTERMONOTONE = DependenceSpec(
     mode="discrete_joint",
@@ -105,6 +106,28 @@ class TestDependenceSpecValidation:
         with pytest.raises(ValueError, match="sum"):
             DependenceSpec(mode="discrete_joint",
                            joint_atoms=(((0.0,), 0.5), ((1.0,), 0.4)))
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(mode="gaussian_copula", correlation_matrix=((1.0, NAN), (NAN, 1.0))),
+         "correlation_matrix entries must be finite"),
+        (dict(mode="discrete_joint", joint_atoms=(((0.0, 1.0), NAN), ((1.0, 0.0), 1.0))),
+         "joint_atoms points and probabilities must be finite"),
+        (dict(mode="discrete_joint", joint_atoms=(((0.0, NAN), 0.5), ((1.0, 0.0), 0.5))),
+         "joint_atoms points and probabilities must be finite"),
+        (dict(mode="per_measure_independent", correlation=-0.5),
+         "per_measure_independent does not read correlation"),
+        (dict(mode="per_measure_independent", joint_atoms=COUNTERMONOTONE.joint_atoms),
+         "per_measure_independent does not read joint_atoms"),
+        (dict(mode="discrete_joint", correlation=-0.5, joint_atoms=COUNTERMONOTONE.joint_atoms),
+         "discrete_joint does not read correlation"),
+        (dict(mode="gaussian_copula", correlation=-0.5,
+              correlation_matrix=((1.0, -0.2), (-0.2, 1.0))),
+         "gaussian_copula needs exactly one of correlation and correlation_matrix"),
+    ])
+    def test_non_finite_values_and_unread_keys_rejected(self, kwargs, message):
+        with pytest.raises(ValueError) as error:
+            DependenceSpec(**kwargs)
+        assert str(error.value) == message
 
     def test_joint_arrays_layout(self):
         assert COUNTERMONOTONE.joint_arity == 2

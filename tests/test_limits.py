@@ -82,6 +82,7 @@ class TestExperimentConfigValidation:
         ("bound_delta", 1.5),
         ("x_grid_points", 1),
         ("x_grid_range", (2.0, 1.0)),
+        ("x_grid_range", (0.1, float("inf"))),
         ("wlln_target", 2.0),
         ("wlln_target", 0.0),
         ("lil_epsilon", -0.1),
@@ -89,6 +90,16 @@ class TestExperimentConfigValidation:
     ])
     def test_out_of_range_fields_rejected(self, field, bad):
         with pytest.raises(ValueError):
+            ExperimentConfig(mode="slln", family=self.family, **{field: bad})
+
+    @pytest.mark.parametrize("field", ["epsilon", "divergence_threshold", "lil_epsilon",
+                                       "cluster_grid_step", "cluster_tolerance",
+                                       "cluster_advance_tolerance", "checkpoint_growth",
+                                       "block_growth"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_thresholds_rejected(self, field, bad):
+        # NaN passes every range check, which would make a check vacuous.
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got {bad}$"):
             ExperimentConfig(mode="slln", family=self.family, **{field: bad})
 
     def test_burn_in_capped_by_horizon_only_for_pathwise_modes(self):

@@ -102,6 +102,27 @@ class TestDiscreteMoments:
             Marginal.bernoulli(1.5)
 
 
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Marginal.normal(NAN, 1.0), "normal mean must be finite, got nan"),
+    (lambda: Marginal.normal(0.0, INF), "normal var must be finite, got inf"),
+    (lambda: Marginal.uniform(-INF, 0.0), "uniform lo must be finite, got -inf"),
+    (lambda: Marginal.uniform(0.0, NAN), "uniform hi must be finite, got nan"),
+    (lambda: Marginal.bernoulli(NAN), "bernoulli p must be finite, got nan"),
+    (lambda: Marginal.discrete([(0.0, NAN), (1.0, 1.0)]), "discrete atoms must be finite, got nan"),
+    (lambda: Marginal.discrete([(INF, 0.5), (1.0, 0.5)]), "discrete atoms must be finite, got inf"),
+    (lambda: Marginal.pareto(INF), "pareto alpha must be finite, got inf"),
+    (lambda: Marginal.pareto(2.0, NAN), "pareto scale must be finite, got nan"),
+])
+def test_non_finite_parameters_are_rejected_by_key(build, message):
+    # NaN passes every range check, so each of these used to construct.
+    with pytest.raises(ValueError) as error:
+        build()
+    assert str(error.value) == message
+
+
 class TestParetoMoments:
     def test_finite_and_infinite_orders(self):
         m = Marginal.pareto(3.0, 2.0)
