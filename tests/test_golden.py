@@ -11,12 +11,15 @@ trajectory batches, uniform marginals, scans that span several chunks,
 copula pairs across chunk edges that start mid-counter, the shipped
 ``necessity_normal`` config, an axiom corpus whose Monte Carlo case draws wide uniform blocks (and its
 ``by_axiom`` table), an axiom corpus whose Monte Carlo case integrates by
-quadrature, the END check on the shipped countermonotone config, the
-Monte Carlo END and extended-independence checks under the pair and the
-matrix copula, over families that list two marginals, and both verifiers'
+quadrature, the END check and the exact bound-check on the shipped
+countermonotone config, the Monte Carlo END and extended-independence checks
+under the pair and the matrix copula, over families that list two marginals, and both verifiers'
 exact paths: quadrature over an independent family (END in the lower
 direction) and enumeration of the countermonotone table in the
 extended-independence check.
+
+The CSVs keep 12 significant digits, so the bound-check is also pinned by
+the sha256 of the full-precision ``repr`` of its table and summary.
 
 If a change alters results on purpose, it says why and re-records the
 digests with ``python tests/test_golden.py``.
@@ -30,6 +33,7 @@ import pytest
 
 from caplim import Marginal, limits, measures
 from caplim.cli import main
+from caplim.config import parse_config_text
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -263,6 +267,10 @@ verify:
   mc_every: 10
   mc_replications: 3000
 """),
+    # The shipped joint table, enumerated exactly by the bound-check.
+    "bound_check_countermonotone": (("experiment", "bound-check"),
+                                    (CONFIGS / "end_countermonotone.yaml").read_text()
+                                    + "experiment:\n  horizon: 2\n  x_grid_points: 6\n"),
     "verify_end_countermonotone": (("verify", "end"),
                                    (CONFIGS / "end_countermonotone.yaml").read_text()),
     # Monte Carlo END checks through the copula sampler. The family lists two
@@ -321,6 +329,10 @@ verify:
 
 # name -> {artifact: sha256}
 DIGESTS = {
+    "bound_check_countermonotone": {
+        "bound_check.csv": "a504e034a056c1d43357d21271abd98a0c7af287f8d24dfa019e493818e17057",
+        "result.json": "90cadabeffcbf8ca68969b361192c6f485ea36e9910c255433002eff6c1654de",
+    },
     "bound_check_copula_normal": {
         "bound_check.csv": "d872cad1854209a34654c3d3bc7aa3ab92b73ce2f35d99ed4cd332f251a342e9",
         "result.json": "d92377e3f129fc13f28daf3a572072d2f3f42a9f6df137dfc7e79b65b1251be3",
@@ -460,6 +472,58 @@ def test_tile_size_moves_no_bytes(name, tile, tmp_path, monkeypatch):
     assert _artifact_digests(name, tmp_path, 2) == DIGESTS[name]
 
 
+# The CSVs round to 12 significant digits, so they cannot see a bound that
+# moves by one ulp; these pin the full-precision repr of the bound-check's
+# header, rows and summary instead.
+BOUND_CHECK_CASES = {
+    "normal_config": (CONFIGS / "bound_check_normal.yaml").read_text().replace(
+        "trajectories: 10000", "trajectories: 300"),
+    "uniform_order_4": UNIFORM_FAMILY + """\
+experiment:
+  mode: bound_check
+  horizon: 200
+  trajectories: 800
+  bound_order: 4
+  x_grid_points: 6
+  seed: 22
+""",
+    "copula_normal_k": STANDARD_NORMAL + COPULA.replace("K: 1.0", "K: 1.3") + """\
+experiment:
+  mode: bound_check
+  horizon: 300
+  trajectories: 2000
+  x_grid_points: 6
+  seed: 23
+""",
+    "countermonotone_table": (CONFIGS / "end_countermonotone.yaml").read_text()
+    + "experiment:\n  mode: bound_check\n  horizon: 2\n",
+}
+
+BOUND_CHECK_REPRS = {
+    "copula_normal_k":
+        "0b7775eda17795ab3b48fc6db379ed8a5e781a66059c140fc4f6e4832e372148",
+    "countermonotone_table":
+        "f5b571604a9879621b5fd0123bd6c27f4e3221f4a05e31358784cdab25aaf258",
+    "normal_config":
+        "d0926443691b313f38a51d018af5a1cb7ee8fd53063712e1ba9531b4226fdf6d",
+    "uniform_order_4":
+        "cb45265eb6de81efc22531ee17dd769391111e33e9dcc6a8524fccd7b7e4ba97",
+}
+
+
+def _bound_check_repr_digest(name: str) -> str:
+    config = parse_config_text(BOUND_CHECK_CASES[name]).experiment_config()
+    result = limits.run_bound_check(config)
+    header, rows = result.tables["bound_check"]
+    text = repr((header, rows, result.summary))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(BOUND_CHECK_CASES))
+def test_bound_check_full_precision_is_pinned(name):
+    assert _bound_check_repr_digest(name) == BOUND_CHECK_REPRS[name]
+
+
 # Every quadrature of the corpus cases goes through the package's QUADPACK
 # port; the digests above pin the values it gives.
 @pytest.mark.parametrize("name", ["verify_axioms_mc", "verify_axioms_quadrature"])
@@ -490,3 +554,5 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         recorded = {name: _artifact_digests(name, Path(tmp), 1) for name in sorted(CASES)}
     pprint.pprint(recorded, stream=sys.stdout, width=100)
+    pprint.pprint({name: _bound_check_repr_digest(name) for name in sorted(BOUND_CHECK_CASES)},
+                  stream=sys.stdout, width=100)
