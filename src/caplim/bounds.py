@@ -73,8 +73,8 @@ class BoundInputs:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if not self.variance_sum > 0:
             raise ValueError(f"variance_sum must be positive, got {self.variance_sum}")
-        if not self.K >= 1.0:
-            raise ValueError(f"K must be >= 1, got {self.K}")
+        if not 1.0 <= self.K < math.inf:
+            raise ValueError(f"K must be finite and >= 1, got {self.K}")
         if self.order is not None and not self.order >= 2:
             raise ValueError(f"order must be >= 2, got {self.order}")
         if self.pos_moment_sum is not None and self.pos_moment_sum < 0:
@@ -252,7 +252,9 @@ def power_tail_bound(inputs: BoundInputs, x):
     x = np.asarray(x, dtype=float)
     r = inputs.tail_power
     b = inputs.variance_sum
-    return inputs.K * math.exp(r) * (r * b / (r * b + x**2)) ** r
+    # np.float_power is libm pow, which a scalar threshold has always taken;
+    # numpy's ** on an array may differ from it by an ulp.
+    return inputs.K * math.exp(r) * np.float_power(r * b / (r * b + x**2), r)
 
 
 def chebyshev_bound(inputs: BoundInputs, x):

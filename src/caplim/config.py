@@ -17,6 +17,7 @@ reproduces the canonical text exactly.
 from __future__ import annotations
 
 import ast
+import math
 from dataclasses import dataclass, field, fields
 
 import yaml
@@ -183,8 +184,12 @@ def _at_least(least: int, read=_integer):
     return read_bounded
 
 
-# The dominating constant of the family, the dependence and the bound inputs.
-_dominating_constant = _at_least(1, _number)
+def _dominating_constant(ctx: _Context, value, path: str) -> float:
+    """The K of the family, the dependence or the bound inputs."""
+    got = _at_least(1, _number)(ctx, value, path)
+    if not math.isfinite(got):
+        raise ctx.fail(path, f"K must be finite, got {got:g}")
+    return got
 
 
 def _one_of(what: str, allowed: tuple[str, ...]):
@@ -471,7 +476,6 @@ _SECTIONS = {
     "experiment": _EXPERIMENT_READERS,
     "engine": {
         "mc_replications": _at_least(2),
-        "refinement": _boolean,
         "enumeration_cap": _integer,
     },
     "bounds": {

@@ -73,8 +73,8 @@ class DependenceSpec:
     def __post_init__(self) -> None:
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {tuple(_MODES)}, got {self.mode!r}")
-        if not self.K >= 1.0:
-            raise ValueError(f"dominating constant K must be >= 1, got {self.K}")
+        if not 1.0 <= self.K < math.inf:
+            raise ValueError(f"dominating constant K must be finite and >= 1, got {self.K}")
         for key in ("correlation", "correlation_matrix", "joint_atoms"):
             if getattr(self, key) is not None and key not in _MODES[self.mode]:
                 raise ValueError(f"{self.mode} does not read {key}")

@@ -153,6 +153,14 @@ class ExperimentConfig:
         if listed > 1 and (self.mode, self.dependence.mode) != ("bound_check", "discrete_joint"):
             raise ValueError(f"family.marginals lists {listed} marginals; {self.mode} draws "
                              "every coordinate from one marginal, so list exactly one")
+        # A sequence run couples consecutive pairs, all drawn under one law.
+        if self.dependence.mode == "gaussian_copula":
+            if self.dependence.correlation_matrix is not None:
+                raise ValueError(
+                    "correlation_matrix describes one fixed block; sequence runs couple "
+                    "consecutive pairs, so give the pair correlation as correlation")
+            if not self.family.is_singleton:
+                raise ValueError("the pairwise copula requires a single-measure family")
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
         if self.trajectories < 1:
@@ -305,19 +313,6 @@ def _transform_chunk(
         out = np.empty_like(u)
     transform_block(u.T, ProductMeasure((marginal,)), dependence, out=out.T)
     return out
-
-
-def _require_pairwise_copula(config: ExperimentConfig) -> None:
-    """Reject a copula spec that a long trajectory cannot apply."""
-    if config.dependence.mode != "gaussian_copula":
-        return
-    if config.dependence.correlation_matrix is not None:
-        raise ValueError(
-            "correlation_matrix describes one fixed block; sequence runs couple "
-            "consecutive pairs, so give the pair correlation as correlation"
-        )
-    if not config.family.is_singleton:
-        raise ValueError("the pairwise copula requires a single-measure family")
 
 
 def _dense_parameters(family: MeasureFamily):
@@ -589,7 +584,6 @@ def run_wlln(config: ExperimentConfig) -> ExperimentResult:
     probabilities are used whenever the i.i.d. sum has a closed form;
     otherwise all measures are estimated from common random numbers.
     """
-    _require_pairwise_copula(config)
     family = config.family
     eps = config.epsilon
     mu_low, mu_up, _ = _extreme_measures(family)
@@ -673,7 +667,6 @@ def run_slln(config: ExperimentConfig) -> ExperimentResult:
     must keep ``S_k/k`` inside ``[mu_low - eps, mu_up + eps]`` for all
     ``k`` past the burn-in. Violations are counted per trajectory.
     """
-    _require_pairwise_copula(config)
     mu_low, mu_up, measures = _extreme_measures(config.family)
     n0 = config.burn_in
     lo_bar, hi_bar = mu_low - config.epsilon, mu_up + config.epsilon
@@ -727,7 +720,6 @@ def run_cluster(config: ExperimentConfig) -> ExperimentResult:
     toward the current grid target. A target counts as visited once
     some post-block running mean lands within ``cluster_tolerance``.
     """
-    _require_pairwise_copula(config)
     if config.dependence.mode != "per_measure_independent":
         raise ValueError("the cluster sampler switches measures between "
                          "blocks and requires independent draws")
@@ -839,7 +831,6 @@ def run_lil(config: ExperimentConfig) -> ExperimentResult:
     with ``r_upper`` at most ``sigma_up * (1 + lil_epsilon)`` reaches
     the configured quantile; the mirrored side is reported alongside.
     """
-    _require_pairwise_copula(config)
     family = config.family
     mu_low, mu_up, measures = _extreme_measures(family)
     sigma_up = math.sqrt(_sup_centered_second_moment(family, mu_up))
@@ -907,7 +898,6 @@ def run_necessity(config: ExperimentConfig) -> ExperimentResult:
     exceeds ``divergence_threshold`` and matches it against the
     integral's divergence flag.
     """
-    _require_pairwise_copula(config)
     family = config.family
     if not family.is_singleton:
         raise ValueError(
@@ -966,16 +956,21 @@ def run_necessity(config: ExperimentConfig) -> ExperimentResult:
 
 
 def _max_term_capacity(
-    marginals, n: int, y: float, dependence: DependenceSpec
-) -> float:
-    """Upper capacity that some one of the first n terms reaches y.
+    marginals, n: int, levels: np.ndarray, dependence: DependenceSpec
+) -> np.ndarray:
+    """Upper capacity that some one of the first n terms reaches each level.
 
     Exact per measure for independent draws; a union bound otherwise.
     """
-    survivals = np.array([m.sf(y) for m in marginals])
+    survivals = np.array([m.sf(levels) for m in marginals])
     if dependence.mode == "per_measure_independent":
-        return float(np.max(1.0 - (1.0 - survivals) ** n))
-    return float(min(1.0, n * np.max(survivals)))
+        return np.max(1.0 - (1.0 - survivals) ** n, axis=0)
+    return np.minimum(1.0, n * np.max(survivals, axis=0))
+
+
+def _mass_at_or_above(values: np.ndarray, probs: np.ndarray, levels) -> np.ndarray:
+    """Probability, under a joint table, that ``values`` reaches each level."""
+    return np.array([probs[values >= level - 1e-12].sum() for level in levels])
 
 
 def run_bound_check(config: ExperimentConfig) -> ExperimentResult:
@@ -986,14 +981,15 @@ def run_bound_check(config: ExperimentConfig) -> ExperimentResult:
     thresholds the empirical upper and lower capacities of
     ``{S_n >= x}`` are compared against the exponential, split-moment,
     power, second-moment and positive-part-moment bounds, and the
-    lower capacity against the conjugate forms. A flag is raised when
-    an empirical frequency exceeds its bound by more than three
-    standard errors. Joint-table dependence is enumerated exactly;
-    everything else is sampled per measure.
+    lower capacity against the conjugate forms. Each bound is one array
+    over the whole grid: the exponential and power bounds are the
+    elementwise minimum over their truncation levels and tail powers. A
+    flag is raised when an empirical frequency exceeds its bound by more
+    than three standard errors. Joint-table dependence is enumerated
+    exactly; everything else is sampled per measure.
     """
     family = config.family
     joint = config.dependence.mode == "discrete_joint"
-    _require_pairwise_copula(config)
     p = config.bound_order
     K = max(family.K, config.dependence.K)
     constants = DerivedConstants.for_order(p)
@@ -1017,8 +1013,8 @@ def run_bound_check(config: ExperimentConfig) -> ExperimentResult:
         joint_sums = pc.sum(axis=0)
         joint_peaks = pc.max(axis=0)
 
-        def max_term(y: float) -> float:
-            return float(probs[joint_peaks >= y - 1e-12].sum())
+        def max_term(levels) -> np.ndarray:
+            return _mass_at_or_above(joint_peaks, probs, levels)
 
     else:
         n = config.horizon
@@ -1039,8 +1035,8 @@ def run_bound_check(config: ExperimentConfig) -> ExperimentResult:
         )
         per_term_choquet = [choquet_pos.value] * n
 
-        def max_term(y: float) -> float:
-            return _max_term_capacity(marginals, n, y, config.dependence)
+        def max_term(levels) -> np.ndarray:
+            return _max_term_capacity(marginals, n, levels, config.dependence)
 
     sigma = math.sqrt(variance_sum)
     lo_mult, hi_mult = config.x_grid_range
@@ -1048,11 +1044,8 @@ def run_bound_check(config: ExperimentConfig) -> ExperimentResult:
 
     # Empirical tail capacities on the threshold grid.
     if joint:
-        freq = np.array(
-            [float(probs[joint_sums >= x - 1e-12].sum()) for x in x_grid]
-        )
-        emp_upper = emp_lower = freq
-        emp_upper_se = emp_lower_se = np.zeros_like(freq)
+        emp_upper = emp_lower = _mass_at_or_above(joint_sums, probs, x_grid)
+        emp_upper_se = emp_lower_se = np.zeros_like(emp_upper)
     else:
 
         def tail_stats(item):
@@ -1070,85 +1063,53 @@ def run_bound_check(config: ExperimentConfig) -> ExperimentResult:
         emp_upper, emp_upper_se = freqs[i_up, cols], ses[i_up, cols]
         emp_lower, emp_lower_se = freqs[i_low, cols], ses[i_low, cols]
 
+    def inputs(**extra) -> BoundInputs:
+        return BoundInputs(n=n, variance_sum=variance_sum, K=K, **extra)
+
     y_grid = np.geomspace(0.01 * sigma, 10.0 * sigma, 25)
     r_grid = (0.5, 1.0, 2.0, 4.0, 8.0)
-    base_inputs = BoundInputs(n=n, variance_sum=variance_sum, K=K)
-
-    def best_truncated(x: float, calculator) -> float:
-        best = math.inf
-        for y in y_grid:
-            inputs = BoundInputs(
-                n=n, variance_sum=variance_sum, K=K, truncation=float(y)
-            )
-            best = min(best, float(calculator(inputs, x)) + max_term(float(y)))
-        return best
-
-    def upper_bounds(x: float) -> dict[str, float]:
-        out = {"exponential": best_truncated(x, kolmogorov_exponential_bound)}
-        split_inputs = BoundInputs(
-            n=n,
-            variance_sum=variance_sum,
-            K=K,
-            order=p,
-            pos_moment_sum=pos_moment_sum,
-            split=config.bound_delta,
-        )
-        out["split"] = float(split_moment_bound(split_inputs, x, constants))
-        best = math.inf
-        for r in r_grid:
-            inputs_r = BoundInputs(n=n, variance_sum=variance_sum, K=K, tail_power=r)
-            best = min(best, float(power_tail_bound(inputs_r, x)) + max_term(x / r))
-        out["power"] = best
-        out["chebyshev"] = float(chebyshev_bound(base_inputs, x))
-        moment = choquet_moment_bound(
-            BoundInputs(n=n, variance_sum=variance_sum, K=K, order=p),
-            per_term_choquet,
-            constants,
-        )
-        out["positive_moment"] = moment / x**p
-        return out
-
-    def lower_bounds(x: float, ub: dict[str, float]) -> dict[str, float]:
-        # The conjugate exponential and second-moment bounds are the primal
-        # closed forms at the same inputs, so they reuse the upper columns.
-        split_inputs = BoundInputs(
-            n=n,
-            variance_sum=variance_sum,
-            K=K,
-            order=p,
-            abs_moment_sum=abs_moment_sum,
-            split=config.bound_delta,
-        )
-        return {
-            "conj_exponential": ub["exponential"],
-            "conj_split": float(conjugate_split_bound(split_inputs, x, constants)),
-            "conj_chebyshev": ub["chebyshev"],
-        }
-
-    upper_names = ("exponential", "split", "power", "chebyshev", "positive_moment")
-    lower_names = ("conj_exponential", "conj_split", "conj_chebyshev")
-    rows = []
-    flags = []
-    for i, x in enumerate(x_grid):
-        ub = upper_bounds(float(x))
-        lb = lower_bounds(float(x), ub)
-        for name in upper_names:
-            if emp_upper[i] > ub[name] + 3.0 * emp_upper_se[i] + 1e-12:
-                flags.append((float(x), name, float(emp_upper[i]), ub[name]))
-        for name in lower_names:
-            if emp_lower[i] > lb[name] + 3.0 * emp_lower_se[i] + 1e-12:
-                flags.append((float(x), name, float(emp_lower[i]), lb[name]))
-        rows.append(
-            (
-                float(x),
-                float(emp_upper[i]),
-                float(emp_upper_se[i]),
-                *(ub[name] for name in upper_names),
-                float(emp_lower[i]),
-                float(emp_lower_se[i]),
-                *(lb[name] for name in lower_names),
-            )
-        )
+    upper = {
+        "exponential": np.min(
+            [kolmogorov_exponential_bound(inputs(truncation=y), x_grid) + tail
+             for y, tail in zip(y_grid, max_term(y_grid))], axis=0),
+        "split": split_moment_bound(
+            inputs(order=p, pos_moment_sum=pos_moment_sum, split=config.bound_delta),
+            x_grid, constants),
+        "power": np.min(
+            [power_tail_bound(inputs(tail_power=r), x_grid) + max_term(x_grid / r)
+             for r in r_grid], axis=0),
+        "chebyshev": chebyshev_bound(inputs(), x_grid),
+        # np.float_power is libm pow, as Python's float ** int.
+        "positive_moment": choquet_moment_bound(inputs(order=p), per_term_choquet, constants)
+        / np.float_power(x_grid, p),
+    }
+    # The conjugate exponential and second-moment bounds are the primal closed
+    # forms at the same inputs, so they reuse the upper columns.
+    lower = {
+        "conj_exponential": upper["exponential"],
+        "conj_split": conjugate_split_bound(
+            inputs(order=p, abs_moment_sum=abs_moment_sum, split=config.bound_delta),
+            x_grid, constants),
+        "conj_chebyshev": upper["chebyshev"],
+    }
+    sides = ((emp_upper, emp_upper_se, upper), (emp_lower, emp_lower_se, lower))
+    flags = [
+        (float(x), name, float(emp[i]), float(bound[i]))
+        for i, x in enumerate(x_grid)
+        for emp, se, bounds in sides
+        for name, bound in bounds.items()
+        if emp[i] > bound[i] + 3.0 * se[i] + 1e-12
+    ]
+    columns = {
+        "x": x_grid,
+        "emp_upper": emp_upper,
+        "emp_upper_se": emp_upper_se,
+        **{"bound_" + name: bound for name, bound in upper.items()},
+        "emp_lower": emp_lower,
+        "emp_lower_se": emp_lower_se,
+        **{"bound_" + name: bound for name, bound in lower.items()},
+    }
+    rows = list(zip(*(column.tolist() for column in columns.values())))
 
     summary = {
         "n": n,
@@ -1159,22 +1120,13 @@ def run_bound_check(config: ExperimentConfig) -> ExperimentResult:
         "pos_moment_sum": pos_moment_sum,
         "abs_moment_sum": abs_moment_sum,
         "per_term_choquet_pos": per_term_choquet[0] if per_term_choquet else 0.0,
-        "x_grid": [float(x) for x in x_grid],
+        "x_grid": x_grid.tolist(),
         "flags": flags,
         "estimator": "exact" if joint else "mc",
         "trajectories_per_measure": 0 if joint else config.trajectories,
     }
-    header = (
-        "x",
-        "emp_upper",
-        "emp_upper_se",
-        *("bound_" + name for name in upper_names),
-        "emp_lower",
-        "emp_lower_se",
-        *("bound_" + name for name in lower_names),
-    )
     return _result(
-        config, not flags, summary, header, rows,
+        config, not flags, summary, columns, rows,
         "empirical capacities get three standard errors of headroom",
         "the max-term capacity uses the exact i.i.d. form for "
         "independent draws and a union bound otherwise",

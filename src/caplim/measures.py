@@ -764,8 +764,8 @@ class MeasureFamily:
                 raise ValueError(f"domain axis [{lo}, {hi}] is empty")
         if self.grid_resolution < 2:
             raise ValueError(f"grid_resolution must be >= 2, got {self.grid_resolution}")
-        if not self.K >= 1.0:
-            raise ValueError(f"dominating constant K must be >= 1, got {self.K}")
+        if not 1.0 <= self.K < math.inf:
+            raise ValueError(f"dominating constant K must be finite and >= 1, got {self.K}")
 
     @property
     def dim(self) -> int:

@@ -278,6 +278,70 @@ def test_bounds_dominate_standard_normal_tail():
 
 
 # ---------------------------------------------------------------------------
+# The bound-check calls each calculator once over its whole threshold grid,
+# and ``limits._max_term_capacity`` once over all its levels; each must give
+# the bits of one call per threshold.
+
+THRESHOLDS = np.geomspace(1e-3, 1e4, 401)
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def _grid_calls(variance_sum: float, K: float):
+    """Each calculator the bound-check calls, as a function of the thresholds."""
+    def inputs(**extra):
+        return BoundInputs(n=50, variance_sum=variance_sum, K=K, **extra)
+
+    calls = [lambda x: chebyshev_bound(inputs(), x)]
+    for y in (0.05, 1.0, 30.0):
+        calls.append(lambda x, y=y: kolmogorov_exponential_bound(inputs(truncation=y), x))
+    for r in (0.5, 1.0, 2.0, 4.0, 8.0):
+        calls.append(lambda x, r=r: power_tail_bound(inputs(tail_power=r), x))
+    for p in (2, 3, 4):
+        constants = DerivedConstants.for_order(p)
+        moments = inputs(order=p, pos_moment_sum=3.7, abs_moment_sum=9.1, split=0.5)
+        calls.append(lambda x, m=moments, c=constants: split_moment_bound(m, x, c))
+        calls.append(lambda x, m=moments, c=constants: conjugate_split_bound(m, x, c))
+    return calls
+
+
+@pytest.mark.parametrize("variance_sum", [0.7, 200.0, 1360.0])
+@pytest.mark.parametrize("K", [1.0, 1.3])
+def test_calculators_give_one_thresholds_bits_on_a_grid(variance_sum, K):
+    for call in _grid_calls(variance_sum, K):
+        one_at_a_time = [float(call(float(x))) for x in THRESHOLDS]
+        assert _bits(call(THRESHOLDS)) == _bits(one_at_a_time)
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 5])
+def test_float_power_is_the_scalar_pow(p):
+    # The positive-moment column divides by x**p; numpy's ** on an array is
+    # not libm pow and moves some thresholds by an ulp, np.float_power is.
+    assert _bits(np.float_power(THRESHOLDS, p)) == _bits([float(x) ** p for x in THRESHOLDS])
+
+
+@pytest.mark.parametrize("n", [1, 2, 1000])
+@pytest.mark.parametrize("mode", ["per_measure_independent", "gaussian_copula"])
+def test_max_term_capacity_gives_one_levels_bits_on_a_grid(n, mode):
+    from caplim import Marginal
+    from caplim.dependence import DependenceSpec
+    from caplim.limits import _max_term_capacity
+
+    # Centered marginals of every kind the bound-check can center; a Pareto
+    # marginal cannot be shifted, so it never gets here.
+    marginals = [Marginal.normal(-0.3, 1.36), Marginal.normal(0.0, 1.0),
+                 Marginal.uniform(-0.8, 0.2),
+                 Marginal.discrete(((-1.0, 0.25), (-0.2, 0.5), (0.9, 0.25)))]
+    spec = (DependenceSpec.independent() if mode == "per_measure_independent"
+            else DependenceSpec(mode=mode, correlation=-0.4))
+    levels = np.geomspace(1e-3, 10.0, 301)
+    one_at_a_time = [float(_max_term_capacity(marginals, n, float(y), spec)) for y in levels]
+    assert _bits(_max_term_capacity(marginals, n, levels, spec)) == _bits(one_at_a_time)
+
+
+# ---------------------------------------------------------------------------
 # Inputs validation and the formula dispatcher.
 
 
@@ -288,6 +352,8 @@ def test_bound_inputs_validation():
         BoundInputs(n=1, variance_sum=-1.0)
     with pytest.raises(ValueError):
         BoundInputs(n=1, variance_sum=1.0, K=0.5)
+    with pytest.raises(ValueError, match="K must be finite and >= 1, got inf"):
+        BoundInputs(n=1, variance_sum=1.0, K=math.inf)
     with pytest.raises(ValueError):
         BoundInputs(n=1, variance_sum=1.0, split=0.0)
     with pytest.raises(ValueError):

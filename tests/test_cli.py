@@ -137,10 +137,12 @@ class TestConfigParsing:
         parse_config_text(COMONOTONE)
         assert len(built) == 1
 
-    def test_engine_tolerance_is_rejected_with_its_line(self):
+    # ``refinement`` changed nothing: the choquet command never refines.
+    @pytest.mark.parametrize("key, value", [("tolerance", "1.0e-9"), ("refinement", "true")])
+    def test_unknown_engine_keys_are_rejected_with_their_line(self, key, value):
         with pytest.raises(ConfigError) as err:
-            parse_config_text(MINIMAL + "engine:\n  tolerance: 1.0e-9\n")
-        assert "unknown key 'tolerance'" in str(err.value)
+            parse_config_text(MINIMAL + f"engine:\n  {key}: {value}\n")
+        assert f"unknown key '{key}'" in str(err.value)
         assert "line 12" in str(err.value)
 
 
@@ -197,6 +199,8 @@ BROKEN = {
                         "family.parameters[0].domain (line 5): domain must satisfy lo <= hi"),
     "family-K": (MINIMAL.replace("K: 1.0", "K: 0.5"),
                  "family.K (line 10): K must be at least 1, got 0.5"),
+    "family-K-infinite": (MINIMAL.replace("K: 1.0", "K: .inf"),
+                          "family.K (line 10): K must be finite, got inf"),
     "grid-point-marginal": (
         _marginal("  - kind: bernoulli\n    p: mu\n").replace("[0.0, 0.0]", "[0.5, 1.5]"),
         "family (line 1): at mu = 1.125: bernoulli p must lie in [0, 1], got 1.125"),
@@ -211,9 +215,15 @@ BROKEN = {
     "dependence-K": (MINIMAL + "dependence:\n  mode: gaussian_copula\n  correlation: 0.0\n"
                      "  K: 0.9\n",
                      "dependence.K (line 14): K must be at least 1, got 0.9"),
+    "dependence-K-infinite": (MINIMAL + "dependence:\n  mode: gaussian_copula\n"
+                              "  correlation: 0.0\n  K: .inf\n",
+                              "dependence.K (line 14): K must be finite, got inf"),
     "bounds-inputs-K": (MINIMAL + "bounds:\n  formula: chebyshev\n  inputs:\n    n: 2\n"
                         "    K: 0.25\n",
                         "bounds.inputs.K (line 15): K must be at least 1, got 0.25"),
+    "bounds-inputs-K-nan": (MINIMAL + "bounds:\n  formula: chebyshev\n  inputs:\n    n: 2\n"
+                            "    K: .nan\n",
+                            "bounds.inputs.K (line 15): K must be finite, got nan"),
     "correlation-matrix-not-rows": (
         MINIMAL + "dependence:\n  mode: gaussian_copula\n  correlation_matrix: [1.0, 0.5]\n",
         "dependence.correlation_matrix (line 13): expected a list of rows"),
@@ -274,7 +284,14 @@ class TestCommandLine:
                                      "correlation_matrix: [[1.0, -0.5], [-0.5, 1.0]]"))
         assert main(["experiment", mode, "--config", str(path)]) == 1
         err = capsys.readouterr().err
-        assert "correlation_matrix" in err and "NoneType" not in err
+        assert "experiment (line 21): correlation_matrix describes one fixed block" in err
+        assert "NoneType" not in err
+        # A pair copula over a family of several measures fails at the same line.
+        assert text.count("domain: [0.0, 0.0]") == 1
+        path.write_text(text.replace("domain: [0.0, 0.0]", "domain: [0.0, 0.5]"))
+        assert main(["experiment", mode, "--config", str(path)]) == 1
+        assert ("experiment (line 21): the pairwise copula requires a single-measure family"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("mode", ["wlln", "slln", "cluster", "lil", "necessity",
                                       "bound-check"])
@@ -533,6 +550,19 @@ class TestCommandLine:
         captured = capsys.readouterr()
         assert "PASS" not in captured.out
         assert f"{where}: {message}" in captured.err
+
+    def test_verify_end_rejects_an_infinite_dominating_constant(self, tmp_path, capsys):
+        # With K = inf, an exact margin inf * 0 - joint is NaN, and the run
+        # used to report "FAIL (worst margin inf at )" and exit 2.
+        text = (CONFIG_DIR / "end_countermonotone.yaml").read_text()
+        assert text.count("K: 1.0") == 2
+        path = tmp_path / "infinite.yaml"
+        path.write_text(text.replace("K: 1.0", "K: .inf"))
+        assert main(["verify", "end", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        line = text.splitlines().index("  K: 1.0") + 1
+        assert "FAIL" not in captured.out
+        assert f"family.K (line {line}): K must be finite, got inf" in captured.err
 
     def test_verify_end_over_no_cases_exits_one(self, tmp_path, capsys):
         text = (CONFIG_DIR / "end_countermonotone.yaml").read_text()

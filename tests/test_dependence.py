@@ -114,6 +114,8 @@ class TestDependenceSpecValidation:
          "joint_atoms points and probabilities must be finite"),
         (dict(mode="discrete_joint", joint_atoms=(((0.0, NAN), 0.5), ((1.0, 0.0), 0.5))),
          "joint_atoms points and probabilities must be finite"),
+        (dict(mode="per_measure_independent", K=math.inf),
+         "dominating constant K must be finite and >= 1, got inf"),
         (dict(mode="per_measure_independent", correlation=-0.5),
          "per_measure_independent does not read correlation"),
         (dict(mode="per_measure_independent", joint_atoms=COUNTERMONOTONE.joint_atoms),

@@ -262,12 +262,12 @@ class TestLil:
         assert len(result.tables["lil"][1]) == 6
 
     def test_copula_needs_singleton_family(self):
+        # The config is rejected as it is built, before any run.
         dep = DependenceSpec(mode="gaussian_copula", correlation=-0.5)
         fam = make_location_family(-0.2, 0.2, resolution=3)
-        cfg = ExperimentConfig(mode="lil", family=fam, dependence=dep,
-                               horizon=5000, burn_in=100)
         with pytest.raises(ValueError, match="single"):
-            run_experiment(cfg)
+            ExperimentConfig(mode="lil", family=fam, dependence=dep,
+                             horizon=5000, burn_in=100)
 
 
 class TestCluster:

@@ -262,6 +262,11 @@ def test_family_validation():
                       builder=lambda t: ProductMeasure((Marginal.normal(t, 1.0),),
                                                        stationary=True),
                       grid_resolution=9, K=0.5, name="bad")
+    with pytest.raises(ValueError, match="K must be finite and >= 1, got inf"):
+        MeasureFamily(parameter_domain=((0.0, 1.0),),
+                      builder=lambda t: ProductMeasure((Marginal.normal(t, 1.0),),
+                                                       stationary=True),
+                      grid_resolution=9, K=math.inf, name="bad")
 
 
 # ---------------------------------------------------------------------------
