@@ -18,7 +18,7 @@ pinned values together with a human-readable derivation trail.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -87,6 +87,11 @@ class BoundInputs:
             raise ValueError(f"split must lie in (0, 1], got {self.split}")
         if self.tail_power is not None and not self.tail_power > 0:
             raise ValueError(f"tail_power must be positive, got {self.tail_power}")
+        # NaN passes the checks above, and an infinite moment sum makes every bound vacuous.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if "float" in f.type and value is not None and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
 
     def require(self, *names: str) -> None:
         for name in names:
@@ -368,6 +373,9 @@ def conjugate_split_bound(inputs: BoundInputs, x, constants: DerivedConstants | 
 
 # -- formula dispatcher ------------------------------------------------------------------
 
+# The formulas ``evaluate_formula`` knows, by name.
+_FORMULAS = ("exp", "split", "power", "chebyshev", "choquet-moment", "moricz", "conjugate")
+
 
 def evaluate_formula(name: str, inputs: BoundInputs, x, *,
                      constants: DerivedConstants | None = None,
@@ -382,9 +390,20 @@ def evaluate_formula(name: str, inputs: BoundInputs, x, *,
     Returns a mapping from output column name to values, plus the derivation
     trail of any constants involved.
     """
+    if name not in _FORMULAS:
+        raise ValueError(f"unknown formula {name!r}; expected one of {', '.join(_FORMULAS)}")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(x <= 0):
         raise ValueError("thresholds must be positive")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("thresholds must be finite")
+    scalars = {"per_term_pos_choquet": per_term_pos_choquet,
+               "max_term_pos_choquet": max_term_pos_choquet,
+               "max_pos_choquet": max_pos_choquet,
+               "max_second_moment": max_second_moment, "tilt": tilt}
+    for key, value in scalars.items():
+        if value is not None and not np.all(np.isfinite(value)):
+            raise ValueError(f"{key} must be finite, got {value}")
     if constants is None and inputs.order is not None:
         constants = DerivedConstants.for_order(inputs.order)
     trace = constants.trace if constants is not None else ()
@@ -426,14 +445,10 @@ def evaluate_formula(name: str, inputs: BoundInputs, x, *,
                                               constants)
         return ({"moricz_dyadic": np.full_like(x, dyadic),
                  "moricz_text_form": np.full_like(x, text)}, trace)
-    if name == "conjugate":
-        out = {"conjugate_chebyshev": chebyshev_bound(inputs, x)}
-        if inputs.truncation is not None:
-            out["conjugate_exp"] = kolmogorov_exponential_bound(inputs, x)
-        if inputs.order is not None and inputs.abs_moment_sum is not None:
-            out["conjugate_split"] = conjugate_split_bound(inputs, x, constants, form=form)
-        return out, trace
-    raise ValueError(
-        f"unknown formula {name!r}; expected one of exp, split, power, chebyshev, "
-        "choquet-moment, moricz, conjugate"
-    )
+    # name == "conjugate"
+    out = {"conjugate_chebyshev": chebyshev_bound(inputs, x)}
+    if inputs.truncation is not None:
+        out["conjugate_exp"] = kolmogorov_exponential_bound(inputs, x)
+    if inputs.order is not None and inputs.abs_moment_sum is not None:
+        out["conjugate_split"] = conjugate_split_bound(inputs, x, constants, form=form)
+    return out, trace

@@ -34,15 +34,13 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .bounds import BoundInputs, DerivedConstants, evaluate_formula
+from .bounds import _FORMULAS, BoundInputs, DerivedConstants, evaluate_formula
 from .config import ConfigBundle, ConfigError, parse_config
 from .dependence import verify_end, verify_extended_independence
-from .limits import run_experiment
+from .limits import _MODES, run_experiment
 from .sublinear import SublinearEngine, TestFunction, run_axiom_suite
 
 __all__ = ["main"]
-
-_EXPERIMENT_MODES = ("wlln", "slln", "cluster", "lil", "necessity", "bound-check")
 
 
 def _fmt12(value) -> str:
@@ -446,8 +444,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bounds = sub.add_parser("bounds", parents=[common],
                             help="evaluate tail-bound formulas")
     bounds.add_argument("action", choices=("eval",))
-    bounds.add_argument("--formula", help="exp, split, power, chebyshev, "
-                                          "choquet-moment, moricz, or conjugate")
+    bounds.add_argument("--formula", help=", ".join(_FORMULAS[:-1]) + f", or {_FORMULAS[-1]}")
     bounds.add_argument("--x", type=_float_list,
                         help="comma-separated thresholds")
     bounds.add_argument("--n", type=int, help="number of summands")
@@ -469,7 +466,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     experiment = sub.add_parser("experiment", parents=[common],
                                 help="run a limit-theorem experiment")
-    experiment.add_argument("mode", choices=_EXPERIMENT_MODES)
+    experiment.add_argument("mode", choices=[mode.replace("_", "-") for mode in _MODES])
 
     sub.add_parser("choquet", parents=[common],
                    help="Choquet integral against the configured family")

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, fields
 
 import yaml
 
-from .bounds import BoundInputs
+from .bounds import _FORMULAS, BoundInputs
 from .dependence import DependenceSpec
 from .limits import ExperimentConfig, _MODES, _UNHASHED
 from .measures import Marginal, MeasureFamily, ProductMeasure
@@ -155,6 +155,14 @@ def _number(ctx: _Context, value, path: str) -> float:
     return float(value)
 
 
+def _finite(ctx: _Context, value, path: str) -> float:
+    got = _number(ctx, value, path)
+    if not math.isfinite(got):
+        name = path.rsplit(".", 1)[-1]
+        raise ctx.fail(path, f"{name} must be finite, got {got:g}")
+    return got
+
+
 def _integer(ctx: _Context, value, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ctx.fail(path, "expected an integer")
@@ -184,12 +192,8 @@ def _at_least(least: int, read=_integer):
     return read_bounded
 
 
-def _dominating_constant(ctx: _Context, value, path: str) -> float:
-    """The K of the family, the dependence or the bound inputs."""
-    got = _at_least(1, _number)(ctx, value, path)
-    if not math.isfinite(got):
-        raise ctx.fail(path, f"K must be finite, got {got:g}")
-    return got
+# The K of the family, the dependence or the bound inputs.
+_dominating_constant = _at_least(1, _finite)
 
 
 def _one_of(what: str, allowed: tuple[str, ...]):
@@ -219,8 +223,8 @@ _interval = _items(_number, "expected [lo, hi]", least=2, most=2)
 
 def _numbers(ctx: _Context, value, path: str) -> tuple[float, ...]:
     if isinstance(value, list):
-        return tuple(_number(ctx, v, f"{path}[{i}]") for i, v in enumerate(value))
-    return (_number(ctx, value, path),)
+        return tuple(_finite(ctx, v, f"{path}[{i}]") for i, v in enumerate(value))
+    return (_finite(ctx, value, path),)
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +438,7 @@ _schedule = _items(_integer, "expected a list of integers", least=0)
 
 
 def _exponent(ctx: _Context, value, path: str) -> float:
-    exponent = _number(ctx, value, path)
+    exponent = _finite(ctx, value, path)
     if exponent <= 0.0:
         raise ctx.fail(path, "exponent must be positive")
     return exponent
@@ -451,23 +455,13 @@ _EXPERIMENT_READERS = {
 }
 
 # Every BoundInputs field is a key; the count and the moment order are
-# integers, K is a dominating constant, everything else is a number.
+# integers, K is a dominating constant, everything else is a finite number.
 _BOUND_INPUT_READERS = {
     f.name: {"n": _integer, "order": _integer, "K": _dominating_constant}.get(
-        f.name, _number
+        f.name, _finite
     )
     for f in fields(BoundInputs)
 }
-
-_BOUND_FORMULAS = (
-    "exp",
-    "split",
-    "power",
-    "chebyshev",
-    "choquet-moment",
-    "moricz",
-    "conjugate",
-)
 
 _CHOQUET_FUNCTIONS = ("abs_power", "pos_power", "power")
 
@@ -479,12 +473,12 @@ _SECTIONS = {
         "enumeration_cap": _integer,
     },
     "bounds": {
-        "formula": _one_of("formula", _BOUND_FORMULAS),
+        "formula": _one_of("formula", _FORMULAS),
         "form": _either("form", "pre", "post"),
-        "tilt": _number,
+        "tilt": _finite,
         "x": _numbers,
         "choquet_terms": _numbers,
-        "max_second_moment": _number,
+        "max_second_moment": _finite,
         "inputs": _section(_BOUND_INPUT_READERS),
     },
     "choquet": {

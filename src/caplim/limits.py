@@ -14,6 +14,13 @@ marginals, the batches, the worker pool and the rows; the weak law and the
 bound sweep read its last column, ``S_n``, through ``_final_sums``. Every
 runner returns through ``_result``.
 
+A runner reads the family as the first marginal of each measure, from
+``_grid_marginals``, over its grid or a dense refinement built once per run.
+Each extremum over the dense list (mean interval, worst-case moments, the
+cluster's steering) is one ``_extreme`` pick of the first entry attaining
+it. Every mode but the divergence check needs a finite mean interval, and
+the iterated logarithm a finite upper variance.
+
 Sums keep the bits of a chunked scan: chunks of ``_rows_per_chunk``
 draws, each summed sequentially and added to the running total. The work
 itself goes in tiles of about ``_TILE`` entries (512 KiB), each drawn,
@@ -68,8 +75,6 @@ __all__ = [
     "run_slln",
     "run_wlln",
 ]
-
-_MODES = ("wlln", "slln", "cluster", "lil", "necessity", "bound_check")
 
 # ExperimentConfig fields left out of the config hash (and out of the
 # config file's experiment section): the family and the dependence enter
@@ -315,43 +320,43 @@ def _transform_chunk(
     return out
 
 
-def _dense_parameters(family: MeasureFamily):
-    """Parameter list refined well beyond the coarse evaluation grid."""
-    points = 513 if family.dim == 1 else 65
-    return replace(family, grid_resolution=points).grid_parameters()
+def _grid_marginals(family: MeasureFamily, dense: bool = False) -> list[Marginal]:
+    """The first marginal at each point of the family grid or, when ``dense``, of
+    one refined well beyond it: 513 points, or 65 per axis for two axes."""
+    if dense:
+        family = replace(family, grid_resolution=513 if family.dim == 1 else 65)
+    return [family.measure_at(theta).marginal(0) for theta in family.grid_parameters()]
 
 
-def _dense_extreme(family: MeasureFamily, of_marginal, sense: str):
-    """Extremize a closed-form functional of the first coordinate."""
-    best_theta = None
-    best = -math.inf if sense == "max" else math.inf
-    for theta in _dense_parameters(family):
-        value = of_marginal(family.measure_at(theta).marginal(0))
-        if (sense == "max" and value > best) or (sense == "min" and value < best):
-            best = value
-            best_theta = theta
-    return best, best_theta
+def _extreme(values, sense: str = "max") -> tuple[float, int]:
+    """The largest (or, for ``"min"``, smallest) of ``values`` and the index of
+    the first entry that attains it."""
+    values = np.asarray(values, dtype=float)
+    i = int(values.argmax() if sense == "max" else values.argmin())
+    return float(values[i]), i
 
 
-def _extreme_measures(family: MeasureFamily):
-    """The mean interval ``mu_low, mu_up`` and the measures at its ends.
+def _extreme_measures(dense: list[Marginal]):
+    """The mean interval ``mu_low, mu_up`` over ``dense`` and the measures at its ends.
 
-    The measures are ``(label, theta)`` pairs: ``mean_low``, then
-    ``mean_up`` when a different parameter attains it.
+    The measures are ``(label, marginal)`` pairs: ``mean_low``, then
+    ``mean_up`` when a different entry attains it. An infinite mean leaves no
+    band to test, so a non-finite interval is rejected.
     """
-    mu_up, theta_up = _dense_extreme(family, lambda m: m.mean(), "max")
-    mu_low, theta_low = _dense_extreme(family, lambda m: m.mean(), "min")
-    measures = [("mean_low", theta_low)]
-    if theta_up != theta_low:
-        measures.append(("mean_up", theta_up))
+    means = [m.mean() for m in dense]
+    mu_low, i_low = _extreme(means, "min")
+    mu_up, i_up = _extreme(means, "max")
+    if not math.isfinite(mu_low) or not math.isfinite(mu_up):
+        raise ValueError(f"the mean interval [{mu_low}, {mu_up}] is not finite; "
+                         "this mode needs a finite mean under every measure")
+    measures = [("mean_low", dense[i_low])]
+    if i_up != i_low:
+        measures.append(("mean_up", dense[i_up]))
     return mu_low, mu_up, measures
 
 
-def _sup_centered_second_moment(family: MeasureFamily, center: float) -> float:
-    value, _ = _dense_extreme(
-        family, lambda m: m.variance() + (m.mean() - center) ** 2, "max"
-    )
-    return value
+def _sup_centered_second_moment(dense: list[Marginal], center: float) -> float:
+    return _extreme([m.variance() + (m.mean() - center) ** 2 for m in dense])[0]
 
 
 def _shift_marginal(marginal: Marginal, c: float) -> Marginal:
@@ -508,7 +513,7 @@ def _pairwise_draw_sum(seed: int, context: int, marginal: Marginal,
 def _scan_trajectories(config: ExperimentConfig, context: int, measures, reduce) -> list:
     """Rows ``(label, trajectory, *statistics)`` over every measure's trajectories.
 
-    ``measures`` lists ``(label, theta)`` pairs, and measure i draws from
+    ``measures`` lists ``(label, marginal)`` pairs, and measure i draws from
     stream context ``context + i``. For each batch of trajectories,
     ``reduce(chunks, size)`` takes the ``(start, stop, s, carry)`` pieces of
     ``_partial_sums`` over ``size`` trajectories and returns one array per
@@ -516,14 +521,12 @@ def _scan_trajectories(config: ExperimentConfig, context: int, measures, reduce)
     a reducer adds the carry to the columns it reads and to no others.
     Rows come in measure order, then trajectory order.
     """
-    marginals = [config.family.measure_at(theta).marginal(0) for _, theta in measures]
-
     def scan(task):
         i, cols = task
-        chunks = _partial_sums(config, context + i, cols, [marginals[i]], config.horizon,
+        label, marginal = measures[i]
+        chunks = _partial_sums(config, context + i, cols, [marginal], config.horizon,
                                _rows_per_chunk(len(cols)))
         stats = reduce(((a, b, s, carry) for _, a, b, s, carry in chunks), len(cols))
-        label = measures[i][0]
         return [(label, col, *map(float, row)) for col, row in zip(cols, zip(*stats))]
 
     tasks = [(i, cols) for i in range(len(measures))
@@ -586,10 +589,9 @@ def run_wlln(config: ExperimentConfig) -> ExperimentResult:
     """
     family = config.family
     eps = config.epsilon
-    mu_low, mu_up, _ = _extreme_measures(family)
+    mu_low, mu_up, _ = _extreme_measures(_grid_marginals(family, dense=True))
     schedule = config.schedule or _default_schedule(config.horizon)
-    thetas = family.grid_parameters()
-    marginals = [family.measure_at(t).marginal(0) for t in thetas]
+    marginals = _grid_marginals(family)
 
     windows = {
         "band": (mu_low - eps, mu_up + eps),
@@ -618,8 +620,7 @@ def run_wlln(config: ExperimentConfig) -> ExperimentResult:
     rows = []
     band_lower = []
     for n, probs, ses in results:
-        i_min = int(np.argmin(probs["band"]))
-        lower_cap = float(probs["band"][i_min])
+        lower_cap, i_min = _extreme(probs["band"], "min")
         band_lower.append((lower_cap, float(ses["band"][i_min])))
         rows.append(
             (
@@ -667,7 +668,7 @@ def run_slln(config: ExperimentConfig) -> ExperimentResult:
     must keep ``S_k/k`` inside ``[mu_low - eps, mu_up + eps]`` for all
     ``k`` past the burn-in. Violations are counted per trajectory.
     """
-    mu_low, mu_up, measures = _extreme_measures(config.family)
+    mu_low, mu_up, measures = _extreme_measures(_grid_marginals(config.family, dense=True))
     n0 = config.burn_in
     lo_bar, hi_bar = mu_low - config.epsilon, mu_up + config.epsilon
 
@@ -723,20 +724,14 @@ def run_cluster(config: ExperimentConfig) -> ExperimentResult:
     if config.dependence.mode != "per_measure_independent":
         raise ValueError("the cluster sampler switches measures between "
                          "blocks and requires independent draws")
-    family = config.family
-    mu_low, mu_up, _ = _extreme_measures(family)
+    dense = _grid_marginals(config.family, dense=True)
+    mu_low, mu_up, _ = _extreme_measures(dense)
     if mu_up - mu_low < config.cluster_grid_step:
         raise ValueError("mean interval is narrower than the target grid step")
 
     n_targets = int(round((mu_up - mu_low) / config.cluster_grid_step)) + 1
     targets = np.linspace(mu_low, mu_up, n_targets)
-    params = _dense_parameters(family)
-    means = np.array(
-        [family.measure_at(t).marginal(0).mean() for t in params]
-    )
-
-    def nearest_theta(desired: float):
-        return params[int(np.argmin(np.abs(means - desired)))]
+    means = np.array([m.mean() for m in dense])
 
     consumed = 0
     total = 0.0
@@ -763,8 +758,7 @@ def run_cluster(config: ExperimentConfig) -> ExperimentResult:
             r = consumed / n_next
             desired = (goal - r * v) / (1.0 - r)
         desired = min(max(desired, mu_low), mu_up)
-        theta = nearest_theta(desired)
-        marginal = family.measure_at(theta).marginal(0)
+        marginal = dense[_extreme(np.abs(means - desired), "min")[1]]
         block_sum = 0.0
         # The chunks set the summation order, so they stay at 2**22 draws.
         for start, stop in _chunk_ranges(count, _CLUSTER_CHUNK):
@@ -831,10 +825,13 @@ def run_lil(config: ExperimentConfig) -> ExperimentResult:
     with ``r_upper`` at most ``sigma_up * (1 + lil_epsilon)`` reaches
     the configured quantile; the mirrored side is reported alongside.
     """
-    family = config.family
-    mu_low, mu_up, measures = _extreme_measures(family)
-    sigma_up = math.sqrt(_sup_centered_second_moment(family, mu_up))
-    sigma_low = math.sqrt(_sup_centered_second_moment(family, mu_low))
+    dense = _grid_marginals(config.family, dense=True)
+    mu_low, mu_up, measures = _extreme_measures(dense)
+    sigma_up = math.sqrt(_sup_centered_second_moment(dense, mu_up))
+    sigma_low = math.sqrt(_sup_centered_second_moment(dense, mu_low))
+    if not math.isfinite(sigma_up) or not math.isfinite(sigma_low):
+        raise ValueError(f"the upper variance is not finite (sigma_upper {sigma_up}, "
+                         f"sigma_lower {sigma_low}); lil needs a finite one")
     checkpoints = _geometric_checkpoints(
         config.burn_in, config.horizon, config.checkpoint_growth
     )
@@ -914,7 +911,7 @@ def run_necessity(config: ExperimentConfig) -> ExperimentResult:
             peak = np.maximum(peak, np.abs(s, out=s).max(axis=1))
         return (peak,)
 
-    measures = [("", family.grid_parameters()[0])]
+    measures = [("", m) for m in _grid_marginals(family)]
     rows = [
         (col, peak, int(peak > config.divergence_threshold))
         for _, col, peak in _scan_trajectories(config, _CTX_NECESSITY, measures, reduce)
@@ -1018,18 +1015,14 @@ def run_bound_check(config: ExperimentConfig) -> ExperimentResult:
 
     else:
         n = config.horizon
-        _, center, _ = _extreme_measures(family)
-        centered = _shifted_family(family, -center)
-        thetas = centered.grid_parameters()
-        marginals = [centered.measure_at(t).marginal(0) for t in thetas]
-        variance_sum = n * _sup_centered_second_moment(family, center)
-        pos_moment, _ = _dense_extreme(
-            centered, lambda m: m.pos_part_moment(p), "max"
-        )
-        abs_moment, _ = _dense_extreme(centered, lambda m: m.abs_moment(p), "max")
-        pos_moment_sum = n * pos_moment
-        abs_moment_sum = n * abs_moment
-        engine = SublinearEngine(centered, seed=config.seed)
+        dense = _grid_marginals(family, dense=True)
+        _, center, _ = _extreme_measures(dense)
+        marginals = [_shift_marginal(m, -center) for m in _grid_marginals(family)]
+        shifted = [_shift_marginal(m, -center) for m in dense]
+        variance_sum = n * _sup_centered_second_moment(dense, center)
+        pos_moment_sum = n * _extreme([m.pos_part_moment(p) for m in shifted])[0]
+        abs_moment_sum = n * _extreme([m.abs_moment(p) for m in shifted])[0]
+        engine = SublinearEngine(_shifted_family(family, -center), seed=config.seed)
         choquet_pos = engine.choquet(
             TestFunction.pos_power(float(p)), capacity="upper"
         )
@@ -1141,6 +1134,9 @@ _RUNNERS = {
     "necessity": run_necessity,
     "bound_check": run_bound_check,
 }
+
+
+_MODES = tuple(_RUNNERS)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:

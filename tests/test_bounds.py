@@ -362,6 +362,15 @@ def test_bound_inputs_validation():
         kolmogorov_exponential_bound(BoundInputs(n=1, variance_sum=1.0), 1.0)
 
 
+@pytest.mark.parametrize("field", ["variance_sum", "order", "pos_moment_sum",
+                                   "abs_moment_sum", "truncation", "tail_power"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_bound_inputs_reject_non_finite_numbers(field, bad):
+    # A NaN or infinite input would give a table of nan or inf bounds.
+    with pytest.raises(ValueError, match=f"^{field} must be "):
+        BoundInputs(**{"n": 1, "variance_sum": 1.0, field: bad})
+
+
 def test_evaluate_formula_columns():
     inputs = BoundInputs(n=2, variance_sum=2.0, K=1.0, order=3,
                          pos_moment_sum=1.6, abs_moment_sum=3.2,
@@ -381,7 +390,28 @@ def test_evaluate_formula_columns():
     assert set(cols) == {"moricz_dyadic", "moricz_text_form"}
     cols, _ = evaluate_formula("conjugate", inputs, xs)
     assert set(cols) == {"conjugate_chebyshev", "conjugate_exp", "conjugate_split"}
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^unknown formula 'nope'; expected one of exp, split, "
+                       "power, chebyshev, choquet-moment, moricz, conjugate$"):
         evaluate_formula("nope", inputs, xs)
     with pytest.raises(ValueError):
         evaluate_formula("chebyshev", inputs, (0.0,))
+
+
+@pytest.mark.parametrize("name, x, extra, message", [
+    ("chebyshev", (1.0, math.nan), {}, "thresholds must be finite"),
+    ("exp", (math.inf,), {}, "thresholds must be finite"),
+    ("exp", (1.0,), {"tilt": math.nan}, "tilt must be finite"),
+    ("choquet-moment", (1.0,), {"per_term_pos_choquet": (0.8, math.nan)},
+     "per_term_pos_choquet must be finite"),
+    ("choquet-moment", (1.0,), {"per_term_pos_choquet": (0.8, 0.8),
+                                "max_term_pos_choquet": math.inf},
+     "max_term_pos_choquet must be finite"),
+    ("moricz", (1.0,), {"max_pos_choquet": math.inf, "max_second_moment": 1.0},
+     "max_pos_choquet must be finite"),
+    ("moricz", (1.0,), {"max_pos_choquet": 0.8, "max_second_moment": math.nan},
+     "max_second_moment must be finite"),
+])
+def test_evaluate_formula_rejects_non_finite_values(name, x, extra, message):
+    inputs = BoundInputs(n=2, variance_sum=2.0, order=3, truncation=1.0)
+    with pytest.raises(ValueError, match=f"^{message}"):
+        evaluate_formula(name, inputs, x, **extra)

@@ -224,6 +224,20 @@ BROKEN = {
     "bounds-inputs-K-nan": (MINIMAL + "bounds:\n  formula: chebyshev\n  inputs:\n    n: 2\n"
                             "    K: .nan\n",
                             "bounds.inputs.K (line 15): K must be finite, got nan"),
+    "bounds-x-nan": (MINIMAL + "bounds:\n  formula: split\n  x: [1.0, .nan]\n",
+                     "bounds.x[1] (line 13): x[1] must be finite, got nan"),
+    "bounds-tilt-nan": (MINIMAL + "bounds:\n  formula: exp\n  tilt: .nan\n",
+                        "bounds.tilt (line 13): tilt must be finite, got nan"),
+    "bounds-max-second-moment-inf": (
+        MINIMAL + "bounds:\n  formula: moricz\n  max_second_moment: .inf\n",
+        "bounds.max_second_moment (line 13): max_second_moment must be finite, got inf"),
+    "bounds-inputs-pos-moment-sum-inf": (
+        MINIMAL + "bounds:\n  formula: split\n  inputs:\n    pos_moment_sum: .inf\n",
+        "bounds.inputs.pos_moment_sum (line 14): pos_moment_sum must be finite, got inf"),
+    "choquet-exponent-nan": (MINIMAL + "choquet:\n  exponent: .nan\n",
+                             "choquet.exponent (line 12): exponent must be finite, got nan"),
+    "choquet-exponent-inf": (MINIMAL + "choquet:\n  exponent: .inf\n",
+                             "choquet.exponent (line 12): exponent must be finite, got inf"),
     "correlation-matrix-not-rows": (
         MINIMAL + "dependence:\n  mode: gaussian_copula\n  correlation_matrix: [1.0, 0.5]\n",
         "dependence.correlation_matrix (line 13): expected a list of rows"),
@@ -563,6 +577,37 @@ class TestCommandLine:
         line = text.splitlines().index("  K: 1.0") + 1
         assert "FAIL" not in captured.out
         assert f"family.K (line {line}): K must be finite, got inf" in captured.err
+
+    @pytest.mark.parametrize("flags, message", [
+        ("--formula split --x nan,1 --order 3 --pos-moment-sum 1 --variance-sum 1",
+         "thresholds must be finite"),
+        ("--formula split --x 1 --order 3 --pos-moment-sum nan --variance-sum 1",
+         "pos_moment_sum must be finite, got nan"),
+        ("--formula exp --x 1 --truncation 1 --tilt nan", "tilt must be finite, got nan"),
+        ("--formula exp --x inf --truncation 1", "thresholds must be finite"),
+        ("--formula moricz --x 1 --order 3 --choquet-terms nan --max-second-moment 1",
+         "per_term_pos_choquet must be finite"),
+        ("--formula moricz --x 1 --order 3 --choquet-terms 1 --max-second-moment nan",
+         "max_second_moment must be finite, got nan"),
+    ])
+    def test_bounds_eval_rejects_non_finite_flags(self, flags, message, capsys):
+        # Each would otherwise print a table of nan cells and exit 0.
+        assert main(["bounds", "eval", *flags.split()]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"error: {message}" in captured.err
+
+    @pytest.mark.parametrize("mode", ["wlln", "slln", "cluster", "lil", "bound-check"])
+    def test_experiments_on_an_infinite_mean_exit_one(self, mode, tmp_path, capsys):
+        # Pareto(1) has no finite mean, so there is no mean interval to test;
+        # only the divergence check reads such a family.
+        text = (CONFIG_DIR / "necessity_pareto.yaml").read_text()
+        path = tmp_path / "pareto.yaml"
+        path.write_text(text.replace("horizon: 1000000", "horizon: 2000"))
+        assert main(["experiment", mode, "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out and "FAIL" not in captured.out
+        assert "error: the mean interval [inf, inf] is not finite" in captured.err
 
     def test_verify_end_over_no_cases_exits_one(self, tmp_path, capsys):
         text = (CONFIG_DIR / "end_countermonotone.yaml").read_text()
