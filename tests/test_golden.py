@@ -13,7 +13,8 @@ copula pairs across chunk edges that start mid-counter, the shipped
 ``by_axiom`` table), an axiom corpus whose Monte Carlo case integrates by
 quadrature, the END check and the exact bound-check on the shipped
 countermonotone config, the Monte Carlo END and extended-independence checks
-under the pair and the matrix copula, over families that list two marginals, and both verifiers'
+under the pair and the matrix copula, over families that list two marginals, and over a
+nine-point Pareto grid, the Monte Carlo cross-check of a joint table, and both verifiers'
 exact paths: quadrature over an independent family (END in the lower
 direction) and enumeration of the countermonotone table in the
 extended-independence check.
@@ -154,6 +155,22 @@ family:
     hi: mu + 1.0
   K: 1.0
   resolution: 3
+"""
+
+# A nine-point shape grid of Pareto laws. No corpus function has an exact
+# Pareto path, so both verifiers estimate every case by Monte Carlo, with
+# every grid measure reading the same uniforms.
+PARETO_SHAPE = """\
+family:
+  name: pareto-shape
+  parameters:
+  - name: a
+    domain: [2.5, 4.0]
+  marginals:
+  - kind: pareto
+    alpha: a
+  K: 1.0
+  resolution: 9
 """
 
 COPULA = """\
@@ -325,6 +342,25 @@ verify:
   corpus_cases: 4
   mc_replications: 20000
 """),
+    # The corpus box reaches the 1 - 1e-9 quantile of the heaviest Pareto
+    # law, near 4000, so most corpus functions vanish on every sample; at
+    # these seeds one case of each check is nonzero.
+    "verify_end_pareto_grid": (("verify", "end", "--seed", "7"), PARETO_SHAPE + """\
+verify:
+  corpus_cases: 2
+  mc_replications: 4000
+"""),
+    "verify_extindep_pareto_grid": (("verify", "extindep", "--seed", "8"), PARETO_SHAPE + """\
+verify:
+  corpus_cases: 2
+  mc_replications: 4000
+"""),
+    # The Monte Carlo cross-check of the shipped joint table.
+    "verify_end_countermonotone_cross_check": (
+        ("verify", "end"),
+        (CONFIGS / "end_countermonotone.yaml").read_text().replace(
+            "corpus_cases: 24", "corpus_cases: 2\n  mc_cross_check: true\n"
+            "  mc_replications: 4000")),
 }
 
 # name -> {artifact: sha256}
@@ -381,6 +417,10 @@ DIGESTS = {
         "cases.csv": "7c070f5e1b15fb688a87cbe73826ddec475d2038bb5d5931fb69ddf76d22b357",
         "result.json": "8c248b009f5493d7a5d768c76ef69cd28c339705af81cc9a8b6087e87e161c12",
     },
+    "verify_end_countermonotone_cross_check": {
+        "cases.csv": "fe9a37d08defd0c8f40e2ca1bc6a22e24c075f644446ebf9687c01798a41cb58",
+        "result.json": "c9a7f3ea0854df4e9916a72bff82d8766ee8757231620adf876b54d4dbf89487",
+    },
     "verify_end_lower_quadrature": {
         "cases.csv": "4382bd2e6fa237ae22383443db95b5d26b63e9e32569d9a84d1c59c3f9dbdebf",
         "result.json": "c10546bf7aff1c34f88f7693e81369ac43314eff13d34d2b75174b3dbd7ca8d8",
@@ -393,6 +433,10 @@ DIGESTS = {
         "cases.csv": "33f42826244d7c0cc18cc46581c5a84ff9e4f260d86f9edd8f8dac57a88310ee",
         "result.json": "9636a4c99050a8b2dd9a5d387e494d5c782f4296295cd98c634ee0dfdc23b7cc",
     },
+    "verify_end_pareto_grid": {
+        "cases.csv": "73901fe5e9c7fc54532d3cc4ffdbb228583aec41e746b12fd2613b8f738cb270",
+        "result.json": "244b1c40c8825565a7f23f3a5b5d86ca0e107ce812da72115789b8f98bd37f6c",
+    },
     "verify_extindep_copula": {
         "cases.csv": "880a6f0c1d4764df30840c2d7e89ef47bc2f0eedad8cf5dd2d752ec1d4ff475c",
         "result.json": "9614de9242eda1f8bb90237e32dd8c1c01007926e3821b7c56e748a10be0ebf9",
@@ -400,6 +444,10 @@ DIGESTS = {
     "verify_extindep_countermonotone": {
         "cases.csv": "f34e69108496977547ccaa2eae0d645738c2150948720266546c04e7841e909f",
         "result.json": "92ef0e108fe92b9cd6429710e92072d0fd3d4b2fc4e7733f72c684bbba9d02f9",
+    },
+    "verify_extindep_pareto_grid": {
+        "cases.csv": "b51eb5ac5f26fb2219ab370dc88f477b72e0f3a2866dd9dab4e8653aa71456a8",
+        "result.json": "caafcd34488ba2354efecea78316cdc83a2f892cece0f3fdb7e7ec4e16869005",
     },
     "verify_extindep_quadrature": {
         "cases.csv": "017d7a2406ff12606aba4c30d24649b274522a0c0f252b21c6c93850c923ab6f",

@@ -687,3 +687,56 @@ def test_capacity_bracket_orders():
     tol = 3.0 * max(r.se or 0.0 for r in got.values()) + 1e-9
     assert got["inner"].value <= got["capacity"].value + tol
     assert got["capacity"].value <= got["outer"].value + tol
+
+
+# float.hex of (value, tail exponent) of each closed-form survival path of
+# the Choquet integral, over a five-point normal location family.
+SURVIVAL_CHOQUETS = {
+    ("power", "upper"): ("0x1.000020fe31f9bp-1", "0x1.0d1020af7ff1ep+5"),
+    ("power", "lower"): ("-0x1.000020fe31f9bp-1", "0x1.51207d9b26677p+3"),
+    ("pos_power", "upper"): ("0x1.dda6ca617b9f0p-1", "0x1.c0412ca3e1375p+3"),
+    ("pos_power", "lower"): ("0x1.0e6975f9ed176p-2", "0x1.0787ae9548b84p+4"),
+    ("abs_power", "upper"): ("0x1.8ccd8e9077e0ap+0", "0x1.15f9d89af598ap+4"),
+    ("abs_power", "lower"): ("0x1.4ccd6b596abf0p+0", "0x1.296faec32d384p+4"),
+}
+
+
+@pytest.mark.parametrize("capacity", ["upper", "lower"])
+@pytest.mark.parametrize("name", ["power", "pos_power", "abs_power"])
+def test_survival_choquets_are_pinned(name, capacity):
+    f = {"power": TestFunction.power(1), "pos_power": TestFunction.pos_power(1.5),
+         "abs_power": TestFunction.abs_power(2.0)}[name]
+    rep = SublinearEngine(make_location_family(-0.5, 0.5, var=1.3, resolution=5)).choquet(
+        f, capacity)
+    assert rep.method == "survival"
+    got = (rep.value.hex(), None if rep.tail_exponent is None else rep.tail_exponent.hex())
+    assert got == SURVIVAL_CHOQUETS[name, capacity]
+
+
+# float.hex of the value and parameter of refined envelopes over two-axis
+# families, with both axes on a grid and with either one degenerate; the
+# location peaks off the grid, so every refinement moves.
+TWO_AXIS_ENVELOPES = {
+    "both": ("0x1.6fbb7ff19f283p-2", ("0x1.7ae1472e15683p-2", "0x1.3851eb451ea8cp-1"), True),
+    "a_fixed": ("0x1.6dd3d7c78e4a0p-2", ("0x1.3333333333333p-2", "0x1.3851eb451ea8cp-1"), True),
+    "b_fixed": ("0x1.6c948905c14e7p-2", ("0x1.7ae1472e15683p-2", "0x1.6666666666666p-1"), True),
+}
+
+
+def _two_axis_family(a_domain, b_domain) -> MeasureFamily:
+    def build(a: float, b: float) -> ProductMeasure:
+        return ProductMeasure((Marginal.normal(1.0 - (a - 0.37) ** 2 - (b - 0.61) ** 2, 1.2),))
+
+    return MeasureFamily(parameter_domain=(a_domain, b_domain), builder=build,
+                         grid_resolution=4, name="two-axis-location")
+
+
+@pytest.mark.parametrize("name", ["both", "a_fixed", "b_fixed"])
+def test_refined_two_axis_envelopes_are_pinned(name):
+    domains = {"both": ((-0.5, 1.0), (0.0, 1.5)), "a_fixed": ((0.3, 0.3), (0.0, 1.5)),
+               "b_fixed": ((-0.5, 1.0), (0.7, 0.7))}[name]
+    f = TestFunction.clamp_affine(0.8, -0.1, -1.0, 0.7)
+    report = SublinearEngine(_two_axis_family(*domains)).upper_exp(f)
+    assert report.method == "quadrature"
+    got = (report.value.hex(), tuple(float(t).hex() for t in report.parameter), report.refined)
+    assert got == TWO_AXIS_ENVELOPES[name]
