@@ -282,9 +282,7 @@ def choquet_moment_bound(inputs: BoundInputs, per_term_pos_choquet: Sequence[flo
     p = inputs.order
     if constants is None:
         constants = DerivedConstants.for_order(p)
-    per_term = np.asarray(per_term_pos_choquet, dtype=float)
-    if len(per_term) != inputs.n:
-        raise ValueError(f"expected {inputs.n} per-term Choquet moments, got {len(per_term)}")
+    per_term = _per_term_moments(inputs, per_term_pos_choquet)
     gauss = constants.moment * inputs.K * inputs.variance_sum ** (p / 2.0)
     sum_form = p**p * float(np.sum(per_term)) + gauss
     if max_term_pos_choquet is not None:
@@ -295,6 +293,14 @@ def choquet_moment_bound(inputs: BoundInputs, per_term_pos_choquet: Sequence[flo
             )
         return sum_form, max_form
     return sum_form
+
+
+def _per_term_moments(inputs: BoundInputs, per_term_pos_choquet: Sequence[float]) -> np.ndarray:
+    """The per-term Choquet moments, one for each of the ``n`` summands."""
+    per_term = np.asarray(per_term_pos_choquet, dtype=float)
+    if len(per_term) != inputs.n:
+        raise ValueError(f"expected {inputs.n} per-term Choquet moments, got {len(per_term)}")
+    return per_term
 
 
 # -- maximal partial-sum bounds -------------------------------------------------------
@@ -436,6 +442,7 @@ def evaluate_formula(name: str, inputs: BoundInputs, x, *,
     if name == "moricz":
         if max_pos_choquet is None and per_term_pos_choquet is not None:
             # The bound reads only the largest per-term moment.
+            _per_term_moments(inputs, per_term_pos_choquet)
             max_pos_choquet = max(per_term_pos_choquet)
         if max_pos_choquet is None or max_second_moment is None:
             raise ValueError("moricz needs per_term_pos_choquet (or max_pos_choquet) "

@@ -38,7 +38,7 @@ from .bounds import _FORMULAS, BoundInputs, DerivedConstants, evaluate_formula
 from .config import ConfigBundle, ConfigError, parse_config
 from .dependence import verify_end, verify_extended_independence
 from .limits import _MODES, run_experiment
-from .sublinear import SublinearEngine, TestFunction, run_axiom_suite
+from .sublinear import _CHOQUET_FUNCTIONS, SublinearEngine, run_axiom_suite
 
 __all__ = ["main"]
 
@@ -329,16 +329,11 @@ def _cmd_choquet(args) -> int:
     fn_name = options.get("function", "abs_power")
     exponent = options.get("exponent", 1.0)
     capacity = options.get("capacity", "upper")
-    factory = {
-        "abs_power": TestFunction.abs_power,
-        "pos_power": TestFunction.pos_power,
-        "power": TestFunction.power,
-    }[fn_name]
     engine_kwargs = dict(bundle.engine_options)
     if args.seed is not None:
         engine_kwargs["seed"] = args.seed
     engine = SublinearEngine(bundle.family, **engine_kwargs)
-    report = engine.choquet(factory(exponent), capacity=capacity)
+    report = engine.choquet(_CHOQUET_FUNCTIONS[fn_name](exponent), capacity=capacity)
     payload = {
         "function": fn_name,
         "exponent": exponent,
@@ -478,6 +473,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.workers < 1:
+            parser.error(f"argument --workers: must be at least 1, got {args.workers}")
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
     args.t0 = t0  # the manifest's wall clock covers the whole command

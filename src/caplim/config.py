@@ -26,6 +26,7 @@ from .bounds import _FORMULAS, BoundInputs
 from .dependence import DependenceSpec
 from .limits import ExperimentConfig, _MODES, _UNHASHED
 from .measures import Marginal, MeasureFamily, ProductMeasure
+from .sublinear import _CHOQUET_FUNCTIONS
 
 __all__ = [
     "ConfigBundle",
@@ -333,6 +334,8 @@ def _parameter_name(ctx: _Context, value, path: str) -> str:
 
 def _domain(ctx: _Context, value, path: str) -> tuple[float, float]:
     lo, hi = _interval(ctx, value, path)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ctx.fail(path, f"domain must be finite, got [{lo}, {hi}]")
     if hi < lo:
         raise ctx.fail(path, "domain must satisfy lo <= hi")
     return lo, hi
@@ -462,8 +465,6 @@ _BOUND_INPUT_READERS = {
     )
     for f in fields(BoundInputs)
 }
-
-_CHOQUET_FUNCTIONS = ("abs_power", "pos_power", "power")
 
 # Section name -> key readers, in parse order.
 _SECTIONS = {

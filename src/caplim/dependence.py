@@ -365,13 +365,21 @@ def _joint_table_sides(spec: DependenceSpec, case: Sequence[TestFunction]):
 def _mc_sides(sampler: SequenceSampler, case: Sequence[TestFunction], m: int,
               context: int):
     """Monte Carlo (joint mean, product of marginal means, pooled SE) per measure,
-    enveloped across the family with shared uniforms; besides the draw block,
-    only the running product and one row of case values are live."""
+    enveloped across the family with one uniform block, drawn once and
+    transformed under each measure; besides it and the draw block, only the
+    running product and one row of case values are live."""
+    measures = sampler.family.measures()
+    if sampler.spec.mode == "discrete_joint":
+        # a joint table's draw reads no measure
+        blocks = [sampler.draw(len(case), m, context=context)] * len(measures)
+    else:
+        u = uniform_block(sampler.seed, len(case), m, context=context)
+        out = np.empty_like(u)
+        blocks = (transform_block(u, mu, sampler.spec, out=out) for _, mu in measures)
     best_joint = -math.inf
     env_means = env_ses = None
     joint_se_at_best = 0.0
-    for _, mu in sampler.family.measures():
-        x = sampler.draw(len(case), m, measure=mu, context=context)
+    for x in blocks:
         joint_vals = np.ones(m)
         means, ses = np.empty(len(case)), np.empty(len(case))
         for i, g in enumerate(case):

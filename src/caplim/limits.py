@@ -17,9 +17,10 @@ runner returns through ``_result``.
 A runner reads the family as the first marginal of each measure, from
 ``_grid_marginals``, over its grid or a dense refinement built once per run.
 Each extremum over the dense list (mean interval, worst-case moments, the
-cluster's steering) is one ``_extreme`` pick of the first entry attaining
-it. Every mode but the divergence check needs a finite mean interval, and
-the iterated logarithm a finite upper variance.
+cluster's steering) is one pick of the first entry attaining it by the
+envelope engine's extremizer, ``_extreme``. Every mode but the divergence
+check needs a finite mean interval, and the iterated logarithm a finite
+upper variance.
 
 Sums keep the bits of a chunked scan: chunks of ``_rows_per_chunk``
 draws, each summed sequentially and added to the running total. The work
@@ -62,7 +63,7 @@ from .bounds import (
 )
 from .dependence import DependenceSpec, transform_block
 from .measures import Marginal, MeasureFamily, ProductMeasure, philox_uniforms
-from .sublinear import SublinearEngine, TestFunction
+from .sublinear import SublinearEngine, TestFunction, _extreme
 
 __all__ = [
     "ExperimentConfig",
@@ -326,14 +327,6 @@ def _grid_marginals(family: MeasureFamily, dense: bool = False) -> list[Marginal
     if dense:
         family = replace(family, grid_resolution=513 if family.dim == 1 else 65)
     return [family.measure_at(theta).marginal(0) for theta in family.grid_parameters()]
-
-
-def _extreme(values, sense: str = "max") -> tuple[float, int]:
-    """The largest (or, for ``"min"``, smallest) of ``values`` and the index of
-    the first entry that attains it."""
-    values = np.asarray(values, dtype=float)
-    i = int(values.argmax() if sense == "max" else values.argmin())
-    return float(values[i]), i
 
 
 def _extreme_measures(dense: list[Marginal]):

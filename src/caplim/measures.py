@@ -760,6 +760,8 @@ class MeasureFamily:
         if d not in (1, 2):
             raise ValueError(f"parameter domain must have 1 or 2 axes, got {d}")
         for lo, hi in self.parameter_domain:
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError(f"domain axis [{lo}, {hi}] must be finite")
             if not lo <= hi:
                 raise ValueError(f"domain axis [{lo}, {hi}] is empty")
         if self.grid_resolution < 2:

@@ -13,6 +13,8 @@ applies. Quadrature is the package's own QUADPACK (``quadpack``), which
 calls a test function's ``fn`` once per rule application on all its nodes.
 Exact optima over continuous parameter axes are sharpened by a
 golden-section pass around the best grid point.
+Every envelope, and every extremum of the experiment runners, is one pick
+by ``_extreme`` of the first entry attaining it.
 """
 
 from __future__ import annotations
@@ -304,6 +306,15 @@ def smooth_indicator(threshold: float, width: float, side: str = "outer") -> Tes
     )
 
 
+# The power test functions by name, built from the exponent: the Choquet
+# integrands that ``choquet.function`` names and the envelope moments.
+_CHOQUET_FUNCTIONS = {
+    "abs_power": TestFunction.abs_power,
+    "pos_power": TestFunction.pos_power,
+    "power": TestFunction.power,
+}
+
+
 @dataclass(frozen=True)
 class EvaluationReport:
     """Envelope value with the parameter attaining it and how it was computed."""
@@ -369,6 +380,14 @@ def _marginal_report(marginal: Marginal, f: TestFunction) -> tuple[float, str] |
     if marginal.kind == "pareto":
         return None
     return marginal.expect(f, breakpoints=f.breakpoints), "quadrature"
+
+
+def _extreme(values, sense: str = "max") -> tuple[float, int]:
+    """The largest (or, for ``"min"``, smallest) of ``values`` and the index of
+    the first entry that attains it."""
+    values = np.asarray(values, dtype=float)
+    i = int(values.argmax() if sense == "max" else values.argmin())
+    return float(values[i]), i
 
 
 def _golden_max(g: Callable[[float], float], lo: float, hi: float,
@@ -515,29 +534,23 @@ class SublinearEngine:
             self._mc_fixed[arity] = samples
         return samples
 
-    def _mc_family_stats(self, f: TestFunction) -> tuple[np.ndarray, np.ndarray]:
-        means = []
-        ses = []
+    def _mc_values(self, f: TestFunction):
+        """f on each grid measure's Monte Carlo sample, one at a time. A NaN
+        value leaves no estimate, so it is an error."""
         for x in self._mc_samples(f.arity):
             vals = f(x)
-            means.append(float(np.mean(vals)))
-            ses.append(float(np.std(vals, ddof=1) / math.sqrt(len(vals))))
-        return np.array(means), np.array(ses)
+            if np.isnan(vals).any():
+                raise ValueError(f"{f.name} is NaN on the Monte Carlo sample")
+            yield vals
 
     # -- envelope expectations -----------------------------------------------------
-
-    def _grid_index(self, idx: int) -> list[int]:
-        axes = self.family.axes()
-        if len(axes) == 1:
-            return [idx]
-        n1 = len(axes[1])
-        return [idx // n1, idx % n1]
 
     def _refine(self, f: TestFunction, sense: str, idx: int,
                 grid_best: float) -> tuple[float, object, bool]:
         axes = self.family.axes()
         dim = self.family.dim
-        pos = self._grid_index(idx)
+        # grid_parameters runs row-major over the axes
+        pos = np.unravel_index(idx, [len(ax) for ax in axes])
         theta = [float(axes[a][pos[a]]) for a in range(dim)]
         sign = 1.0 if sense == "max" else -1.0
 
@@ -574,46 +587,41 @@ class SublinearEngine:
         return value, (theta[0] if dim == 1 else tuple(theta)), moved
 
     def _expectation_report(self, f: TestFunction, sense: str) -> EvaluationReport:
+        """The envelope of E[f]: exact per-measure values, refined off the
+        grid, or else Monte Carlo means with their standard errors."""
         pairs = self._measures()
-        exact = []
-        labels = set()
+        values, labels = [], set()
         for _, mu in pairs:
             res = self._exact_expectation(mu, f)
             if res is None:
-                exact = None
                 break
-            exact.append(res[0])
+            values.append(res[0])
             labels.add(res[1])
-
-        pick = np.argmax if sense == "max" else np.argmin
-        if exact is not None:
-            vals = np.asarray(exact, dtype=float)
-            idx = int(pick(vals))
-            value = float(vals[idx])
-            theta = pairs[idx][0]
-            refined = False
-            if (self.refinement and not self.family.is_singleton and math.isfinite(value)):
-                value2, theta2, moved = self._refine(f, sense, idx, value)
-                if moved and theta2 is not None:
-                    value, theta, refined = value2, theta2, True
+        exact = len(values) == len(pairs)
+        if exact:
+            ses = [0.0] * len(pairs)
             method = labels.pop() if len(labels) == 1 else "exact"
-            return EvaluationReport(
-                value=value,
-                parameter=theta,
-                method=method,
-                per_parameter=tuple((pairs[i][0], float(vals[i]), 0.0) for i in range(len(pairs))),
-                refined=refined,
-            )
+        else:
+            values, ses = zip(*[(np.mean(v), np.std(v, ddof=1) / math.sqrt(len(v)))
+                                for v in self._mc_values(f)])
+            method = "mc"
 
-        means, ses = self._mc_family_stats(f)
-        idx = int(pick(means))
+        value, idx = _extreme(values, sense)
+        theta = pairs[idx][0]
+        refined = False
+        if exact and self.refinement and not self.family.is_singleton and math.isfinite(value):
+            value2, theta2, moved = self._refine(f, sense, idx, value)
+            if moved and theta2 is not None:
+                value, theta, refined = value2, theta2, True
         return EvaluationReport(
-            value=float(means[idx]),
-            parameter=pairs[idx][0],
-            method="mc",
-            se=float(ses[idx]),
-            per_parameter=tuple((pairs[i][0], float(means[i]), float(ses[i])) for i in range(len(pairs))),
-            n_replications=self.mc_replications,
+            value=value,
+            parameter=theta,
+            method=method,
+            se=None if exact else float(ses[idx]),
+            per_parameter=tuple((theta_i, float(v), float(se)) for (theta_i, _), v, se
+                                in zip(pairs, values, ses)),
+            refined=refined,
+            n_replications=0 if exact else self.mc_replications,
         )
 
     def upper_exp(self, f: TestFunction) -> EvaluationReport:
@@ -630,11 +638,7 @@ class SublinearEngine:
                             sense: str = "max") -> tuple[float, object]:
         """Envelope of a single-coordinate moment over the family, refined like
         every other envelope; returns the value and the parameter attaining it."""
-        f = {
-            "raw": TestFunction.power,
-            "abs": TestFunction.abs_power,
-            "pos": TestFunction.pos_power,
-        }[kind](k)
+        f = _CHOQUET_FUNCTIONS[{"raw": "power", "abs": "abs_power", "pos": "pos_power"}[kind]](k)
         if coordinate > 0:
             f = TestFunction.prod([TestFunction.const(1.0)] * coordinate + [f])
         report = self._expectation_report(f, sense)
@@ -643,36 +647,24 @@ class SublinearEngine:
     # -- Choquet integrals ------------------------------------------------------------
 
     def _closed_survival(self, f: TestFunction):
-        """t -> per-measure survival P(f(X) >= t) when f has usable structure."""
-        tag = f.closed_form
-        if tag is None or f.arity != 1:
+        """t -> per-measure survival P(f(X) >= t) of x, pos(x)^p or |x|^p
+        under continuous marginals, else None."""
+        kind, p = f.closed_form or (None, None)
+        if f.arity != 1 or kind not in ("pos_power", "abs_power") and (kind, p) != ("power", 1):
             return None
-        kind = tag[0]
         marginals = [mu.marginal(0) for _, mu in self._measures()]
         if any(m.is_discrete for m in marginals):
             return None
 
-        if kind == "power" and tag[1] == 1:
-            def survival(t: np.ndarray) -> np.ndarray:
+        def survival(t: np.ndarray) -> np.ndarray:
+            if kind == "power":
                 return np.stack([m.sf(t) for m in marginals])
-            return survival
-        if kind == "pos_power":
-            p = tag[1]
-
-            def survival(t: np.ndarray) -> np.ndarray:
-                s = np.maximum(t, 0.0) ** (1.0 / p)
-                rows = [np.where(t <= 0.0, 1.0, m.sf(s)) for m in marginals]
-                return np.stack(rows)
-            return survival
-        if kind == "abs_power":
-            p = tag[1]
-
-            def survival(t: np.ndarray) -> np.ndarray:
-                s = np.maximum(t, 0.0) ** (1.0 / p)
-                rows = [np.where(t <= 0.0, 1.0, m.sf(s) + m.cdf(-s)) for m in marginals]
-                return np.stack(rows)
-            return survival
-        return None
+            # f(x) >= t > 0 is x >= s, or also x <= -s for |x|^p
+            s = np.maximum(t, 0.0) ** (1.0 / p)
+            return np.stack([np.where(t <= 0.0, 1.0,
+                                      m.sf(s) + m.cdf(-s) if kind == "abs_power" else m.sf(s))
+                             for m in marginals])
+        return survival
 
     def choquet(self, f: TestFunction, capacity: str = "upper") -> ChoquetReport:
         """Choquet integral of f(X) against the upper or lower capacity."""
@@ -692,24 +684,20 @@ class SublinearEngine:
                 value = _discrete_choquet(per_measure, envelope)
                 return ChoquetReport(value=value, capacity=capacity, method="enumeration")
 
-        survival = self._closed_survival(f)
-        if survival is not None:
-            def wfun(t: np.ndarray) -> np.ndarray:
-                return envelope(survival(np.asarray(t, dtype=float)), axis=0)
-            value, divergent, beta = _choquet_from_survival(wfun)
-            return ChoquetReport(value=value, capacity=capacity, method="survival",
-                                 divergent=divergent, tail_exponent=beta)
+        survival, method = self._closed_survival(f), "survival"
+        if survival is None:
+            samples = [np.sort(v) for v in self._mc_values(f)]
+            m = self.mc_replications
 
-        samples = [np.sort(f(x)) for x in self._mc_samples(f.arity)]
-        m = self.mc_replications
+            def survival(t: np.ndarray) -> np.ndarray:
+                return np.stack([(m - np.searchsorted(s, t, side="left")) / m for s in samples])
+            method = "mc"
 
         def wfun(t: np.ndarray) -> np.ndarray:
-            t = np.asarray(t, dtype=float)
-            rows = [(m - np.searchsorted(s, t, side="left")) / m for s in samples]
-            return envelope(np.stack(rows), axis=0)
+            return envelope(survival(np.asarray(t, dtype=float)), axis=0)
 
         value, divergent, beta = _choquet_from_survival(wfun)
-        return ChoquetReport(value=value, capacity=capacity, method="mc",
+        return ChoquetReport(value=value, capacity=capacity, method=method,
                              divergent=divergent, tail_exponent=beta)
 
 

@@ -9,6 +9,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import caplim
@@ -197,6 +198,12 @@ BROKEN = {
         "family.parameters[0].name (line 4): parameter name must be an identifier"),
     "domain-reversed": (MINIMAL.replace("[0.0, 0.0]", "[1.0, 0.0]"),
                         "family.parameters[0].domain (line 5): domain must satisfy lo <= hi"),
+    "domain-infinite": (MINIMAL.replace("[0.0, 0.0]", "[0.0, .inf]"),
+                        "family.parameters[0].domain (line 5): domain must be finite, "
+                        "got [0.0, inf]"),
+    "domain-nan": (MINIMAL.replace("[0.0, 0.0]", "[.nan, 1.0]"),
+                   "family.parameters[0].domain (line 5): domain must be finite, "
+                   "got [nan, 1.0]"),
     "family-K": (MINIMAL.replace("K: 1.0", "K: 0.5"),
                  "family.K (line 10): K must be at least 1, got 0.5"),
     "family-K-infinite": (MINIMAL.replace("K: 1.0", "K: .inf"),
@@ -445,6 +452,31 @@ class TestCommandLine:
         value = float(out.rsplit(":", 1)[-1])
         assert value == pytest.approx(2.0 * math.sqrt(2.0 / math.pi), rel=1e-6)
 
+    def test_choquet_of_a_power_that_is_nan_on_its_sample_exits_one(self, tmp_path, capsys):
+        config = tmp_path / "power.yaml"
+        config.write_text(GOLDEN.read_text().replace("mc_replications: 100000",
+                                                     "mc_replications: 2000")
+                          + "choquet:\n  function: power\n  exponent: 2.5\n")
+        with np.errstate(invalid="ignore"):
+            assert main(["choquet", "--config", str(config),
+                         "--out", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: x^2.5 is NaN on the Monte Carlo sample" in captured.err
+        assert not (tmp_path / "out" / "result.json").exists()
+
+    @pytest.mark.parametrize("command", [
+        "verify end --config configs/end_countermonotone.yaml",
+        "experiment wlln --config configs/wlln_normal_band.yaml",
+        "choquet --config configs/reciprocal_variance_pair.yaml",
+        "bounds eval --formula chebyshev --x 1",
+    ])
+    def test_a_worker_count_below_one_exits_one(self, command, tmp_path, capsys):
+        argv = command.replace("configs/", f"{CONFIG_DIR}/").split()
+        assert main([*argv, "--workers", "0", "--out", str(tmp_path / "out")]) == 1
+        assert "--workers: must be at least 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_usage_errors_exit_one(self, capsys):
         assert main(["bogus"]) == 1
         capsys.readouterr()
@@ -616,6 +648,15 @@ class TestCommandLine:
         assert main(["verify", "end", "--config", str(path)]) == 1
         captured = capsys.readouterr()
         assert "PASS" not in captured.out and "no case to check" in captured.err
+
+    @pytest.mark.parametrize("formula", ["moricz", "choquet-moment"])
+    def test_bounds_eval_checks_the_choquet_term_count(self, formula, capsys):
+        assert main(["bounds", "eval", "--formula", formula, "--x", "1", "--n", "3",
+                     "--order", "3", "--choquet-terms", "1,2",
+                     "--max-second-moment", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: expected 3 per-term Choquet moments, got 2" in captured.err
 
     def test_bounds_eval_requires_formula_and_thresholds(self, capsys):
         assert main(["bounds", "eval", "--x", "1"]) == 1

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from caplim import Marginal, MeasureFamily, ProductMeasure
+from caplim import Marginal, MeasureFamily, ProductMeasure, dependence
 from caplim.dependence import (
     DependenceSpec,
     SequenceSampler,
@@ -333,6 +333,34 @@ class TestVerifyEnd:
         for row in report.cases:
             assert row["mc_agrees"]
             assert abs(row["mc_joint"] - row["joint"]) <= 4.0 * row["mc_se"] + 1e-9
+
+    @pytest.mark.parametrize("spec", ["independent", "joint_table"])
+    def test_each_monte_carlo_case_draws_one_uniform_block(self, spec, monkeypatch):
+        # Three grid measures and three cases: the block is drawn per case and
+        # read under every measure, or drawn once from a joint table.
+        def pareto(a: float) -> ProductMeasure:
+            return ProductMeasure((Marginal.pareto(a),), stationary=True)
+
+        def bernoulli_pair(p: float) -> ProductMeasure:
+            return ProductMeasure((Marginal.bernoulli(p),) * 2)
+
+        family, spec, cross_check = {
+            "independent": (pareto, DependenceSpec.independent(), False),
+            "joint_table": (bernoulli_pair, COUNTERMONOTONE, True),
+        }[spec]
+        domain = (2.5, 4.0) if family is pareto else (0.4, 0.6)
+        family = MeasureFamily(parameter_domain=(domain,), builder=family, grid_resolution=3)
+        blocks = []
+
+        def counting(*args, **kwargs):
+            blocks.append(args)
+            return uniform_block(*args, **kwargs)
+
+        monkeypatch.setattr(dependence, "uniform_block", counting)
+        report = verify_end(spec, family, n=2, corpus_cases=3, mc_replications=500,
+                            mc_cross_check=cross_check)
+        mc = [row for row in report.cases if row["method"] == "mc" or "mc_joint" in row]
+        assert len(mc) == len(blocks) == 3
 
     def test_gaussian_copula_passes_for_monotone_functions(self, standard_normal_family):
         spec = DependenceSpec(mode="gaussian_copula", correlation=-0.5)

@@ -269,6 +269,14 @@ def test_family_validation():
                       grid_resolution=9, K=math.inf, name="bad")
 
 
+@pytest.mark.parametrize("domain", [(0.0, math.inf), (math.nan, 1.0), (-math.inf, math.inf)])
+def test_family_rejects_a_non_finite_axis_end(domain):
+    with pytest.raises(ValueError, match=r"domain axis \[.*\] must be finite"):
+        MeasureFamily(parameter_domain=((0.0, 1.0), domain),
+                      builder=lambda a, b: ProductMeasure((Marginal.normal(a, 1.0),)),
+                      name="bad")
+
+
 # ---------------------------------------------------------------------------
 # Keyed RNG: determinism is by (seed, context, column), not draw order.
 

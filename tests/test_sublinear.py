@@ -740,3 +740,24 @@ def test_refined_two_axis_envelopes_are_pinned(name):
     assert report.method == "quadrature"
     got = (report.value.hex(), tuple(float(t).hex() for t in report.parameter), report.refined)
     assert got == TWO_AXIS_ENVELOPES[name]
+
+
+# x**2.5 is NaN at every negative draw, so neither Monte Carlo path may
+# report an estimate from such a sample.
+@pytest.mark.parametrize("path", ["upper_exp", "choquet"])
+def test_nan_values_on_a_monte_carlo_sample_are_an_error(path, sigma_family):
+    power = TestFunction.power(2.5)
+    f = TestFunction.coordinate_sum([power, power]) if path == "upper_exp" else power
+    engine = SublinearEngine(sigma_family, mc_replications=500)
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match=r"x\^2.5 .*is NaN"):
+        getattr(engine, path)(f)
+
+
+def test_fractional_powers_are_estimated_on_a_nonnegative_family():
+    fam = MeasureFamily(parameter_domain=((3.0, 4.0),), grid_resolution=3,
+                        builder=lambda a: ProductMeasure((Marginal.pareto(a),)))
+    engine = SublinearEngine(fam, mc_replications=2000)
+    f = TestFunction.power(2.5)
+    assert engine.choquet(f).method == "mc"
+    report = engine.upper_exp(TestFunction.coordinate_sum([f]))
+    assert report.method == "mc" and math.isfinite(report.value)
