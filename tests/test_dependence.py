@@ -334,22 +334,16 @@ class TestVerifyEnd:
             assert row["mc_agrees"]
             assert abs(row["mc_joint"] - row["joint"]) <= 4.0 * row["mc_se"] + 1e-9
 
-    @pytest.mark.parametrize("spec", ["independent", "joint_table"])
-    def test_each_monte_carlo_case_draws_one_uniform_block(self, spec, monkeypatch):
-        # Three grid measures and three cases: the block is drawn per case and
-        # read under every measure, or drawn once from a joint table.
-        def pareto(a: float) -> ProductMeasure:
-            return ProductMeasure((Marginal.pareto(a),), stationary=True)
-
-        def bernoulli_pair(p: float) -> ProductMeasure:
-            return ProductMeasure((Marginal.bernoulli(p),) * 2)
-
-        family, spec, cross_check = {
-            "independent": (pareto, DependenceSpec.independent(), False),
-            "joint_table": (bernoulli_pair, COUNTERMONOTONE, True),
-        }[spec]
-        domain = (2.5, 4.0) if family is pareto else (0.4, 0.6)
-        family = MeasureFamily(parameter_domain=(domain,), builder=family, grid_resolution=3)
+    # Three grid measures and three cases: the block is drawn per case and
+    # read under every measure, or drawn once from a joint table.
+    @pytest.mark.parametrize("marginal, domain, spec, cross_check", [
+        (Marginal.pareto, (2.5, 4.0), DependenceSpec.independent(), False),
+        (Marginal.bernoulli, (0.4, 0.6), COUNTERMONOTONE, True),
+    ], ids=["independent", "joint_table"])
+    def test_each_monte_carlo_case_draws_one_uniform_block(self, marginal, domain, spec,
+                                                           cross_check, monkeypatch):
+        family = MeasureFamily(parameter_domain=(domain,), grid_resolution=3,
+                               builder=lambda t: ProductMeasure((marginal(t),), stationary=True))
         blocks = []
 
         def counting(*args, **kwargs):
