@@ -4,15 +4,18 @@ Each runner draws trajectories with counter-based streams keyed by
 ``(seed, context, column)`` where the column is the global trajectory
 index. Work is split across trajectories, so results are bit-identical
 for any worker count: a trajectory's draws never depend on which worker
-produced them or on how trajectories were batched.
+produced them or on how trajectories were grouped.
 
 A runner states only its statistic. One scan, ``_partial_sums``, builds
-the partial sums ``S_k`` of every runner but the cluster sampler. The strong
-law, the iterated logarithm and the divergence check hand a reducer of its
-pieces to one scan driver, ``_scan_trajectories``, which owns the
-marginals, the batches, the worker pool and the rows; the weak law and the
-bound sweep read its last column, ``S_n``, through ``_final_sums``. Every
-runner returns through ``_result``.
+the partial sums ``S_k`` of every runner but the cluster sampler, and one
+driver, ``_scan``, owns the tasks and the worker pool. A runner hands it
+its streams (a context, the marginals that share its uniforms and a
+horizon) and a reducer of the scan's pieces: the strong law, the iterated
+logarithm and the divergence check reduce every partial sum, and the Monte
+Carlo weak law and the bound sweep read ``S_n`` with ``_sums_at_horizon``.
+A task is one stream's group of consecutive trajectories, sized from the
+horizon alone, so the worker count only schedules the tasks. Every runner
+returns through ``_result``.
 
 A runner reads the family as the first marginal of each measure, from
 ``_grid_marginals``, over its grid or a dense refinement built once per run.
@@ -22,8 +25,10 @@ envelope engine's extremizer, ``_extreme``. Every mode but the divergence
 check needs a finite mean interval, and the iterated logarithm a finite
 upper variance.
 
-Sums keep the bits of a chunked scan: chunks of ``_rows_per_chunk``
-draws, each summed sequentially and added to the running total. The work
+Sums keep the bits of a chunked scan: chunks of a fixed number of draws,
+each summed sequentially and added to the running total. A chunk is
+``_ROW_CHUNK`` draws where every partial sum is reduced, and
+``_rows_per_chunk(trajectories)`` draws for ``S_n``. The work
 itself goes in tiles of about ``_TILE`` entries (512 KiB), each drawn,
 transformed and summed while it sits in a core's cache, and cut at the
 chunk edges; a tile that continues a chunk starts from the chunk's running
@@ -98,10 +103,6 @@ _CLUSTER_CHUNK = 1 << 22
 # accumulators and splits a longer one in two.
 _PAIRWISE_BLOCK = 128
 
-# Most trajectories per scan task. A batch of up to 64 keeps chunks at
-# _ROW_CHUNK rows, so below that the width moves no bytes.
-_TRAJ_BATCH = 64
-
 # Entries in one tile of draws: 512 KiB of float64, which stays in a core's
 # L2 cache while it is drawn, transformed and summed.
 _TILE = 1 << 16
@@ -113,8 +114,8 @@ class ExperimentConfig:
 
     ``horizon`` is the trajectory length (for ``bound_check`` it is the
     number of summands per trajectory). ``workers`` only controls how
-    trajectory batches are scheduled and is excluded from the config
-    hash; every other field participates.
+    scan tasks are scheduled and is excluded from the config hash; every
+    other field participates.
     """
 
     mode: str
@@ -394,15 +395,6 @@ def _chunk_ranges(total: int, chunk: int):
         start = stop
 
 
-def _traj_batches(trajectories: int, workers: int):
-    """Batches of trajectories, one scan task each: one per worker, at most
-    ``_TRAJ_BATCH`` wide.
-    """
-    width = min(_TRAJ_BATCH, -(-trajectories // workers))
-    for start, stop in _chunk_ranges(trajectories, width):
-        yield list(range(start, stop))
-
-
 def _rows_per_chunk(columns: int) -> int:
     """Even row count keeping a chunk near 8M entries."""
     rows = max(2, min(_ROW_CHUNK, (1 << 23) // max(columns, 1)))
@@ -430,6 +422,7 @@ def _partial_sums(config: ExperimentConfig, context: int, columns, marginals, n:
                   chunk: int):
     """Partial sums of the trajectories in ``columns`` under each of ``marginals``.
 
+    One task of ``_scan`` runs it over one group of consecutive trajectories.
     Yields ``(k, start, stop, s, carry)`` where ``s[j, r] + carry[j, 0]``
     is ``S_{start+r+1}`` of trajectory ``columns[j]`` under ``marginals[k]``,
     up to ``S_n``. All marginals transform the same uniforms, drawn from
@@ -438,7 +431,8 @@ def _partial_sums(config: ExperimentConfig, context: int, columns, marginals, n:
     ``carry``, past the next step of the iteration.
 
     The bits are those of chunks of ``chunk`` draws (an even count), each
-    summed as ``carry + cumsum(x)``. Tiles of ``_tile_rows`` draws (an even
+    summed as ``carry + cumsum(x)``: they depend on ``chunk``, not on which
+    trajectories share ``columns``. Tiles of ``_tile_rows`` draws (an even
     count, so copula pairs stay whole) are drawn one at a time and cut at
     the chunk edges. One marginal transforms each tile in place; several
     each transform it into the same scratch tile. A piece that continues a
@@ -465,22 +459,59 @@ def _partial_sums(config: ExperimentConfig, context: int, columns, marginals, n:
                 yield k, a, b, s, carry[k]
 
 
-def _final_sums(config: ExperimentConfig, context: int, marginals, n: int) -> np.ndarray:
-    """``S_n`` of every trajectory under each of ``marginals``, in row k for
-    ``marginals[k]``: the last column of ``_partial_sums`` plus its carry.
+def _scan(config: ExperimentConfig, streams, reduce, chunk: int) -> list[tuple]:
+    """Each stream's statistics, reduced from its trajectories' partial sums.
 
-    Groups of ``_TILE // n`` trajectories keep whole horizons in one tile,
-    or a tile holds an even span of one trajectory's horizon; chunks of
-    ``_rows_per_chunk(trajectories)`` draws span all trajectories.
+    ``streams`` lists ``(context, marginals, n)``: the ``marginals`` share
+    the uniforms of stream context ``context`` up to the horizon ``n``. A
+    task is one stream's group of ``max(1, _TILE // n)`` consecutive
+    trajectories: whole horizons that fit in one tile, or one trajectory
+    when the horizon exceeds a tile. The tasks never depend on
+    ``config.workers``, which only schedules them in one pool.
+    ``reduce(pieces, size)`` takes the ``(k, start, stop, s, carry)`` pieces
+    of ``_partial_sums`` (chunks of ``chunk`` draws) over a group of
+    ``size`` trajectories and returns one array per statistic, indexed by
+    trajectory. ``s + carry`` is the partial sums, so a reducer adds the
+    carry to the columns it reads and to no others. Returns, per stream,
+    each statistic over all ``config.trajectories`` trajectories.
     """
-    chunk = _rows_per_chunk(config.trajectories)
-    sums = np.zeros((len(marginals), config.trajectories))
-    for t0, t1 in _chunk_ranges(config.trajectories, max(1, _TILE // n)):
-        for k, _, stop, s, carry in _partial_sums(config, context, range(t0, t1), marginals,
-                                                  n, chunk):
-            if stop == n:
-                sums[k, t0:t1] = s[:, -1] + carry[:, 0]
-    return sums
+    tasks = [(i, t0, t1) for i, (_, _, n) in enumerate(streams)
+             for t0, t1 in _chunk_ranges(config.trajectories, max(1, _TILE // n))]
+
+    def scan(task):
+        i, t0, t1 = task
+        context, marginals, n = streams[i]
+        return reduce(_partial_sums(config, context, range(t0, t1), marginals, n, chunk),
+                      t1 - t0)
+
+    groups = [[] for _ in streams]
+    for (i, _, _), stats in zip(tasks, _indexed_map(scan, tasks, config.workers)):
+        groups[i].append(stats)
+    return [tuple(map(np.concatenate, zip(*stats))) for stats in groups]
+
+
+def _sums_at_horizon(pieces, size: int) -> tuple:
+    """Reducer: ``S_n`` under each marginal, the last piece's last column plus its carry."""
+    last = {}
+    for k, _, _, s, carry in pieces:
+        last[k] = s[:, -1] + carry[:, 0]
+    return tuple(last.values())
+
+
+def _scan_rows(config: ExperimentConfig, context: int, measures, reduce) -> list:
+    """Rows ``(label, trajectory, *statistics)`` of a scan over each measure.
+
+    ``measures`` lists ``(label, marginal)`` pairs, and measure i draws the
+    horizon from stream context ``context + i``. Chunks are ``_ROW_CHUNK``
+    draws for every group; a group of two or more trajectories holds a
+    horizon of at most ``_TILE / 2`` draws, which no chunk edge cuts. Rows
+    come in measure order, then trajectory order.
+    """
+    streams = [(context + i, [m], config.horizon) for i, (_, m) in enumerate(measures)]
+    stats = _scan(config, streams, reduce, _ROW_CHUNK)
+    return [(label, col, *map(float, row))
+            for (label, _), columns in zip(measures, stats)
+            for col, row in enumerate(zip(*columns))]
 
 
 def _pairwise_draw_sum(seed: int, context: int, marginal: Marginal,
@@ -501,30 +532,6 @@ def _pairwise_draw_sum(seed: int, context: int, marginal: Marginal,
     n2 = n // 2 - (n // 2) % 8
     return (_pairwise_draw_sum(seed, context, marginal, first, n2)
             + _pairwise_draw_sum(seed, context, marginal, first + n2, n - n2))
-
-
-def _scan_trajectories(config: ExperimentConfig, context: int, measures, reduce) -> list:
-    """Rows ``(label, trajectory, *statistics)`` over every measure's trajectories.
-
-    ``measures`` lists ``(label, marginal)`` pairs, and measure i draws from
-    stream context ``context + i``. For each batch of trajectories,
-    ``reduce(chunks, size)`` takes the ``(start, stop, s, carry)`` pieces of
-    ``_partial_sums`` over ``size`` trajectories and returns one array per
-    statistic, indexed by trajectory. ``s + carry`` is the partial sums, so
-    a reducer adds the carry to the columns it reads and to no others.
-    Rows come in measure order, then trajectory order.
-    """
-    def scan(task):
-        i, cols = task
-        label, marginal = measures[i]
-        chunks = _partial_sums(config, context + i, cols, [marginal], config.horizon,
-                               _rows_per_chunk(len(cols)))
-        stats = reduce(((a, b, s, carry) for _, a, b, s, carry in chunks), len(cols))
-        return [(label, col, *map(float, row)) for col, row in zip(cols, zip(*stats))]
-
-    tasks = [(i, cols) for i in range(len(measures))
-             for cols in _traj_batches(config.trajectories, config.workers)]
-    return [row for rows in _indexed_map(scan, tasks, config.workers) for row in rows]
 
 
 def _result(config: ExperimentConfig, passed: bool, summary: dict, header, rows,
@@ -596,34 +603,25 @@ def run_wlln(config: ExperimentConfig) -> ExperimentResult:
         _band_prob_exact(m, 2, 0.0, 1.0) is not None for m in marginals
     )
 
-    def stats_for(item):
-        idx, n = item
-        if exact_ok:
-            probs = {key: np.array([_band_prob_exact(m, n, lo, hi) for m in marginals])
-                     for key, (lo, hi) in windows.items()}
-            return n, probs, {key: np.zeros(len(marginals)) for key in windows}
-        means = _final_sums(config, _CTX_WLLN + idx, marginals, n) / n
-        probs = {key: ((means >= lo) & (means <= hi)).mean(axis=1)
-                 for key, (lo, hi) in windows.items()}
-        ses = {key: np.sqrt(f * (1.0 - f) / config.trajectories) for key, f in probs.items()}
-        return n, probs, ses
-
-    results = _indexed_map(stats_for, enumerate(schedule), config.workers)
+    if exact_ok:
+        probs = [{key: np.array([_band_prob_exact(m, n, lo, hi) for m in marginals])
+                  for key, (lo, hi) in windows.items()} for n in schedule]
+    else:
+        # One stream per schedule point; its grid measures share the uniforms.
+        streams = [(_CTX_WLLN + idx, marginals, n) for idx, n in enumerate(schedule)]
+        sums = _scan(config, streams, _sums_at_horizon, _rows_per_chunk(config.trajectories))
+        probs = [{key: ((means >= lo) & (means <= hi)).mean(axis=1)
+                  for key, (lo, hi) in windows.items()}
+                 for means in (np.array(s_n) / n for n, s_n in zip(schedule, sums))]
 
     rows = []
     band_lower = []
-    for n, probs, ses in results:
-        lower_cap, i_min = _extreme(probs["band"], "min")
-        band_lower.append((lower_cap, float(ses["band"][i_min])))
-        rows.append(
-            (
-                n,
-                lower_cap,
-                float(ses["band"][i_min]),
-                float(probs["near_up"].max()),
-                float(probs["near_low"].max()),
-            )
-        )
+    for n, prob in zip(schedule, probs):
+        lower_cap = _extreme(prob["band"], "min")[0]
+        se = 0.0 if exact_ok else math.sqrt(lower_cap * (1.0 - lower_cap) / config.trajectories)
+        band_lower.append((lower_cap, se))
+        rows.append((n, lower_cap, se, float(prob["near_up"].max()),
+                     float(prob["near_low"].max())))
 
     last_cap, last_se = band_lower[-1]
     monotone_trend = all(
@@ -665,10 +663,10 @@ def run_slln(config: ExperimentConfig) -> ExperimentResult:
     n0 = config.burn_in
     lo_bar, hi_bar = mu_low - config.epsilon, mu_up + config.epsilon
 
-    def reduce(chunks, size):
+    def reduce(pieces, size):
         max_ratio = np.full(size, -np.inf)
         min_ratio = np.full(size, np.inf)
-        for start, stop, s, carry in chunks:
+        for _, start, stop, s, carry in pieces:
             if stop > n0:
                 cut = max(n0 - start - 1, 0)
                 ratios = s[:, cut:]
@@ -680,7 +678,7 @@ def run_slln(config: ExperimentConfig) -> ExperimentResult:
 
     rows = [
         (label, col, mx, mn, int(mx > hi_bar + 1e-12 or mn < lo_bar - 1e-12))
-        for label, col, mx, mn in _scan_trajectories(config, _CTX_SLLN, measures, reduce)
+        for label, col, mx, mn in _scan_rows(config, _CTX_SLLN, measures, reduce)
     ]
     violations = sum(row[-1] for row in rows)
 
@@ -830,10 +828,10 @@ def run_lil(config: ExperimentConfig) -> ExperimentResult:
     )
     norming = _lil_norming(checkpoints.astype(float))
 
-    def reduce(chunks, size):
+    def reduce(pieces, size):
         r_up = np.full(size, -np.inf)
         r_low = np.full(size, np.inf)
-        for start, stop, s, carry in chunks:
+        for _, start, stop, s, carry in pieces:
             mask = (checkpoints > start) & (checkpoints <= stop)
             if mask.any():
                 cps = checkpoints[mask]
@@ -849,7 +847,7 @@ def run_lil(config: ExperimentConfig) -> ExperimentResult:
     low_cap = -sigma_low * (1.0 + config.lil_epsilon)
     rows = [
         (label, col, a, b, int(a <= up_cap + 1e-12), int(b >= low_cap - 1e-12))
-        for label, col, a, b in _scan_trajectories(config, _CTX_LIL, measures, reduce)
+        for label, col, a, b in _scan_rows(config, _CTX_LIL, measures, reduce)
     ]
     frac_up = sum(row[4] for row in rows) / len(rows)
     frac_low = sum(row[5] for row in rows) / len(rows)
@@ -896,9 +894,9 @@ def run_necessity(config: ExperimentConfig) -> ExperimentResult:
     engine = SublinearEngine(family, seed=config.seed)
     tail = engine.choquet(TestFunction.abs_power(1.0), capacity="upper")
 
-    def reduce(chunks, size):
+    def reduce(pieces, size):
         peak = np.zeros(size)
-        for start, stop, s, carry in chunks:
+        for _, start, stop, s, carry in pieces:
             s += carry
             s /= np.arange(start + 1, stop + 1, dtype=float)
             peak = np.maximum(peak, np.abs(s, out=s).max(axis=1))
@@ -907,7 +905,7 @@ def run_necessity(config: ExperimentConfig) -> ExperimentResult:
     measures = [("", m) for m in _grid_marginals(family)]
     rows = [
         (col, peak, int(peak > config.divergence_threshold))
-        for _, col, peak in _scan_trajectories(config, _CTX_NECESSITY, measures, reduce)
+        for _, col, peak in _scan_rows(config, _CTX_NECESSITY, measures, reduce)
     ]
     exceed = sum(row[-1] for row in rows)
     exceed_fraction = exceed / config.trajectories
@@ -1033,16 +1031,10 @@ def run_bound_check(config: ExperimentConfig) -> ExperimentResult:
         emp_upper = emp_lower = _mass_at_or_above(joint_sums, probs, x_grid)
         emp_upper_se = emp_lower_se = np.zeros_like(emp_upper)
     else:
-
-        def tail_stats(item):
-            k, marginal = item
-            sums = _final_sums(config, _CTX_BOUNDS + k, [marginal], n)[0]
-            f = np.array([(sums >= x).mean() for x in x_grid])
-            return f, np.sqrt(f * (1.0 - f) / config.trajectories)
-
-        stats = _indexed_map(tail_stats, enumerate(marginals), config.workers)
-        freqs = np.stack([f for f, _ in stats])
-        ses = np.stack([s for _, s in stats])
+        streams = [(_CTX_BOUNDS + k, [m], n) for k, m in enumerate(marginals)]
+        sums = _scan(config, streams, _sums_at_horizon, _rows_per_chunk(config.trajectories))
+        freqs = np.array([[(s_n >= x).mean() for x in x_grid] for (s_n,) in sums])
+        ses = np.sqrt(freqs * (1.0 - freqs) / config.trajectories)
         cols = np.arange(x_grid.size)
         i_up = np.argmax(freqs, axis=0)
         i_low = np.argmin(freqs, axis=0)

@@ -534,7 +534,8 @@ class Marginal:
                     total += math.comb(ki, j) * a ** (ki - j) * mj[j]
                 return sd**k * total
             # np.float_power is libm pow, as Python's float ** float
-            return quad(lambda x: np.float_power(x, k) * self.pdf(x), 0.0, math.inf,
+            density = self._density()
+            return quad(lambda x: np.float_power(x, k) * density(x), 0.0, math.inf,
                         limit=200).value
         if self.kind == "uniform":
             lo, hi = self.params

@@ -6,8 +6,8 @@ every CSV it writes against values recorded before the sampling code was
 refactored. A change to any sampled number, summary field or CSV cell shows
 up here. The cases cover paths the benchmark's pinned configs do not reach:
 Monte Carlo and closed-form wlln, cluster blocks that span several draw
-chunks, the pairwise copula in slln and bound-check, uneven
-trajectory batches, uniform marginals, scans that span several chunks,
+chunks, the pairwise copula in slln and bound-check, uneven groups of
+trajectories, uniform marginals, scans that span several chunks,
 copula pairs across chunk edges that start mid-counter, the shipped
 ``necessity_normal`` config, an axiom corpus whose Monte Carlo case draws wide uniform blocks (and its
 ``by_axiom`` table), an axiom corpus whose Monte Carlo case integrates by
@@ -482,35 +482,38 @@ def test_artifacts_match_pinned_digests(name, workers, tmp_path):
     assert _artifact_digests(name, tmp_path, workers) == DIGESTS[name]
 
 
-# Up to 64 trajectories, a scan chunk keeps its full row count, so the
-# trajectories per task only schedule. Width 3 splits the 4-trajectory scans;
-# at two workers, the width is at most half the trajectories.
-@pytest.mark.parametrize("width", [3, 7, 32, 64])
+# A scan task is one group of max(1, _TILE // horizon) trajectories, and its
+# chunks stay at _ROW_CHUNK draws, so the grouping only schedules. A tile of
+# 1, 2, 3 or 7 horizons gives groups of that many trajectories. Groups of 3
+# end unevenly on 20, 70 and 4 trajectories, groups of 7 on 20; the
+# 4-trajectory lil and necessity scans run as one group of 4 at 7.
+@pytest.mark.parametrize("group", [1, 2, 3, 7])
 @pytest.mark.parametrize("name", ["slln_copula_uniform", "slln_uneven_batches",
                                   "lil_uniform_multichunk", "necessity_normal_multichunk"])
-def test_batch_width_moves_no_bytes(name, width, tmp_path, monkeypatch):
-    monkeypatch.setattr(limits, "_TRAJ_BATCH", width)
+def test_task_group_moves_no_bytes(name, group, tmp_path, monkeypatch):
+    horizon = parse_config_text(CASES[name][1]).experiment_options["horizon"]
+    monkeypatch.setattr(limits, "_TILE", group * horizon)
     assert _artifact_digests(name, tmp_path, 2) == DIGESTS[name]
 
 
 # Every Monte Carlo case at tiles far below its chunks and at one of 2**22
-# entries, which holds a whole chunk or more. A tile of 1100 entries is 550
-# draws of a 2-trajectory task, 110 of a 10-trajectory one and 30 (the numpy
-# cipher) of a 35-trajectory one, each 2 mod 4 so every other tile starts
-# mid-counter; bound-check and Monte Carlo wlln horizons longer than a tile
-# are drawn 1100 draws at a time and summed in pieces cut at the chunk edges.
-# The cluster sampler splits each of its 2**22-draw chunks where numpy's
-# pairwise sum does until a part fits in the tile, so at 1100 entries its
-# blocks are drawn in parts of at most 1100 draws and at 2**22 in whole
-# chunks, and both add the part sums back up numpy's tree. The 50 x 1e6
-# shipped necessity scan took about 40 s at a tile of 1000 entries, so it
-# runs at 51 050: 2042 draws of a 25-trajectory task, also 2 mod 4 and not a
-# divisor of the 131 072-draw chunks.
+# entries, which holds a whole chunk or more. A tile of 1102 entries is 1102
+# draws of a one-trajectory task (every horizon here of 1000 draws or more),
+# 366 of a 3-trajectory bound-check group, 220 of a 5-trajectory one and 100
+# of an 11-trajectory wlln group; 1102 and 366 are 2 mod 4, so every other
+# tile starts mid-counter. Horizons longer than a tile are drawn 1102 draws
+# at a time and summed in pieces cut at the chunk edges. The cluster sampler
+# splits each of its 2**22-draw chunks where numpy's pairwise sum does until
+# a part fits in the tile, so at 1102 entries its blocks are drawn in parts
+# of at most 1102 draws and at 2**22 in whole chunks, and both add the part
+# sums back up numpy's tree. The 50 x 1e6 shipped necessity scan took about
+# 40 s at a tile of 1000 entries, so it runs at 51 050, also 2 mod 4 and not
+# a divisor of the 131 072-draw chunks.
 MONTE_CARLO = ("wlln_mc_uniform", "slln_copula_uniform", "slln_uneven_batches",
                "lil_uniform_multichunk", "necessity_normal_multichunk",
                "bound_check_copula_normal", "bound_check_uniform",
                "bound_check_copula_wide_chunks", "cluster_two_chunk_blocks")
-TILE_CASES = [(name, tile) for name in MONTE_CARLO for tile in (1100, 1 << 22)] + [
+TILE_CASES = [(name, tile) for name in MONTE_CARLO for tile in (1102, 1 << 22)] + [
     ("necessity_normal_config", 51_050), ("necessity_normal_config", 1 << 22)]
 
 

@@ -551,8 +551,45 @@ def test_row_sums_match_the_time_major_sum(marginal, spec, row_chunk, monkeypatc
     # edges; 2**16 entries hold the horizons of all 12 trajectories.
     for tile in _TILES:
         monkeypatch.setattr(limits, "_TILE", tile)
-        sums = limits._final_sums(config, 41, [marginal, other], 200)
-        assert sums.tobytes() == reference.tobytes()
+        (sums,) = limits._scan(config, [(41, [marginal, other], 200)],
+                               limits._sums_at_horizon, limits._rows_per_chunk(len(columns)))
+        assert np.array(sums).tobytes() == reference.tobytes()
+
+
+# A tile of 30 entries groups 10 trajectories by 7 at horizon 4, by 3 at
+# horizon 10 and one by one at horizon 50, so the first two streams end on
+# an uneven group. The tasks, and so the bytes, are the same at any worker
+# count, and each trajectory's S_n is the one its own scan gives.
+def test_scan_tasks_cover_each_trajectory_once_in_order(monkeypatch):
+    monkeypatch.setattr(limits, "_TILE", 30)
+    maps = []
+    indexed_map = limits._indexed_map
+
+    def recording(fn, items, workers):
+        maps.append(list(items))
+        return indexed_map(fn, items, workers)
+
+    monkeypatch.setattr(limits, "_indexed_map", recording)
+    uniform, normal = Marginal.uniform(-1.0, 0.5), Marginal.normal(0.3, 2.0)
+    streams = [(50, [uniform], 4), (51, [uniform, normal], 10), (52, [normal], 50)]
+    runs = []
+    for workers in (1, 3):
+        config = ExperimentConfig(mode="slln", family=make_singleton([uniform]), horizon=50,
+                                  trajectories=10, burn_in=1, seed=2026, workers=workers)
+        runs.append(limits._scan(config, streams, limits._sums_at_horizon, 6))
+
+    assert len(maps) == 2 and maps[0] == maps[1]
+    tasks = maps[0]
+    assert [(i, t) for i, t0, t1 in tasks for t in range(t0, t1)] == [
+        (i, t) for i in range(len(streams)) for t in range(10)]
+    assert [t1 - t0 for i, t0, t1 in tasks if i < 2] == [7, 3, 3, 3, 3, 1]
+    assert [t1 - t0 for i, t0, t1 in tasks if i == 2] == [1] * 10
+    for stats, again, (context, marginals, n) in zip(*runs, streams):
+        assert [a.tobytes() for a in stats] == [a.tobytes() for a in again]
+        for t in range(10):
+            pieces = limits._partial_sums(config, context, [t], marginals, n, 6)
+            own = limits._sums_at_horizon(pieces, 1)
+            assert [a[t] for a in stats] == [a[0] for a in own]
 
 
 @pytest.mark.parametrize("spec", _SPECS, ids=lambda spec: spec.mode)

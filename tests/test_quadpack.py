@@ -12,7 +12,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -102,9 +102,13 @@ def test_singular_integrand_matches_scipy(c, left, right, tol, limit):
 @settings(max_examples=30, deadline=None)
 @given(mean=st.floats(-3.0, 3.0), var=st.floats(0.1, 4.0),
        k=st.floats(0.1, 6.0).filter(lambda v: not v.is_integer()))
+@example(mean=-1.160333178178072, var=0.1, k=0.5)
 def test_pos_part_moment_matches_scipy(mean, var, k):
     """The non-integer normal moment integrates ``x**k * pdf(x)``: libm
-    ``pow`` at one float, so ``np.float_power`` on the nodes."""
+    ``pow`` at one float, so ``np.float_power`` on the nodes. At one float,
+    ``pdf`` squares a numpy scalar with ``**``, which is libm ``pow`` too, so
+    the port multiplies by the quadrature density, which squares the same
+    way; with ``pdf``'s numpy ``square`` the example was three ulps off."""
     m = Marginal.normal(mean, var)
     want, _ = integrate.quad(lambda x: x**k * m.pdf(x), 0.0, math.inf, limit=200)
     assert m.pos_part_moment(k).hex() == float(want).hex()
