@@ -492,9 +492,7 @@ def _scan(config: ExperimentConfig, streams, reduce, chunk: int) -> list[tuple]:
 
 def _sums_at_horizon(pieces, size: int) -> tuple:
     """Reducer: ``S_n`` under each marginal, the last piece's last column plus its carry."""
-    last = {}
-    for k, _, _, s, carry in pieces:
-        last[k] = s[:, -1] + carry[:, 0]
+    last = {k: s[:, -1] + carry[:, 0] for k, _, _, s, carry in pieces}
     return tuple(last.values())
 
 
