@@ -20,7 +20,8 @@ structure allows and by common-random-number Monte Carlo otherwise. The
 extended-independence verifier tests the equality variant with no
 monotonicity requirement. Both audit every test function, supplied or drawn
 from the corpus, on a grid over each coordinate before computing either
-side.
+side, and both read the two sides of every case off per-measure rows by one
+envelope rule, ``_sides``.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .measures import MeasureFamily, ProductMeasure, normal_scores, philox_stream, uniform_block
-from .sublinear import TestFunction, marginal_expectation, smooth_indicator
+from .sublinear import TestFunction, _extreme, marginal_expectation, smooth_indicator
 
 __all__ = [
     "DependenceSpec",
@@ -201,7 +202,6 @@ class SequenceSampler:
     spec: DependenceSpec
     family: MeasureFamily
     seed: int = 2026
-    context: int = 0
 
     def __post_init__(self) -> None:
         if self.spec.mode == "gaussian_copula" and not self.family.is_singleton:
@@ -211,14 +211,13 @@ class SequenceSampler:
             )
 
     def draw(self, n: int, m: int, measure: ProductMeasure | None = None,
-             context: int | None = None) -> np.ndarray:
-        ctx = self.context if context is None else context
+             context: int = 0) -> np.ndarray:
         if self.spec.mode == "discrete_joint":
             if n != self.spec.joint_arity:
                 raise ValueError(f"joint table has {self.spec.joint_arity} coordinates, asked for {n}")
             coords, probs = self.spec.joint_arrays()
             cum = np.cumsum(probs)
-            u = uniform_block(self.seed, 1, m, context=ctx)[0]
+            u = uniform_block(self.seed, 1, m, context=context)[0]
             idx = np.minimum(np.searchsorted(cum, u, side="left"), len(probs) - 1)
             return coords[:, idx]
 
@@ -226,7 +225,7 @@ class SequenceSampler:
             if not self.family.is_singleton:
                 raise ValueError("pass the measure to draw under for a non-singleton family")
             measure = self.family.measures()[0][1]
-        u = uniform_block(self.seed, n, m, context=ctx)
+        u = uniform_block(self.seed, n, m, context=context)
         return transform_block(u, measure, self.spec, out=u)
 
 
@@ -276,6 +275,8 @@ def _audit_monotone(g: TestFunction, direction: str | None, lo: float, hi: float
     """Reject functions that fail the nonnegativity / monotonicity audit."""
     grid = np.linspace(lo, hi, points)
     vals = g(grid)
+    if np.isnan(vals).any():
+        raise ValueError(f"test function {g.name} is NaN on the audit grid")
     scale = 1.0 + float(np.max(np.abs(vals)))
     if np.any(vals < -1e-12 * scale):
         raise ValueError(f"test function {g.name} takes negative values on the audit grid")
@@ -335,75 +336,81 @@ def _corpus_function(rng: np.random.Generator, direction: str | None,
 # -- evaluation paths -------------------------------------------------------------
 
 
-def _exact_envelope_sides(family: MeasureFamily, case: Sequence[TestFunction]):
-    """(envelope of the product, product of envelopes) when exact paths exist."""
-    per_theta = []
-    per_coord_env = [-math.inf] * len(case)
-    for _, mu in family.measures():
-        prod = 1.0
-        for i, g in enumerate(case):
-            v = marginal_expectation(mu.marginal(i), g)
-            if v is None:
-                return None
-            prod *= v
-            per_coord_env[i] = max(per_coord_env[i], v)
-        per_theta.append(prod)
-    return max(per_theta), math.prod(per_coord_env)
+def _sides(joints, means, joint_ses=None, ses=None) -> tuple[float, float, float]:
+    """(envelope of the joint value, product of the coordinate envelopes,
+    pooled SE) from per-measure rows: ``joints[k]`` and ``means[k][i]`` under
+    measure k, with their standard errors on the Monte Carlo path.
+
+    Every envelope is an ``_extreme`` pick, so ties go to the first measure,
+    and each SE is the one at the measure attaining its envelope; the
+    product's SE comes by the delta method. Rows without SEs are exact and
+    give SE 0.0, not the delta method over zeros, which an infinite
+    envelope would turn into NaN.
+    """
+    joint, k = _extreme(joints)
+    picks = [_extreme(column) for column in np.transpose(means)]
+    env = [v for v, _ in picks]
+    if joint_ses is None:
+        return joint, math.prod(env), 0.0
+    prod_se = 0.0
+    for i, (_, at) in enumerate(picks):
+        prod_se += abs(math.prod(env[:i] + env[i + 1:])) * ses[at][i]
+    return joint, math.prod(env), math.sqrt(joint_ses[k] ** 2 + prod_se**2)
 
 
-def _joint_table_sides(spec: DependenceSpec, case: Sequence[TestFunction]):
-    coords, probs = spec.joint_arrays()
-    joint_vals = np.ones(coords.shape[1])
-    prod_env = 1.0
+def _case_stats(case: Sequence[TestFunction], x: np.ndarray, stat):
+    """``stat`` of the product of each g_i on row i of ``x``, and of each
+    g_i's values; besides ``x`` only the running product and one row of
+    values are live."""
+    joint = np.ones(x.shape[1])
+    stats = []
     for i, g in enumerate(case):
-        gi = g(coords[i])
-        joint_vals *= gi
-        prod_env *= float(np.dot(probs, gi))
-    return float(np.dot(probs, joint_vals)), prod_env
+        vals = g(x[i])
+        joint *= vals
+        stats.append(stat(vals, g.name))
+    return stat(joint, "*".join(g.name for g in case)), stats
+
+
+def _exact_sides(spec: DependenceSpec, family: MeasureFamily, case: Sequence[TestFunction]):
+    """(sides, method) by enumerating a joint table or, for independent
+    coordinates, from each measure's exact marginal expectations; None when
+    a marginal has no exact path."""
+    if spec.mode == "discrete_joint":
+        coords, probs = spec.joint_arrays()
+        joint, means = _case_stats(case, coords, lambda vals, _: float(np.dot(probs, vals)))
+        return _sides([joint], [means]), "enumeration"
+    if spec.mode != "per_measure_independent":
+        return None
+    rows = []
+    for _, mu in family.measures():
+        row = [marginal_expectation(mu.marginal(i), g) for i, g in enumerate(case)]
+        if None in row:
+            return None
+        rows.append(row)
+    return _sides([math.prod(row) for row in rows], rows), "exact"
 
 
 def _mc_sides(sampler: SequenceSampler, case: Sequence[TestFunction], m: int,
-              context: int):
-    """Monte Carlo (joint mean, product of marginal means, pooled SE) per measure,
-    enveloped across the family with one uniform block, drawn once and
-    transformed under each measure; besides it and the draw block, only the
-    running product and one row of case values are live."""
-    measures = sampler.family.measures()
+              context: int) -> tuple[float, float, float]:
+    """Monte Carlo sides of ``case`` from one uniform block, drawn once and
+    transformed under each measure; a joint table's draw reads no measure,
+    so it gives one row. A NaN value leaves no estimate, so it is an error."""
+    def stat(vals, name):
+        if np.isnan(vals).any():
+            raise ValueError(f"{name} is NaN on the Monte Carlo sample")
+        return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(m))
+
     if sampler.spec.mode == "discrete_joint":
-        # a joint table's draw reads no measure
-        blocks = [sampler.draw(len(case), m, context=context)] * len(measures)
+        blocks = [sampler.draw(len(case), m, context=context)]
     else:
         u = uniform_block(sampler.seed, len(case), m, context=context)
         out = np.empty_like(u)
-        blocks = (transform_block(u, mu, sampler.spec, out=out) for _, mu in measures)
-    best_joint = -math.inf
-    env_means = env_ses = None
-    joint_se_at_best = 0.0
-    for x in blocks:
-        joint_vals = np.ones(m)
-        means, ses = np.empty(len(case)), np.empty(len(case))
-        for i, g in enumerate(case):
-            vals = g(x[i])
-            joint_vals *= vals
-            means[i], ses[i] = np.mean(vals), np.std(vals, ddof=1) / math.sqrt(m)
-        joint = float(np.mean(joint_vals))
-        if joint > best_joint:
-            best_joint = joint
-            joint_se_at_best = float(np.std(joint_vals, ddof=1) / math.sqrt(m))
-        if env_means is None:
-            env_means, env_ses = means, ses
-        else:
-            take = means > env_means
-            env_means = np.where(take, means, env_means)
-            env_ses = np.where(take, ses, env_ses)
-    prod_env = float(np.prod(env_means))
-    # delta-method spread of the product of envelope means
-    prod_se = 0.0
-    for i in range(len(case)):
-        partial = np.prod(np.delete(env_means, i))
-        prod_se += abs(float(partial)) * float(env_ses[i])
-    pooled = math.sqrt(joint_se_at_best**2 + prod_se**2)
-    return best_joint, prod_env, pooled
+        blocks = (transform_block(u, mu, sampler.spec, out=out)
+                  for _, mu in sampler.family.measures())
+    # stats[k, 0] is (mean, SE) of the product under measure k, stats[k, 1 + i] of g_i
+    stats = np.array([[joint, *row] for joint, row in
+                      (_case_stats(case, x, stat) for x in blocks)])
+    return _sides(stats[:, 0, 0], stats[:, 1:, 0], stats[:, 0, 1], stats[:, 1:, 1])
 
 
 def _run_cases(kind: str, spec: DependenceSpec, family: MeasureFamily,
@@ -420,20 +427,9 @@ def _run_cases(kind: str, spec: DependenceSpec, family: MeasureFamily,
     equality = kind == "extended_independence"
 
     for case_index, (name, case) in enumerate(all_cases):
-        method = None
-        se = 0.0
-        if spec.mode == "discrete_joint":
-            joint, prod_env = _joint_table_sides(spec, case)
-            method = "enumeration"
-        elif spec.mode == "per_measure_independent":
-            sides = _exact_envelope_sides(family, case)
-            if sides is not None:
-                joint, prod_env = sides
-                method = "exact"
-        if method is None:
-            joint, prod_env, se = _mc_sides(sampler, case, mc_replications,
-                                            context=1000 + case_index)
-            method = "mc"
+        (joint, prod_env, se), method = (
+            _exact_sides(spec, family, case)
+            or (_mc_sides(sampler, case, mc_replications, context=1000 + case_index), "mc"))
         tolerance = 3.0 * se + 1e-9 * (1.0 + abs(joint) + abs(prod_env))
         if equality:
             gap = prod_env - joint

@@ -440,7 +440,7 @@ class SublinearEngine:
     seed: int = 2026
     enumeration_cap: int = 2_000_000
     fixed_context: int | None = None
-    _mc_context: int = field(default=0, repr=False)
+    _mc_context: int = field(default=0, init=False, repr=False)
     _grid: list | None = field(default=None, init=False, repr=False, compare=False)
     _exact: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _mc_fixed: dict = field(default_factory=dict, init=False, repr=False, compare=False)

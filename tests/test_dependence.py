@@ -232,7 +232,7 @@ class TestTransformBlock:
                              ids=["independent", "matrix", "pairs"])
     def test_the_sampler_draws_through_it(self, spec):
         family = MeasureFamily.singleton(UNIFORM_PARETO)
-        x = SequenceSampler(spec, family, seed=5, context=4).draw(3, 300)
+        x = SequenceSampler(spec, family, seed=5).draw(3, 300, context=4)
         expected = transform_block(uniform_block(5, 3, 300, context=4), UNIFORM_PARETO, spec)
         assert x.tobytes() == expected.tobytes()
 
@@ -269,7 +269,7 @@ class TestSequenceSampler:
             Marginal.normal(0.3, 2.0), Marginal.uniform(-1.0, 0.5), Marginal.pareto(1.5, 2.0),
             Marginal.bernoulli(0.3), Marginal.discrete(((-1.0, 0.25), (0.5, 0.5), (2.0, 0.25))),
         ])
-        x = SequenceSampler(spec, family, seed=2026, context=7).draw(n, 5003)
+        x = SequenceSampler(spec, family, seed=2026).draw(n, 5003, context=7)
         assert x.shape == (n, 5003) and x.flags.c_contiguous
         assert hashlib.sha256(x.tobytes()).hexdigest() == digest
 
@@ -440,6 +440,8 @@ class TestVerifyExtendedIndependence:
 
 NEGATIVE = TestFunction.clamp_affine(1.0, 0.0, -1.0, 1.0)
 BUMP = TestFunction(lambda x: np.exp(-x[0] ** 2), 1, name="bump", sup_bound=1.0)
+NAN_PAST = TestFunction(lambda x: np.where(x[0] > 1.5, np.nan, np.clip(x[0], 0.0, 1.0)), 1,
+                        name="nan-past-1.5", sup_bound=1.0)
 
 
 # case, message from verify_end, message from verify_extended_independence
@@ -452,6 +454,8 @@ BUMP = TestFunction(lambda x: np.exp(-x[0] ** 2), 1, name="bump", sup_bound=1.0)
      "test function clip(1x+0,[-1,1]) takes negative values on the audit grid"),
     ((TestFunction.pos_power(2), RAMP), "test function pos(x)^2 declares no bound", None),
     ((BUMP, RAMP), "test function bump is not nondecreasing on the audit grid", None),
+    ((RAMP, NAN_PAST), "test function nan-past-1.5 is NaN on the audit grid",
+     "test function nan-past-1.5 is NaN on the audit grid"),
 ])
 def test_both_verifiers_audit_a_bad_supplied_case(case, end_message, extindep_message):
     family = bernoulli_pair_family()
@@ -465,6 +469,50 @@ def test_both_verifiers_audit_a_bad_supplied_case(case, end_message, extindep_me
         with pytest.raises(ValueError) as extindep_error:
             verify_extended_independence(COUNTERMONOTONE, family, case, corpus_cases=0)
         assert str(extindep_error.value) == extindep_message
+
+
+def _nan_between_audit_points(family: MeasureFamily, spec: DependenceSpec,
+                              x: float) -> TestFunction:
+    """A nondecreasing bounded ramp that is NaN strictly between the two
+    audit grid points around ``x``: the audit passes it, samples hit it."""
+    lo, hi = dependence._audit_box(family, spec, 1)[0]
+    grid = np.linspace(lo, hi, 256)
+    a, b = grid[np.searchsorted(grid, x) - 1 : np.searchsorted(grid, x) + 1]
+    return TestFunction(
+        lambda y: np.where((y[0] > a) & (y[0] < b), np.nan, np.clip(y[0], 0.0, 1.0)), 1,
+        name="nan-inside", sup_bound=1.0)
+
+
+PARETO_GRID = MeasureFamily(parameter_domain=((2.5, 4.0),), grid_resolution=3,
+                            builder=lambda t: ProductMeasure((Marginal.pareto(t),),
+                                                             stationary=True))
+PAIR_COPULA = DependenceSpec(mode="gaussian_copula", correlation=-0.5)
+
+
+@pytest.mark.parametrize("verify, spec, family, x", [
+    (verify_end, PAIR_COPULA, make_singleton([Marginal.normal(0.0, 1.0)]), 0.5),
+    (verify_extended_independence, DependenceSpec.independent(), PARETO_GRID, 2.0),
+], ids=["end_copula", "extindep_pareto"])
+def test_a_nan_monte_carlo_value_is_an_error(verify, spec, family, x):
+    nan_inside = _nan_between_audit_points(family, spec, x)
+    with pytest.raises(ValueError, match="^nan-inside is NaN on the Monte Carlo sample$"):
+        verify(spec, family, (nan_inside, RAMP), corpus_cases=0, mc_replications=20_000,
+               seed=3)
+
+
+def test_sides_reads_each_envelope_and_its_se_at_the_first_measure_attaining_it():
+    joints, joint_ses = [0.5, 0.7, 0.7], [0.01, 0.02, 0.03]
+    means = [[0.2, 0.9], [0.4, 0.9], [0.4, 0.1]]
+    ses = [[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]]
+    # joint 0.7 first at measure 1; g_1's 0.4 first at measure 1, g_2's 0.9 at measure 0
+    prod_se = 0.9 * 0.3 + 0.4 * 0.2
+    assert dependence._sides(joints, means, joint_ses, ses) == (
+        0.7, 0.4 * 0.9, math.sqrt(0.02**2 + prod_se**2))
+    assert dependence._sides(joints, means) == (0.7, 0.4 * 0.9, 0.0)
+    # An infinite exact envelope: the delta method over zero SEs would be NaN.
+    rows = [[math.inf, 0.0], [1.0, 1.0]]
+    assert dependence._sides([0.0, 1.0], rows) == (1.0, math.inf, 0.0)
+    assert math.isnan(dependence._sides([0.0, 1.0], rows, [0.0, 0.0], [[0.0] * 2] * 2)[2])
 
 
 def test_report_summary_is_flat_and_complete():

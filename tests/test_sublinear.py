@@ -402,6 +402,13 @@ def test_no_samples_are_kept_without_a_fixed_context(sigma_family):
     assert first.value != second.value  # each call draws its own context
 
 
+def test_the_monte_carlo_context_counter_is_not_a_constructor_argument(sigma_family):
+    # Every engine's calls draw contexts 1, 2, ...; only fixed_context moves them.
+    with pytest.raises(TypeError, match="_mc_context"):
+        SublinearEngine(sigma_family, mc_replications=2000, seed=7, _mc_context=41)
+    assert SublinearEngine(sigma_family)._mc_context == 0
+
+
 def _discrete_pair_family(n_atoms: int, resolution: int) -> MeasureFamily:
     """Mixtures of two laws on ``n_atoms`` points, whose pairs have
     ``n_atoms**2`` joint atoms."""

@@ -2,7 +2,7 @@
 
 ``bench/tracer.py`` wraps functions and methods by name; a refactor that
 renames or inlines one of them silently drops its span. These tests install
-the tracer, run two commands and check the spans and counts it records.
+the tracer, run commands and check the spans and counts it records.
 """
 
 import importlib.util
@@ -13,7 +13,8 @@ import pytest
 import caplim
 from caplim import bounds, cli, config, dependence, limits, measures, sublinear
 
-TRACER_PATH = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER_PATH = ROOT / "bench" / "tracer.py"
 MODULES = (caplim, measures, sublinear, dependence, bounds, limits, config, cli)
 
 SLLN = """\
@@ -119,3 +120,15 @@ def test_a_copula_trajectory_run_records_the_transform_spans(traced, tmp_path, c
     # The normal scores are standard normal ppf draws; the normal marginal
     # maps them without another ppf call.
     assert snap["counts"]["measures.ppf.draws.normal"] == 4 * 2000
+
+
+def test_a_cross_checked_end_run_records_the_verifier_spans(traced, tmp_path, capsys):
+    path = tmp_path / "end.yaml"
+    path.write_text((ROOT / "configs" / "end_countermonotone.yaml").read_text().replace(
+        "corpus_cases: 24", "corpus_cases: 2\n  mc_cross_check: true\n  mc_replications: 2000"))
+    assert cli.main(["verify", "end", "--config", str(path)]) == 0
+    snap = traced.snapshot()
+    # The joint table's cross-check draws through SequenceSampler.draw.
+    assert {"dependence.verify", "dependence.sampler_draw"} <= snap["self_s"].keys()
+    spans = snap["self_s"]["dependence.verify"] + snap["self_s"]["dependence.sampler_draw"]
+    assert spans <= snap["incl_s"]["dependence.verify_end"] <= snap["incl_s"]["cli.main"]
