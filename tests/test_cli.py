@@ -421,6 +421,21 @@ class TestCommandLine:
         redumped = json.dumps(result, sort_keys=True, indent=2)
         assert redumped == (out1 / "result.json").read_text().rstrip("\n")
 
+    def test_a_failed_write_leaves_an_incomplete_manifest(self, tmp_path, capsys):
+        """A write that fails (here ``summary.txt`` is a directory) exits 1;
+        the manifest still lands and lists just the files written before it."""
+        out = tmp_path / "out"
+        (out / "summary.txt").mkdir(parents=True)
+        assert main(["bounds", "eval", "--formula", "chebyshev", "--x", "2",
+                     "--variance-sum", "1", "--K", "1", "--out", str(out)]) == 1
+        assert "error:" in capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "incomplete"
+        assert manifest["outputs"] == {
+            name: "sha256:" + hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in ("result.json", "bounds.csv")
+        }
+
     def test_manifest_wall_clock_covers_the_command(self, tmp_path, capsys):
         path = tmp_path / "slln.yaml"
         path.write_text(MINIMAL + (
