@@ -7,15 +7,19 @@ Commands::
     caplim experiment {wlln|slln|cluster|lil|necessity|bound-check} --config F
     caplim choquet --config F
 
-Every command prints a one-line verdict and, with ``--out``, writes
-``result.json`` (sorted keys), CSV plot data, a human-readable
-``summary.txt`` and a ``manifest.json`` listing each output file with a
-content digest. Numeric CSV cells are serialized at 12 significant
-digits. Results are independent of ``--workers``; only the manifest
-records the worker count and wall-clock time.
+Each command handler computes and returns one ``_Run``; it prints and
+writes nothing. ``main`` alone then writes the run's artifacts (with
+``--out``), prints its verdict line and picks the exit code, by one rule:
+0 when the run passed, 2 when it ran but failed, and 1 on usage or runtime
+errors, a failed write included.
 
-Exit codes: 0 when the command's verification passed, 2 when it ran but
-failed, 1 on usage or runtime errors.
+With ``--out`` a run writes ``result.json`` (sorted keys), CSV plot data,
+a human-readable ``summary.txt`` and, last and even when a write fails, a
+``manifest.json`` listing each file written with its sha256 and a
+``status`` of ``complete`` or ``incomplete``. Numeric CSV cells are
+serialized at 12 significant digits. Results are independent of
+``--workers``; only the manifest records the worker count and wall-clock
+time.
 """
 
 from __future__ import annotations
@@ -23,11 +27,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import platform
 import sys
 import time
-from dataclasses import fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +40,7 @@ from . import __version__
 from .bounds import _FORMULAS, BoundInputs, DerivedConstants, evaluate_formula
 from .config import ConfigBundle, ConfigError, parse_config
 from .dependence import verify_end, verify_extended_independence
-from .limits import _MODES, run_experiment
+from .limits import _MODES, _json_safe, run_experiment
 from .sublinear import _CHOQUET_FUNCTIONS, SublinearEngine, run_axiom_suite
 
 __all__ = ["main"]
@@ -51,25 +54,6 @@ def _fmt12(value) -> str:
     if isinstance(value, (float, np.floating)):
         return format(float(value), ".12g")
     return str(value)
-
-
-def _json_safe(value):
-    if isinstance(value, dict):
-        return {str(k): _json_safe(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        v = float(value)
-        if math.isnan(v):
-            return "nan"
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
-        return v
-    return value
 
 
 def _render_table(header, rows) -> str:
@@ -89,78 +73,63 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-class _RunWriter:
-    """Writes artifacts under one directory and finishes with a manifest."""
+@dataclass(frozen=True)
+class _Run:
+    """One command's outcome: what ``main`` writes, prints and exits with.
 
-    def __init__(self, out_dir: str, command: str, seed, workers: int,
-                 config_hash: str | None, t0: float):
-        self.dir = Path(out_dir)
-        self.dir.mkdir(parents=True, exist_ok=True)
-        self.command = command
-        self.seed = seed
-        self.workers = workers
-        self.config_hash = config_hash
-        self.names: list[str] = []
-        self.t0 = t0
+    ``seed`` is the one the run drew with, if any.
+    """
 
-    def _write(self, name: str, data: bytes) -> None:
-        (self.dir / name).write_bytes(data)
-        self.names.append(name)
+    command: str
+    payload: dict
+    tables: dict
+    summary: str
+    verdict: str
+    passed: bool = True
+    seed: int | None = None
+    config_hash: str | None = None
 
-    def add_json(self, name: str, payload) -> None:
-        text = json.dumps(_json_safe(payload), sort_keys=True, indent=2) + "\n"
-        self._write(name, text.encode("utf-8"))
 
-    def add_csv(self, name: str, header, rows) -> None:
-        lines = [",".join(header)]
-        lines.extend(",".join(_fmt12(v) for v in row) for row in rows)
-        self._write(name, ("\n".join(lines) + "\n").encode("utf-8"))
+def _artifacts(run: _Run):
+    """Each artifact's name and text, in writing order, built as it is asked for."""
+    yield "result.json", json.dumps(_json_safe(run.payload), sort_keys=True, indent=2) + "\n"
+    for name, (header, rows) in run.tables.items():
+        lines = [",".join(header), *(",".join(_fmt12(v) for v in row) for row in rows)]
+        yield f"{name}.csv", "\n".join(lines) + "\n"
+    yield "summary.txt", run.summary if run.summary.endswith("\n") else run.summary + "\n"
 
-    def add_text(self, name: str, text: str) -> None:
-        if not text.endswith("\n"):
-            text += "\n"
-        self._write(name, text.encode("utf-8"))
 
-    def finish(self, status: str) -> None:
-        outputs = {}
-        for name in self.names:
-            digest = hashlib.sha256((self.dir / name).read_bytes()).hexdigest()
-            outputs[name] = f"sha256:{digest}"
+def _write(run: _Run, out_dir: str, workers: int, t0: float) -> None:
+    """Write ``run``'s artifacts under ``out_dir``, then ``manifest.json``
+    with the sha256 of each file written, even when a write fails."""
+    directory = Path(out_dir)
+    directory.mkdir(parents=True, exist_ok=True)
+    outputs = {}
+    status = "incomplete"
+    try:
+        for name, text in _artifacts(run):
+            data = text.encode("utf-8")
+            (directory / name).write_bytes(data)
+            outputs[name] = f"sha256:{hashlib.sha256(data).hexdigest()}"
+        status = "complete"
+    finally:
         manifest = {
-            "command": self.command,
-            "config_hash": self.config_hash,
-            "seed": self.seed,
-            "workers": self.workers,
+            "command": run.command,
+            "config_hash": run.config_hash,
+            "seed": run.seed,
+            "workers": workers,
             "versions": {
                 "python": platform.python_version(),
                 "numpy": np.__version__,
                 "scipy": scipy.__version__,
                 "caplim": __version__,
             },
-            "wall_clock_seconds": round(time.monotonic() - self.t0, 3),
+            "wall_clock_seconds": round(time.monotonic() - t0, 3),
             "outputs": outputs,
             "status": status,
         }
         text = json.dumps(manifest, sort_keys=True, indent=2) + "\n"
-        (self.dir / "manifest.json").write_bytes(text.encode("utf-8"))
-
-
-def _emit(args, command: str, payload: dict, tables: dict, summary_text: str,
-          seed: int | None = None, config_hash: str | None = None) -> None:
-    """Write the artifacts; ``seed`` is the one the run drew with, if any."""
-    if args.out is None:
-        return
-    writer = _RunWriter(args.out, command, seed, getattr(args, "workers", 1),
-                        config_hash, args.t0)
-    try:
-        writer.add_json("result.json", payload)
-        for name, (header, rows) in tables.items():
-            writer.add_csv(f"{name}.csv", header, rows)
-        writer.add_text("summary.txt", summary_text)
-    except BaseException:
-        writer.finish("incomplete")
-        raise
-    writer.finish("complete")
+        (directory / "manifest.json").write_bytes(text.encode("utf-8"))
 
 
 def _load_bundle(args, required: bool = True) -> ConfigBundle | None:
@@ -178,21 +147,28 @@ def _kv_lines(mapping: dict) -> str:
 # ---------------------------------------------------------------------------
 # verify
 
+# The verify keys each target reads, each passed on as the keyword of the
+# same name; an absent key takes the target function's default.
+_VERIFY_KEYS = {
+    "axioms": ("n_cases", "mc_every", "mc_replications"),
+    "end": ("mc_replications", "corpus_cases", "direction", "mc_cross_check"),
+    "extindep": ("mc_replications", "corpus_cases"),
+}
 
-def _cmd_verify(args) -> int:
-    options = {}
+
+def _cmd_verify(args) -> _Run:
     bundle = _load_bundle(args, required=args.target != "axioms")
-    if bundle is not None:
-        options = dict(bundle.verify_options)
+    options = bundle.verify_options if bundle is not None else {}
+    kwargs = {key: options[key] for key in _VERIFY_KEYS[args.target] if key in options}
+    # Read from the module's names at each call, so a rebinding of them
+    # (as a profiler makes) reaches the call.
+    check = {"axioms": run_axiom_suite, "end": verify_end,
+             "extindep": verify_extended_independence}[args.target]
     seed = args.seed if args.seed is not None else 2026
+    command = f"verify {args.target}"
 
     if args.target == "axioms":
-        suite = run_axiom_suite(
-            n_cases=options.get("n_cases", 120),
-            seed=seed,
-            mc_every=options.get("mc_every", 10),
-            mc_replications=options.get("mc_replications", 20_000),
-        )
+        suite = check(seed=seed, **kwargs)
         passed = suite["passed"]
         payload = {
             "check": "axioms",
@@ -212,25 +188,11 @@ def _cmd_verify(args) -> int:
             f"({suite['n_cases']} cases, {suite['n_failures']} failures)\n\n"
             + _render_table(header, rows)
         )
-        _emit(args, "verify axioms", payload, {"axioms": (header, rows)}, text, seed=seed)
-        print(f"verify axioms: {'PASS' if passed else 'FAIL'} "
-              f"({suite['n_cases']} cases)")
-        return 0 if passed else 2
+        return _Run(command, payload, {"axioms": (header, rows)}, text,
+                    f"{command}: {'PASS' if passed else 'FAIL'} ({suite['n_cases']} cases)",
+                    passed=passed, seed=seed)
 
-    kwargs = {
-        "seed": seed,
-        "mc_replications": options.get("mc_replications", 200_000),
-        "corpus_cases": options.get("corpus_cases", 12),
-    }
-    if args.target == "end":
-        kwargs["direction"] = options.get("direction", "upper")
-        if options.get("mc_cross_check"):
-            kwargs["mc_cross_check"] = True
-        report = verify_end(bundle.dependence, bundle.family, **kwargs)
-    else:
-        report = verify_extended_independence(bundle.dependence, bundle.family,
-                                              **kwargs)
-
+    report = check(bundle.dependence, bundle.family, seed=seed, **kwargs)
     payload = report.summary()
     payload["cases"] = list(report.cases)
     payload["seed"] = seed
@@ -250,23 +212,20 @@ def _cmd_verify(args) -> int:
         for row in report.cases
     )
     verdict = "PASS" if report.passed else "FAIL"
+    worst = f"worst margin {report.worst_margin:.6g} at {report.worst_case}"
     text = (
-        f"{report.kind}: {verdict} over {report.n_cases} cases\n"
-        f"worst margin {report.worst_margin:.6g} at {report.worst_case}\n\n"
+        f"{report.kind}: {verdict} over {report.n_cases} cases\n{worst}\n\n"
         + _render_table(header, rows)
     )
-    _emit(args, f"verify {args.target}", payload, {"cases": (header, rows)}, text,
-          seed=seed)
-    print(f"verify {args.target}: {verdict} (worst margin "
-          f"{report.worst_margin:.6g} at {report.worst_case})")
-    return 0 if report.passed else 2
+    return _Run(command, payload, {"cases": (header, rows)}, text,
+                f"{command}: {verdict} ({worst})", passed=report.passed, seed=seed)
 
 
 # ---------------------------------------------------------------------------
 # bounds eval
 
 
-def _cmd_bounds(args) -> int:
+def _cmd_bounds(args) -> _Run:
     bundle = _load_bundle(args, required=False)
     options = dict(bundle.bounds_options) if bundle else {}
     inputs_map = dict(options.get("inputs", {}))
@@ -290,15 +249,15 @@ def _cmd_bounds(args) -> int:
     # Each flag overrides its config key.
     extra = {}
     for key, name in (("choquet_terms", "per_term_pos_choquet"),
-                      ("max_second_moment", "max_second_moment"), ("tilt", "tilt")):
+                      ("max_second_moment", "max_second_moment"), ("tilt", "tilt"),
+                      ("form", "form")):
         value = getattr(args, key)
         if value is None:
             value = options.get(key)
         if value is not None:
             extra[name] = tuple(value) if key == "choquet_terms" else value
-    form = args.form or options.get("form", "pre")
 
-    columns, trace = evaluate_formula(formula, inputs, xs, form=form, **extra)
+    columns, trace = evaluate_formula(formula, inputs, xs, **extra)
     header = ("x",) + tuple(columns)
     rows = tuple(
         (float(x), *(float(columns[name][i]) for name in columns))
@@ -314,16 +273,14 @@ def _cmd_bounds(args) -> int:
         "columns": {name: list(values) for name, values in columns.items()},
         "trace": list(trace),
     }
-    _emit(args, "bounds eval", payload, {"bounds": (header, rows)}, text)
-    print(table)
-    return 0
+    return _Run("bounds eval", payload, {"bounds": (header, rows)}, text, table)
 
 
 # ---------------------------------------------------------------------------
 # choquet
 
 
-def _cmd_choquet(args) -> int:
+def _cmd_choquet(args) -> _Run:
     bundle = _load_bundle(args)
     options = dict(bundle.choquet_options)
     fn_name = options.get("function", "abs_power")
@@ -352,16 +309,16 @@ def _cmd_choquet(args) -> int:
             "method": report.method,
         }
     )
-    _emit(args, "choquet", payload, {}, text, seed=engine.seed)
-    print(f"choquet {fn_name}({exponent:g}) [{capacity}]: {value_text}")
-    return 0
+    return _Run("choquet", payload, {}, text,
+                f"choquet {fn_name}({exponent:g}) [{capacity}]: {value_text}",
+                seed=engine.seed)
 
 
 # ---------------------------------------------------------------------------
 # experiment
 
 
-def _summary_text(result, bundle: ConfigBundle) -> str:
+def _summary_text(result) -> str:
     lines = [
         f"mode: {result.mode}",
         f"passed: {result.passed}",
@@ -388,7 +345,7 @@ def _summary_text(result, bundle: ConfigBundle) -> str:
     return "\n".join(lines)
 
 
-def _cmd_experiment(args) -> int:
+def _cmd_experiment(args) -> _Run:
     bundle = _load_bundle(args)
     config = bundle.experiment_config(
         mode=args.mode, seed=args.seed, workers=args.workers
@@ -402,12 +359,14 @@ def _cmd_experiment(args) -> int:
         "summary": result.summary,
         "assumptions": list(result.assumptions),
     }
-    text = _summary_text(result, bundle)
-    _emit(args, f"experiment {args.mode}", payload, result.tables, text,
-          seed=result.seed, config_hash=result.config_hash)
-    verdict = "PASS" if result.passed else "FAIL"
-    print(f"experiment {args.mode}: {verdict}")
-    return 0 if result.passed else 2
+    command = f"experiment {args.mode}"
+    return _Run(command, payload, result.tables, _summary_text(result),
+                f"{command}: {'PASS' if result.passed else 'FAIL'}",
+                passed=result.passed, seed=result.seed, config_hash=result.config_hash)
+
+
+_COMMANDS = {"verify": _cmd_verify, "bounds": _cmd_bounds, "choquet": _cmd_choquet,
+             "experiment": _cmd_experiment}
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +393,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", parents=[common],
                             help="run a verification suite")
-    verify.add_argument("target", choices=("axioms", "end", "extindep"))
+    verify.add_argument("target", choices=tuple(_VERIFY_KEYS))
 
     bounds = sub.add_parser("bounds", parents=[common],
                             help="evaluate tail-bound formulas")
@@ -469,7 +428,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    t0 = time.monotonic()
+    t0 = time.monotonic()  # the manifest's wall clock covers the whole command
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -477,24 +436,18 @@ def main(argv=None) -> int:
             parser.error(f"argument --workers: must be at least 1, got {args.workers}")
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
-    args.t0 = t0  # the manifest's wall clock covers the whole command
     try:
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "bounds":
-            return _cmd_bounds(args)
-        if args.command == "choquet":
-            return _cmd_choquet(args)
-        return _cmd_experiment(args)
+        run = _COMMANDS[args.command](args)
+        if args.out is not None:
+            _write(run, args.out, args.workers, t0)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, TypeError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    print(run.verdict)
+    return 0 if run.passed else 2
 
 
 if __name__ == "__main__":

@@ -421,8 +421,6 @@ def _run_cases(kind: str, spec: DependenceSpec, family: MeasureFamily,
         raise ValueError("no case to check: supply a case or ask for corpus_cases >= 1")
     sampler = SequenceSampler(spec, family, seed=seed)
     rows = []
-    worst = math.inf
-    worst_name = ""
     passed = True
     equality = kind == "extended_independence"
 
@@ -461,18 +459,18 @@ def _run_cases(kind: str, spec: DependenceSpec, family: MeasureFamily,
             ok = ok and row["mc_agrees"]
             row["passed"] = ok
         passed = passed and ok
-        if margin < worst:
-            worst = margin
-            worst_name = name
         rows.append(row)
+
+    # A NaN margin ranks below every number; ties go to the earlier case.
+    worst = min(rows, key=lambda row: (not math.isnan(row["margin"]), row["margin"]))
 
     return EndReport(
         kind=kind,
         direction=direction,
         K=K,
         passed=passed,
-        worst_margin=worst,
-        worst_case=worst_name,
+        worst_margin=worst["margin"],
+        worst_case=worst["case"],
         n_cases=len(rows),
         cases=tuple(rows),
     )

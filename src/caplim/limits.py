@@ -226,7 +226,7 @@ class ExperimentConfig:
     def descriptor(self) -> dict:
         """Canonical JSON-ready description; excludes ``workers``."""
         out = {
-            f.name: _jsonable(getattr(self, f.name))
+            f.name: _json_safe(getattr(self, f.name))
             for f in fields(self)
             if f.name not in _UNHASHED
         }
@@ -258,7 +258,7 @@ class ExperimentResult:
 
 
 def _family_descriptor(family: MeasureFamily) -> dict:
-    grid = [[{"kind": m.kind, "params": _jsonable(m.params)} for m in mu.marginals]
+    grid = [[{"kind": m.kind, "params": _json_safe(m.params)} for m in mu.marginals]
             for _, mu in family.measures()]
     return {
         "name": family.name,
@@ -282,13 +282,24 @@ def _dependence_descriptor(spec: DependenceSpec) -> dict:
     return out
 
 
-def _jsonable(value):
+def _json_safe(value):
+    """``value`` with numpy scalars as Python ones, tuples as lists, string
+    keys, and a non-finite float as ``"nan"``, ``"inf"`` or ``"-inf"``."""
     if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in sorted(value.items())}
+        return {str(k): _json_safe(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
+        return [_json_safe(v) for v in value]
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, (float, np.floating)):
+        v = float(value)
+        if math.isnan(v):
+            return "nan"
+        if math.isinf(v):
+            return "inf" if v > 0 else "-inf"
+        return v
     return value
 
 

@@ -534,8 +534,7 @@ class Marginal:
                     total += math.comb(ki, j) * a ** (ki - j) * mj[j]
                 return sd**k * total
             # np.float_power is libm pow, as Python's float ** float
-            density = self._density()
-            return quad(lambda x: np.float_power(x, k) * density(x), 0.0, math.inf,
+            return quad(lambda x: np.float_power(x, k) * self.pdf(x), 0.0, math.inf,
                         limit=200).value
         if self.kind == "uniform":
             lo, hi = self.params
@@ -591,7 +590,10 @@ class Marginal:
             mean, var = self.params
             sd = math.sqrt(var)
             x = np.asarray(x, dtype=float)
-            return np.exp(-0.5 * ((x - mean) / sd) ** 2) / (sd * _SQRT_2PI)
+            # np.float_power is libm pow, as Python's float ** 2, and the
+            # pinned quadratures follow it; np.square differs from it by an
+            # ulp on about 0.08% of arguments.
+            return np.exp(-0.5 * np.float_power((x - mean) / sd, 2.0)) / (sd * _SQRT_2PI)
         if self.kind == "uniform":
             lo, hi = self.params
             x = np.asarray(x, dtype=float)
@@ -652,24 +654,6 @@ class Marginal:
 
     # -- expectations of general integrands ----------------------------------
 
-    def _density(self) -> Callable[[np.ndarray], np.ndarray]:
-        """The density quadrature multiplies into its integrand, on arrays.
-
-        It is ``pdf`` but for the normal, whose form repeats ``pdf``'s
-        operations in the same order but squares with ``np.float_power``
-        (libm ``pow``, as Python's ``** 2``) where ``pdf`` calls numpy's
-        ``square``; the squares differ by one ulp on about 0.08% of
-        arguments, so the density can differ from ``pdf`` by a few ulps,
-        growing with the squared standard score. Quadrature results, and the
-        digests pinned on them, follow this form.
-        """
-        if self.kind != "normal":
-            return self.pdf
-        mean, var = self.params
-        sd = math.sqrt(var)
-        norm = sd * _SQRT_2PI
-        return lambda x: np.exp(-0.5 * np.float_power((x - mean) / sd, 2.0)) / norm
-
     def expect(self, f: Callable[[np.ndarray], np.ndarray], breakpoints: Sequence[float] = (),
                tol: float = 1e-10) -> float:
         """E[f(X)] by exact summation (discrete kinds) or adaptive quadrature.
@@ -682,10 +666,9 @@ class Marginal:
         if self.is_discrete:
             vals, probs = self._sorted_atoms()
             return float(np.sum(probs * np.asarray(f(vals), dtype=float)))
-        density = self._density()
 
         def integrand(x: np.ndarray) -> np.ndarray:
-            return np.asarray(f(x), dtype=float).reshape(-1) * density(x)
+            return np.asarray(f(x), dtype=float).reshape(-1) * self.pdf(x)
 
         lo, hi = self.support()
         pts = sorted(p for p in breakpoints if lo < p < hi)

@@ -1,6 +1,7 @@
 """Config file round trips and the command-line entry point."""
 
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -19,8 +20,10 @@ from caplim.bounds import (
     moricz_maximal_bound,
     moricz_maximal_bound_text_form,
 )
-from caplim.cli import main
-from caplim.config import ConfigError, parse_config, parse_config_text
+from caplim.cli import _VERIFY_KEYS, main
+from caplim.config import _SECTIONS, ConfigError, parse_config, parse_config_text
+from caplim.dependence import verify_end, verify_extended_independence
+from caplim.sublinear import run_axiom_suite
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 GOLDEN = CONFIG_DIR / "reciprocal_variance_pair.yaml"
@@ -720,6 +723,21 @@ class TestCommandLine:
             json.loads((tmp_path / run / "result.json").read_text())["columns"]
             for run in ("file", "flags"))
         assert from_file == from_flags
+
+
+def test_every_verify_key_is_read_and_forwarded_as_a_keyword():
+    """The config reads exactly the keys some target forwards, and each
+    forwarded key names a keyword parameter of the target's function, so no
+    key is accepted and then ignored, or passed where it cannot land."""
+    assert set(_SECTIONS["verify"]) == {key for keys in _VERIFY_KEYS.values() for key in keys}
+    targets = {"axioms": run_axiom_suite, "end": verify_end,
+               "extindep": verify_extended_independence}
+    assert set(targets) == set(_VERIFY_KEYS)
+    keyword = (inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.KEYWORD_ONLY)
+    for target, keys in _VERIFY_KEYS.items():
+        parameters = inspect.signature(targets[target]).parameters
+        for key in keys:
+            assert key in parameters and parameters[key].kind in keyword, (target, key)
 
 
 def test_importing_the_cli_leaves_quadrature_unloaded(tmp_path):

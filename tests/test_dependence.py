@@ -500,6 +500,20 @@ def test_a_nan_monte_carlo_value_is_an_error(verify, spec, family, x):
                seed=3)
 
 
+@pytest.mark.parametrize("second", [TestFunction.power(1), TestFunction.const(0.0)],
+                         ids=["inf_minus_inf", "inf_times_zero"])
+@pytest.mark.parametrize("corpus_cases", [0, 2])
+def test_a_nan_margin_is_the_worst(second, corpus_cases):
+    """E[X^3] is infinite at alpha 2.5, so the supplied case's margin is NaN
+    (inf - inf, or inf * 0 in the joint); it outranks every numeric margin."""
+    report = verify_extended_independence(DependenceSpec.independent(), PARETO_GRID,
+                                          (TestFunction.power(3), second),
+                                          corpus_cases=corpus_cases)
+    assert not report.passed
+    assert report.worst_case == "supplied"
+    assert math.isnan(report.worst_margin)
+
+
 def test_sides_reads_each_envelope_and_its_se_at_the_first_measure_attaining_it():
     joints, joint_ses = [0.5, 0.7, 0.7], [0.01, 0.02, 0.03]
     means = [[0.2, 0.9], [0.4, 0.9], [0.4, 0.1]]

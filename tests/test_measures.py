@@ -169,24 +169,20 @@ def test_expect_quadrature_is_pinned(m):
 
 @pytest.mark.parametrize("m", [Marginal.normal(0.3, 1.7), Marginal.normal(-1.0, 0.25),
                                Marginal.uniform(-2.0, 1.0)], ids=repr)
-def test_point_density_is_within_spacings_of_pdf(m):
-    """Quadrature's normal density squares with libm ``pow`` and ``pdf`` with
-    ``np.square``; a one-ulp square moves the density by at most about
-    ``z**2 / 2`` of its own spacings. The uniform's has ``pdf``'s bits. At
-    each node the array density has the bits of ``pow`` on that one float."""
+def test_pdf_has_the_bits_of_one_float_at_a_time(m):
+    """Quadrature multiplies ``pdf`` into its integrands. On an array, the
+    normal's ``pdf`` squares with libm ``pow`` as Python's ``** 2`` does on
+    one float, not with ``np.square``, which is an ulp off on some nodes."""
     x = np.linspace(-8.0, 8.0, 4001)
-    density = m._density()(x)
-    pdf = m.pdf(x)
     if m.kind == "uniform":
-        assert [v.hex() for v in density] == [v.hex() for v in pdf]
-        return
-    mean, var = m.params
-    sd = math.sqrt(var)
-    norm = sd * math.sqrt(2.0 * math.pi)
-    one_by_one = [float(np.exp(-0.5 * ((v - mean) / sd) ** 2) / norm) for v in x.tolist()]
-    assert [v.hex() for v in density] == [v.hex() for v in one_by_one]
-    z = (x - mean) / sd
-    assert np.all(np.abs(density - pdf) <= (1.0 + z * z) * np.spacing(pdf))
+        lo, hi = m.params
+        one_by_one = [1.0 / (hi - lo) if lo <= v <= hi else 0.0 for v in x.tolist()]
+    else:
+        mean, var = m.params
+        sd = math.sqrt(var)
+        norm = sd * math.sqrt(2.0 * math.pi)
+        one_by_one = [float(np.exp(-0.5 * ((v - mean) / sd) ** 2) / norm) for v in x.tolist()]
+    assert [v.hex() for v in m.pdf(x)] == [v.hex() for v in one_by_one]
 
 
 @settings(max_examples=50, deadline=None)
