@@ -13,9 +13,9 @@ writes nothing. ``main`` alone then writes the run's artifacts (with
 0 when the run passed, 2 when it ran but failed, and 1 on usage or runtime
 errors, a failed write included.
 
-With ``--out`` a run writes ``result.json`` (sorted keys), CSV plot data,
-a human-readable ``summary.txt`` and, last and even when a write fails, a
-``manifest.json`` listing each file written with its sha256 and a
+With ``--out`` a run writes ``result.json`` (sorted keys), CSV plot data
+and a human-readable ``summary.txt``, then, even when one of those writes
+fails, a ``manifest.json`` listing each file written with its sha256 and a
 ``status`` of ``complete`` or ``incomplete``. Numeric CSV cells are
 serialized at 12 significant digits. Results are independent of
 ``--workers``; only the manifest records the worker count and wall-clock
