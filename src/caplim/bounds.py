@@ -12,7 +12,8 @@ formula. The calculators are pure and vectorized in the threshold x.
 
 Constants that the underlying arguments only assert to exist are pinned to
 explicit values by tracing each proof step; ``DerivedConstants`` records the
-pinned values together with a human-readable derivation trail.
+pinned values together with a human-readable derivation trail. They depend
+only on the moment order, so each calculator reads them off ``inputs.order``.
 """
 
 from __future__ import annotations
@@ -227,14 +228,12 @@ def chernoff_explicit_bound(inputs: BoundInputs, x, t: float):
 # -- polynomial and mixed bounds ---------------------------------------------------
 
 
-def split_moment_bound(inputs: BoundInputs, x, constants: DerivedConstants | None = None,
-                       form: str = "pre"):
+def split_moment_bound(inputs: BoundInputs, x, *, form: str = "pre"):
     """Polynomial-plus-Gaussian split using positive-part p-th moments."""
     inputs.require("order", "pos_moment_sum")
     x = np.asarray(x, dtype=float)
     p = inputs.order
-    if constants is None:
-        constants = DerivedConstants.for_order(p)
+    constants = DerivedConstants.for_order(p)
     if form == "pre":
         c = constants.split_pre
     elif form == "post":
@@ -268,8 +267,7 @@ def chebyshev_bound(inputs: BoundInputs, x):
     return (1.0 + inputs.K * math.e) * inputs.variance_sum / x**2
 
 
-def choquet_moment_bound(inputs: BoundInputs, per_term_pos_choquet: Sequence[float],
-                         constants: DerivedConstants | None = None,
+def choquet_moment_bound(inputs: BoundInputs, per_term_pos_choquet: Sequence[float], *,
                          max_term_pos_choquet: float | None = None):
     """Upper Choquet p-th moment of the running-sum positive part.
 
@@ -280,8 +278,7 @@ def choquet_moment_bound(inputs: BoundInputs, per_term_pos_choquet: Sequence[flo
     """
     inputs.require("order")
     p = inputs.order
-    if constants is None:
-        constants = DerivedConstants.for_order(p)
+    constants = DerivedConstants.for_order(p)
     per_term = _per_term_moments(inputs, per_term_pos_choquet)
     gauss = constants.moment * inputs.K * inputs.variance_sum ** (p / 2.0)
     sum_form = p**p * float(np.sum(per_term)) + gauss
@@ -306,17 +303,19 @@ def _per_term_moments(inputs: BoundInputs, per_term_pos_choquet: Sequence[float]
 # -- maximal partial-sum bounds -------------------------------------------------------
 
 
-def _moricz_k1_k2(inputs: BoundInputs, max_pos_choquet: float, max_second_moment: float,
-                  constants: DerivedConstants) -> tuple[float, float]:
-    p = inputs.order
-    k1 = p * max_pos_choquet ** (1.0 / p)
-    k2 = (constants.moment * inputs.K) ** (1.0 / p) * math.sqrt(max_second_moment)
-    return k1, k2
+def _maximal_constants(p: float) -> DerivedConstants:
+    """The constants at order p; the maximal bound needs the dyadic one."""
+    constants = DerivedConstants.for_order(p)
+    if constants.moricz is None:
+        raise ValueError(
+            f"the maximal bound needs an integer order > 2 (the block recursion is "
+            f"proved only for integers), got {p}"
+        )
+    return constants
 
 
 def moricz_maximal_bound(inputs: BoundInputs, max_pos_choquet: float,
-                         max_second_moment: float,
-                         constants: DerivedConstants | None = None):
+                         max_second_moment: float):
     """Worst-case p-th moment of the running maximum of partial-sum positive parts.
 
     Uses the dyadic block recursion at m = the next power of two >= n; a single
@@ -325,14 +324,9 @@ def moricz_maximal_bound(inputs: BoundInputs, max_pos_choquet: float,
     """
     inputs.require("order")
     p = inputs.order
-    if p <= 2 or not float(p).is_integer():
-        raise ValueError(
-            f"the maximal bound needs an integer order > 2 (the block recursion is "
-            f"proved only for integers), got {p}"
-        )
-    if constants is None:
-        constants = DerivedConstants.for_order(p)
-    k1, k2 = _moricz_k1_k2(inputs, max_pos_choquet, max_second_moment, constants)
+    constants = _maximal_constants(p)
+    k1 = p * max_pos_choquet ** (1.0 / p)
+    k2 = (constants.moment * inputs.K) ** (1.0 / p) * math.sqrt(max_second_moment)
     if inputs.n == 1:
         return (k1 + k2) ** p
     m = 2 ** math.ceil(math.log2(inputs.n))
@@ -341,18 +335,14 @@ def moricz_maximal_bound(inputs: BoundInputs, max_pos_choquet: float,
 
 
 def moricz_maximal_bound_text_form(inputs: BoundInputs, max_pos_choquet: float,
-                                   max_second_moment: float,
-                                   constants: DerivedConstants | None = None):
+                                   max_second_moment: float):
     """Plain-n form of the maximal bound: C1*n*(log2(2n))^p*maxC + C2*n^(p/2)*maxB^(p/2).
 
     Dominates the dyadic form after bounding the next power of two by 2n.
     """
     inputs.require("order")
     p = inputs.order
-    if p <= 2 or not float(p).is_integer():
-        raise ValueError(f"the maximal bound needs an integer order > 2, got {p}")
-    if constants is None:
-        constants = DerivedConstants.for_order(p)
+    constants = _maximal_constants(p)
     m_const = constants.moricz
     c1 = m_const * 2.0**p * p**p
     c2 = m_const * 2.0 ** (p - 1.0) * 2.0 ** (p / 2.0) * constants.moment * inputs.K
@@ -369,12 +359,11 @@ def moricz_maximal_bound_text_form(inputs: BoundInputs, max_pos_choquet: float,
 # compared against downstream.
 
 
-def conjugate_split_bound(inputs: BoundInputs, x, constants: DerivedConstants | None = None,
-                          form: str = "pre"):
+def conjugate_split_bound(inputs: BoundInputs, x, *, form: str = "pre"):
     """Split bound against the lower capacity; uses absolute p-th moments."""
     inputs.require("order", "abs_moment_sum")
     surrogate = replace(inputs, pos_moment_sum=inputs.abs_moment_sum)
-    return split_moment_bound(surrogate, x, constants=constants, form=form)
+    return split_moment_bound(surrogate, x, form=form)
 
 
 # -- formula dispatcher ------------------------------------------------------------------
@@ -384,7 +373,6 @@ _FORMULAS = ("exp", "split", "power", "chebyshev", "choquet-moment", "moricz", "
 
 
 def evaluate_formula(name: str, inputs: BoundInputs, x, *,
-                     constants: DerivedConstants | None = None,
                      per_term_pos_choquet: Sequence[float] | None = None,
                      max_term_pos_choquet: float | None = None,
                      max_pos_choquet: float | None = None,
@@ -410,9 +398,7 @@ def evaluate_formula(name: str, inputs: BoundInputs, x, *,
     for key, value in scalars.items():
         if value is not None and not np.all(np.isfinite(value)):
             raise ValueError(f"{key} must be finite, got {value}")
-    if constants is None and inputs.order is not None:
-        constants = DerivedConstants.for_order(inputs.order)
-    trace = constants.trace if constants is not None else ()
+    trace = () if inputs.order is None else DerivedConstants.for_order(inputs.order).trace
 
     if name == "exp":
         out = {"exp": kolmogorov_exponential_bound(inputs, x)}
@@ -422,7 +408,7 @@ def evaluate_formula(name: str, inputs: BoundInputs, x, *,
             out["tilted_optimal"] = chernoff_optimal_bound(inputs, x)
         return out, ()
     if name == "split":
-        return {"split": split_moment_bound(inputs, x, constants, form=form)}, trace
+        return {"split": split_moment_bound(inputs, x, form=form)}, trace
     if name == "power":
         return {"power": power_tail_bound(inputs, x)}, ()
     if name == "chebyshev":
@@ -430,7 +416,7 @@ def evaluate_formula(name: str, inputs: BoundInputs, x, *,
     if name == "choquet-moment":
         if per_term_pos_choquet is None:
             raise ValueError("choquet-moment needs per_term_pos_choquet")
-        res = choquet_moment_bound(inputs, per_term_pos_choquet, constants,
+        res = choquet_moment_bound(inputs, per_term_pos_choquet,
                                    max_term_pos_choquet=max_term_pos_choquet)
         if isinstance(res, tuple):
             sum_form, max_form = res
@@ -447,9 +433,8 @@ def evaluate_formula(name: str, inputs: BoundInputs, x, *,
         if max_pos_choquet is None or max_second_moment is None:
             raise ValueError("moricz needs per_term_pos_choquet (or max_pos_choquet) "
                              "and max_second_moment")
-        dyadic = moricz_maximal_bound(inputs, max_pos_choquet, max_second_moment, constants)
-        text = moricz_maximal_bound_text_form(inputs, max_pos_choquet, max_second_moment,
-                                              constants)
+        dyadic = moricz_maximal_bound(inputs, max_pos_choquet, max_second_moment)
+        text = moricz_maximal_bound_text_form(inputs, max_pos_choquet, max_second_moment)
         return ({"moricz_dyadic": np.full_like(x, dyadic),
                  "moricz_text_form": np.full_like(x, text)}, trace)
     # name == "conjugate"
@@ -457,5 +442,5 @@ def evaluate_formula(name: str, inputs: BoundInputs, x, *,
     if inputs.truncation is not None:
         out["conjugate_exp"] = kolmogorov_exponential_bound(inputs, x)
     if inputs.order is not None and inputs.abs_moment_sum is not None:
-        out["conjugate_split"] = conjugate_split_bound(inputs, x, constants, form=form)
+        out["conjugate_split"] = conjugate_split_bound(inputs, x, form=form)
     return out, trace

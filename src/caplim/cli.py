@@ -47,8 +47,6 @@ __all__ = ["main"]
 
 
 def _fmt12(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):

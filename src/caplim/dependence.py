@@ -462,7 +462,7 @@ def _run_cases(kind: str, spec: DependenceSpec, family: MeasureFamily,
         rows.append(row)
 
     # A NaN margin ranks below every number; ties go to the earlier case.
-    worst = min(rows, key=lambda row: (not math.isnan(row["margin"]), row["margin"]))
+    worst = rows[_extreme([row["margin"] for row in rows], "min")[1]]
 
     return EndReport(
         kind=kind,

@@ -58,7 +58,6 @@ from scipy.special import ndtr
 
 from .bounds import (
     BoundInputs,
-    DerivedConstants,
     chebyshev_bound,
     choquet_moment_bound,
     conjugate_split_bound,
@@ -273,8 +272,6 @@ def _dependence_descriptor(spec: DependenceSpec) -> dict:
     out = {"mode": spec.mode, "K": spec.K}
     if spec.correlation is not None:
         out["correlation"] = spec.correlation
-    if spec.correlation_matrix is not None:
-        out["correlation_matrix"] = [list(row) for row in spec.correlation_matrix]
     if spec.joint_atoms is not None:
         out["joint_atoms"] = [
             {"point": list(point), "prob": prob} for point, prob in spec.joint_atoms
@@ -989,7 +986,6 @@ def run_bound_check(config: ExperimentConfig) -> ExperimentResult:
     joint = config.dependence.mode == "discrete_joint"
     p = config.bound_order
     K = max(family.K, config.dependence.K)
-    constants = DerivedConstants.for_order(p)
 
     if joint:
         points, probs = config.dependence.joint_arrays()
@@ -1061,13 +1057,13 @@ def run_bound_check(config: ExperimentConfig) -> ExperimentResult:
              for y, tail in zip(y_grid, max_term(y_grid))], axis=0),
         "split": split_moment_bound(
             inputs(order=p, pos_moment_sum=pos_moment_sum, split=config.bound_delta),
-            x_grid, constants),
+            x_grid),
         "power": np.min(
             [power_tail_bound(inputs(tail_power=r), x_grid) + max_term(x_grid / r)
              for r in r_grid], axis=0),
         "chebyshev": chebyshev_bound(inputs(), x_grid),
         # np.float_power is libm pow, as Python's float ** int.
-        "positive_moment": choquet_moment_bound(inputs(order=p), per_term_choquet, constants)
+        "positive_moment": choquet_moment_bound(inputs(order=p), per_term_choquet)
         / np.float_power(x_grid, p),
     }
     # The conjugate exponential and second-moment bounds are the primal closed
@@ -1076,7 +1072,7 @@ def run_bound_check(config: ExperimentConfig) -> ExperimentResult:
         "conj_exponential": upper["exponential"],
         "conj_split": conjugate_split_bound(
             inputs(order=p, abs_moment_sum=abs_moment_sum, split=config.bound_delta),
-            x_grid, constants),
+            x_grid),
         "conj_chebyshev": upper["chebyshev"],
     }
     sides = ((emp_upper, emp_upper_se, upper), (emp_lower, emp_lower_se, lower))

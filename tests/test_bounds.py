@@ -5,6 +5,7 @@ calculators were written; the tests recompute them here at 50 digits and also
 assert the frozen decimal literals so a silent change in either side trips.
 """
 
+import inspect
 import math
 
 import mpmath
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from caplim import bounds
 from caplim.bounds import (
     BoundInputs,
     DerivedConstants,
@@ -236,9 +238,6 @@ def test_moricz_bounds_scale_and_order():
     dyadic = moricz_maximal_bound(inputs_8, 0.8, 1.0)
     text = moricz_maximal_bound_text_form(inputs_8, 0.8, 1.0)
     assert dyadic <= text  # the plain-n form gives away a factor
-    with pytest.raises(ValueError):
-        moricz_maximal_bound(BoundInputs(n=8, variance_sum=8.0, order=2.0,
-                                         K=1.0), 0.8, 1.0)
 
 
 def test_conjugate_forms_reuse_closed_forms():
@@ -250,6 +249,35 @@ def test_conjugate_forms_reuse_closed_forms():
     # the conjugate split swaps in the absolute moments, which can only grow
     assert np.all(conjugate_split_bound(inputs, x) >=
                   split_moment_bound(inputs, x))
+
+
+def test_each_calculator_reads_its_constants_off_the_order():
+    """No calculator takes constants, so an order-3 input cannot meet order-4
+    constants; constants passed where they used to go are a TypeError."""
+    for name in bounds.__all__:
+        function = getattr(bounds, name)
+        if inspect.isfunction(function):
+            assert "constants" not in inspect.signature(function).parameters, name
+    inputs = BoundInputs(n=3, variance_sum=3.0, K=1.0, order=3,
+                         pos_moment_sum=1.0, abs_moment_sum=2.0)
+    wrong = DerivedConstants.for_order(4)
+    calls = [lambda: split_moment_bound(inputs, 2.0, wrong),
+             lambda: conjugate_split_bound(inputs, 2.0, wrong),
+             lambda: choquet_moment_bound(inputs, [0.8] * 3, wrong),
+             lambda: moricz_maximal_bound(inputs, 0.8, 1.0, wrong),
+             lambda: moricz_maximal_bound_text_form(inputs, 0.8, 1.0, wrong)]
+    for call in calls:
+        with pytest.raises(TypeError):
+            call()
+
+
+@pytest.mark.parametrize("order", [2.0, 3.5])
+@pytest.mark.parametrize("bound", [moricz_maximal_bound, moricz_maximal_bound_text_form])
+def test_both_maximal_bounds_need_an_integer_order_above_two(bound, order):
+    inputs = BoundInputs(n=8, variance_sum=8.0, K=1.0, order=order)
+    with pytest.raises(ValueError, match=r"integer order > 2 \(the block recursion is proved "
+                                         rf"only for integers\), got {order}"):
+        bound(inputs, 0.8, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -300,10 +328,9 @@ def _grid_calls(variance_sum: float, K: float):
     for r in (0.5, 1.0, 2.0, 4.0, 8.0):
         calls.append(lambda x, r=r: power_tail_bound(inputs(tail_power=r), x))
     for p in (2, 3, 4):
-        constants = DerivedConstants.for_order(p)
         moments = inputs(order=p, pos_moment_sum=3.7, abs_moment_sum=9.1, split=0.5)
-        calls.append(lambda x, m=moments, c=constants: split_moment_bound(m, x, c))
-        calls.append(lambda x, m=moments, c=constants: conjugate_split_bound(m, x, c))
+        calls.append(lambda x, m=moments: split_moment_bound(m, x))
+        calls.append(lambda x, m=moments: conjugate_split_bound(m, x))
     return calls
 
 

@@ -2,12 +2,14 @@
 
 import hashlib
 import inspect
+import itertools
 import json
 import math
 import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +25,7 @@ from caplim.bounds import (
 from caplim.cli import _VERIFY_KEYS, main
 from caplim.config import _SECTIONS, ConfigError, parse_config, parse_config_text
 from caplim.dependence import verify_end, verify_extended_independence
-from caplim.sublinear import run_axiom_suite
+from caplim.sublinear import SublinearEngine, run_axiom_suite
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 GOLDEN = CONFIG_DIR / "reciprocal_variance_pair.yaml"
@@ -753,3 +755,73 @@ def test_importing_the_cli_leaves_quadrature_unloaded(tmp_path):
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, timeout=300, check=True)
     assert out.stdout.splitlines()[-1].split() == ["True", "False"]
+
+
+def _set_the_second_choquet_value(monkeypatch, value):
+    """From now on, the second ``SublinearEngine.choquet`` call reads ``value``."""
+    original, calls = SublinearEngine.choquet, itertools.count(1)
+
+    def choquet(self, *args, **kwargs):
+        report = original(self, *args, **kwargs)
+        return replace(report, value=value) if next(calls) == 2 else report
+
+    monkeypatch.setattr(SublinearEngine, "choquet", choquet)
+
+
+@pytest.mark.parametrize("value", [math.nan, -1.0], ids=["nan", "finite"])
+def test_a_failing_axiom_reaches_the_suite_the_result_and_the_table(
+        value, tmp_path, monkeypatch):
+    """The second of three cases fails its Choquet domination. Its margin is
+    the axiom's worst, a NaN one included, and the failure is counted in the
+    suite, in ``result.json``, in the table and in the exit code."""
+    _set_the_second_choquet_value(monkeypatch, value)
+    suite = run_axiom_suite(n_cases=3, mc_every=0)
+    worst = suite["by_axiom"]["choquet_moment"]
+    assert (worst["failures"], suite["n_failures"], suite["passed"]) == (1, 1, False)
+    if math.isnan(value):
+        assert math.isnan(worst["worst_margin"])
+    else:
+        assert worst["worst_margin"] <= value
+
+    path = tmp_path / "axioms.yaml"
+    path.write_text(MINIMAL + "verify:\n  n_cases: 3\n  mc_every: 0\n")
+    _set_the_second_choquet_value(monkeypatch, value)
+    assert main(["verify", "axioms", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    result = json.loads((tmp_path / "out" / "result.json").read_text())
+    assert result["n_failures"] == 1
+    want = "nan" if math.isnan(value) else worst["worst_margin"]
+    assert result["by_axiom"]["choquet_moment"] == {"worst_margin": want, "failures": 1}
+    table = (tmp_path / "out" / "summary.txt").read_text().splitlines()
+    assert ["choquet_moment", format(worst["worst_margin"], ".6g"), "1"] in (
+        line.split() for line in table)
+    csv = (tmp_path / "out" / "axioms.csv").read_text().splitlines()
+    assert f"choquet_moment,{worst['worst_margin']:.12g},1" in csv
+
+
+def _comonotone_bernoulli_six(K: float) -> str:
+    """Six Bernoulli(1/2) coordinates that are all 0 or all 1, with declared ``K``."""
+    zeros, ones = ", ".join(["0.0"] * 6), ", ".join(["1.0"] * 6)
+    return ("family:\n  name: bernoulli-half-six\n  parameters:\n  - name: p\n"
+            "    domain: [0.5, 0.5]\n  marginals:\n" + "  - kind: bernoulli\n    p: p\n" * 6
+            + f"  K: 1.0\ndependence:\n  mode: discrete_joint\n  K: {K}\n  joint_atoms:\n"
+            f"  - point: [{zeros}]\n    prob: 0.5\n  - point: [{ones}]\n    prob: 0.5\n"
+            "experiment:\n  horizon: 6\n  bound_order: 3\n")
+
+
+@pytest.mark.parametrize("K, flags", [(1.0, 6), (2.0, 2), (32.0, 0)])
+def test_the_bound_check_flags_a_table_whose_declared_K_is_too_small(
+        K, flags, tmp_path, capsys):
+    """The comonotone table's upper orthant probability is 0.5, 0.5 / 0.5**6
+    = 32 times the product of its marginals, so the exponential bound holds
+    only once K reaches that constant."""
+    path = tmp_path / "comonotone.yaml"
+    path.write_text(_comonotone_bernoulli_six(K))
+    rc = main(["experiment", "bound-check", "--config", str(path),
+               "--out", str(tmp_path / "out")])
+    assert rc == (2 if flags else 0)
+    summary = json.loads((tmp_path / "out" / "result.json").read_text())["summary"]
+    assert len(summary["flags"]) == flags
+    if K == 1.0:
+        x, name, emp, bound = summary["flags"][0]
+        assert (name, emp) == ("exponential", 0.5)
+        assert (x, bound) == pytest.approx((1.6259, 0.4808), abs=1e-4)

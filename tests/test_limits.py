@@ -18,7 +18,7 @@ from caplim.limits import (
     _lil_norming,
 )
 
-from conftest import make_location_family, make_singleton
+from conftest import make_bernoulli_family, make_location_family, make_singleton
 
 
 def make_uniform_family(lo: float, hi: float, resolution: int = 3) -> MeasureFamily:
@@ -327,6 +327,28 @@ class TestNecessity:
         assert result.summary["exceed_fraction"] == 0.0
         assert "finite" in result.summary["verdict"]
 
+    def test_a_finite_tail_fails_once_running_means_cross_a_low_threshold(
+            self, standard_normal_family):
+        cfg = ExperimentConfig(mode="necessity", family=standard_normal_family,
+                               horizon=2000, trajectories=8, seed=7,
+                               divergence_threshold=0.01)
+        result = run_experiment(cfg)
+        assert not result.passed
+        assert not result.summary["tail_integral_divergent"]
+        assert result.summary["exceed_fraction"] == 1.0
+        assert result.summary["verdict"] == (
+            "finite tail integral yet running means exceeded the threshold")
+
+    def test_a_divergent_tail_fails_below_an_unreachable_threshold(self):
+        fam = make_singleton([Marginal.pareto(0.8, 1.0)], name="pareto-heavy")
+        cfg = ExperimentConfig(mode="necessity", family=fam, horizon=2000,
+                               trajectories=8, seed=7, divergence_threshold=1e12)
+        result = run_experiment(cfg)
+        assert not result.passed
+        assert result.summary["tail_integral_divergent"]
+        assert result.summary["exceed_fraction"] == 0.0
+        assert result.summary["verdict"] == "divergent tail integral but too few exceedances"
+
     def test_requires_a_singleton_family(self):
         fam = make_location_family(-0.2, 0.2, resolution=3)
         cfg = ExperimentConfig(mode="necessity", family=fam, horizon=1000)
@@ -357,6 +379,17 @@ class TestBoundCheck:
                                 np.subtract(cols["emp_upper"],
                                             3.0 * np.asarray(cols["emp_upper_se"])))
             assert np.all(slack >= 0.0), name
+
+    def test_a_discrete_family_is_centered_and_worker_invariant(self):
+        fam = make_bernoulli_family(0.2, 0.6, resolution=3)
+        results = [
+            run_experiment(ExperimentConfig(mode="bound_check", family=fam, horizon=200,
+                                            trajectories=2000, seed=7, workers=workers))
+            for workers in (1, 2)]
+        assert results[0].passed
+        assert results[0].summary["center"] == pytest.approx(0.6)
+        assert results[0].summary["flags"] == []
+        assert repr(results[0]) == repr(results[1])
 
     def test_joint_table_is_enumerated_exactly(self):
         fam = make_singleton([Marginal.bernoulli(0.5), Marginal.bernoulli(0.5)],
