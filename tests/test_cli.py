@@ -809,8 +809,7 @@ def _comonotone_bernoulli_six(K: float) -> str:
 
 
 @pytest.mark.parametrize("K, flags", [(1.0, 6), (2.0, 2), (32.0, 0)])
-def test_the_bound_check_flags_a_table_whose_declared_K_is_too_small(
-        K, flags, tmp_path, capsys):
+def test_the_bound_check_flags_a_table_whose_declared_K_is_too_small(K, flags, tmp_path):
     """The comonotone table's upper orthant probability is 0.5, 0.5 / 0.5**6
     = 32 times the product of its marginals, so the exponential bound holds
     only once K reaches that constant."""
