@@ -23,7 +23,8 @@ from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
-from scipy import special
+
+from .measures import _special
 
 __all__ = [
     "BoundInputs",
@@ -144,7 +145,7 @@ class DerivedConstants:
         envelope = (2.0 * p / math.e) ** (2.0 * p)
         split_pre = math.e**2 * 2.0 ** (2 * p - 2) * 4.0 ** (2 * p) * envelope
         split_post = split_pre * 3.0**p * 17.0 ** (2 * p)
-        moment = math.e**p * p ** (p / 2.0) * (p / 2.0) * float(special.beta(p / 2.0, p / 2.0))
+        moment = math.e**p * p ** (p / 2.0) * (p / 2.0) * float(_special().beta(p / 2.0, p / 2.0))
         is_dyadic = p > 2 and float(p).is_integer()
         moricz = moricz_constant(int(p)) if is_dyadic else None
         trace = (

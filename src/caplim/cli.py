@@ -34,7 +34,6 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .bounds import _FORMULAS, BoundInputs, DerivedConstants, evaluate_formula
@@ -100,6 +99,8 @@ def _artifacts(run: _Run):
 def _write(run: _Run, out_dir: str, workers: int, t0: float) -> None:
     """Write ``run``'s artifacts under ``out_dir``, then ``manifest.json``
     with the sha256 of each file written, even when a write fails."""
+    import scipy  # the top-level package only: its version, not scipy.special
+
     directory = Path(out_dir)
     directory.mkdir(parents=True, exist_ok=True)
     outputs = {}
@@ -149,8 +150,8 @@ def _kv_lines(mapping: dict) -> str:
 # same name; an absent key takes the target function's default.
 _VERIFY_KEYS = {
     "axioms": ("n_cases", "mc_every", "mc_replications"),
-    "end": ("mc_replications", "corpus_cases", "direction", "mc_cross_check"),
-    "extindep": ("mc_replications", "corpus_cases"),
+    "end": ("mc_replications", "corpus_cases", "direction", "mc_cross_check", "n"),
+    "extindep": ("mc_replications", "corpus_cases", "n"),
 }
 
 

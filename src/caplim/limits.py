@@ -54,7 +54,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
-from scipy.special import ndtr
 
 from .bounds import (
     BoundInputs,
@@ -66,7 +65,7 @@ from .bounds import (
     split_moment_bound,
 )
 from .dependence import DependenceSpec, transform_block
-from .measures import Marginal, MeasureFamily, ProductMeasure, philox_uniforms
+from .measures import Marginal, MeasureFamily, ProductMeasure, _special, philox_uniforms
 from .sublinear import SublinearEngine, TestFunction, _extreme
 
 __all__ = [
@@ -565,6 +564,7 @@ def _band_prob_exact(
     if marginal.kind == "normal":
         mu, var = marginal.params
         scale = math.sqrt(var / n)
+        ndtr = _special().ndtr
         return float(ndtr((hi - mu) / scale) - ndtr((lo - mu) / scale))
     atoms = marginal.atoms() if marginal.is_discrete else None
     if atoms is not None and len(atoms) == 1:

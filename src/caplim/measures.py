@@ -32,13 +32,13 @@ envelope code reads, which a short block thus fills without a copy.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import special
 
 from .quadpack import quad
 
@@ -56,6 +56,22 @@ __all__ = [
 _U_FLOOR = 1e-300
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+
+@functools.cache
+def _special():
+    """``scipy.special``, imported when a computation first needs it.
+
+    Its import, with the array-API layer that brings in ``numpy.testing``
+    and ``numpy.f2py``, takes about 0.3 s of CPU, and no config parse and
+    several commands never call it. Two threads that ask at once are safe:
+    Python's per-module import lock makes the second wait until the first
+    has finished loading. (``importlib.util.LazyLoader`` is not, as its
+    module swap takes no lock against concurrent first access.)
+    """
+    from scipy import special
+
+    return special
 
 
 def _check_key(seed: int, context: int, column: int) -> None:
@@ -499,6 +515,7 @@ class Marginal:
         if self.kind == "normal":
             mean, var = self.params
             sd = math.sqrt(var)
+            special = _special()
             # sd^k 2^(k/2) Gamma((k+1)/2)/sqrt(pi) * 1F1(-k/2; 1/2; -mean^2/(2 var))
             base = sd**k * 2.0 ** (k / 2.0) * special.gamma((k + 1.0) / 2.0) / math.sqrt(math.pi)
             return float(base * special.hyp1f1(-k / 2.0, 0.5, -mean**2 / (2.0 * var)))
@@ -526,7 +543,7 @@ class Marginal:
                 a = mean / sd
                 # m_j = int_{-a}^inf z^j phi(z) dz via m_j = (-a)^(j-1) phi(a) + (j-1) m_{j-2}
                 phi_a = math.exp(-0.5 * a * a) / _SQRT_2PI
-                mj = [float(special.ndtr(a)), phi_a]
+                mj = [float(_special().ndtr(a)), phi_a]
                 for j in range(2, ki + 1):
                     mj.append((-a) ** (j - 1) * phi_a + (j - 1) * mj[j - 2])
                 total = 0.0
@@ -555,7 +572,7 @@ class Marginal:
         t = np.asarray(t, dtype=float)
         if self.kind == "normal":
             mean, var = self.params
-            return special.ndtr((t - mean) / math.sqrt(var))
+            return _special().ndtr((t - mean) / math.sqrt(var))
         if self.kind == "uniform":
             lo, hi = self.params
             return np.clip((t - lo) / (hi - lo), 0.0, 1.0)
@@ -573,7 +590,7 @@ class Marginal:
         t = np.asarray(t, dtype=float)
         if self.kind == "normal":
             mean, var = self.params
-            return special.ndtr(-(t - mean) / math.sqrt(var))
+            return _special().ndtr(-(t - mean) / math.sqrt(var))
         if self.kind == "uniform":
             lo, hi = self.params
             return 1.0 - np.clip((t - lo) / (hi - lo), 0.0, 1.0)
@@ -617,7 +634,7 @@ class Marginal:
         if self.kind == "normal":
             # The bits of mean + sd * ndtri(max(u, floor)).
             mean, var = self.params
-            special.ndtri(np.maximum(u, _U_FLOOR, out=out), out=out)
+            _special().ndtri(np.maximum(u, _U_FLOOR, out=out), out=out)
             out *= math.sqrt(var)
             out += mean
         elif self.kind == "uniform":
@@ -650,7 +667,7 @@ class Marginal:
             out = np.multiply(z, math.sqrt(var), out=out)
             out += mean
             return out
-        return self.ppf(special.ndtr(z, out=out), out=out)
+        return self.ppf(_special().ndtr(z, out=out), out=out)
 
     # -- expectations of general integrands ----------------------------------
 

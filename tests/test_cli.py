@@ -68,6 +68,25 @@ verify:
   corpus_cases: 8
 """
 
+# X ~ Bernoulli(p), Y ~ Bernoulli(q), independent under each of the 7 x 7
+# measures: extended independence holds at length 2.
+BERNOULLI_RECTANGLE = """\
+family:
+  name: bernoulli-rectangle
+  parameters:
+  - name: p
+    domain: [0.2, 0.8]
+  - name: q
+    domain: [0.2, 0.8]
+  marginals:
+  - kind: bernoulli
+    p: p
+  - kind: bernoulli
+    p: q
+  resolution: 7
+  K: 1.0
+"""
+
 
 class TestConfigParsing:
     def test_minimal_family(self):
@@ -366,6 +385,25 @@ class TestCommandLine:
                         "verify:\n  corpus_cases: 4\n  mc_replications: 20000\n")
         assert main(["verify", "extindep", "--config", str(path)]) == rc
         assert verdict in capsys.readouterr().out
+
+    @pytest.mark.parametrize("verify, rc, verdict", [
+        ("", 2, "FAIL (worst margin -0.0729714 at corpus[3])"),
+        ("verify:\n  n: 2\n", 0, "PASS")])
+    def test_verify_extindep_checks_the_length_the_file_names(
+            self, verify, rc, verdict, tmp_path, capsys):
+        # With no length, four coordinates reuse marginals 0 and 1, so
+        # coordinates 0 and 2 share p and the rectangular family fails.
+        path = tmp_path / "rectangle.yaml"
+        path.write_text(BERNOULLI_RECTANGLE + verify)
+        assert main(["verify", "extindep", "--seed", "3", "--config", str(path)]) == rc
+        assert verdict in capsys.readouterr().out
+
+    @pytest.mark.parametrize("target", ["end", "extindep"])
+    def test_verify_rejects_a_length_other_than_the_joint_tables(self, target, tmp_path, capsys):
+        path = tmp_path / "comonotone.yaml"
+        path.write_text(COMONOTONE + "  n: 3\n")
+        assert main(["verify", target, "--config", str(path)]) == 1
+        assert "joint table has 2 coordinates, asked for 3" in capsys.readouterr().err
 
     def test_bounds_eval_prints_the_chebyshev_value(self, capsys):
         rc = main(["bounds", "eval", "--formula", "chebyshev", "--x", "2",
@@ -742,19 +780,65 @@ def test_every_verify_key_is_read_and_forwarded_as_a_keyword():
             assert key in parameters and parameters[key].kind in keyword, (target, key)
 
 
-def test_importing_the_cli_leaves_quadrature_unloaded(tmp_path):
-    """caplim integrates with its own QUADPACK, so even the golden axiom
-    corpus, which takes 33 quadratures, runs without scipy.integrate."""
+_SHIPPED_CONFIGS = sorted([*CONFIG_DIR.glob("*.yaml"),
+                           *(CONFIG_DIR.parent / "bench" / "configs").glob("*.yaml")])
+
+
+def _golden_probe(name: str, workers: int, module: str) -> str:
+    """Run golden case ``name`` at ``workers``; print whether its digests
+    hold and whether ``module`` got loaded. Threads switch every
+    microsecond, so pool threads interleave inside a first import."""
+    return ("import pathlib, sys, test_golden as g\n"
+            "sys.setswitchinterval(1e-6)\n"
+            f"digests = g._artifact_digests({name!r}, pathlib.Path(sys.argv[1]), {workers})\n"
+            f"print(digests == g.DIGESTS[{name!r}], {module!r} in sys.modules)")
+
+
+# Each probe runs in a fresh interpreter and prints its findings as one line.
+_PROBES = {
+    # No config parse needs scipy.special, nor what its array-API layer imports.
+    "parse_every_config": (
+        "import sys, caplim.cli\n"
+        "from caplim.config import parse_config\n"
+        f"for path in {[str(p) for p in _SHIPPED_CONFIGS]!r}:\n"
+        "    parse_config(path)\n"
+        "print(*(m in sys.modules for m in ('scipy.special', 'numpy.testing', 'numpy.f2py')))",
+        ["False", "False", "False"]),
+    # caplim integrates with its own QUADPACK, so even the golden axiom
+    # corpus, which takes 33 quadratures, runs without scipy.integrate.
+    "axiom_quadratures": (_golden_probe("verify_axioms_quadrature", 1, "scipy.integrate"),
+                          ["True", "False"]),
+    # Four one-trajectory tasks on two pool threads, and on four (more than
+    # a 2-core box has): every thread makes a first normal draw, so they ask
+    # for scipy.special at once.
+    **{f"concurrent_first_normal_draw_w{workers}": (
+        _golden_probe("necessity_normal_multichunk", workers, "scipy.special"), ["True", "True"])
+       for workers in (2, 4)},
+    # verify end never loads scipy.special, and its manifest still records
+    # scipy's version.
+    "manifest_scipy_version": (
+        "import json, pathlib, sys\n"
+        "from caplim.cli import main\n"
+        "out = pathlib.Path(sys.argv[1]) / 'run'\n"
+        f"config = {str(CONFIG_DIR / 'end_countermonotone.yaml')!r}\n"
+        "code = main(['verify', 'end', '--config', config, '--out', str(out)])\n"
+        "import scipy\n"
+        "manifest = json.loads((out / 'manifest.json').read_text())\n"
+        "print(code, 'scipy.special' in sys.modules,\n"
+        "      manifest['versions']['scipy'] == scipy.__version__)",
+        ["0", "False", "True"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PROBES))
+def test_a_fresh_interpreter_loads_only_the_scipy_it_uses(name, tmp_path):
     tests = Path(__file__).resolve().parent
     path = [str(Path(caplim.__file__).resolve().parents[1]), str(tests)]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    probe = ("import pathlib, sys, test_golden as g\n"
-             "name = 'verify_axioms_quadrature'\n"
-             f"digests = g._artifact_digests(name, pathlib.Path({str(tmp_path)!r}), 1)\n"
-             "print(digests == g.DIGESTS[name], 'scipy.integrate' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                         text=True, timeout=300, check=True)
-    assert out.stdout.splitlines()[-1].split() == ["True", "False"]
+    probe, expected = _PROBES[name]
+    out = subprocess.run([sys.executable, "-c", probe, str(tmp_path)], env=env,
+                         capture_output=True, text=True, timeout=300, check=True)
+    assert out.stdout.splitlines()[-1].split() == expected
 
 
 def _set_the_second_choquet_value(monkeypatch, value):
