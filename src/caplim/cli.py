@@ -150,8 +150,8 @@ def _kv_lines(mapping: dict) -> str:
 # same name; an absent key takes the target function's default.
 _VERIFY_KEYS = {
     "axioms": ("n_cases", "mc_every", "mc_replications"),
-    "end": ("mc_replications", "corpus_cases", "direction", "mc_cross_check", "n"),
-    "extindep": ("mc_replications", "corpus_cases", "n"),
+    "end": ("mc_replications", "corpus_cases", "direction", "mc_cross_check"),
+    "extindep": ("mc_replications", "corpus_cases"),
 }
 
 

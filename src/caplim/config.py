@@ -494,7 +494,6 @@ _SECTIONS = {
         "corpus_cases": _at_least(0),
         "direction": _either("direction", "upper", "lower"),
         "mc_cross_check": _boolean,
-        "n": _at_least(1),
     },
 }
 

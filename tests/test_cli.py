@@ -68,25 +68,6 @@ verify:
   corpus_cases: 8
 """
 
-# X ~ Bernoulli(p), Y ~ Bernoulli(q), independent under each of the 7 x 7
-# measures: extended independence holds at length 2.
-BERNOULLI_RECTANGLE = """\
-family:
-  name: bernoulli-rectangle
-  parameters:
-  - name: p
-    domain: [0.2, 0.8]
-  - name: q
-    domain: [0.2, 0.8]
-  marginals:
-  - kind: bernoulli
-    p: p
-  - kind: bernoulli
-    p: q
-  resolution: 7
-  K: 1.0
-"""
-
 
 class TestConfigParsing:
     def test_minimal_family(self):
@@ -385,25 +366,6 @@ class TestCommandLine:
                         "verify:\n  corpus_cases: 4\n  mc_replications: 20000\n")
         assert main(["verify", "extindep", "--config", str(path)]) == rc
         assert verdict in capsys.readouterr().out
-
-    @pytest.mark.parametrize("verify, rc, verdict", [
-        ("", 2, "FAIL (worst margin -0.0729714 at corpus[3])"),
-        ("verify:\n  n: 2\n", 0, "PASS")])
-    def test_verify_extindep_checks_the_length_the_file_names(
-            self, verify, rc, verdict, tmp_path, capsys):
-        # With no length, four coordinates reuse marginals 0 and 1, so
-        # coordinates 0 and 2 share p and the rectangular family fails.
-        path = tmp_path / "rectangle.yaml"
-        path.write_text(BERNOULLI_RECTANGLE + verify)
-        assert main(["verify", "extindep", "--seed", "3", "--config", str(path)]) == rc
-        assert verdict in capsys.readouterr().out
-
-    @pytest.mark.parametrize("target", ["end", "extindep"])
-    def test_verify_rejects_a_length_other_than_the_joint_tables(self, target, tmp_path, capsys):
-        path = tmp_path / "comonotone.yaml"
-        path.write_text(COMONOTONE + "  n: 3\n")
-        assert main(["verify", target, "--config", str(path)]) == 1
-        assert "joint table has 2 coordinates, asked for 3" in capsys.readouterr().err
 
     def test_bounds_eval_prints_the_chebyshev_value(self, capsys):
         rc = main(["bounds", "eval", "--formula", "chebyshev", "--x", "2",
@@ -808,9 +770,9 @@ _PROBES = {
     # corpus, which takes 33 quadratures, runs without scipy.integrate.
     "axiom_quadratures": (_golden_probe("verify_axioms_quadrature", 1, "scipy.integrate"),
                           ["True", "False"]),
-    # Four one-trajectory tasks on two pool threads, and on four (more than
-    # a 2-core box has): every thread makes a first normal draw, so they ask
-    # for scipy.special at once.
+    # Four one-trajectory tasks on two pool threads, and on four, one task
+    # each: every thread makes a first normal draw, so they ask for
+    # scipy.special at once.
     **{f"concurrent_first_normal_draw_w{workers}": (
         _golden_probe("necessity_normal_multichunk", workers, "scipy.special"), ["True", "True"])
        for workers in (2, 4)},
