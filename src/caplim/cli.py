@@ -11,7 +11,7 @@ Each command handler computes and returns one ``_Run``; it prints and
 writes nothing. ``main`` alone then writes the run's artifacts (with
 ``--out``), prints its verdict line and picks the exit code, by one rule:
 0 when the run passed, 2 when it ran but failed, and 1 on usage or runtime
-errors, a failed write included.
+errors, a failed write and a numeric overflow included.
 
 With ``--out`` a run writes ``result.json`` (sorted keys), CSV plot data
 and a human-readable ``summary.txt``, then, even when one of those writes
@@ -224,37 +224,30 @@ def _cmd_verify(args) -> _Run:
 # bounds eval
 
 
+# The other option flags of bounds eval, each with the evaluate_formula
+# keyword it sets.
+_FORMULA_OPTIONS = {"choquet_terms": "per_term_pos_choquet",
+                    "max_second_moment": "max_second_moment", "tilt": "tilt", "form": "form"}
+
+
 def _cmd_bounds(args) -> _Run:
     bundle = _load_bundle(args, required=False)
     options = dict(bundle.bounds_options) if bundle else {}
-    inputs_map = dict(options.get("inputs", {}))
-
-    for f in fields(BoundInputs):
-        flag = getattr(args, f.name)
-        if flag is not None:
-            inputs_map[f.name] = flag
+    # Each flag given goes over its config key, a flag of 0 included. The
+    # defaults of n, variance_sum and K reach result.json.
+    given = {key: value for key, value in vars(args).items() if value is not None}
+    inputs_map = {"n": 1, "variance_sum": 1.0, "K": 1.0, **options.get("inputs", {}),
+                  **{f.name: given[f.name] for f in fields(BoundInputs) if f.name in given}}
+    options.update((key, given[key]) for key in _FORMULA_OPTIONS if key in given)
 
     formula = args.formula or options.get("formula")
     if formula is None:
         raise ConfigError("bounds eval needs --formula or a config bounds.formula")
-    xs = tuple(args.x) if args.x else options.get("x")
+    xs = args.x or options.get("x")  # an empty --x counts as absent
     if not xs:
         raise ConfigError("bounds eval needs --x or a config bounds.x")
-    inputs_map.setdefault("n", 1)
-    inputs_map.setdefault("variance_sum", 1.0)
-    inputs_map.setdefault("K", 1.0)
     inputs = BoundInputs(**inputs_map)
-
-    # Each flag overrides its config key.
-    extra = {}
-    for key, name in (("choquet_terms", "per_term_pos_choquet"),
-                      ("max_second_moment", "max_second_moment"), ("tilt", "tilt"),
-                      ("form", "form")):
-        value = getattr(args, key)
-        if value is None:
-            value = options.get(key)
-        if value is not None:
-            extra[name] = tuple(value) if key == "choquet_terms" else value
+    extra = {name: options[key] for key, name in _FORMULA_OPTIONS.items() if key in options}
 
     columns, trace = evaluate_formula(formula, inputs, xs, **extra)
     header = ("x",) + tuple(columns)
@@ -372,8 +365,8 @@ _COMMANDS = {"verify": _cmd_verify, "bounds": _cmd_bounds, "choquet": _cmd_choqu
 # parser
 
 
-def _float_list(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part.strip()]
+def _float_list(text: str) -> tuple[float, ...]:
+    return tuple(float(part) for part in text.split(",") if part.strip())
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -400,16 +393,11 @@ def _build_parser() -> argparse.ArgumentParser:
     bounds.add_argument("--formula", help=", ".join(_FORMULAS[:-1]) + f", or {_FORMULAS[-1]}")
     bounds.add_argument("--x", type=_float_list,
                         help="comma-separated thresholds")
-    bounds.add_argument("--n", type=int, help="number of summands")
-    bounds.add_argument("--variance-sum", dest="variance_sum", type=float,
-                        help="summed worst-case second moments")
-    bounds.add_argument("--K", type=float, help="dominating constant")
-    bounds.add_argument("--order", type=int, help="moment order p")
-    bounds.add_argument("--pos-moment-sum", dest="pos_moment_sum", type=float)
-    bounds.add_argument("--abs-moment-sum", dest="abs_moment_sum", type=float)
-    bounds.add_argument("--truncation", type=float, help="truncation level y")
-    bounds.add_argument("--split", type=float, help="split parameter delta")
-    bounds.add_argument("--tail-power", dest="tail_power", type=float)
+    # One flag per BoundInputs field: --variance-sum sets variance_sum.
+    for f in fields(BoundInputs):
+        bounds.add_argument(f"--{f.name.replace('_', '-')}", dest=f.name,
+                            type=int if f.name in ("n", "order") else float,
+                            help=f"overrides bounds.inputs.{f.name}")
     bounds.add_argument("--form", choices=("pre", "post"))
     bounds.add_argument("--tilt", type=float, help="explicit exponential tilt t")
     bounds.add_argument("--choquet-terms", dest="choquet_terms", type=_float_list,
@@ -444,6 +432,9 @@ def main(argv=None) -> int:
         return 1
     except (ValueError, TypeError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except ArithmeticError as exc:  # an overflow, say, in a bound's constants
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     print(run.verdict)
     return 0 if run.passed else 2

@@ -25,7 +25,7 @@ import yaml
 from .bounds import _FORMULAS, BoundInputs
 from .dependence import DependenceSpec
 from .limits import ExperimentConfig, _MODES, _UNHASHED
-from .measures import Marginal, MeasureFamily, ProductMeasure
+from .measures import _MARGINALS, MeasureFamily, ProductMeasure
 from .sublinear import _CHOQUET_FUNCTIONS
 
 __all__ = [
@@ -209,16 +209,6 @@ def _one_of(what: str, allowed: tuple[str, ...]):
     return read
 
 
-def _either(what: str, first: str, second: str):
-    def read(ctx: _Context, value, path: str) -> str:
-        got = _string(ctx, value, path)
-        if got not in (first, second):
-            raise ctx.fail(path, f"{what} must be {first!r} or {second!r}")
-        return got
-
-    return read
-
-
 _interval = _items(_number, "expected [lo, hi]", least=2, most=2)
 
 
@@ -292,16 +282,6 @@ def _atoms(ctx: _Context, value, path: str):
 
 # ---------------------------------------------------------------------------
 # Family and dependence sections.
-
-# kind -> (factory, required keys, optional keys); the factory takes the
-# values of the keys present, in this order.
-_MARGINALS = {
-    "normal": (Marginal.normal, ("mean", "var"), ()),
-    "uniform": (Marginal.uniform, ("lo", "hi"), ()),
-    "bernoulli": (Marginal.bernoulli, ("p",), ()),
-    "discrete": (Marginal.discrete, ("atoms",), ()),
-    "pareto": (Marginal.pareto, ("alpha",), ("scale",)),
-}
 
 _marginal_kind = _one_of("marginal kind", tuple(sorted(_MARGINALS)))
 
@@ -475,7 +455,7 @@ _SECTIONS = {
     },
     "bounds": {
         "formula": _one_of("formula", _FORMULAS),
-        "form": _either("form", "pre", "post"),
+        "form": _one_of("form", ("pre", "post")),
         "tilt": _finite,
         "x": _numbers,
         "choquet_terms": _numbers,
@@ -485,14 +465,14 @@ _SECTIONS = {
     "choquet": {
         "function": _one_of("function", _CHOQUET_FUNCTIONS),
         "exponent": _exponent,
-        "capacity": _either("capacity", "upper", "lower"),
+        "capacity": _one_of("capacity", ("upper", "lower")),
     },
     "verify": {
         "n_cases": _at_least(1),
         "mc_every": _integer,
         "mc_replications": _at_least(2),
         "corpus_cases": _at_least(0),
-        "direction": _either("direction", "upper", "lower"),
+        "direction": _one_of("direction", ("upper", "lower")),
         "mc_cross_check": _boolean,
     },
 }

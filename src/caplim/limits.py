@@ -65,7 +65,7 @@ from .bounds import (
     split_moment_bound,
 )
 from .dependence import DependenceSpec, transform_block
-from .measures import Marginal, MeasureFamily, ProductMeasure, _special, philox_uniforms
+from .measures import Marginal, MeasureFamily, ProductMeasure, _check_seed, _special, philox_uniforms
 from .sublinear import SublinearEngine, TestFunction, _extreme
 
 __all__ = [
@@ -172,8 +172,7 @@ class ExperimentConfig:
             raise ValueError("trajectories must be at least 1")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
-        if not 0 <= self.seed < 1 << 64:
-            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
+        _check_seed(self.seed)
         if self.burn_in < 1:
             raise ValueError("burn_in must be at least 1")
         if self.mode in ("slln", "lil") and self.burn_in > self.horizon:

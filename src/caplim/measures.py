@@ -74,10 +74,15 @@ def _special():
     return special
 
 
-def _check_key(seed: int, context: int, column: int) -> None:
-    """Reject a key field that does not fit its part of the 128-bit Philox key."""
+def _check_seed(seed: int) -> None:
+    """Reject a seed that does not fit the 64-bit half of the Philox key."""
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+
+
+def _check_key(seed: int, context: int, column: int) -> None:
+    """Reject a key field that does not fit its part of the 128-bit Philox key."""
+    _check_seed(seed)
     if not (0 <= context < 1 << 32 and 0 <= column < 1 << 32):
         raise ValueError(
             f"stream context and column must lie in [0, 2**32), got {context} and {column}"
@@ -332,11 +337,6 @@ def _double_factorial_odd(j: int) -> float:
     return out
 
 
-# The config keys of each kind's parameters, in ``params`` order.
-_PARAM_KEYS = {"normal": ("mean", "var"), "uniform": ("lo", "hi"), "bernoulli": ("p",),
-               "pareto": ("alpha", "scale")}
-
-
 @dataclass(frozen=True)
 class Marginal:
     """One-dimensional marginal with closed-form moments, cdf/sf/ppf, and density.
@@ -350,11 +350,14 @@ class Marginal:
     params: tuple
 
     def __post_init__(self) -> None:
+        if self.kind not in _MARGINALS:
+            raise ValueError(f"unknown marginal kind {self.kind!r}")
         # NaN passes every range check below, so each number is checked first.
         if self.kind == "discrete":
             named = [("atoms", x) for atom in self.params[0] for x in atom]
         else:
-            named = zip(_PARAM_KEYS.get(self.kind, ()), self.params)
+            _, required, optional = _MARGINALS[self.kind]
+            named = zip(required + optional, self.params)
         for key, value in named:
             if not math.isfinite(value):
                 raise ValueError(f"{self.kind} {key} must be finite, got {value}")
@@ -383,8 +386,6 @@ class Marginal:
             alpha, scale = self.params
             if not (alpha > 0 and scale > 0):
                 raise ValueError(f"pareto needs alpha > 0 and scale > 0, got {self.params}")
-        else:
-            raise ValueError(f"unknown marginal kind {self.kind!r}")
 
     # -- factories ---------------------------------------------------------
 
@@ -694,6 +695,18 @@ class Marginal:
         for a, b in zip(edges[:-1], edges[1:]):
             total += quad(integrand, a, b, limit=200, epsabs=tol, epsrel=1e-9).value
         return total
+
+
+# The one list of kinds, so that ``Marginal``'s messages and the config's
+# readers cannot drift apart: kind -> (factory, required keys, optional keys),
+# the keys in ``params`` order; the factory takes the values of those present.
+_MARGINALS = {
+    "normal": (Marginal.normal, ("mean", "var"), ()),
+    "uniform": (Marginal.uniform, ("lo", "hi"), ()),
+    "bernoulli": (Marginal.bernoulli, ("p",), ()),
+    "discrete": (Marginal.discrete, ("atoms",), ()),
+    "pareto": (Marginal.pareto, ("alpha",), ("scale",)),
+}
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .measures import Marginal, MeasureFamily, ProductMeasure, philox_stream, uniform_block
+from .measures import Marginal, MeasureFamily, ProductMeasure, _check_seed, philox_stream, uniform_block
 
 __all__ = [
     "ChoquetReport",
@@ -448,8 +448,7 @@ class SublinearEngine:
     _support_atoms: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not 0 <= self.seed < 1 << 64:
-            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
+        _check_seed(self.seed)
 
     def _measures(self) -> list[tuple[object, ProductMeasure]]:
         """The family's (parameter, measure) grid, built on first use."""

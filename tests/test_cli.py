@@ -9,7 +9,7 @@ import os
 import subprocess
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -257,6 +257,15 @@ BROKEN = {
         MINIMAL + "dependence:\n  mode: gaussian_copula\n  correlation_matrix:\n"
         "  - [1.0, 0.5]\n  - [0.5, one]\n",
         "dependence.correlation_matrix[1][1] (line 15): expected a number"),
+    # The two-way choices name both values.
+    "bounds-form": (MINIMAL + "bounds:\n  form: mid\n",
+                    "bounds.form (line 12): unknown form 'mid'; allowed: pre, post"),
+    "choquet-capacity": (MINIMAL + "choquet:\n  capacity: both\n",
+                         "choquet.capacity (line 12): unknown capacity 'both'; "
+                         "allowed: upper, lower"),
+    "verify-direction": (MINIMAL + "verify:\n  direction: up\n",
+                         "verify.direction (line 12): unknown direction 'up'; "
+                         "allowed: upper, lower"),
     "joint-atom-without-prob": (
         MINIMAL + "dependence:\n  mode: discrete_joint\n  joint_atoms:\n"
         "  - point: [0.0]\n    prob: 0.5\n  - point: [1.0]\n",
@@ -702,7 +711,9 @@ class TestCommandLine:
         config.write_text(MINIMAL + "bounds:\n  formula: exp\n  tilt: 0.7\n  x: [1.0]\n"
                           "  inputs:\n    truncation: 2.0\n")
         inputs = BoundInputs(n=1, variance_sum=1.0, K=1.0, truncation=2.0)
-        for flags, tilt in (((), 0.7), (("--tilt", "0.3"), 0.3)):
+        # A tilt of 0 is given, and an empty --x is not.
+        for flags, tilt in (((), 0.7), (("--tilt", "0.3"), 0.3),
+                            (("--tilt", "0", "--x", ""), 0.0)):
             out = tmp_path / f"tilt-{tilt}"
             assert main(["bounds", "eval", "--config", str(config), *flags,
                          "--out", str(out)]) == 0
@@ -725,6 +736,49 @@ class TestCommandLine:
             json.loads((tmp_path / run / "result.json").read_text())["columns"]
             for run in ("file", "flags"))
         assert from_file == from_flags
+
+
+# BoundInputs field -> (its bounds.inputs value in a config, its flag's value);
+# both pass BoundInputs' checks, and each flag differs from the file.
+INPUT_OVERRIDES = {"n": ("2", "3"), "variance_sum": ("2.0", "0.5"), "K": ("2.0", "3"),
+                   "order": ("3", "4"), "pos_moment_sum": ("2.0", "0"),
+                   "abs_moment_sum": ("2.0", "0"), "truncation": ("2.0", "0.5"),
+                   "split": ("0.5", "0.25"), "tail_power": ("2.0", "3")}
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(BoundInputs)])
+def test_each_bound_input_flag_overrides_its_config_key(name, tmp_path):
+    """Every BoundInputs field has a flag, ``--`` and its name with dashes,
+    whose value goes over ``bounds.inputs.<name>``, a flag of 0 included."""
+    in_file, flag = INPUT_OVERRIDES[name]
+    config = tmp_path / "inputs.yaml"
+    config.write_text(MINIMAL + f"bounds:\n  formula: chebyshev\n  x: [2.0]\n"
+                      f"  inputs:\n    {name}: {in_file}\n")
+    for flags, want in (((), in_file), ((f"--{name.replace('_', '-')}", flag), flag)):
+        out = tmp_path / f"out-{len(flags)}"
+        assert main(["bounds", "eval", "--config", str(config), *flags,
+                     "--out", str(out)]) == 0
+        got = json.loads((out / "result.json").read_text())["inputs"][name]
+        assert type(got) is (int if name in ("n", "order") else float)
+        assert got == float(want)
+
+
+@pytest.mark.parametrize("argv", [
+    "bounds eval --formula power --x 1 --tail-power 1000 --variance-sum 1",
+    "bounds eval --formula split --x 1 --order 200 --pos-moment-sum 1 --variance-sum 1",
+    "experiment lil --config {lil}",
+], ids=["power-tail", "split-constants", "lil-checkpoints"])
+def test_an_overflow_exits_one_with_an_error_line(argv, tmp_path, capsys):
+    """An overflow is reported as an error, not raised past ``main``."""
+    text = (CONFIG_DIR / "lil_negative_copula.yaml").read_text()
+    assert text.count("checkpoint_growth: 1.05") == 1
+    lil = tmp_path / "lil.yaml"
+    lil.write_text(text.replace("checkpoint_growth: 1.05", "checkpoint_growth: 1.0e+308"))
+    assert main(argv.format(lil=lil).split()) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: OverflowError: ")
+    assert "Traceback" not in captured.err
 
 
 def test_every_verify_key_is_read_and_forwarded_as_a_keyword():

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from caplim import Marginal, MeasureFamily, ProductMeasure
 from caplim import limits, measures
 from caplim.measures import _philox4x64, philox_stream, philox_uniforms, uniform_block
-from caplim.sublinear import smooth_indicator
+from caplim.sublinear import SublinearEngine, smooth_indicator
 
 from conftest import make_location_family
 
@@ -303,6 +303,19 @@ def test_philox_stream_rejects_out_of_range_keys():
         with pytest.raises(ValueError):
             philox_stream(**key)
     philox_stream((1 << 64) - 1, (1 << 32) - 1, (1 << 32) - 1)
+
+
+@pytest.mark.parametrize("seed", [-1, 1 << 64])
+def test_every_seed_is_checked_with_one_message(seed):
+    """A stream, an experiment and an engine reject a seed that does not fit
+    the Philox key the same way."""
+    family = make_location_family(0.0, 0.0)
+    for build in (lambda: philox_stream(seed),
+                  lambda: limits.ExperimentConfig(mode="slln", family=family, seed=seed),
+                  lambda: SublinearEngine(family, seed=seed)):
+        with pytest.raises(ValueError) as error:
+            build()
+        assert str(error.value) == f"seed must lie in [0, 2**64), got {seed}"
 
 
 # Random123's known-answer vectors for Philox4x64-10: (counter, key, output).
