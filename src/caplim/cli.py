@@ -233,9 +233,10 @@ _FORMULA_OPTIONS = {"choquet_terms": "per_term_pos_choquet",
 def _cmd_bounds(args) -> _Run:
     bundle = _load_bundle(args, required=False)
     options = dict(bundle.bounds_options) if bundle else {}
-    # Each flag given goes over its config key, a flag of 0 included. The
+    # Each flag given goes over its config key, a flag of 0 included; an
+    # empty list flag (--x "" or --choquet-terms "") counts as absent. The
     # defaults of n, variance_sum and K reach result.json.
-    given = {key: value for key, value in vars(args).items() if value is not None}
+    given = {key: value for key, value in vars(args).items() if value not in (None, ())}
     inputs_map = {"n": 1, "variance_sum": 1.0, "K": 1.0, **options.get("inputs", {}),
                   **{f.name: given[f.name] for f in fields(BoundInputs) if f.name in given}}
     options.update((key, given[key]) for key in _FORMULA_OPTIONS if key in given)
@@ -243,7 +244,7 @@ def _cmd_bounds(args) -> _Run:
     formula = args.formula or options.get("formula")
     if formula is None:
         raise ConfigError("bounds eval needs --formula or a config bounds.formula")
-    xs = args.x or options.get("x")  # an empty --x counts as absent
+    xs = given.get("x") or options.get("x")
     if not xs:
         raise ConfigError("bounds eval needs --x or a config bounds.x")
     inputs = BoundInputs(**inputs_map)

@@ -32,7 +32,13 @@ each summed sequentially and added to the running total. A chunk is
 itself goes in tiles of about ``_TILE`` entries (512 KiB), each drawn,
 transformed and summed while it sits in a core's cache, and cut at the
 chunk edges; a tile that continues a chunk starts from the chunk's running
-sum, so tile size moves no bytes. The cluster sampler's chunk sums are
+sum, so tile size moves no bytes. A scan that reads only ``S_n`` sums each
+piece of a group of trajectories with one strided sequential reduce over a
+time-major copy (``_piece_totals``): it adds each trajectory's draws in the
+cumsum's order, so every total has the cumsum's bits, but each step is one
+vector add across the group rather than an add that waits on the one
+before. A one-trajectory group keeps the cumsum, since numpy would reduce
+its one contiguous column pairwise. The cluster sampler's chunk sums are
 pairwise, as numpy adds them; it splits each chunk where numpy's pairwise
 sum does until a piece fits in a tile, so it too draws one tile at a time.
 A tile is transformed in place unless several marginals share its uniforms.
@@ -185,6 +191,11 @@ class ExperimentConfig:
             raise ValueError("epsilon must be positive")
         if self.checkpoint_growth <= 1.0 or self.block_growth <= 1.0:
             raise ValueError("growth factors must exceed 1")
+        # The checkpoints and the cluster's blocks grow from below the horizon.
+        for name in ("checkpoint_growth", "block_growth"):
+            if not math.isfinite(self.horizon * getattr(self, name)):
+                raise ValueError(f"{name} {getattr(self, name)} overflows: horizon * "
+                                 f"{name} must be finite")
         if not 0.0 < self.wlln_target <= 1.0:
             raise ValueError("wlln_target must lie in (0, 1]")
         if self.lil_epsilon < 0.0:
@@ -424,14 +435,33 @@ def _pieces(start: int, stop: int, chunk: int):
         start = b
 
 
+def _piece_totals(s: np.ndarray) -> np.ndarray:
+    """``np.cumsum(s, axis=1)[:, -1:]`` bit for bit, without the partial sums.
+
+    Each add of the cumsum waits on the one before. Over a time-major copy,
+    ``np.add.reduce`` along axis 0 adds its rows one by one, each a vector
+    add across the trajectories; numpy sums pairwise only along the
+    contiguous axis, so every total is the cumsum's sequential sum. It
+    starts from -0.0, which returns every first entry unchanged, where a
+    start of +0.0 would turn a row of -0.0 into +0.0. The copy of a single
+    row is one contiguous column, which numpy would reduce pairwise, so
+    one row keeps the cumsum, written into ``s``.
+    """
+    if len(s) == 1:
+        return np.cumsum(s, axis=1, out=s)[:, -1:]
+    return np.add.reduce(np.ascontiguousarray(s.T), axis=0, initial=-0.0, keepdims=True).T
+
+
 def _partial_sums(config: ExperimentConfig, context: int, columns, marginals, n: int,
-                  chunk: int):
+                  chunk: int, totals: bool = False):
     """Partial sums of the trajectories in ``columns`` under each of ``marginals``.
 
     One task of ``_scan`` runs it over one group of consecutive trajectories.
     Yields ``(k, start, stop, s, carry)`` where ``s[j, r] + carry[j, 0]``
     is ``S_{start+r+1}`` of trajectory ``columns[j]`` under ``marginals[k]``,
-    up to ``S_n``. All marginals transform the same uniforms, drawn from
+    up to ``S_n``. With ``totals``, ``s`` is only the last column,
+    ``S_stop`` less the carry, from ``_piece_totals``, for a caller that
+    reads ``S_n`` alone. All marginals transform the same uniforms, drawn from
     streams ``(seed, context, column)``. ``s`` is a scratch block of at most
     one tile: the caller may overwrite it but must not keep it, or
     ``carry``, past the next step of the iteration.
@@ -460,12 +490,13 @@ def _partial_sums(config: ExperimentConfig, context: int, columns, marginals, n:
                     carry[k] += inner[k]
                 else:
                     s[:, :1] += inner[k]
-                np.cumsum(s, axis=1, out=s)
+                s = _piece_totals(s) if totals else np.cumsum(s, axis=1, out=s)
                 inner[k] = s[:, -1:]
                 yield k, a, b, s, carry[k]
 
 
-def _scan(config: ExperimentConfig, streams, reduce, chunk: int) -> list[tuple]:
+def _scan(config: ExperimentConfig, streams, reduce, chunk: int,
+          totals: bool = False) -> list[tuple]:
     """Each stream's statistics, reduced from its trajectories' partial sums.
 
     ``streams`` lists ``(context, marginals, n)``: the ``marginals`` share
@@ -478,7 +509,10 @@ def _scan(config: ExperimentConfig, streams, reduce, chunk: int) -> list[tuple]:
     of ``_partial_sums`` (chunks of ``chunk`` draws) over a group of
     ``size`` trajectories and returns one array per statistic, indexed by
     trajectory. ``s + carry`` is the partial sums, so a reducer adds the
-    carry to the columns it reads and to no others. Returns, per stream,
+    carry to the columns it reads and to no others. A reducer that reads
+    only ``S_n``, ``_sums_at_horizon``, passes ``totals``: each piece is
+    then summed by ``_piece_totals``, a strided sequential reduce with the
+    cumsum's bits, and ``s`` is its last column alone. Returns, per stream,
     each statistic over all ``config.trajectories`` trajectories.
     """
     tasks = [(i, t0, t1) for i, (_, _, n) in enumerate(streams)
@@ -487,8 +521,8 @@ def _scan(config: ExperimentConfig, streams, reduce, chunk: int) -> list[tuple]:
     def scan(task):
         i, t0, t1 = task
         context, marginals, n = streams[i]
-        return reduce(_partial_sums(config, context, range(t0, t1), marginals, n, chunk),
-                      t1 - t0)
+        return reduce(_partial_sums(config, context, range(t0, t1), marginals, n, chunk,
+                                    totals), t1 - t0)
 
     groups = [[] for _ in streams]
     for (i, _, _), stats in zip(tasks, _indexed_map(scan, tasks, config.workers)):
@@ -497,7 +531,10 @@ def _scan(config: ExperimentConfig, streams, reduce, chunk: int) -> list[tuple]:
 
 
 def _sums_at_horizon(pieces, size: int) -> tuple:
-    """Reducer: ``S_n`` under each marginal, the last piece's last column plus its carry."""
+    """Reducer: ``S_n`` under each marginal, the last piece's last column plus its carry.
+
+    It reads one column, so its scans pass ``totals`` to ``_scan``.
+    """
     last = {k: s[:, -1] + carry[:, 0] for k, _, _, s, carry in pieces}
     return tuple(last.values())
 
@@ -614,7 +651,8 @@ def run_wlln(config: ExperimentConfig) -> ExperimentResult:
     else:
         # One stream per schedule point; its grid measures share the uniforms.
         streams = [(_CTX_WLLN + idx, marginals, n) for idx, n in enumerate(schedule)]
-        sums = _scan(config, streams, _sums_at_horizon, _rows_per_chunk(config.trajectories))
+        sums = _scan(config, streams, _sums_at_horizon, _rows_per_chunk(config.trajectories),
+                     totals=True)
         probs = [{key: ((means >= lo) & (means <= hi)).mean(axis=1)
                   for key, (lo, hi) in windows.items()}
                  for means in (np.array(s_n) / n for n, s_n in zip(schedule, sums))]
@@ -1036,7 +1074,8 @@ def run_bound_check(config: ExperimentConfig) -> ExperimentResult:
         emp_upper_se = emp_lower_se = np.zeros_like(emp_upper)
     else:
         streams = [(_CTX_BOUNDS + k, [m], n) for k, m in enumerate(marginals)]
-        sums = _scan(config, streams, _sums_at_horizon, _rows_per_chunk(config.trajectories))
+        sums = _scan(config, streams, _sums_at_horizon, _rows_per_chunk(config.trajectories),
+                     totals=True)
         freqs = np.array([[(s_n >= x).mean() for x in x_grid] for (s_n,) in sums])
         ses = np.sqrt(freqs * (1.0 - freqs) / config.trajectories)
         cols = np.arange(x_grid.size)

@@ -633,10 +633,12 @@ class Marginal:
         if out is None:
             out = np.empty_like(u)
         if self.kind == "normal":
-            # The bits of mean + sd * ndtri(max(u, floor)).
+            # The bits of mean + sd * ndtri(max(u, floor)); times 1.0 returns
+            # every float unchanged, so unit variance skips that pass.
             mean, var = self.params
             _special().ndtri(np.maximum(u, _U_FLOOR, out=out), out=out)
-            out *= math.sqrt(var)
+            if var != 1.0:
+                out *= math.sqrt(var)
             out += mean
         elif self.kind == "uniform":
             lo, hi = self.params
@@ -663,11 +665,12 @@ class Marginal:
         itself) the draws are written there with the same bits.
         """
         if self.kind == "normal":
-            # The bits of mean + sd * z: both operations commute exactly.
+            # The bits of mean + sd * z: both operations commute exactly, and
+            # sd = 1.0 returns z unchanged.
             mean, var = self.params
-            out = np.multiply(z, math.sqrt(var), out=out)
-            out += mean
-            return out
+            if var != 1.0:
+                z = np.multiply(z, math.sqrt(var), out=out)
+            return np.add(z, mean, out=out)
         return self.ppf(_special().ndtr(z, out=out), out=out)
 
     # -- expectations of general integrands ----------------------------------

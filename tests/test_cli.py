@@ -721,6 +721,19 @@ class TestCommandLine:
             assert columns["tilted"] == [chernoff_explicit_bound(inputs, 1.0, tilt)]
             assert "tilted_optimal" not in columns
 
+    def test_an_empty_choquet_terms_flag_counts_as_absent(self, tmp_path):
+        # As an empty --x does: it used to override the config's three terms
+        # with none and exit 1.
+        config = tmp_path / "bounds.yaml"
+        config.write_text(MINIMAL + "bounds:\n  formula: choquet-moment\n  x: [1.0, 2.0]\n"
+                          "  choquet_terms: [0.2, 0.7, 0.4]\n  inputs:\n    n: 3\n    order: 3\n")
+        for flags in ((), ("--choquet-terms", ""), ("--choquet-terms", "", "--x", "")):
+            out = tmp_path / f"out-{len(flags)}"
+            assert main(["bounds", "eval", "--config", str(config), *flags,
+                         "--out", str(out)]) == 0
+        results = [(tmp_path / f"out-{n}" / "result.json").read_text() for n in (0, 2, 4)]
+        assert results[0] == results[1] == results[2]
+
     @pytest.mark.parametrize("formula", ["moricz", "choquet-moment"])
     def test_bounds_eval_reads_choquet_terms_from_the_config(self, formula, tmp_path):
         config = tmp_path / "bounds.yaml"
@@ -766,19 +779,29 @@ def test_each_bound_input_flag_overrides_its_config_key(name, tmp_path):
 @pytest.mark.parametrize("argv", [
     "bounds eval --formula power --x 1 --tail-power 1000 --variance-sum 1",
     "bounds eval --formula split --x 1 --order 200 --pos-moment-sum 1 --variance-sum 1",
-    "experiment lil --config {lil}",
-], ids=["power-tail", "split-constants", "lil-checkpoints"])
-def test_an_overflow_exits_one_with_an_error_line(argv, tmp_path, capsys):
+], ids=["power-tail", "split-constants"])
+def test_an_overflow_exits_one_with_an_error_line(argv, capsys):
     """An overflow is reported as an error, not raised past ``main``."""
-    text = (CONFIG_DIR / "lil_negative_copula.yaml").read_text()
-    assert text.count("checkpoint_growth: 1.05") == 1
-    lil = tmp_path / "lil.yaml"
-    lil.write_text(text.replace("checkpoint_growth: 1.05", "checkpoint_growth: 1.0e+308"))
-    assert main(argv.format(lil=lil).split()) == 1
+    assert main(argv.split()) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: OverflowError: ")
     assert "Traceback" not in captured.err
+
+
+# A growth factor is finite and above 1 and still overflows once it
+# multiplies the horizon: lil's checkpoints and the cluster's block sizes
+# used to raise OverflowError mid-run, naming neither the key nor its line.
+@pytest.mark.parametrize("source, key", [("lil_negative_copula.yaml", "checkpoint_growth"),
+                                         ("cluster_normal.yaml", "block_growth")])
+def test_a_growth_factor_that_overflows_fails_at_the_experiment_line(source, key):
+    text = (CONFIG_DIR / source).read_text()
+    old = next(line for line in text.splitlines() if line.startswith(f"  {key}: "))
+    text = text.replace(old, f"  {key}: 1.0e+308")
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(text)
+    line = text.splitlines().index("experiment:") + 1
+    assert f"experiment (line {line}): {key} 1e+308 overflows" in str(err.value)
 
 
 def test_every_verify_key_is_read_and_forwarded_as_a_keyword():

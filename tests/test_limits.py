@@ -582,17 +582,20 @@ def test_row_sums_match_the_time_major_sum(marginal, spec, row_chunk, monkeypatc
     )
     # A tile of 30 or 198 entries holds part of one horizon, cut at the chunk
     # edges; 2**16 entries hold the horizons of all 12 trajectories.
+    # The 2**16 tile groups all 12 trajectories, whose pieces are reduced.
     for tile in _TILES:
         monkeypatch.setattr(limits, "_TILE", tile)
         (sums,) = limits._scan(config, [(41, [marginal, other], 200)],
-                               limits._sums_at_horizon, limits._rows_per_chunk(len(columns)))
+                               limits._sums_at_horizon, limits._rows_per_chunk(len(columns)),
+                               totals=True)
         assert np.array(sums).tobytes() == reference.tobytes()
 
 
 # A tile of 30 entries groups 10 trajectories by 7 at horizon 4, by 3 at
 # horizon 10 and one by one at horizon 50, so the first two streams end on
 # an uneven group. The tasks, and so the bytes, are the same at any worker
-# count, and each trajectory's S_n is the one its own scan gives.
+# count, and each trajectory's S_n, reduced from piece totals, is the one
+# its own cumsum gives.
 def test_scan_tasks_cover_each_trajectory_once_in_order(monkeypatch):
     monkeypatch.setattr(limits, "_TILE", 30)
     maps = []
@@ -609,7 +612,7 @@ def test_scan_tasks_cover_each_trajectory_once_in_order(monkeypatch):
     for workers in (1, 3):
         config = ExperimentConfig(mode="slln", family=make_singleton([uniform]), horizon=50,
                                   trajectories=10, burn_in=1, seed=2026, workers=workers)
-        runs.append(limits._scan(config, streams, limits._sums_at_horizon, 6))
+        runs.append(limits._scan(config, streams, limits._sums_at_horizon, 6, totals=True))
 
     assert len(maps) == 2 and maps[0] == maps[1]
     tasks = maps[0]
@@ -623,6 +626,63 @@ def test_scan_tasks_cover_each_trajectory_once_in_order(monkeypatch):
             pieces = limits._partial_sums(config, context, [t], marginals, n, 6)
             own = limits._sums_at_horizon(pieces, 1)
             assert [a[t] for a in stats] == [a[0] for a in own]
+
+
+# Piece totals against the cumsum's last column, bit for bit. Groups of 2,
+# 3 and 65 to 130 trajectories take the strided reduce, a group of 1 the
+# cumsum. Entries span 16 decades, so the order of the adds shows in the
+# low bits; a signed zero, an infinity or a NaN shows a wrong start or a
+# wrong order, and a row of -0.0 a start from +0.0. As in _partial_sums,
+# the carried running sum is added into the first column.
+_SPECIAL = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan])
+
+
+@settings(max_examples=60, deadline=None)
+@given(size=st.one_of(st.sampled_from([1, 2, 3]), st.integers(65, 130)),
+       length=st.integers(0, 600).map(lambda r: 2 * r + 1), seed=st.integers(0, 2**32 - 1),
+       specials=st.lists(st.tuples(st.integers(0, 1 << 20), st.integers(0, 1 << 20), _SPECIAL),
+                         max_size=6),
+       zero_row=st.booleans())
+@example(size=2, length=1, seed=0, specials=[], zero_row=True)
+@example(size=1, length=3, seed=1, specials=[(0, 1, np.nan), (0, 2, -0.0)], zero_row=False)
+@example(size=65, length=1007, seed=2, specials=[(3, 0, np.inf), (3, 5, -np.inf)],
+         zero_row=True)
+def test_piece_totals_match_the_cumsum(size, length, seed, specials, zero_row):
+    rng = np.random.default_rng(seed)
+    s = rng.standard_normal((size, length)) * 10.0 ** rng.integers(-8, 8, (size, length))
+    inner = rng.standard_normal((size, 1)) * 10.0 ** rng.integers(-8, 8, (size, 1))
+    for row, col, value in specials:
+        s[row % size, col % length] = value
+    if zero_row:
+        s[-1], inner[-1] = -0.0, -0.0
+    with np.errstate(all="ignore"):
+        s[:, :1] += inner
+        expected = np.cumsum(s, axis=1)[:, -1:]
+        got = limits._piece_totals(s.copy())
+    assert got.shape == (size, 1)
+    assert got.tobytes() == expected.tobytes()
+
+
+# With totals a group of one trajectory keeps the cumsum and a larger group
+# reduces each piece. A tile of 30 entries scans one trajectory at a time; of
+# 402, groups of 2, 2 and 1 whose 200-draw tiles cut the 201-draw horizon, so
+# a one-draw piece continues it; of 2**16, all 5 at once. No chunk edge cuts
+# the horizon, so each S_n is one plain cumsum over the trajectory's draws.
+@pytest.mark.parametrize("spec", _SPECS, ids=lambda spec: spec.mode)
+@pytest.mark.parametrize("tile", [30, 402, 1 << 16])
+def test_horizon_sums_match_a_plain_cumsum(spec, tile, monkeypatch):
+    monkeypatch.setattr(limits, "_TILE", tile)
+    marginals = [Marginal.normal(0.3, 2.0), Marginal.uniform(-1.0, 0.5)]
+    config = ExperimentConfig(mode="wlln", family=make_singleton(marginals[:1]),
+                              dependence=spec, horizon=201, trajectories=5, seed=2026)
+    chunk = limits._rows_per_chunk(config.trajectories)
+    assert chunk > config.horizon
+    (sums,) = limits._scan(config, [(43, marginals, 201)], limits._sums_at_horizon, chunk,
+                           totals=True)
+    u = philox_uniforms(2026, 43, range(5), 0, 201)
+    for got, marginal in zip(sums, marginals):
+        draws = limits._transform_chunk(u, marginal, spec)
+        assert got.tobytes() == np.cumsum(draws, axis=1)[:, -1].tobytes()
 
 
 @pytest.mark.parametrize("spec", _SPECS, ids=lambda spec: spec.mode)

@@ -497,6 +497,27 @@ def test_ppf_in_place_gives_the_same_bits(marginal):
     assert marginal.ppf(0.25) == marginal.ppf(np.array([0.25]))[0]
 
 
+# A unit-variance normal skips the multiply by sd = 1.0, which returns every
+# float unchanged: the bits stay those of mean + 1.0 * ndtri(max(u, floor))
+# and of z * 1.0 + mean, signed zeros, infinities and NaN included.
+@pytest.mark.parametrize("mean", [0.0, -0.0, 0.3, -2.5])
+def test_unit_variance_normal_keeps_the_bits_of_the_multiply(mean):
+    from scipy.special import ndtri
+
+    marginal = Marginal.normal(mean, 1.0)
+    u = uniform_block(2026, 3, 500, context=9)
+    u[0, :3] = (0.0, 0.5, 1.0 - 2.0**-53)
+    expected = mean + 1.0 * ndtri(np.maximum(u, measures._U_FLOOR))
+    assert marginal.ppf(u).tobytes() == expected.tobytes()
+    assert marginal.ppf(u, out=u) is u and u.tobytes() == expected.tobytes()
+
+    z = np.concatenate([[0.0, -0.0, np.inf, -np.inf, np.nan],
+                        np.random.default_rng(5).standard_normal(50)])
+    expected = z * 1.0 + mean
+    assert marginal.from_normal_score(z).tobytes() == expected.tobytes()
+    assert marginal.from_normal_score(z, out=z) is z and z.tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("n", [3, measures._TALL_ROWS + 1])
 def test_uniform_block_is_the_stream_block_transposed(n):
     reference = _stream_reference(2026, 5, range(7), 0, n).T
