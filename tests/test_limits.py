@@ -581,8 +581,8 @@ def test_row_sums_match_the_time_major_sum(marginal, spec, row_chunk, monkeypatc
         dependence=spec, horizon=200, trajectories=len(columns), seed=2026,
     )
     # A tile of 30 or 198 entries holds part of one horizon, cut at the chunk
-    # edges; 2**16 entries hold the horizons of all 12 trajectories.
-    # The 2**16 tile groups all 12 trajectories, whose pieces are reduced.
+    # edges; 2**16 entries hold the horizons of all 12 trajectories, one
+    # group whose pieces are reduced.
     for tile in _TILES:
         monkeypatch.setattr(limits, "_TILE", tile)
         (sums,) = limits._scan(config, [(41, [marginal, other], 200)],
