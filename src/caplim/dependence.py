@@ -27,14 +27,16 @@ envelope rule, ``_sides``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .measures import MeasureFamily, ProductMeasure, normal_scores, philox_stream, uniform_block
-from .sublinear import TestFunction, _extreme, marginal_expectation, smooth_indicator
+from .measures import (Marginal, MeasureFamily, ProductMeasure, normal_scores, philox_stream,
+                       uniform_block)
+from .sublinear import (TestFunction, _extreme, _mc_estimate, marginal_expectation,
+                        smooth_indicator)
 
 __all__ = [
     "DependenceSpec",
@@ -215,11 +217,11 @@ class SequenceSampler:
         if self.spec.mode == "discrete_joint":
             if n != self.spec.joint_arity:
                 raise ValueError(f"joint table has {self.spec.joint_arity} coordinates, asked for {n}")
+            # Each replication draws its atom's index by the discrete ppf.
             coords, probs = self.spec.joint_arrays()
-            cum = np.cumsum(probs)
             u = uniform_block(self.seed, 1, m, context=context)[0]
-            idx = np.minimum(np.searchsorted(cum, u, side="left"), len(probs) - 1)
-            return coords[:, idx]
+            idx = Marginal.discrete(enumerate(probs)).ppf(u)
+            return coords[:, idx.astype(np.intp)]
 
         if measure is None:
             if not self.family.is_singleton:
@@ -243,15 +245,8 @@ class EndReport:
     cases: tuple = ()
 
     def summary(self) -> dict:
-        return {
-            "kind": self.kind,
-            "direction": self.direction,
-            "K": self.K,
-            "passed": self.passed,
-            "worst_margin": self.worst_margin,
-            "worst_case": self.worst_case,
-            "n_cases": self.n_cases,
-        }
+        """Every field but ``cases``."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "cases"}
 
 
 def _audit_box(family: MeasureFamily, spec: DependenceSpec, n: int) -> list[tuple[float, float]]:
@@ -395,11 +390,6 @@ def _mc_sides(sampler: SequenceSampler, case: Sequence[TestFunction], m: int,
     """Monte Carlo sides of ``case`` from one uniform block, drawn once and
     transformed under each measure; a joint table's draw reads no measure,
     so it gives one row. A NaN value leaves no estimate, so it is an error."""
-    def stat(vals, name):
-        if np.isnan(vals).any():
-            raise ValueError(f"{name} is NaN on the Monte Carlo sample")
-        return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(m))
-
     if sampler.spec.mode == "discrete_joint":
         blocks = [sampler.draw(len(case), m, context=context)]
     else:
@@ -409,7 +399,7 @@ def _mc_sides(sampler: SequenceSampler, case: Sequence[TestFunction], m: int,
                   for _, mu in sampler.family.measures())
     # stats[k, 0] is (mean, SE) of the product under measure k, stats[k, 1 + i] of g_i
     stats = np.array([[joint, *row] for joint, row in
-                      (_case_stats(case, x, stat) for x in blocks)])
+                      (_case_stats(case, x, _mc_estimate) for x in blocks)])
     return _sides(stats[:, 0, 0], stats[:, 1:, 0], stats[:, 0, 1], stats[:, 1:, 1])
 
 

@@ -378,7 +378,7 @@ def _shift_marginal(marginal: Marginal, c: float) -> Marginal:
         return Marginal.normal(params[0] + c, params[1])
     if kind == "uniform":
         return Marginal.uniform(params[0] + c, params[1] + c)
-    if kind in ("bernoulli", "discrete"):
+    if kind == "discrete":
         atoms = tuple((v + c, p) for v, p in marginal.atoms())
         return Marginal.discrete(atoms)
     raise ValueError(f"cannot shift a {kind!r} marginal; its support is anchored")

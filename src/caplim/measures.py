@@ -342,22 +342,22 @@ class Marginal:
     """One-dimensional marginal with closed-form moments, cdf/sf/ppf, and density.
 
     Supported kinds: ``normal(mean, variance)``, ``uniform(lo, hi)``,
-    ``bernoulli(p)``, ``discrete(atoms)``, ``pareto(alpha, scale)``.
-    Construct through the static factories; ``params`` is kind-specific.
+    ``discrete(atoms)``, ``pareto(alpha, scale)``. Construct through the
+    static factories; ``params`` is kind-specific.
     """
 
     kind: str
     params: tuple
 
     def __post_init__(self) -> None:
-        if self.kind not in _MARGINALS:
-            raise ValueError(f"unknown marginal kind {self.kind!r}")
         # NaN passes every range check below, so each number is checked first.
         if self.kind == "discrete":
             named = [("atoms", x) for atom in self.params[0] for x in atom]
-        else:
+        elif self.kind in ("normal", "uniform", "pareto"):
             _, required, optional = _MARGINALS[self.kind]
             named = zip(required + optional, self.params)
+        else:
+            raise ValueError(f"unknown marginal kind {self.kind!r}")
         for key, value in named:
             if not math.isfinite(value):
                 raise ValueError(f"{self.kind} {key} must be finite, got {value}")
@@ -369,10 +369,6 @@ class Marginal:
             lo, hi = self.params
             if not lo < hi:
                 raise ValueError(f"uniform needs lo < hi, got [{lo}, {hi}]")
-        elif self.kind == "bernoulli":
-            (p,) = self.params
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"bernoulli p must lie in [0, 1], got {p}")
         elif self.kind == "discrete":
             (atoms,) = self.params
             if len(atoms) == 0:
@@ -399,7 +395,13 @@ class Marginal:
 
     @staticmethod
     def bernoulli(p: float) -> "Marginal":
-        return Marginal("bernoulli", (float(p),))
+        """The discrete law with atoms 0 and 1, of probabilities 1 - p and p."""
+        p = float(p)
+        if not math.isfinite(p):
+            raise ValueError(f"bernoulli p must be finite, got {p}")
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"bernoulli p must lie in [0, 1], got {p}")
+        return Marginal.discrete(((0.0, 1.0 - p), (1.0, p)))
 
     @staticmethod
     def discrete(atoms: Sequence[tuple[float, float]]) -> "Marginal":
@@ -413,12 +415,9 @@ class Marginal:
 
     @property
     def is_discrete(self) -> bool:
-        return self.kind in ("bernoulli", "discrete")
+        return self.kind == "discrete"
 
     def atoms(self) -> tuple[tuple[float, float], ...]:
-        if self.kind == "bernoulli":
-            (p,) = self.params
-            return ((0.0, 1.0 - p), (1.0, p))
         if self.kind == "discrete":
             return self.params[0]
         raise ValueError(f"{self.kind} marginal has no atoms")
@@ -446,8 +445,6 @@ class Marginal:
         if self.kind == "uniform":
             lo, hi = self.params
             return 0.5 * (lo + hi)
-        if self.kind == "bernoulli":
-            return self.params[0]
         if self.kind == "discrete":
             return float(math.fsum(v * p for v, p in self.atoms()))
         alpha, scale = self.params
@@ -459,9 +456,6 @@ class Marginal:
         if self.kind == "uniform":
             lo, hi = self.params
             return (hi - lo) ** 2 / 12.0
-        if self.kind == "bernoulli":
-            p = self.params[0]
-            return p * (1.0 - p)
         if self.kind == "discrete":
             m = self.mean()
             return float(math.fsum(p * (v - m) ** 2 for v, p in self.atoms()))
@@ -498,8 +492,6 @@ class Marginal:
             if not is_int and lo < 0:
                 raise ValueError("non-integer raw moment of a signed marginal")
             return (hi ** (k + 1) - lo ** (k + 1)) / ((k + 1) * (hi - lo))
-        if self.kind == "bernoulli":
-            return self.params[0]
         if self.kind == "discrete":
             if not is_int and any(v < 0 for v, _ in self.atoms()):
                 raise ValueError("non-integer raw moment of a signed marginal")
@@ -528,8 +520,6 @@ class Marginal:
             if hi <= 0:
                 return ((-lo) ** (k + 1) - (-hi) ** (k + 1)) / ((k + 1) * width)
             return (hi ** (k + 1) + (-lo) ** (k + 1)) / ((k + 1) * width)
-        if self.kind == "bernoulli":
-            return self.params[0]
         if self.kind == "discrete":
             return float(math.fsum(p * abs(v) ** k for v, p in self.atoms() if p > 0))
         return self.raw_moment(k)  # pareto support is positive
@@ -560,8 +550,6 @@ class Marginal:
                 return 0.0
             lo_pos = max(lo, 0.0)
             return (hi ** (k + 1) - lo_pos ** (k + 1)) / ((k + 1) * (hi - lo))
-        if self.kind == "bernoulli":
-            return self.params[0]
         if self.kind == "discrete":
             return float(math.fsum(p * max(v, 0.0) ** k for v, p in self.atoms() if p > 0))
         return self.raw_moment(k)
@@ -598,10 +586,16 @@ class Marginal:
         if self.kind == "pareto":
             alpha, scale = self.params
             return np.where(t <= scale, 1.0, (scale / np.maximum(t, scale)) ** alpha)
-        vals, probs = self._sorted_atoms()
-        idx = np.searchsorted(vals, t, side="left")
-        tail = np.concatenate([np.cumsum(probs[::-1])[::-1], [0.0]])
-        return tail[idx]
+        return self._tail_mass(*self._sorted_atoms(), t)
+
+    @staticmethod
+    def _tail_mass(vals: np.ndarray, probs: np.ndarray, t) -> np.ndarray:
+        """P(X >= t) for atoms ``vals`` of probabilities ``probs`` in any order:
+        the tail sums of ``probs`` in stable value order, read at the first
+        value not below t."""
+        order = np.argsort(vals, kind="stable")
+        tail = np.concatenate([np.cumsum(probs[order][::-1])[::-1], [0.0]])
+        return tail[np.searchsorted(vals[order], t, side="left")]
 
     def pdf(self, x):
         if self.kind == "normal":
@@ -644,16 +638,16 @@ class Marginal:
             lo, hi = self.params
             np.multiply(u, hi - lo, out=out)
             out += lo
-        elif self.kind == "bernoulli":
-            np.greater_equal(u, 1.0 - self.params[0], out=out)
         elif self.kind == "pareto":
             alpha, scale = self.params
             np.subtract(1.0, u, out=out)
             out **= -1.0 / alpha
             out *= scale
         else:
+            # The first atom whose cdf reaches u. Flooring u = 0 skips leading
+            # atoms of zero mass, which every u > 0 skips already.
             vals, probs = self._sorted_atoms()
-            idx = np.searchsorted(np.cumsum(probs), u, side="left")
+            idx = np.searchsorted(np.cumsum(probs), np.maximum(u, _U_FLOOR), side="left")
             # "clip" maps an index past the last atom to the last atom.
             np.take(vals, idx, out=out, mode="clip")
         return out if out.ndim else out[()]

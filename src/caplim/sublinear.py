@@ -325,7 +325,6 @@ class EvaluationReport:
     se: float | None = None
     per_parameter: tuple = ()
     refined: bool = False
-    n_replications: int = 0
 
 
 @dataclass(frozen=True)
@@ -380,6 +379,21 @@ def _marginal_report(marginal: Marginal, f: TestFunction) -> tuple[float, str] |
     if marginal.kind == "pareto":
         return None
     return marginal.expect(f, breakpoints=f.breakpoints), "quadrature"
+
+
+def _mc_checked(vals: np.ndarray, name: str) -> np.ndarray:
+    """``vals``, the values of ``name`` on a Monte Carlo sample. A NaN value
+    leaves no estimate, so it is an error."""
+    if np.isnan(vals).any():
+        raise ValueError(f"{name} is NaN on the Monte Carlo sample")
+    return vals
+
+
+def _mc_estimate(vals: np.ndarray, name: str) -> tuple[float, float]:
+    """Mean and standard error of ``name``'s Monte Carlo values ``vals``,
+    which ``_mc_checked`` checks first."""
+    _mc_checked(vals, name)
+    return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(vals.size))
 
 
 def _extreme(values, sense: str = "max") -> tuple[float, int]:
@@ -534,13 +548,8 @@ class SublinearEngine:
         return samples
 
     def _mc_values(self, f: TestFunction):
-        """f on each grid measure's Monte Carlo sample, one at a time. A NaN
-        value leaves no estimate, so it is an error."""
-        for x in self._mc_samples(f.arity):
-            vals = f(x)
-            if np.isnan(vals).any():
-                raise ValueError(f"{f.name} is NaN on the Monte Carlo sample")
-            yield vals
+        """f on each grid measure's Monte Carlo sample, one at a time."""
+        return (f(x) for x in self._mc_samples(f.arity))
 
     # -- envelope expectations -----------------------------------------------------
 
@@ -601,8 +610,7 @@ class SublinearEngine:
             ses = [0.0] * len(pairs)
             method = labels.pop() if len(labels) == 1 else "exact"
         else:
-            values, ses = zip(*[(np.mean(v), np.std(v, ddof=1) / math.sqrt(len(v)))
-                                for v in self._mc_values(f)])
+            values, ses = zip(*[_mc_estimate(v, f.name) for v in self._mc_values(f)])
             method = "mc"
 
         value, idx = _extreme(values, sense)
@@ -620,7 +628,6 @@ class SublinearEngine:
             per_parameter=tuple((theta_i, float(v), float(se)) for (theta_i, _), v, se
                                 in zip(pairs, values, ses)),
             refined=refined,
-            n_replications=0 if exact else self.mc_replications,
         )
 
     def upper_exp(self, f: TestFunction) -> EvaluationReport:
@@ -685,7 +692,7 @@ class SublinearEngine:
 
         survival, method = self._closed_survival(f), "survival"
         if survival is None:
-            samples = [np.sort(v) for v in self._mc_values(f)]
+            samples = [np.sort(_mc_checked(v, f.name)) for v in self._mc_values(f)]
             m = self.mc_replications
 
             def survival(t: np.ndarray) -> np.ndarray:
@@ -725,15 +732,8 @@ def _discrete_choquet(per_measure: list[tuple[np.ndarray, np.ndarray]], envelope
     P(X >= s_j), the integral telescopes to s_1 + sum_j (s_j - s_{j-1}) W_j.
     """
     support = np.unique(np.concatenate([v for v, _ in per_measure]))
-    tails = []
-    for vals, weights in per_measure:
-        order = np.argsort(vals, kind="stable")
-        v_sorted = vals[order]
-        w_sorted = weights[order]
-        rev_cum = np.concatenate([np.cumsum(w_sorted[::-1])[::-1], [0.0]])
-        idx = np.searchsorted(v_sorted, support, side="left")
-        tails.append(rev_cum[idx])
-    w_env = envelope(np.stack(tails), axis=0)
+    w_env = envelope(np.stack([Marginal._tail_mass(vals, weights, support)
+                               for vals, weights in per_measure]), axis=0)
     value = support[0] + float(np.sum(np.diff(support) * w_env[1:]))
     return float(value)
 

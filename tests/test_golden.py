@@ -367,7 +367,7 @@ verify:
 DIGESTS = {
     "bound_check_countermonotone": {
         "bound_check.csv": "a504e034a056c1d43357d21271abd98a0c7af287f8d24dfa019e493818e17057",
-        "result.json": "90cadabeffcbf8ca68969b361192c6f485ea36e9910c255433002eff6c1654de",
+        "result.json": "c8d60467f23ca62a50574fd3ecf200002d9ccd35bd3549bcb60e6ed284989869",
     },
     "bound_check_copula_normal": {
         "bound_check.csv": "d872cad1854209a34654c3d3bc7aa3ab92b73ce2f35d99ed4cd332f251a342e9",

@@ -188,6 +188,17 @@ class TestWlln:
         assert same.tables == result.tables
         assert same.summary == result.summary
 
+    def test_a_point_mass_reads_its_band_exactly(self):
+        fam = make_singleton([Marginal.discrete(((0.25, 1.0),))])
+        result = limits.run_wlln(ExperimentConfig(mode="wlln", family=fam, horizon=1000,
+                                                  epsilon=0.1, seed=7))
+        assert result.summary["estimator"] == "exact"
+        assert result.summary["mean_interval"] == [0.25, 0.25]
+        assert result.summary["final_band_lower_capacity"] == 1.0
+        _, rows = result.tables["wlln"]
+        assert [row[1:] for row in rows] == [(1.0, 0.0, 1.0, 1.0)] * 2
+        assert result.passed
+
     def test_joint_table_dependence_rejected_for_sequences(self):
         dep = DependenceSpec(mode="discrete_joint",
                              joint_atoms=(((0.0, 1.0), 0.5), ((1.0, 0.0), 0.5)))
@@ -466,13 +477,13 @@ def test_a_family_with_an_infinite_moment_is_rejected(mode, alpha, message):
 # The trajectory-major scan against the time-major layout it replaced, in
 # which chunks were (time, trajectory) blocks and sums ran along axis 0.
 
-_KINDS = (
-    Marginal.normal(0.3, 2.0),
-    Marginal.uniform(-1.0, 0.5),
-    Marginal.pareto(1.5, 2.0),
-    Marginal.bernoulli(0.3),
-    Marginal.discrete(((-1.0, 0.25), (0.5, 0.5), (2.0, 0.25))),
-)
+_KINDS = {
+    "normal": Marginal.normal(0.3, 2.0),
+    "uniform": Marginal.uniform(-1.0, 0.5),
+    "pareto": Marginal.pareto(1.5, 2.0),
+    "bernoulli": Marginal.bernoulli(0.3),
+    "discrete": Marginal.discrete(((-1.0, 0.25), (0.5, 0.5), (2.0, 0.25))),
+}
 _SPECS = (
     DependenceSpec.independent(),
     DependenceSpec(mode="gaussian_copula", correlation=-0.4),
@@ -495,7 +506,7 @@ def _time_major_draws(u, marginal, spec):
 
 
 @pytest.mark.parametrize("spec", _SPECS, ids=lambda spec: spec.mode)
-@pytest.mark.parametrize("marginal", _KINDS, ids=lambda m: m.kind)
+@pytest.mark.parametrize("marginal", _KINDS.values(), ids=_KINDS)
 def test_the_block_transform_is_the_reference_chain(marginal, spec):
     # An odd row count leaves the last row out of the pairs.
     u = _time_major_uniforms(2026, 43, _COLUMNS, 0, 201)
@@ -533,7 +544,7 @@ _TILES = (30, 198, 1 << 16)
 
 @pytest.mark.parametrize("row_chunk", [6, 50, 70])
 @pytest.mark.parametrize("spec", _SPECS, ids=lambda spec: spec.mode)
-@pytest.mark.parametrize("marginal", _KINDS, ids=lambda m: m.kind)
+@pytest.mark.parametrize("marginal", _KINDS.values(), ids=_KINDS)
 def test_partial_sums_match_the_time_major_scan(marginal, spec, row_chunk, monkeypatch):
     monkeypatch.setattr(limits, "_ROW_CHUNK", row_chunk)
     config = ExperimentConfig(
@@ -558,7 +569,7 @@ def test_partial_sums_match_the_time_major_scan(marginal, spec, row_chunk, monke
 
 @pytest.mark.parametrize("row_chunk", [6, 50, 70])
 @pytest.mark.parametrize("spec", _SPECS, ids=lambda spec: spec.mode)
-@pytest.mark.parametrize("marginal", _KINDS, ids=lambda m: m.kind)
+@pytest.mark.parametrize("marginal", _KINDS.values(), ids=_KINDS)
 def test_row_sums_match_the_time_major_sum(marginal, spec, row_chunk, monkeypatch):
     monkeypatch.setattr(limits, "_ROW_CHUNK", row_chunk)
     # run_wlln transforms one shared block for every grid measure.
@@ -686,7 +697,7 @@ def test_horizon_sums_match_a_plain_cumsum(spec, tile, monkeypatch):
 
 
 @pytest.mark.parametrize("spec", _SPECS, ids=lambda spec: spec.mode)
-@pytest.mark.parametrize("marginal", _KINDS, ids=lambda m: m.kind)
+@pytest.mark.parametrize("marginal", _KINDS.values(), ids=_KINDS)
 def test_transform_in_place_gives_the_same_bytes(marginal, spec):
     u = philox_uniforms(2026, 41, _COLUMNS, 0, 200)
     fresh = limits._transform_chunk(u, marginal, spec)
@@ -701,7 +712,7 @@ def test_transform_in_place_gives_the_same_bytes(marginal, spec):
 # draws on into parts, and the default tile holds each run below 2**16
 # whole; a tile of 30 still holds a run of up to 128 whole, as numpy does.
 # The examples start at every counter offset.
-@pytest.mark.parametrize("marginal", _KINDS, ids=lambda m: m.kind)
+@pytest.mark.parametrize("marginal", _KINDS.values(), ids=_KINDS)
 @settings(max_examples=25, deadline=None)
 @given(n=st.one_of(st.integers(1, 7), st.integers(8, 128),
                    st.integers(129, 40_000).filter(lambda n: n % 8)),

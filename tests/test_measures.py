@@ -6,6 +6,7 @@ import sys
 import threading
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -101,8 +102,55 @@ class TestDiscreteMoments:
         with pytest.raises(ValueError):
             Marginal.bernoulli(1.5)
 
+    def test_discrete_variance_is_the_atom_sum(self):
+        atoms = ((-1.3, 0.1), (0.2, 0.2), (2.7, 0.3), (5.0, 0.4))
+        with mpmath.workdps(40):
+            mean = mpmath.fsum(mpmath.mpf(v) * p for v, p in atoms)
+            expected = float(mpmath.fsum(p * (mpmath.mpf(v) - mean) ** 2 for v, p in atoms))
+        assert Marginal.discrete(atoms).variance() == pytest.approx(expected, rel=1e-14)
+
+
+@pytest.mark.parametrize("k", [1, 2.5, 3])
+@pytest.mark.parametrize("lo, hi", [(0.0, 2.0), (0.5, 3.0), (-3.0, -0.5), (-2.0, 0.0)])
+def test_one_signed_uniform_abs_moment_is_its_integral(lo, hi, k):
+    """Support inside [0, inf) or inside (-inf, 0]: no sign change to split at."""
+    with mpmath.workdps(40):
+        expected = float(mpmath.quad(lambda x: abs(x) ** k, [lo, hi]) / (hi - lo))
+    assert Marginal.uniform(lo, hi).abs_moment(k) == pytest.approx(expected, rel=1e-13)
+
+
+# p = 0 and 1 put no mass on an atom; at u = 1 - p the cdf reaches u at 0 already.
+@pytest.mark.parametrize("p", [0.0, 1e-300, 0.25, 0.3, 0.5, 0.7, 1.0 - 2.0**-53, 1.0])
+def test_bernoulli_is_the_two_atom_discrete_law(p):
+    bern, disc = Marginal.bernoulli(p), Marginal.discrete(((0.0, 1.0 - p), (1.0, p)))
+    tie = 1.0 - p
+    u = np.array([0.0, np.nextafter(tie, 0.0), tie, np.nextafter(tie, 1.0), 0.5,
+                  1.0 - 2.0**-53])
+    u = u[u < 1.0]
+    assert bern.ppf(u).tobytes() == disc.ppf(u).tobytes()
+    # The generalized inverse: the first atom of positive mass whose cdf reaches u.
+    at_zero = disc.cdf(0.0)
+    np.testing.assert_array_equal(bern.ppf(u),
+                                  np.where((u <= at_zero) & (at_zero > 0.0), 0.0, 1.0))
+    t = np.array([-1.0, 0.0, 0.5, 1.0, 2.0])
+    assert bern.cdf(t).tobytes() == disc.cdf(t).tobytes()
+    assert bern.sf(t).tobytes() == disc.sf(t).tobytes()
+    assert (bern.mean(), bern.variance()) == (disc.mean(), disc.variance())
+    for k in (1, 2, 3, 2.5):
+        assert bern.raw_moment(k) == disc.raw_moment(k)
+        assert bern.abs_moment(k) == disc.abs_moment(k)
+        assert bern.pos_part_moment(k) == disc.pos_part_moment(k)
+
 
 NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("p", [0.3, NAN])
+def test_no_marginal_is_built_of_the_bernoulli_kind(p):
+    """The Bernoulli factory builds the discrete law; no method has a
+    branch for a kind of its own, so the constructor refuses one."""
+    with pytest.raises(ValueError, match="^unknown marginal kind 'bernoulli'$"):
+        Marginal("bernoulli", (p,))
 
 
 @pytest.mark.parametrize("build, message", [
@@ -209,7 +257,7 @@ def test_product_measure_marginal_access():
     mu = ProductMeasure((Marginal.normal(0.0, 1.0), Marginal.bernoulli(0.5)),
                         stationary=False)
     assert mu.marginal(0).kind == "normal"
-    assert mu.marginal(1).kind == "bernoulli"
+    assert mu.marginal(1).kind == "discrete"
     with pytest.raises(IndexError):
         mu.marginal(2)
 

@@ -1,6 +1,6 @@
 """The README's library quick start runs against the installed API, its
-command lines parse, its config key lists match the config readers, and
-every exported name resolves."""
+command lines parse, its config key lists match the config readers, its
+layout names every module, and every exported name resolves."""
 
 import contextlib
 import importlib
@@ -56,3 +56,9 @@ def test_readme_lists_each_sections_keys(section):
 def test_every_exported_name_resolves(module):
     mod = importlib.import_module(module)
     assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []
+
+
+@pytest.mark.parametrize("module", [info.name for info in pkgutil.iter_modules(caplim.__path__)])
+def test_the_layout_names_every_module(module):
+    layout = re.search(r"## Layout\n+```\n(.*?)```", README.read_text(), flags=re.S).group(1)
+    assert re.search(rf"^  {module}\.py ", layout, flags=re.M)
