@@ -451,7 +451,7 @@ _SECTIONS = {
     "experiment": _EXPERIMENT_READERS,
     "engine": {
         "mc_replications": _at_least(2),
-        "enumeration_cap": _integer,
+        "enumeration_cap": _at_least(0),
     },
     "bounds": {
         "formula": _one_of("formula", _FORMULAS),
@@ -469,7 +469,7 @@ _SECTIONS = {
     },
     "verify": {
         "n_cases": _at_least(1),
-        "mc_every": _integer,
+        "mc_every": _at_least(0),
         "mc_replications": _at_least(2),
         "corpus_cases": _at_least(0),
         "direction": _one_of("direction", ("upper", "lower")),

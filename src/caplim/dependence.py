@@ -195,7 +195,7 @@ def transform_block(u: np.ndarray, measure: ProductMeasure, spec: DependenceSpec
 class SequenceSampler:
     """Seeded sampler of coordinate blocks under a dependence spec.
 
-    ``draw`` returns an (n, m) block: n sequence coordinates by m independent
+    ``draw`` yields (n, m) blocks: n sequence coordinates by m independent
     replications, with replication j fed from the counter-based stream
     (seed, context, j), so blocks are reproducible regardless of how callers
     chunk or parallelize replications.
@@ -212,8 +212,10 @@ class SequenceSampler:
                 "combine it with a singleton family"
             )
 
-    def draw(self, n: int, m: int, measure: ProductMeasure | None = None,
-             context: int = 0) -> np.ndarray:
+    def draw(self, n: int, m: int, context: int = 0):
+        """Yield the block under each grid measure, all transformed from one
+        uniform block, or a joint table's one block, which reads no measure.
+        No two blocks share memory, so a caller may keep them all."""
         if self.spec.mode == "discrete_joint":
             if n != self.spec.joint_arity:
                 raise ValueError(f"joint table has {self.spec.joint_arity} coordinates, asked for {n}")
@@ -221,14 +223,11 @@ class SequenceSampler:
             coords, probs = self.spec.joint_arrays()
             u = uniform_block(self.seed, 1, m, context=context)[0]
             idx = Marginal.discrete(enumerate(probs)).ppf(u)
-            return coords[:, idx.astype(np.intp)]
-
-        if measure is None:
-            if not self.family.is_singleton:
-                raise ValueError("pass the measure to draw under for a non-singleton family")
-            measure = self.family.measures()[0][1]
-        u = uniform_block(self.seed, n, m, context=context)
-        return transform_block(u, measure, self.spec, out=u)
+            yield coords[:, idx.astype(np.intp)]
+        else:
+            u = uniform_block(self.seed, n, m, context=context)
+            for _, measure in self.family.measures():
+                yield transform_block(u, measure, self.spec)
 
 
 @dataclass(frozen=True)
@@ -387,19 +386,13 @@ def _exact_sides(spec: DependenceSpec, family: MeasureFamily, case: Sequence[Tes
 
 def _mc_sides(sampler: SequenceSampler, case: Sequence[TestFunction], m: int,
               context: int) -> tuple[float, float, float]:
-    """Monte Carlo sides of ``case`` from one uniform block, drawn once and
-    transformed under each measure; a joint table's draw reads no measure,
-    so it gives one row. A NaN value leaves no estimate, so it is an error."""
-    if sampler.spec.mode == "discrete_joint":
-        blocks = [sampler.draw(len(case), m, context=context)]
-    else:
-        u = uniform_block(sampler.seed, len(case), m, context=context)
-        out = np.empty_like(u)
-        blocks = (transform_block(u, mu, sampler.spec, out=out)
-                  for _, mu in sampler.family.measures())
+    """Monte Carlo sides of ``case`` from ``sampler.draw``'s blocks, one
+    per grid measure or a joint table's one. A NaN value leaves no
+    estimate, so it is an error."""
     # stats[k, 0] is (mean, SE) of the product under measure k, stats[k, 1 + i] of g_i
     stats = np.array([[joint, *row] for joint, row in
-                      (_case_stats(case, x, _mc_estimate) for x in blocks)])
+                      (_case_stats(case, x, _mc_estimate)
+                       for x in sampler.draw(len(case), m, context))])
     return _sides(stats[:, 0, 0], stats[:, 1:, 0], stats[:, 0, 1], stats[:, 1:, 1])
 
 

@@ -10,12 +10,12 @@ A runner states only its statistic. One scan, ``_partial_sums``, builds
 the partial sums ``S_k`` of every runner but the cluster sampler, and one
 driver, ``_scan``, owns the tasks and the worker pool. A runner hands it
 its streams (a context, the marginals that share its uniforms and a
-horizon) and a reducer of the scan's pieces: the strong law, the iterated
-logarithm and the divergence check reduce every partial sum, and the Monte
-Carlo weak law and the bound sweep read ``S_n`` with ``_sums_at_horizon``.
-A task is one stream's group of consecutive trajectories, sized from the
-horizon alone, so the worker count only schedules the tasks. Every runner
-returns through ``_result``.
+horizon) and a reducer of the scan's pieces, each a block of partial sums:
+the strong law, the iterated logarithm and the divergence check reduce
+every partial sum, and the Monte Carlo weak law and the bound sweep pass no
+reducer, so the scan reads ``S_n`` alone. A task is one stream's group of
+consecutive trajectories, sized from the horizon alone, so the worker count
+only schedules the tasks. Every runner returns through ``_result``.
 
 A runner reads the family as the first marginal of each measure, from
 ``_grid_marginals``, over its grid or a dense refinement built once per run.
@@ -26,9 +26,9 @@ check needs a finite mean interval, and the iterated logarithm a finite
 upper variance.
 
 Sums keep the bits of a chunked scan: chunks of a fixed number of draws,
-each summed sequentially and added to the running total. A chunk is
-``_ROW_CHUNK`` draws where every partial sum is reduced, and
-``_rows_per_chunk(trajectories)`` draws for ``S_n``. The work
+each summed sequentially and added to the running total. ``_scan`` picks
+the chunk: ``_ROW_CHUNK`` draws where a reducer reads every partial sum,
+and ``_rows_per_chunk(trajectories)`` draws for ``S_n`` alone. The work
 itself goes in tiles of about ``_TILE`` entries (512 KiB), each drawn,
 transformed and summed while it sits in a core's cache, and cut at the
 chunk edges; a tile that continues a chunk starts from the chunk's running
@@ -404,16 +404,12 @@ def _shifted_family(family: MeasureFamily, c: float) -> MeasureFamily:
     )
 
 
-def _chunk_ranges(total: int, chunk: int):
-    start = 0
-    while start < total:
-        stop = min(total, start + chunk)
-        yield start, stop
-        start = stop
-
-
 def _rows_per_chunk(columns: int) -> int:
-    """Even row count keeping a chunk near 8M entries."""
+    """Even draw count at which an ``S_n`` scan over ``columns`` trajectories
+    restarts its sequential sum: ``2**23 // columns``, at most ``_ROW_CHUNK``.
+
+    No chunk is held in memory, so the count fixes only the bits of the sums.
+    """
     rows = max(2, min(_ROW_CHUNK, (1 << 23) // max(columns, 1)))
     return rows - (rows % 2)
 
@@ -457,14 +453,13 @@ def _partial_sums(config: ExperimentConfig, context: int, columns, marginals, n:
     """Partial sums of the trajectories in ``columns`` under each of ``marginals``.
 
     One task of ``_scan`` runs it over one group of consecutive trajectories.
-    Yields ``(k, start, stop, s, carry)`` where ``s[j, r] + carry[j, 0]``
-    is ``S_{start+r+1}`` of trajectory ``columns[j]`` under ``marginals[k]``,
-    up to ``S_n``. With ``totals``, ``s`` is only the last column,
-    ``S_stop`` less the carry, from ``_piece_totals``, for a caller that
-    reads ``S_n`` alone. All marginals transform the same uniforms, drawn from
-    streams ``(seed, context, column)``. ``s`` is a scratch block of at most
-    one tile: the caller may overwrite it but must not keep it, or
-    ``carry``, past the next step of the iteration.
+    Yields ``(k, start, stop, s)`` where ``s[j, r]`` is ``S_{start+r+1}`` of
+    trajectory ``columns[j]`` under ``marginals[k]``, up to ``S_n``. With
+    ``totals``, ``s`` is only the last column, ``S_stop``, from
+    ``_piece_totals``, for a caller that reads ``S_n`` alone. All marginals
+    transform the same uniforms, drawn from streams ``(seed, context,
+    column)``. ``s`` is a scratch block of at most one tile: the caller may
+    overwrite it but must not keep it past the next step of the iteration.
 
     The bits are those of chunks of ``chunk`` draws (an even count), each
     summed as ``carry + cumsum(x)``: they depend on ``chunk``, not on which
@@ -473,13 +468,12 @@ def _partial_sums(config: ExperimentConfig, context: int, columns, marginals, n:
     the chunk edges. One marginal transforms each tile in place; several
     each transform it into the same scratch tile. A piece that continues a
     chunk first adds the chunk's running sum ``inner`` into its first
-    column, so its cumsum continues the chunk's. The outer ``carry``, the
-    sum at the chunk's first edge, is left to the caller, so a caller that
-    reads one column adds it to that column alone.
+    column, so its cumsum continues the chunk's. The ``carry``, the sum at
+    the chunk's first edge, is added once the piece's ``inner`` is taken.
     """
     carry = np.zeros((len(marginals), len(columns), 1))
     inner = np.zeros((len(marginals), len(columns), 1))
-    for start, stop in _chunk_ranges(n, _tile_rows(len(columns))):
+    for start, stop, _ in _pieces(0, n, _tile_rows(len(columns))):
         u = philox_uniforms(config.seed, context, columns, start, stop)
         out = u if len(marginals) == 1 else np.empty_like(u)
         for k, marginal in enumerate(marginals):
@@ -492,11 +486,11 @@ def _partial_sums(config: ExperimentConfig, context: int, columns, marginals, n:
                     s[:, :1] += inner[k]
                 s = _piece_totals(s) if totals else np.cumsum(s, axis=1, out=s)
                 inner[k] = s[:, -1:]
-                yield k, a, b, s, carry[k]
+                s += carry[k]
+                yield k, a, b, s
 
 
-def _scan(config: ExperimentConfig, streams, reduce, chunk: int,
-          totals: bool = False) -> list[tuple]:
+def _scan(config: ExperimentConfig, streams, reduce=None) -> list[tuple]:
     """Each stream's statistics, reduced from its trajectories' partial sums.
 
     ``streams`` lists ``(context, marginals, n)``: the ``marginals`` share
@@ -505,18 +499,20 @@ def _scan(config: ExperimentConfig, streams, reduce, chunk: int,
     trajectories: whole horizons that fit in one tile, or one trajectory
     when the horizon exceeds a tile. The tasks never depend on
     ``config.workers``, which only schedules them in one pool.
-    ``reduce(pieces, size)`` takes the ``(k, start, stop, s, carry)`` pieces
-    of ``_partial_sums`` (chunks of ``chunk`` draws) over a group of
+    ``reduce(pieces, size)`` takes the ``(k, start, stop, s)`` pieces of
+    ``_partial_sums``, in chunks of ``_ROW_CHUNK`` draws, over a group of
     ``size`` trajectories and returns one array per statistic, indexed by
-    trajectory. ``s + carry`` is the partial sums, so a reducer adds the
-    carry to the columns it reads and to no others. A reducer that reads
-    only ``S_n``, ``_sums_at_horizon``, passes ``totals``: each piece is
-    then summed by ``_piece_totals``, a strided sequential reduce with the
-    cumsum's bits, and ``s`` is its last column alone. Returns, per stream,
-    each statistic over all ``config.trajectories`` trajectories.
+    trajectory. With no ``reduce`` the scan reads ``S_n`` alone: each piece
+    is summed by ``_piece_totals``, a strided sequential reduce with the
+    cumsum's bits, in chunks of ``_rows_per_chunk(config.trajectories)``
+    draws, and ``_sums_at_horizon`` reduces them. Returns, per stream, each
+    statistic over all ``config.trajectories`` trajectories.
     """
+    totals = reduce is None
+    chunk = _rows_per_chunk(config.trajectories) if totals else _ROW_CHUNK
+    reduce = reduce or _sums_at_horizon
     tasks = [(i, t0, t1) for i, (_, _, n) in enumerate(streams)
-             for t0, t1 in _chunk_ranges(config.trajectories, max(1, _TILE // n))]
+             for t0, t1, _ in _pieces(0, config.trajectories, max(1, _TILE // n))]
 
     def scan(task):
         i, t0, t1 = task
@@ -531,11 +527,12 @@ def _scan(config: ExperimentConfig, streams, reduce, chunk: int,
 
 
 def _sums_at_horizon(pieces, size: int) -> tuple:
-    """Reducer: ``S_n`` under each marginal, the last piece's last column plus its carry.
+    """Reducer: ``S_n`` under each marginal, the last piece's last column.
 
-    It reads one column, so its scans pass ``totals`` to ``_scan``.
+    ``_scan`` pairs it with ``totals``. The column is copied, because
+    several marginals overwrite one scratch tile in turn.
     """
-    last = {k: s[:, -1] + carry[:, 0] for k, _, _, s, carry in pieces}
+    last = {k: s[:, -1].copy() for k, _, _, s in pieces}
     return tuple(last.values())
 
 
@@ -543,13 +540,13 @@ def _scan_rows(config: ExperimentConfig, context: int, measures, reduce) -> list
     """Rows ``(label, trajectory, *statistics)`` of a scan over each measure.
 
     ``measures`` lists ``(label, marginal)`` pairs, and measure i draws the
-    horizon from stream context ``context + i``. Chunks are ``_ROW_CHUNK``
-    draws for every group; a group of two or more trajectories holds a
-    horizon of at most ``_TILE / 2`` draws, which no chunk edge cuts. Rows
-    come in measure order, then trajectory order.
+    horizon from stream context ``context + i``. A group of two or more
+    trajectories holds a horizon of at most ``_TILE / 2`` draws, which no
+    ``_ROW_CHUNK`` edge cuts. Rows come in measure order, then trajectory
+    order.
     """
     streams = [(context + i, [m], config.horizon) for i, (_, m) in enumerate(measures)]
-    stats = _scan(config, streams, reduce, _ROW_CHUNK)
+    stats = _scan(config, streams, reduce)
     return [(label, col, *map(float, row))
             for (label, _), columns in zip(measures, stats)
             for col, row in enumerate(zip(*columns))]
@@ -651,8 +648,7 @@ def run_wlln(config: ExperimentConfig) -> ExperimentResult:
     else:
         # One stream per schedule point; its grid measures share the uniforms.
         streams = [(_CTX_WLLN + idx, marginals, n) for idx, n in enumerate(schedule)]
-        sums = _scan(config, streams, _sums_at_horizon, _rows_per_chunk(config.trajectories),
-                     totals=True)
+        sums = _scan(config, streams)
         probs = [{key: ((means >= lo) & (means <= hi)).mean(axis=1)
                   for key, (lo, hi) in windows.items()}
                  for means in (np.array(s_n) / n for n, s_n in zip(schedule, sums))]
@@ -709,11 +705,10 @@ def run_slln(config: ExperimentConfig) -> ExperimentResult:
     def reduce(pieces, size):
         max_ratio = np.full(size, -np.inf)
         min_ratio = np.full(size, np.inf)
-        for _, start, stop, s, carry in pieces:
+        for _, start, stop, s in pieces:
             if stop > n0:
                 cut = max(n0 - start - 1, 0)
                 ratios = s[:, cut:]
-                ratios += carry
                 ratios /= np.arange(start + cut + 1, stop + 1, dtype=float)
                 max_ratio = np.maximum(max_ratio, ratios.max(axis=1))
                 min_ratio = np.minimum(min_ratio, ratios.min(axis=1))
@@ -795,7 +790,7 @@ def run_cluster(config: ExperimentConfig) -> ExperimentResult:
         marginal = dense[_extreme(np.abs(means - desired), "min")[1]]
         block_sum = 0.0
         # The chunks set the summation order, so they stay at 2**22 draws.
-        for start, stop in _chunk_ranges(count, _CLUSTER_CHUNK):
+        for start, stop, _ in _pieces(0, count, _CLUSTER_CHUNK):
             block_sum += _pairwise_draw_sum(config.seed, _CTX_CLUSTER, marginal,
                                             consumed + start, stop - start)
         total += block_sum
@@ -874,11 +869,11 @@ def run_lil(config: ExperimentConfig) -> ExperimentResult:
     def reduce(pieces, size):
         r_up = np.full(size, -np.inf)
         r_low = np.full(size, np.inf)
-        for _, start, stop, s, carry in pieces:
+        for _, start, stop, s in pieces:
             mask = (checkpoints > start) & (checkpoints <= stop)
             if mask.any():
                 cps = checkpoints[mask]
-                s_cp = s[:, cps - start - 1] + carry
+                s_cp = s[:, cps - start - 1]
                 a_cp = norming[mask]
                 up = (s_cp - cps * mu_up) / a_cp
                 low = (s_cp - cps * mu_low) / a_cp
@@ -939,8 +934,7 @@ def run_necessity(config: ExperimentConfig) -> ExperimentResult:
 
     def reduce(pieces, size):
         peak = np.zeros(size)
-        for _, start, stop, s, carry in pieces:
-            s += carry
+        for _, start, stop, s in pieces:
             s /= np.arange(start + 1, stop + 1, dtype=float)
             peak = np.maximum(peak, np.abs(s, out=s).max(axis=1))
         return (peak,)
@@ -1074,8 +1068,7 @@ def run_bound_check(config: ExperimentConfig) -> ExperimentResult:
         emp_upper_se = emp_lower_se = np.zeros_like(emp_upper)
     else:
         streams = [(_CTX_BOUNDS + k, [m], n) for k, m in enumerate(marginals)]
-        sums = _scan(config, streams, _sums_at_horizon, _rows_per_chunk(config.trajectories),
-                     totals=True)
+        sums = _scan(config, streams)
         freqs = np.array([[(s_n >= x).mean() for x in x_grid] for (s_n,) in sums])
         ses = np.sqrt(freqs * (1.0 - freqs) / config.trajectories)
         cols = np.arange(x_grid.size)

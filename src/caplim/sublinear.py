@@ -117,18 +117,6 @@ class TestFunction:
             breakpoints=self.breakpoints,
         )
 
-    def shifted(self, c: float) -> "TestFunction":
-        return TestFunction(
-            fn=lambda x, f=self.fn, b=float(c): f(x) + b,
-            arity=self.arity,
-            name=f"({self.name}+{c:g})",
-            sup_bound=None if self.sup_bound is None else self.sup_bound + abs(c),
-            breakpoints=self.breakpoints,
-        )
-
-    def negated(self) -> "TestFunction":
-        return self.scaled(-1.0)
-
     # -- constructors ----------------------------------------------------------
 
     @staticmethod
@@ -463,6 +451,8 @@ class SublinearEngine:
 
     def __post_init__(self) -> None:
         _check_seed(self.seed)
+        if self.enumeration_cap < 0:
+            raise ValueError(f"enumeration_cap must be at least 0, got {self.enumeration_cap}")
 
     def _measures(self) -> list[tuple[object, ProductMeasure]]:
         """The family's (parameter, measure) grid, built on first use."""
@@ -958,7 +948,7 @@ def run_axiom_suite(n_cases: int = 120, seed: int = 2026, mc_every: int = 10,
         r_lam = engine.upper_exp(f.scaled(lam))
         r_c = engine.upper_exp(TestFunction.const(c0, arity))
         r_low = engine.lower_exp(f)
-        r_neg = engine.upper_exp(f.negated())
+        r_neg = engine.upper_exp(f.scaled(-1.0))
         ca = engine.upper_exp(event_a)
         cb = engine.upper_exp(event_b)
         cu = engine.upper_exp(union)

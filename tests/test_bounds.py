@@ -424,6 +424,26 @@ def test_evaluate_formula_columns():
         evaluate_formula("chebyshev", inputs, (0.0,))
 
 
+def test_evaluate_formula_choquet_moment_max_form():
+    # With the largest term's moment given, both columns are the pair that
+    # choquet_moment_bound returns, at every threshold.
+    inputs = BoundInputs(n=3, variance_sum=3.0, K=1.5, order=3)
+    per_term = (0.8, 0.5, 0.9)
+    xs = (0.5, 1.0, 2.0, 8.0)
+    sum_form, max_form = choquet_moment_bound(inputs, per_term, max_term_pos_choquet=1.2)
+    cols, trace = evaluate_formula("choquet-moment", inputs, xs,
+                                   per_term_pos_choquet=per_term, max_term_pos_choquet=1.2)
+    assert trace == DerivedConstants.for_order(3).trace
+    assert list(cols) == ["choquet_moment_sum_form", "choquet_moment_max_form"]
+    assert cols["choquet_moment_sum_form"].tolist() == [sum_form] * len(xs)
+    assert cols["choquet_moment_max_form"].tolist() == [max_form] * len(xs)
+    assert max_form < sum_form
+    with pytest.raises(ValueError, match="^max-term Choquet moment exceeds the per-term sum; "
+                       "inputs are inconsistent$"):
+        evaluate_formula("choquet-moment", inputs, xs, per_term_pos_choquet=per_term,
+                         max_term_pos_choquet=10.0)
+
+
 @pytest.mark.parametrize("name, x, extra, message", [
     ("chebyshev", (1.0, math.nan), {}, "thresholds must be finite"),
     ("exp", (math.inf,), {}, "thresholds must be finite"),

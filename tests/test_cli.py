@@ -236,6 +236,11 @@ BROKEN = {
     "bounds-inputs-K-nan": (MINIMAL + "bounds:\n  formula: chebyshev\n  inputs:\n    n: 2\n"
                             "    K: .nan\n",
                             "bounds.inputs.K (line 15): K must be finite, got nan"),
+    "engine-enumeration-cap": (
+        MINIMAL + "engine:\n  enumeration_cap: -5\n",
+        "engine.enumeration_cap (line 12): enumeration_cap must be at least 0, got -5"),
+    "verify-mc-every": (MINIMAL + "verify:\n  mc_every: -3\n",
+                        "verify.mc_every (line 12): mc_every must be at least 0, got -3"),
     "bounds-x-nan": (MINIMAL + "bounds:\n  formula: split\n  x: [1.0, .nan]\n",
                      "bounds.x[1] (line 13): x[1] must be finite, got nan"),
     "bounds-tilt-nan": (MINIMAL + "bounds:\n  formula: exp\n  tilt: .nan\n",

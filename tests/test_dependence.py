@@ -232,7 +232,7 @@ class TestTransformBlock:
                              ids=["independent", "matrix", "pairs"])
     def test_the_sampler_draws_through_it(self, spec):
         family = MeasureFamily.singleton(UNIFORM_PARETO)
-        x = SequenceSampler(spec, family, seed=5).draw(3, 300, context=4)
+        (x,) = SequenceSampler(spec, family, seed=5).draw(3, 300, context=4)
         expected = transform_block(uniform_block(5, 3, 300, context=4), UNIFORM_PARETO, spec)
         assert x.tobytes() == expected.tobytes()
 
@@ -240,15 +240,15 @@ class TestTransformBlock:
 class TestSequenceSampler:
     def test_blocks_reproducible_and_context_separated(self, standard_normal_family):
         spec = DependenceSpec(mode="gaussian_copula", correlation=-0.5)
-        a = SequenceSampler(spec, standard_normal_family, seed=99).draw(4, 1000)
-        b = SequenceSampler(spec, standard_normal_family, seed=99).draw(4, 1000)
+        (a,) = SequenceSampler(spec, standard_normal_family, seed=99).draw(4, 1000)
+        (b,) = SequenceSampler(spec, standard_normal_family, seed=99).draw(4, 1000)
         np.testing.assert_array_equal(a, b)
-        c = SequenceSampler(spec, standard_normal_family, seed=99).draw(4, 1000, context=1)
+        (c,) = SequenceSampler(spec, standard_normal_family, seed=99).draw(4, 1000, context=1)
         assert not np.array_equal(a, c)
 
     def test_copula_induces_negative_pair_correlation(self, standard_normal_family):
         spec = DependenceSpec(mode="gaussian_copula", correlation=-0.5)
-        x = SequenceSampler(spec, standard_normal_family, seed=3).draw(4, 200_000)
+        (x,) = SequenceSampler(spec, standard_normal_family, seed=3).draw(4, 200_000)
         for a, b in ((0, 1), (2, 3)):
             assert float(np.corrcoef(x[a], x[b])[0, 1]) == pytest.approx(-0.5, abs=0.01)
         for row in range(4):
@@ -269,7 +269,7 @@ class TestSequenceSampler:
             Marginal.normal(0.3, 2.0), Marginal.uniform(-1.0, 0.5), Marginal.pareto(1.5, 2.0),
             Marginal.bernoulli(0.3), Marginal.discrete(((-1.0, 0.25), (0.5, 0.5), (2.0, 0.25))),
         ])
-        x = SequenceSampler(spec, family, seed=2026).draw(n, 5003, context=7)
+        (x,) = SequenceSampler(spec, family, seed=2026).draw(n, 5003, context=7)
         assert x.shape == (n, 5003) and x.flags.c_contiguous
         assert hashlib.sha256(x.tobytes()).hexdigest() == digest
 
@@ -282,9 +282,22 @@ class TestSequenceSampler:
 
     def test_joint_table_sampler_hits_only_listed_atoms(self):
         sampler = SequenceSampler(COUNTERMONOTONE, bernoulli_pair_family(), seed=5)
-        x = sampler.draw(2, 50_000)
+        (x,) = sampler.draw(2, 50_000)
         assert set(map(tuple, x.T)) <= {(0.0, 1.0), (1.0, 0.0)}
         assert float(np.mean(x[0])) == pytest.approx(0.5, abs=0.01)
+
+    def test_each_grid_measure_transforms_one_uniform_block(self, sigma_family):
+        # Nine measures of two marginals each read the same uniforms; every
+        # block is its own array, so a caller may keep them all.
+        spec = DependenceSpec.independent()
+        blocks = list(SequenceSampler(spec, sigma_family, seed=11).draw(2, 400, 9))
+        u = uniform_block(11, 2, 400, context=9)
+        measures = sigma_family.measures()
+        assert len(blocks) == len(measures) == 9
+        for x, (_, mu) in zip(blocks, measures):
+            assert x.tobytes() == transform_block(u, mu, spec).tobytes()
+        assert not any(np.shares_memory(a, b)
+                       for i, a in enumerate(blocks) for b in blocks[i + 1:])
 
 
 class TestVerifyEnd:

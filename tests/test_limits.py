@@ -556,12 +556,13 @@ def test_partial_sums_match_the_time_major_scan(marginal, spec, row_chunk, monke
     for tile in _TILES:
         monkeypatch.setattr(limits, "_TILE", tile)
         blocks, stops = [], [0]
-        for k, start, stop, s, carry in limits._partial_sums(config, 40, _COLUMNS,
-                                                             [marginal], 200, chunk):
+        # Each piece is scratch, so it is copied before the next one.
+        for k, start, stop, s in limits._partial_sums(config, 40, _COLUMNS, [marginal], 200,
+                                                      chunk):
             assert k == 0
             assert start == stops[-1] and s.shape == (len(_COLUMNS), stop - start)
             assert s.size <= max(tile, 2 * len(_COLUMNS))
-            blocks.append(s + carry)
+            blocks.append(s.copy())
             stops.append(stop)
         _same_bytes(np.concatenate(blocks, axis=1), reference)
         assert len(stops) > 3 and stops[-1] == 200
@@ -596,19 +597,18 @@ def test_row_sums_match_the_time_major_sum(marginal, spec, row_chunk, monkeypatc
     # group whose pieces are reduced.
     for tile in _TILES:
         monkeypatch.setattr(limits, "_TILE", tile)
-        (sums,) = limits._scan(config, [(41, [marginal, other], 200)],
-                               limits._sums_at_horizon, limits._rows_per_chunk(len(columns)),
-                               totals=True)
+        (sums,) = limits._scan(config, [(41, [marginal, other], 200)])
         assert np.array(sums).tobytes() == reference.tobytes()
 
 
 # A tile of 30 entries groups 10 trajectories by 7 at horizon 4, by 3 at
 # horizon 10 and one by one at horizon 50, so the first two streams end on
 # an uneven group. The tasks, and so the bytes, are the same at any worker
-# count, and each trajectory's S_n, reduced from piece totals, is the one
-# its own cumsum gives.
+# count, and each trajectory's S_n, reduced from piece totals in chunks of 6
+# draws, is the one its own cumsum gives.
 def test_scan_tasks_cover_each_trajectory_once_in_order(monkeypatch):
     monkeypatch.setattr(limits, "_TILE", 30)
+    monkeypatch.setattr(limits, "_ROW_CHUNK", 6)
     maps = []
     indexed_map = limits._indexed_map
 
@@ -623,7 +623,8 @@ def test_scan_tasks_cover_each_trajectory_once_in_order(monkeypatch):
     for workers in (1, 3):
         config = ExperimentConfig(mode="slln", family=make_singleton([uniform]), horizon=50,
                                   trajectories=10, burn_in=1, seed=2026, workers=workers)
-        runs.append(limits._scan(config, streams, limits._sums_at_horizon, 6, totals=True))
+        assert limits._rows_per_chunk(config.trajectories) == 6
+        runs.append(limits._scan(config, streams))
 
     assert len(maps) == 2 and maps[0] == maps[1]
     tasks = maps[0]
@@ -686,10 +687,8 @@ def test_horizon_sums_match_a_plain_cumsum(spec, tile, monkeypatch):
     marginals = [Marginal.normal(0.3, 2.0), Marginal.uniform(-1.0, 0.5)]
     config = ExperimentConfig(mode="wlln", family=make_singleton(marginals[:1]),
                               dependence=spec, horizon=201, trajectories=5, seed=2026)
-    chunk = limits._rows_per_chunk(config.trajectories)
-    assert chunk > config.horizon
-    (sums,) = limits._scan(config, [(43, marginals, 201)], limits._sums_at_horizon, chunk,
-                           totals=True)
+    assert limits._rows_per_chunk(config.trajectories) > config.horizon
+    (sums,) = limits._scan(config, [(43, marginals, 201)])
     u = philox_uniforms(2026, 43, range(5), 0, 201)
     for got, marginal in zip(sums, marginals):
         draws = limits._transform_chunk(u, marginal, spec)

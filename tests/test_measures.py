@@ -191,6 +191,20 @@ class TestParetoMoments:
         with pytest.raises(ValueError):
             Marginal.pareto(1.0, -2.0)
 
+    # No envelope path integrates a Pareto density, so this is its one check:
+    # the support starts at the scale, the density is 0 below it, and its
+    # integral from the scale is the cdf, for heavy and light tails alike.
+    @pytest.mark.parametrize("alpha, scale, t", [(0.5, 1.0, 3.0), (1.5, 2.0, 5.0),
+                                                 (3.0, 0.5, 0.75), (2.5, 1.0, 40.0)])
+    def test_support_and_density(self, alpha, scale, t):
+        m = Marginal.pareto(alpha, scale)
+        assert m.support() == (scale, math.inf)
+        below = [-1.0, 0.0, 0.5 * scale, math.nextafter(scale, 0.0)]
+        assert m.pdf(np.array(below)).tolist() == [0.0] * len(below)
+        assert float(m.pdf(scale)) == pytest.approx(alpha / scale, rel=1e-15)
+        mass = float(mpmath.quad(lambda x: float(m.pdf(float(x))), [scale, t]))
+        assert mass == pytest.approx(float(m.cdf(t)), rel=1e-12)
+
 
 def test_expect_matches_moments():
     for m in (Marginal.normal(0.3, 1.7), Marginal.uniform(-2.0, 1.0),

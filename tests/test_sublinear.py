@@ -42,8 +42,8 @@ def test_function_algebra_shapes():
     np.testing.assert_allclose(f(x), [1.0, 4.0, 0.25])
     np.testing.assert_allclose(f.plus(g)(x), [4.0, 7.0, 3.25])
     np.testing.assert_allclose(f.scaled(2.0)(x), [2.0, 8.0, 0.5])
-    np.testing.assert_allclose(f.negated()(x), [-1.0, -4.0, -0.25])
-    np.testing.assert_allclose(f.shifted(1.0)(x), [2.0, 5.0, 1.25])
+    np.testing.assert_allclose(f.scaled(-1.0)(x), [-1.0, -4.0, -0.25])
+    np.testing.assert_allclose(f.plus(TestFunction.const(1.0))(x), [2.0, 5.0, 1.25])
 
 
 def test_clamp_and_indicators():
@@ -192,12 +192,12 @@ def test_plus_point(x, a, b):
 @given(x=_nodes(*BASE_EDGES), a=st.sampled_from(BASES), lam=PARAM)
 def test_scaled_point(x, a, lam):
     _assert_point_matches(a.scaled(lam), x)
-    _assert_point_matches(a.negated(), x)
+    _assert_point_matches(a.scaled(-1.0), x)
 
 
 @given(x=_nodes(*BASE_EDGES), a=st.sampled_from(BASES), c=PARAM)
 def test_shifted_point(x, a, c):
-    _assert_point_matches(a.shifted(c), x)
+    _assert_point_matches(a.plus(TestFunction.const(c, a.arity)), x)
 
 
 @given(data=st.data(), threshold=st.floats(-5.0, 5.0), width=st.floats(1e-3, 5.0),
@@ -534,6 +534,16 @@ def test_supports_past_the_cap_give_the_same_reports_in_bounded_memory():
     assert peak < 24 * cap + 3 * support_bytes, f"peak {peak / support_bytes:.2f} supports"
     assert len(capped._supports) == 2 and len(kept_all._supports) == resolution
     assert sum(w.size for _, w in capped._supports.values()) <= cap
+
+
+def test_a_negative_enumeration_cap_is_rejected():
+    # A cap of 0 never enumerates; below that a cap would only send every
+    # discrete envelope to Monte Carlo without saying so.
+    fam = make_bernoulli_family(0.2, 0.8, resolution=3)
+    with pytest.raises(ValueError, match="enumeration_cap must be at least 0, got -5"):
+        SublinearEngine(fam, enumeration_cap=-5)
+    report = SublinearEngine(fam, enumeration_cap=0).choquet(TestFunction.pos_power(1.0))
+    assert report.method == "mc"
 
 
 # ---------------------------------------------------------------------------

@@ -132,3 +132,14 @@ def test_a_cross_checked_end_run_records_the_verifier_spans(traced, tmp_path, ca
     assert {"dependence.verify", "dependence.sampler_draw"} <= snap["self_s"].keys()
     spans = snap["self_s"]["dependence.verify"] + snap["self_s"]["dependence.sampler_draw"]
     assert spans <= snap["incl_s"]["dependence.verify_end"] <= snap["incl_s"]["cli.main"]
+
+
+def test_a_monte_carlo_end_run_draws_through_the_sampler(traced, tmp_path, capsys):
+    path = tmp_path / "end.yaml"
+    path.write_text(SLLN + COPULA + "verify:\n  corpus_cases: 1\n  mc_replications: 2000\n")
+    assert cli.main(["verify", "end", "--config", str(path)]) in (0, 2)
+    snap = traced.snapshot()
+    # A copula has no exact path, so its one case is drawn through
+    # SequenceSampler.draw under the family's one measure.
+    assert {"dependence.verify", "dependence.sampler_draw",
+            "dependence.correlate_pairs"} <= snap["self_s"].keys()
