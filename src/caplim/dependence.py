@@ -35,8 +35,8 @@ import numpy as np
 
 from .measures import (Marginal, MeasureFamily, ProductMeasure, normal_scores, philox_stream,
                        uniform_block)
-from .sublinear import (TestFunction, _extreme, _mc_estimate, marginal_expectation,
-                        smooth_indicator)
+from .sublinear import (TestFunction, _check_replications, _extreme, _mc_estimate,
+                        marginal_expectation, smooth_indicator)
 
 __all__ = [
     "DependenceSpec",
@@ -400,6 +400,7 @@ def _run_cases(kind: str, spec: DependenceSpec, family: MeasureFamily,
                all_cases: list[tuple[str, tuple[TestFunction, ...]]],
                direction: str | None, K: float, seed: int, mc_replications: int,
                mc_cross_check: bool) -> EndReport:
+    _check_replications(mc_replications)
     if not all_cases:
         raise ValueError("no case to check: supply a case or ask for corpus_cases >= 1")
     sampler = SequenceSampler(spec, family, seed=seed)

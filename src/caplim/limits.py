@@ -18,7 +18,7 @@ consecutive trajectories, sized from the horizon alone, so the worker count
 only schedules the tasks. Every runner returns through ``_result``.
 
 A runner reads the family as the first marginal of each measure, from
-``_grid_marginals``, over its grid or a dense refinement built once per run.
+``_grid_marginals``, over its grid or a denser one built once per run.
 Each extremum over the dense list (mean interval, worst-case moments, the
 cluster's steering) is one pick of the first entry attaining it by the
 envelope engine's extremizer, ``_extreme``. Every mode but the divergence
@@ -341,7 +341,7 @@ def _transform_chunk(
 
 def _grid_marginals(family: MeasureFamily, dense: bool = False) -> list[Marginal]:
     """The first marginal at each point of the family grid or, when ``dense``, of
-    one refined well beyond it: 513 points, or 65 per axis for two axes."""
+    a much finer one: 513 points, or 65 per axis for two axes."""
     if dense:
         family = replace(family, grid_resolution=513 if family.dim == 1 else 65)
     return [family.measure_at(theta).marginal(0) for theta in family.grid_parameters()]

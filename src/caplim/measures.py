@@ -784,18 +784,10 @@ class MeasureFamily:
     def dim(self) -> int:
         return len(self.parameter_domain)
 
-    def axes(self) -> list[np.ndarray]:
-        out = []
-        for lo, hi in self.parameter_domain:
-            if lo == hi:
-                out.append(np.array([lo]))
-            else:
-                out.append(np.linspace(lo, hi, self.grid_resolution))
-        return out
-
     def grid_parameters(self) -> list:
         """Grid points as scalars (one axis) or row-major tuples (two axes)."""
-        axes = self.axes()
+        axes = [np.array([lo]) if lo == hi else np.linspace(lo, hi, self.grid_resolution)
+                for lo, hi in self.parameter_domain]
         if len(axes) == 1:
             return [float(v) for v in axes[0]]
         return [(float(a), float(b)) for a in axes[0] for b in axes[1]]

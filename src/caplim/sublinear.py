@@ -11,10 +11,10 @@ products, one-dimensional quadrature, exact enumeration of discrete supports)
 and falls back to common-random-number Monte Carlo only when no exact path
 applies. Quadrature is the package's own QUADPACK (``quadpack``), which
 calls a test function's ``fn`` once per rule application on all its nodes.
-Exact optima over continuous parameter axes are sharpened by a
-golden-section pass around the best grid point.
-Every envelope, and every extremum of the experiment runners, is one pick
-by ``_extreme`` of the first entry attaining it.
+Every envelope, the Choquet integral's capacity included, is taken over the
+family's grid measures. Each upper and lower expectation, and every extremum
+of the experiment runners, is one pick by ``_extreme`` of the first entry
+attaining it.
 """
 
 from __future__ import annotations
@@ -36,9 +36,6 @@ __all__ = [
     "run_axiom_suite",
     "smooth_indicator",
 ]
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
 
 def _smooth01(u):
     """C-infinity ramp from 0 to 1 on [0, 1], exactly 1/2 at the midpoint."""
@@ -312,7 +309,6 @@ class EvaluationReport:
     method: str
     se: float | None = None
     per_parameter: tuple = ()
-    refined: bool = False
 
 
 @dataclass(frozen=True)
@@ -384,33 +380,18 @@ def _mc_estimate(vals: np.ndarray, name: str) -> tuple[float, float]:
     return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(vals.size))
 
 
+def _check_replications(m: int) -> None:
+    """Reject a Monte Carlo sample too small to have a standard error."""
+    if m < 2:
+        raise ValueError(f"mc_replications must be at least 2, got {m}")
+
+
 def _extreme(values, sense: str = "max") -> tuple[float, int]:
     """The largest (or, for ``"min"``, smallest) of ``values`` and the index of
     the first entry that attains it."""
     values = np.asarray(values, dtype=float)
     i = int(values.argmax() if sense == "max" else values.argmin())
     return float(values[i]), i
-
-
-def _golden_max(g: Callable[[float], float], lo: float, hi: float,
-                iters: int = 70, tol: float = 1e-12) -> tuple[float, float]:
-    a, b = float(lo), float(hi)
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = g(c), g(d)
-    for _ in range(iters):
-        if b - a <= tol * (1.0 + abs(a) + abs(b)):
-            break
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = g(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = g(d)
-    x = 0.5 * (a + b)
-    return x, g(x)
 
 
 @dataclass
@@ -438,7 +419,6 @@ class SublinearEngine:
 
     family: MeasureFamily
     mc_replications: int = 100_000
-    refinement: bool = True
     seed: int = 2026
     enumeration_cap: int = 2_000_000
     fixed_context: int | None = None
@@ -451,6 +431,7 @@ class SublinearEngine:
 
     def __post_init__(self) -> None:
         _check_seed(self.seed)
+        _check_replications(self.mc_replications)
         if self.enumeration_cap < 0:
             raise ValueError(f"enumeration_cap must be at least 0, got {self.enumeration_cap}")
 
@@ -543,50 +524,9 @@ class SublinearEngine:
 
     # -- envelope expectations -----------------------------------------------------
 
-    def _refine(self, f: TestFunction, sense: str, idx: int,
-                grid_best: float) -> tuple[float, object, bool]:
-        axes = self.family.axes()
-        dim = self.family.dim
-        # grid_parameters runs row-major over the axes
-        pos = np.unravel_index(idx, [len(ax) for ax in axes])
-        theta = [float(axes[a][pos[a]]) for a in range(dim)]
-        sign = 1.0 if sense == "max" else -1.0
-
-        def objective(th: list[float]) -> float:
-            point = th[0] if dim == 1 else tuple(th)
-            res = self._exact_expectation(self.family.measure_at(point), f)
-            return -math.inf if res is None else res[0]
-
-        best = grid_best
-        moved = False
-        for _ in range(2 if dim == 2 else 1):
-            for a in range(dim):
-                ax = axes[a]
-                if len(ax) < 2:
-                    continue
-                lo = float(ax[max(pos[a] - 1, 0)])
-                hi = float(ax[min(pos[a] + 1, len(ax) - 1)])
-                if lo == hi:
-                    continue
-
-                def g(t, axis=a):
-                    trial = list(theta)
-                    trial[axis] = t
-                    return sign * objective(trial)
-
-                x_star, v_star = _golden_max(g, lo, hi)
-                if v_star > sign * best:
-                    theta[a] = x_star
-                    best = sign * v_star
-                    moved = True
-        value = objective(theta) if moved else best
-        if sign * value < sign * grid_best:
-            return grid_best, None, False
-        return value, (theta[0] if dim == 1 else tuple(theta)), moved
-
     def _expectation_report(self, f: TestFunction, sense: str) -> EvaluationReport:
-        """The envelope of E[f]: exact per-measure values, refined off the
-        grid, or else Monte Carlo means with their standard errors."""
+        """The envelope of E[f] over the family's grid: exact per-measure
+        values, or else Monte Carlo means with their standard errors."""
         pairs = self._measures()
         values, labels = [], set()
         for _, mu in pairs:
@@ -604,20 +544,13 @@ class SublinearEngine:
             method = "mc"
 
         value, idx = _extreme(values, sense)
-        theta = pairs[idx][0]
-        refined = False
-        if exact and self.refinement and not self.family.is_singleton and math.isfinite(value):
-            value2, theta2, moved = self._refine(f, sense, idx, value)
-            if moved and theta2 is not None:
-                value, theta, refined = value2, theta2, True
         return EvaluationReport(
             value=value,
-            parameter=theta,
+            parameter=pairs[idx][0],
             method=method,
             se=None if exact else float(ses[idx]),
             per_parameter=tuple((theta_i, float(v), float(se)) for (theta_i, _), v, se
                                 in zip(pairs, values, ses)),
-            refined=refined,
         )
 
     def upper_exp(self, f: TestFunction) -> EvaluationReport:
@@ -632,7 +565,7 @@ class SublinearEngine:
 
     def sup_marginal_moment(self, k: float, kind: str = "raw", coordinate: int = 0,
                             sense: str = "max") -> tuple[float, object]:
-        """Envelope of a single-coordinate moment over the family, refined like
+        """Envelope of a single-coordinate moment over the family's grid, like
         every other envelope; returns the value and the parameter attaining it."""
         f = _CHOQUET_FUNCTIONS[{"raw": "power", "abs": "abs_power", "pos": "pos_power"}[kind]](k)
         if coordinate > 0:
@@ -921,7 +854,6 @@ def run_axiom_suite(n_cases: int = 120, seed: int = 2026, mc_every: int = 10,
         engine = SublinearEngine(
             family,
             mc_replications=mc_replications,
-            refinement=False,
             # stream seeds must fit in 64 bits
             seed=(seed * 1_000_003 + case) % (1 << 64),
             fixed_context=0,

@@ -143,7 +143,7 @@ class TestConfigParsing:
         parse_config_text(COMONOTONE)
         assert len(built) == 1
 
-    # ``refinement`` changed nothing: the choquet command never refines.
+    # ``refinement`` was never a key: every envelope is a pick over the grid.
     @pytest.mark.parametrize("key, value", [("tolerance", "1.0e-9"), ("refinement", "true")])
     def test_unknown_engine_keys_are_rejected_with_their_line(self, key, value):
         with pytest.raises(ConfigError) as err:

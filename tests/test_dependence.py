@@ -513,6 +513,15 @@ def test_a_nan_monte_carlo_value_is_an_error(verify, spec, family, x):
                seed=3)
 
 
+# A copula case has no exact path, so it would go to Monte Carlo.
+@pytest.mark.parametrize("m", [0, 1])
+@pytest.mark.parametrize("verify", [verify_end, verify_extended_independence])
+def test_both_verifiers_reject_too_few_replications(verify, m, standard_normal_family):
+    spec = DependenceSpec(mode="gaussian_copula", correlation=-0.5)
+    with pytest.raises(ValueError, match=f"^mc_replications must be at least 2, got {m}$"):
+        verify(spec, standard_normal_family, n=2, corpus_cases=1, mc_replications=m)
+
+
 @pytest.mark.parametrize("second", [TestFunction.power(1), TestFunction.const(0.0)],
                          ids=["inf_minus_inf", "inf_times_zero"])
 @pytest.mark.parametrize("corpus_cases", [0, 2])

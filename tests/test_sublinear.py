@@ -276,16 +276,16 @@ class TestReciprocalVariancePair:
 
 
 # ---------------------------------------------------------------------------
-# Refined quadrature envelopes, pinned bit for bit.
+# Quadrature envelopes, pinned bit for bit.
 
-# float.hex of (value, parameter) of the refined envelopes on a normal family
-# whose location 1 - (t - 0.37)**2 peaks between grid points: the upper
-# envelopes move off the grid through the golden-section refinement, the
-# lower ones stay on the boundary point.
-REFINED_ENVELOPES = {
-    ("clamp_affine", "upper_exp"): ("0x1.6fbb7ff19f3cfp-2", "0x1.7ae1465b6e7a6p-2"),
+# float.hex of (value, parameter) of the envelopes on a normal family whose
+# location 1 - (t - 0.37)**2 peaks between grid points: every envelope is a
+# pick over the grid, the upper ones at the grid point nearest the peak and
+# the lower ones at the boundary point.
+GRID_ENVELOPES = {
+    ("clamp_affine", "upper_exp"): ("0x1.6a1df77eb1e18p-2", "0x1.0000000000000p-2"),
     ("clamp_affine", "lower_exp"): ("0x1.81b77c1bc7e2cp-7", "-0x1.0000000000000p-1"),
-    ("smooth_indicator", "upper_exp"): ("0x1.48ade492d4afep-1", "0x1.7ae1468fdc8b8p-2"),
+    ("smooth_indicator", "upper_exp"): ("0x1.462b9575c6dbbp-1", "0x1.0000000000000p-2"),
     ("smooth_indicator", "lower_exp"): ("0x1.7dba9509aa340p-2", "-0x1.0000000000000p-1"),
 }
 
@@ -299,19 +299,33 @@ def _peaked_location_family() -> MeasureFamily:
 
 
 @pytest.mark.parametrize("name", ["clamp_affine", "smooth_indicator"])
-def test_refined_quadrature_envelopes_are_pinned(name):
+def test_grid_quadrature_envelopes_are_pinned(name):
     f = {
         "clamp_affine": TestFunction.coordinate_sum(
             [TestFunction.clamp_affine(0.8, -0.1, -1.0, 0.7)]),
         "smooth_indicator": smooth_indicator(0.9, 0.6, "outer"),
     }[name]
-    engine = SublinearEngine(_peaked_location_family())
+    family = _peaked_location_family()
+    engine = SublinearEngine(family)
     for side in ("upper_exp", "lower_exp"):
         report = getattr(engine, side)(f)
         assert report.method == "quadrature"
-        assert report.refined == (side == "upper_exp")
+        assert report.parameter in family.grid_parameters()
         got = (report.value.hex(), float(report.parameter).hex())
-        assert got == REFINED_ENVELOPES[name, side]
+        assert got == GRID_ENVELOPES[name, side]
+
+
+# The upper Choquet integral dominates the upper expectation on one engine,
+# up to the axiom suite's exact tolerance, even where the family's location
+# peaks between grid points.
+@pytest.mark.parametrize("k", [1, 2])
+def test_upper_choquet_dominates_the_upper_expectation_off_grid_peak(k):
+    engine = SublinearEngine(_peaked_location_family())
+    f = TestFunction.pos_power(k)
+    upper = engine.upper_exp(f).value
+    choquet = engine.choquet(f, "upper")
+    assert choquet.method == "survival"
+    assert choquet.value >= upper - 1e-9 * (1.0 + abs(upper))
 
 
 def test_exact_envelopes_are_labelled_by_the_path_they_took():
@@ -362,9 +376,9 @@ def _count_expect_calls(monkeypatch) -> list:
 def test_lower_envelope_reuses_the_upper_envelopes_quadratures(monkeypatch):
     fam = make_location_family(-0.5, 0.5, var=1.2, resolution=5)
     f = TestFunction.coordinate_sum([TestFunction.clamp_affine(0.8, -0.1, -1.0, 0.7)])
-    fresh = SublinearEngine(fam, refinement=False).lower_exp(f)
+    fresh = SublinearEngine(fam).lower_exp(f)
     calls = _count_expect_calls(monkeypatch)
-    engine = SublinearEngine(fam, refinement=False)
+    engine = SublinearEngine(fam)
     engine.upper_exp(f)
     assert len(calls) == 5
     again = engine.lower_exp(f)
@@ -392,6 +406,15 @@ def test_fixed_context_samples_are_drawn_once_and_read_only(sigma_family):
                                         fixed_context=0), side)(f)
         assert report.method == "mc"
         assert report.per_parameter == fresh.per_parameter
+
+
+# A Monte Carlo sample needs two draws for a standard error.
+def test_too_few_replications_are_rejected(sigma_family):
+    for m in (0, 1):
+        with pytest.raises(ValueError, match=f"^mc_replications must be at least 2, got {m}$"):
+            SublinearEngine(sigma_family, mc_replications=m)
+    report = SublinearEngine(sigma_family, mc_replications=2).upper_exp(_no_exact_path())
+    assert report.method == "mc" and math.isfinite(report.value) and math.isfinite(report.se)
 
 
 def test_no_samples_are_kept_without_a_fixed_context(sigma_family):
@@ -467,9 +490,9 @@ def test_each_grid_support_is_enumerated_once(monkeypatch):
     fam = _discrete_pair_family(n_atoms=4, resolution=5)
     fs = _pair_functions()
     # A fresh engine per function enumerates every support for that function.
-    fresh = [(_report_bits(SublinearEngine(fam, refinement=False).upper_exp(f)),
-              _report_bits(SublinearEngine(fam, refinement=False).lower_exp(f))) for f in fs]
-    fresh_choquet = SublinearEngine(fam, refinement=False).choquet(fs[0])
+    fresh = [(_report_bits(SublinearEngine(fam).upper_exp(f)),
+              _report_bits(SublinearEngine(fam).lower_exp(f))) for f in fs]
+    fresh_choquet = SublinearEngine(fam).choquet(fs[0])
     calls = []
     original = sublinear._enumerate_support
 
@@ -478,7 +501,7 @@ def test_each_grid_support_is_enumerated_once(monkeypatch):
         return original(measure, arity)
 
     monkeypatch.setattr(sublinear, "_enumerate_support", counting)
-    engine = SublinearEngine(fam, refinement=False)
+    engine = SublinearEngine(fam)
     got = [(_report_bits(engine.upper_exp(f)), _report_bits(engine.lower_exp(f))) for f in fs]
     choquet = engine.choquet(fs[0])
     assert len(calls) == len(fam.grid_parameters()) == 5
@@ -489,7 +512,7 @@ def test_each_grid_support_is_enumerated_once(monkeypatch):
 
 def test_a_test_function_cannot_write_into_a_kept_support():
     fam = _discrete_pair_family(n_atoms=4, resolution=5)
-    engine = SublinearEngine(fam, refinement=False)
+    engine = SublinearEngine(fam)
     clamp, *rest = _pair_functions()
     engine.upper_exp(clamp)
 
@@ -503,7 +526,7 @@ def test_a_test_function_cannot_write_into_a_kept_support():
     with pytest.raises(ValueError, match="read-only"):
         engine.choquet(writer)
     for f in rest:
-        fresh = SublinearEngine(fam, refinement=False)
+        fresh = SublinearEngine(fam)
         assert _report_bits(engine.upper_exp(f)) == _report_bits(fresh.upper_exp(f))
 
 
@@ -513,8 +536,8 @@ def test_supports_past_the_cap_give_the_same_reports_in_bounded_memory():
     cap = 2 * n_atoms**2 + 100  # room for two of the nine supports
     fam = _discrete_pair_family(n_atoms, resolution)
     fs = _pair_functions()
-    kept_all = SublinearEngine(fam, refinement=False)
-    capped = SublinearEngine(fam, refinement=False, enumeration_cap=cap)
+    kept_all = SublinearEngine(fam)
+    capped = SublinearEngine(fam, enumeration_cap=cap)
     capped._measures()
     tracemalloc.start()
     try:
@@ -730,13 +753,13 @@ def test_survival_choquets_are_pinned(name, capacity):
     assert got == SURVIVAL_CHOQUETS[name, capacity]
 
 
-# float.hex of the value and parameter of refined envelopes over two-axis
+# float.hex of the value and parameter of grid envelopes over two-axis
 # families, with both axes on a grid and with either one degenerate; the
-# location peaks off the grid, so every refinement moves.
+# location peaks off the grid, so each pick is the grid point nearest it.
 TWO_AXIS_ENVELOPES = {
-    "both": ("0x1.6fbb7ff19f283p-2", ("0x1.7ae1472e15683p-2", "0x1.3851eb451ea8cp-1"), True),
-    "a_fixed": ("0x1.6dd3d7c78e4a0p-2", ("0x1.3333333333333p-2", "0x1.3851eb451ea8cp-1"), True),
-    "b_fixed": ("0x1.6c948905c14e7p-2", ("0x1.7ae1472e15683p-2", "0x1.6666666666666p-1"), True),
+    "both": ("0x1.645ed41212507p-2", ("0x1.0000000000000p-1", "0x1.0000000000000p-1")),
+    "a_fixed": ("0x1.6918fc8383532p-2", ("0x1.3333333333333p-2", "0x1.0000000000000p-1")),
+    "b_fixed": ("0x1.65f33df3445e8p-2", ("0x1.0000000000000p-1", "0x1.6666666666666p-1")),
 }
 
 
@@ -749,13 +772,15 @@ def _two_axis_family(a_domain, b_domain) -> MeasureFamily:
 
 
 @pytest.mark.parametrize("name", ["both", "a_fixed", "b_fixed"])
-def test_refined_two_axis_envelopes_are_pinned(name):
+def test_grid_two_axis_envelopes_are_pinned(name):
     domains = {"both": ((-0.5, 1.0), (0.0, 1.5)), "a_fixed": ((0.3, 0.3), (0.0, 1.5)),
                "b_fixed": ((-0.5, 1.0), (0.7, 0.7))}[name]
+    family = _two_axis_family(*domains)
     f = TestFunction.clamp_affine(0.8, -0.1, -1.0, 0.7)
-    report = SublinearEngine(_two_axis_family(*domains)).upper_exp(f)
+    report = SublinearEngine(family).upper_exp(f)
     assert report.method == "quadrature"
-    got = (report.value.hex(), tuple(float(t).hex() for t in report.parameter), report.refined)
+    assert report.parameter in family.grid_parameters()
+    got = (report.value.hex(), tuple(float(t).hex() for t in report.parameter))
     assert got == TWO_AXIS_ENVELOPES[name]
 
 

@@ -143,3 +143,16 @@ def test_a_monte_carlo_end_run_draws_through_the_sampler(traced, tmp_path, capsy
     # SequenceSampler.draw under the family's one measure.
     assert {"dependence.verify", "dependence.sampler_draw",
             "dependence.correlate_pairs"} <= snap["self_s"].keys()
+
+
+def test_an_axiom_run_counts_each_envelope_by_its_path(traced, tmp_path, capsys):
+    path = tmp_path / "axioms.yaml"
+    path.write_text(SLLN.split("experiment:")[0]
+                    + "verify:\n  n_cases: 4\n  mc_every: 2\n  mc_replications: 2000\n")
+    assert cli.main(["verify", "axioms", "--config", str(path)]) == 0
+    counts = traced.snapshot()["counts"]
+    # Cases 0 and 2 draw discrete families and cases 1 and 3 continuous ones
+    # through Monte Carlo; each case takes upper and lower envelopes.
+    for side in ("upper_exp", "lower_exp"):
+        for path_taken in ("enumeration", "mc"):
+            assert counts[f"sublinear.{side}.calls.{path_taken}"] > 0
