@@ -21,6 +21,7 @@ from caplim import (
     TestFunction,
     sublinear,
 )
+from caplim.dependence import DependenceSpec, verify_extended_independence
 from caplim.sublinear import marginal_expectation, run_axiom_suite, smooth_indicator
 
 from conftest import (
@@ -567,6 +568,196 @@ def test_a_negative_enumeration_cap_is_rejected():
         SublinearEngine(fam, enumeration_cap=-5)
     report = SublinearEngine(fam, enumeration_cap=0).choquet(TestFunction.pos_power(1.0))
     assert report.method == "mc"
+
+
+# ---------------------------------------------------------------------------
+# Per-measure bits on grids whose measures hand a kernel the same inputs: a
+# discrete family that moves only its probabilities keeps its atoms, and
+# QUADPACK bisects the same intervals under nearby laws.
+
+
+def _per_parameter_hex(report) -> tuple:
+    return tuple(v.hex() for _, v, _ in report.per_parameter)
+
+
+def _normal_uniform_family(resolution: int = 5) -> MeasureFamily:
+    def build(t: float) -> ProductMeasure:
+        return ProductMeasure((Marginal.normal(t, 1.2), Marginal.uniform(t - 1.0, t + 1.5)),
+                              stationary=False)
+
+    return MeasureFamily(parameter_domain=((-0.5, 0.5),), builder=build,
+                         grid_resolution=resolution, name="normal-uniform")
+
+
+def _uniform_location_family(resolution: int = 5) -> MeasureFamily:
+    return MeasureFamily(
+        parameter_domain=((-0.5, 0.5),), grid_resolution=resolution, name="uniform-location",
+        builder=lambda t: ProductMeasure((Marginal.uniform(t - 1.0, t + 1.5),)))
+
+
+def _coin_pair_family(resolution: int = 5) -> MeasureFamily:
+    return MeasureFamily(
+        parameter_domain=((0.2, 0.8),), grid_resolution=resolution, name="coin-pair",
+        builder=lambda p: ProductMeasure((Marginal.bernoulli(p), Marginal.bernoulli(1.0 - p)),
+                                         stationary=False))
+
+
+def _shared_input_cases() -> dict:
+    """name -> (family, test function) for the pinned per-measure bits."""
+    clamp = TestFunction.clamp_affine(0.8, -0.1, -1.0, 0.7)
+    outer = smooth_indicator(0.3, 0.6, "outer")
+    quadrature = {
+        "coordinate_sum": TestFunction.coordinate_sum([clamp]),
+        "plus": clamp.plus(outer),
+        "scaled": clamp.scaled(-1.0),
+        "inner": smooth_indicator(0.3, 0.6, "inner"),
+        "outer": outer,
+    }
+    normal = make_location_family(-0.5, 0.5, var=1.2, resolution=5)
+    uniform = _uniform_location_family()
+    pair = _discrete_pair_family(n_atoms=4, resolution=5)
+    return {
+        "coin": (make_bernoulli_family(0.2, 0.8), clamp),
+        **{f"pair[{i}]": (pair, f) for i, f in enumerate(_pair_functions())},
+        **{f"normal-{name}": (normal, f) for name, f in quadrature.items()},
+        **{f"uniform-{name}": (uniform, f) for name, f in quadrature.items()},
+        "prod-normal-uniform": (_normal_uniform_family(), TestFunction.prod([clamp, outer])),
+        "prod-coins": (_coin_pair_family(), TestFunction.prod([clamp, clamp.scaled(-1.0)])),
+    }
+
+
+def _discrete_choquet_cases() -> dict:
+    pair = _discrete_pair_family(n_atoms=4, resolution=5)
+    clamp, *_, indicator = _pair_functions()
+    return {
+        "coin": (make_bernoulli_family(0.2, 0.8), TestFunction.clamp_affine(0.8, -0.1, -1.0, 0.7)),
+        "pair-clamp": (pair, clamp),
+        "pair-indicator": (pair, indicator),
+    }
+
+
+def _independence_rows_hex() -> tuple:
+    """(method, joint, product of envelopes) of each case of an extended
+    independence check on a normal x uniform family, exact per measure."""
+    report = verify_extended_independence(
+        DependenceSpec.independent(), _normal_uniform_family(),
+        psi_case=(smooth_indicator(0.3, 0.6, "outer"), TestFunction.clamp_affine(1.0, 0.0, 0.0, 1.0)),
+        corpus_cases=3)
+    return tuple((row["method"], row["joint"].hex(), row["product_of_envelopes"].hex())
+                 for row in report.cases)
+
+
+# float.hex of each grid measure's E[f], which the upper and the lower
+# envelope both report in ``per_parameter``.
+SHARED_INPUT_BITS = {
+    "coin": (
+        "0x1.eb851eb851eb4p-5", "0x1.70a3d70a3d70ap-3", "0x1.3333333333333p-2",
+        "0x1.ae147ae147ae3p-2", "0x1.147ae147ae147p-1",
+    ),
+    "normal-coordinate_sum": (
+        "-0x1.84730475bef5ap-2", "-0x1.ffa92ba1689c7p-3", "-0x1.ddaa191698ed0p-4",
+        "0x1.f718797e5c39ap-7", "0x1.214a8b71f33bbp-3",
+    ),
+    "normal-inner": (
+        "0x1.44dd665ac96b7p-3", "0x1.c22dca8b548a8p-3", "0x1.2bb8edd826856p-2",
+        "0x1.8029a5d2ba260p-2", "0x1.dae8a160c51e2p-2",
+    ),
+    "normal-outer": (
+        "0x1.4c7db3ab9f386p-2", "0x1.a3effa5ce0ee5p-2", "0x1.0000000000000p-1",
+        "0x1.2e0802d18f88fp-1", "0x1.59c1262a3063dp-1",
+    ),
+    "normal-plus": (
+        "-0x1.bfaa8650f86e4p-5", "0x1.4836c9185a23ep-3", "0x1.889579ba5a03bp-2",
+        "0x1.35e464b78906cp-1", "0x1.a213c906ad342p-1",
+    ),
+    "normal-scaled": (
+        "0x1.84730475be462p-2", "0x1.ffa92ba167b8dp-3", "0x1.ddaa191697f18p-4",
+        "-0x1.f718797e5f790p-7", "-0x1.214a8b71f3416p-3",
+    ),
+    "pair[0]": (
+        "0x1.4cccccccccccep-2", "0x1.38bf258bf258dp-2", "0x1.24b17e4b17e4dp-2",
+        "0x1.10a3d70a3d70dp-2", "0x1.f92c5f92c5f94p-3",
+    ),
+    "pair[1]": (
+        "0x1.a000000000002p-1", "0x1.86eeeeeeeeef0p-1", "0x1.6dddddddddde0p-1",
+        "0x1.54cccccccccd0p-1", "0x1.3bbbbbbbbbbbep-1",
+    ),
+    "pair[2]": (
+        "0x1.8000000000000p-2", "0x1.7e66666666666p-2", "0x1.799999999999ap-2",
+        "0x1.719999999999ap-2", "0x1.6666666666667p-2",
+    ),
+    "pair[3]": (
+        "0x1.0000000000000p-1", "0x1.2000000000000p-1", "0x1.4000000000001p-1",
+        "0x1.6000000000001p-1", "0x1.8000000000000p-1",
+    ),
+    "pair[4]": (
+        "0x1.0000000000000p-1", "0x1.2000000000000p-1", "0x1.4000000000000p-1",
+        "0x1.6000000000000p-1", "0x1.8000000000000p-1",
+    ),
+    "prod-coins": (
+        "-0x1.096bb98c7e27fp-5", "-0x1.35a858793dd96p-4", "-0x1.70a3d70a3d70ap-4",
+        "-0x1.35a858793dd96p-4", "-0x1.096bb98c7e27dp-5",
+    ),
+    "prod-normal-uniform": (
+        "-0x1.36c269f7cb6b5p-3", "-0x1.ffa92ba167b8fp-4", "-0x1.1e994240c190fp-4",
+        "0x1.602abb720fa19p-7", "0x1.ceddabe985358p-4",
+    ),
+    "uniform-coordinate_sum": (
+        "-0x1.1c28f5c28f5c3p-2", "-0x1.b851eb851eb82p-4", "0x1.eb851eb851eadp-5",
+        "0x1.ae147ae147ae2p-3", "0x1.5c28f5c28f5c0p-2",
+    ),
+    "uniform-inner": (
+        "0x1.47ae147ae147cp-3", "0x1.0a3d70a3d70a5p-2", "0x1.70a3d70a3d70cp-2",
+        "0x1.d70a3d70a3d72p-2", "0x1.1eb851eb851ecp-1",
+    ),
+    "uniform-outer": (
+        "0x1.999999999999ap-2", "0x1.0000000000001p-1", "0x1.3333333333334p-1",
+        "0x1.6666666666667p-1", "0x1.999999999999bp-1",
+    ),
+    "uniform-plus": (
+        "0x1.f5c28f5c28f5dp-4", "0x1.91eb851eb8520p-2", "0x1.51eb851eb851ep-1",
+        "0x1.d1eb851eb851fp-1", "0x1.23d70a3d70a3ep+0",
+    ),
+    "uniform-scaled": (
+        "0x1.1c28f5c28f5c3p-2", "0x1.b851eb851eb87p-4", "-0x1.eb851eb851eb8p-5",
+        "-0x1.ae147ae147ae1p-3", "-0x1.5c28f5c28f5c2p-2",
+    ),
+}
+
+# float.hex of the upper and lower Choquet integrals on the enumeration path.
+DISCRETE_CHOQUETS = {
+    "coin": ("0x1.147ae147ae148p-1", "0x1.eb851eb851eb8p-5"),
+    "pair-clamp": ("0x1.8c1e098ead660p-2", "0x1.7ac33e1f67158p-3"),
+    "pair-indicator": ("0x1.8000000000002p-1", "0x1.0000000000000p-1"),
+}
+
+INDEPENDENCE_ROWS = (
+    ("exact", "0x1.9ee7c765d3ab1p-2", "0x1.9ee7c765d3ab1p-2"),
+    ("exact", "0x1.f1b3ccb333b39p-3", "0x1.fd5903ae9d746p-2"),
+    ("exact", "0x1.a31fb3868e38ep+0", "0x1.ce7fefa5f065cp+0"),
+    ("exact", "0x1.456c38a31a532p-1", "0x1.456c38a31a532p-1"),
+)
+
+
+@pytest.mark.parametrize("name", sorted(SHARED_INPUT_BITS))
+def test_per_measure_bits_are_pinned(name):
+    family, f = _shared_input_cases()[name]
+    engine = SublinearEngine(family)
+    for side in (engine.upper_exp, engine.lower_exp):
+        assert _per_parameter_hex(side(f)) == SHARED_INPUT_BITS[name]
+
+
+@pytest.mark.parametrize("name", sorted(DISCRETE_CHOQUETS))
+def test_discrete_choquets_are_pinned(name):
+    family, f = _discrete_choquet_cases()[name]
+    engine = SublinearEngine(family)
+    reports = [engine.choquet(f, capacity) for capacity in ("upper", "lower")]
+    assert all(r.method == "enumeration" for r in reports)
+    assert tuple(r.value.hex() for r in reports) == DISCRETE_CHOQUETS[name]
+
+
+def test_exact_independence_sides_are_pinned():
+    assert _independence_rows_hex() == INDEPENDENCE_ROWS
 
 
 # ---------------------------------------------------------------------------
