@@ -35,8 +35,8 @@ import numpy as np
 
 from .measures import (Marginal, MeasureFamily, ProductMeasure, normal_scores, philox_stream,
                        uniform_block)
-from .sublinear import (TestFunction, _check_replications, _extreme, _mc_estimate,
-                        marginal_expectation, smooth_indicator)
+from .sublinear import (TestFunction, _check_replications, _extreme, _KernelMemo,
+                        _marginal_report, _mc_estimate, smooth_indicator)
 
 __all__ = [
     "DependenceSpec",
@@ -375,12 +375,14 @@ def _exact_sides(spec: DependenceSpec, family: MeasureFamily, case: Sequence[Tes
         return _sides([joint], [means]), "enumeration"
     if spec.mode != "per_measure_independent":
         return None
+    # One pass over the grid: each g_i runs once per distinct input.
+    memos = [_KernelMemo(g) for g in case]
     rows = []
     for _, mu in family.measures():
-        row = [marginal_expectation(mu.marginal(i), g) for i, g in enumerate(case)]
+        row = [_marginal_report(mu.marginal(i), memo) for i, memo in enumerate(memos)]
         if None in row:
             return None
-        rows.append(row)
+        rows.append([v for v, _ in row])
     return _sides([math.prod(row) for row in rows], rows), "exact"
 
 

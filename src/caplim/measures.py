@@ -423,9 +423,18 @@ class Marginal:
         raise ValueError(f"{self.kind} marginal has no atoms")
 
     def _sorted_atoms(self) -> tuple[np.ndarray, np.ndarray]:
+        """The atom values in stable sorted order and their probabilities,
+        read-only arrays built once per instance."""
+        return self._sorted
+
+    @functools.cached_property
+    def _sorted(self) -> tuple[np.ndarray, np.ndarray]:
         vals, probs = zip(*self.atoms())
         order = np.argsort(vals, kind="stable")
-        return np.asarray(vals, dtype=float)[order], np.asarray(probs, dtype=float)[order]
+        kept = np.asarray(vals, dtype=float)[order], np.asarray(probs, dtype=float)[order]
+        for a in kept:
+            a.flags.writeable = False
+        return kept
 
     def support(self) -> tuple[float, float]:
         if self.kind == "normal":

@@ -67,8 +67,11 @@ class TestFunction:
 
     Quadrature calls ``fn`` on a (1, m) array of nodes at once, so an arity-1
     ``fn`` must act elementwise: its value at a node may not depend on the
-    other nodes or on their number. Every constructor's does, as numpy's
-    ufuncs do.
+    other nodes or on their number. It must also be deterministic: an exact
+    envelope evaluates ``fn`` once per distinct input over the family's grid
+    and hands every grid measure with that input the same read-only values,
+    a memo that lasts one envelope. Every constructor's ``fn`` is both, as
+    numpy's ufuncs are.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -347,22 +350,60 @@ def marginal_expectation(marginal: Marginal, f: TestFunction) -> float | None:
     """
     if f.arity != 1:
         raise ValueError("marginal_expectation takes an arity-1 function")
-    report = _marginal_report(marginal, f)
+    report = _marginal_report(marginal, _KernelMemo(f))
     return None if report is None else report[0]
 
 
-def _marginal_report(marginal: Marginal, f: TestFunction) -> tuple[float, str] | None:
-    """``marginal_expectation`` with the path it took: ``closed_form``,
-    ``enumeration`` (an atom sum) or ``quadrature``."""
+def _marginal_report(marginal: Marginal, memo: _KernelMemo) -> tuple[float, str] | None:
+    """``marginal_expectation`` of ``memo.f`` with the path it took:
+    ``closed_form``, ``enumeration`` (an atom sum, which calls ``memo``) or
+    ``quadrature`` (which calls ``memo`` once per rule application)."""
+    f = memo.f
     if f.closed_form is not None:
         v = _closed_moment(marginal, f.closed_form)
         if v is not None:
             return v, "closed_form"
     if marginal.is_discrete:
-        return marginal.expect(f), "enumeration"
+        return marginal.expect(memo), "enumeration"
     if marginal.kind == "pareto":
         return None
-    return marginal.expect(f, breakpoints=f.breakpoints), "quadrature"
+    return marginal.expect(memo, breakpoints=f.breakpoints), "quadrature"
+
+
+class _KernelMemo:
+    """``f`` on each distinct input of one pass over a family's grid.
+
+    Called, it keys its input by shape and bytes: quadrature nodes (at most
+    84 floats), which QUADPACK repeats when it bisects the same intervals
+    under nearby laws, and a discrete marginal's atoms, which a family that
+    moves only probabilities repeats. ``on_support`` takes a values array
+    that ``SublinearEngine`` keeps, one per set of atom values, and keys it
+    by the array itself, held here so that no other array can take its
+    ``id``. Every value array it returns is read-only.
+    """
+
+    def __init__(self, f: TestFunction):
+        self.f = f
+        self._by_bytes: dict = {}
+        self._by_array: dict = {}
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        key = (x.shape, x.tobytes())
+        out = self._by_bytes.get(key)
+        if out is None:
+            out = self._by_bytes[key] = _read_only(self.f(x))
+        return out
+
+    def on_support(self, vals: np.ndarray) -> np.ndarray:
+        kept = self._by_array.get(id(vals))
+        if kept is None:
+            kept = self._by_array[id(vals)] = vals, _read_only(self.f(vals))
+        return kept[1]
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _mc_checked(vals: np.ndarray, name: str) -> np.ndarray:
@@ -404,17 +445,22 @@ class SublinearEngine:
     samplewise hold for the estimates too.
 
     An engine does not repeat its exact work: it builds the family's grid
-    measures once, keeps every exact per-measure expectation keyed by
-    (measure, test function), and, when ``fixed_context`` pins every Monte
+    measures once, keeps each test function's exact per-measure expectations
+    keyed by the function, and, when ``fixed_context`` pins every Monte
     Carlo call to one stream context, keeps the read-only per-measure samples
     of each arity. It also keeps the joint support ``(values, weights)`` of
     each discrete (measure, arity) pair it enumerates, so a later test
-    function on that pair costs one call of ``f`` and one dot product. The
-    support arrays are read-only, so a test function that writes into its
-    input raises ``ValueError``. The kept supports hold at most
+    function on that pair costs one call of ``f`` and one dot product.
+    Measures whose coordinates have the same atom values share one values
+    array. The support arrays are read-only, so a test function that writes
+    into its input raises ``ValueError``. The kept supports hold at most
     ``enumeration_cap`` joint atoms in total; a support past that budget is
     enumerated again on each use. The caches live as long as the engine and
     assume its fields stay as constructed.
+
+    A test function's exact values come from one pass over the grid, during
+    which its kernel (or each factor's) runs once per distinct input
+    (``_KernelMemo``); the memo is dropped when the pass ends.
     """
 
     family: MeasureFamily
@@ -427,6 +473,7 @@ class SublinearEngine:
     _exact: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _mc_fixed: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _supports: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _values: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _support_atoms: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -443,56 +490,84 @@ class SublinearEngine:
 
     # -- exact per-measure expectation ------------------------------------------
 
-    def _exact_expectation(self, measure: ProductMeasure, f: TestFunction) -> tuple[float, str] | None:
-        key = (measure, f)
-        if key not in self._exact:
-            self._exact[key] = self._compute_exact(measure, f)
-        return self._exact[key]
+    def _exact_values(self, f: TestFunction) -> list[tuple[float, str]] | None:
+        """Each grid measure's exact (E[f], path), or None when some measure
+        has no exact path; computed in one pass on first use."""
+        try:
+            return self._exact[f]
+        except KeyError:
+            values = self._exact[f] = self._exact_pass(f)
+            return values
 
-    def _compute_exact(self, measure: ProductMeasure, f: TestFunction) -> tuple[float, str] | None:
+    def _exact_pass(self, f: TestFunction) -> list[tuple[float, str]] | None:
+        memos = [_KernelMemo(g) for g in (f.factors if f.factors is not None else (f,))]
+        values = []
+        for _, mu in self._measures():
+            res = self._compute_exact(mu, f, memos)
+            if res is None:
+                return None
+            values.append(res)
+        return values
+
+    def _compute_exact(self, measure: ProductMeasure, f: TestFunction,
+                       memos: list[_KernelMemo]) -> tuple[float, str] | None:
         if f.factors is not None:
             # A product takes its factors' path when they share one.
             total, labels = 1.0, set()
-            for j, factor in enumerate(f.factors):
-                report = _marginal_report(measure.marginal(j), factor)
+            for j, memo in enumerate(memos):
+                report = _marginal_report(measure.marginal(j), memo)
                 if report is None:
                     return None
                 total *= report[0]
                 labels.add(report[1])
             return total, labels.pop() if len(labels) == 1 else "exact"
+        (memo,) = memos
         if f.arity == 1:
-            return _marginal_report(measure.marginal(0), f)
+            return _marginal_report(measure.marginal(0), memo)
         if measure.all_discrete(f.arity):
-            support = self._support(measure, f.arity)
-            if support is None:
+            on_support = self._on_support(measure, memo)
+            if on_support is None:
                 return None
-            vals, weights = support
-            return float(np.dot(weights, f(vals))), "enumeration"
+            fvals, weights = on_support
+            return float(np.dot(weights, fvals)), "enumeration"
         return None
 
-    def _support(self, measure: ProductMeasure, arity: int) -> tuple[np.ndarray, np.ndarray] | None:
-        """Read-only joint atoms of a discrete measure's first ``arity``
-        coordinates, or None when there are more than ``enumeration_cap``.
+    def _on_support(self, measure: ProductMeasure,
+                    memo: _KernelMemo) -> tuple[np.ndarray, np.ndarray] | None:
+        """(f's values, weights) on the joint atoms of a discrete measure's
+        first ``f.arity`` coordinates, or None when there are more than
+        ``enumeration_cap``; ``memo`` evaluates f once per kept values array.
 
         A support is kept if the kept ones then hold at most
-        ``enumeration_cap`` atoms in all.
+        ``enumeration_cap`` atoms in all. Its values array is the kept one
+        of any earlier support with the same atom values, which a support
+        past the budget reuses too.
         """
+        arity = memo.f.arity
         key = (measure, arity)
         kept = self._supports.get(key)
         if kept is not None:
-            return kept
+            return memo.on_support(kept[0]), kept[1]
         size = 1
         for i in range(arity):
             size *= len(measure.marginal(i).atoms())
             if size > self.enumeration_cap:
                 return None
         vals, weights = _enumerate_support(measure, arity)
-        vals.flags.writeable = False
         weights.flags.writeable = False
+        atoms = tuple(measure.marginal(i)._sorted_atoms()[0].tobytes() for i in range(arity))
+        shared = self._values.get(atoms)
+        if shared is not None:
+            vals = shared
+        else:
+            vals.flags.writeable = False
         if self._support_atoms + size <= self.enumeration_cap:
             self._supports[key] = vals, weights
+            self._values[atoms] = vals
             self._support_atoms += size
-        return vals, weights
+        elif shared is None:
+            return memo.f(vals), weights
+        return memo.on_support(vals), weights
 
     # -- Monte Carlo -------------------------------------------------------------
 
@@ -528,15 +603,11 @@ class SublinearEngine:
         """The envelope of E[f] over the family's grid: exact per-measure
         values, or else Monte Carlo means with their standard errors."""
         pairs = self._measures()
-        values, labels = [], set()
-        for _, mu in pairs:
-            res = self._exact_expectation(mu, f)
-            if res is None:
-                break
-            values.append(res[0])
-            labels.add(res[1])
-        exact = len(values) == len(pairs)
+        per_measure = self._exact_values(f)
+        exact = per_measure is not None
         if exact:
+            values = [v for v, _ in per_measure]
+            labels = {label for _, label in per_measure}
             ses = [0.0] * len(pairs)
             method = labels.pop() if len(labels) == 1 else "exact"
         else:
@@ -603,12 +674,12 @@ class SublinearEngine:
         pairs = self._measures()
 
         if all(mu.all_discrete(f.arity) for _, mu in pairs):
-            per_measure = []
+            per_measure, memo = [], _KernelMemo(f)
             for _, mu in pairs:
-                support = self._support(mu, f.arity)
-                if support is None:
+                on_support = self._on_support(mu, memo)
+                if on_support is None:
                     break
-                per_measure.append((f(support[0]), support[1]))
+                per_measure.append(on_support)
             else:
                 value = _discrete_choquet(per_measure, envelope)
                 return ChoquetReport(value=value, capacity=capacity, method="enumeration")

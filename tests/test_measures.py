@@ -109,6 +109,26 @@ class TestDiscreteMoments:
             expected = float(mpmath.fsum(p * (mpmath.mpf(v) - mean) ** 2 for v, p in atoms))
         assert Marginal.discrete(atoms).variance() == pytest.approx(expected, rel=1e-14)
 
+    def test_kept_sorted_atoms_give_the_bits_of_a_fresh_marginal(self):
+        atoms = ((0.5, 0.2), (-1.0, 0.1), (2.0, 0.15), (0.5, 0.3), (-1.0, 0.25))
+        t = np.array([-2.0, -1.0, -0.0, 0.5, 1.0, 2.0, 3.0])
+        u = np.array([0.0, 0.1, 0.35, 0.36, 0.8, 0.999])
+
+        def readings(m):
+            return (m.cdf(t).tobytes(), m.sf(t).tobytes(), m.ppf(u).tobytes(),
+                    m.expect(lambda x: x * x - x).hex())
+
+        kept = Marginal.discrete(atoms)
+        want = readings(kept)
+        vals, probs = kept._sorted_atoms()
+        assert kept._sorted_atoms()[0] is vals
+        assert vals.tolist() == [-1.0, -1.0, 0.5, 0.5, 2.0]
+        assert probs.tolist() == [0.1, 0.25, 0.2, 0.3, 0.15]
+        for a in (vals, probs):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 9.0
+        assert readings(kept) == want == readings(Marginal.discrete(atoms))
+
 
 @pytest.mark.parametrize("k", [1, 2.5, 3])
 @pytest.mark.parametrize("lo, hi", [(0.0, 2.0), (0.5, 3.0), (-3.0, -0.5), (-2.0, 0.0)])

@@ -5,8 +5,10 @@ Bernoulli envelopes) or by brute quadrature of the envelope survival
 function, independently of the engine's own integration path.
 """
 
+import dataclasses
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -758,6 +760,98 @@ def test_discrete_choquets_are_pinned(name):
 
 def test_exact_independence_sides_are_pinned():
     assert _independence_rows_hex() == INDEPENDENCE_ROWS
+
+
+def _counting(f: TestFunction) -> tuple[TestFunction, list]:
+    """f with a kernel that keeps a copy of each input it is called on."""
+    inputs = []
+
+    def fn(x):
+        inputs.append(np.array(x))
+        return f.fn(x)
+
+    return dataclasses.replace(f, fn=fn), inputs
+
+
+def _distinct(inputs: list) -> set:
+    return {(x.shape, x.tobytes()) for x in inputs}
+
+
+@pytest.mark.parametrize("name", ["coin", "pair[0]"])
+def test_one_envelope_on_shared_atoms_calls_the_kernel_once(name):
+    family, f = _shared_input_cases()[name]
+    counted, inputs = _counting(f)
+    engine = SublinearEngine(family)
+    report = engine.upper_exp(counted)
+    assert len(family.grid_parameters()) == 5 and report.method == "enumeration"
+    assert len(inputs) == 1
+    assert _per_parameter_hex(report) == SHARED_INPUT_BITS[name]
+    engine.choquet(counted)
+    assert len(inputs) == 2  # each Choquet integral is its own pass
+
+
+def test_quadrature_calls_the_kernel_once_per_distinct_node_array(monkeypatch):
+    family, f = _shared_input_cases()["normal-plus"]
+    plain, applications = _counting(f)
+    for _, mu in family.measures():
+        mu.marginal(0).expect(plain, breakpoints=f.breakpoints)
+    counted, inputs = _counting(f)
+    expect_calls = _count_expect_calls(monkeypatch)
+    report = SublinearEngine(family).upper_exp(counted)
+    assert _per_parameter_hex(report) == SHARED_INPUT_BITS["normal-plus"]
+    assert len(expect_calls) == len(family.grid_parameters())
+    assert _distinct(inputs) == _distinct(applications)
+    assert len(inputs) == len(_distinct(inputs)) < len(applications)
+
+
+def test_a_kernel_result_is_read_only():
+    memo = sublinear._KernelMemo(TestFunction.clamp_affine(0.8, -0.1, -1.0, 0.7))
+    nodes = np.linspace(-2.0, 2.0, 21)
+    out = memo(nodes)
+    assert memo(nodes.copy()) is out
+    with pytest.raises(ValueError, match="read-only"):
+        out[0] = 1.0
+    vals = np.linspace(-2.0, 2.0, 6).reshape(1, 6)
+    vals.flags.writeable = False
+    on_support = memo.on_support(vals)
+    assert memo.on_support(vals) is on_support
+    with pytest.raises(ValueError, match="read-only"):
+        on_support[0] = 1.0
+
+
+def test_no_memo_outlives_its_envelope(monkeypatch):
+    made = []
+
+    class Recorded(sublinear._KernelMemo):
+        def __init__(self, f):
+            super().__init__(f)
+            made.append(weakref.ref(self))
+
+    monkeypatch.setattr(sublinear, "_KernelMemo", Recorded)
+    for name in ("normal-plus", "pair[0]", "prod-normal-uniform"):
+        family, f = _shared_input_cases()[name]
+        engine = SublinearEngine(family)
+        engine.upper_exp(f)
+        assert made and all(ref() is None for ref in made)
+        # the engine keeps each measure's (value, path) and, on a discrete
+        # family, its supports; no node array or kernel value
+        assert list(engine._exact) == [f]
+        assert all(type(v) is float and type(path) is str for v, path in engine._exact[f])
+        kept = {id(a) for pair in engine._supports.values() for a in pair}
+        assert {id(v) for v in engine._values.values()} <= kept
+        made.clear()
+
+
+def test_two_engines_give_the_same_bits_in_any_order():
+    cases = _shared_input_cases()
+    by_family: dict = {}
+    for family, f in cases.values():
+        by_family.setdefault(id(family), (family, []))[1].append(f)
+    for family, fs in by_family.values():
+        forward, backward = SublinearEngine(family), SublinearEngine(family)
+        want = [_report_bits(forward.upper_exp(f)) for f in fs]
+        got = [_report_bits(backward.upper_exp(f)) for f in reversed(fs)]
+        assert got[::-1] == want
 
 
 # ---------------------------------------------------------------------------
