@@ -225,10 +225,14 @@ class ExperimentConfig:
             raise ValueError("x_grid_range must satisfy 0 < lo < hi < inf")
         if self.schedule is not None:
             sched = tuple(int(n) for n in self.schedule)
-            if not sched or any(n < 1 for n in sched):
+            if not sched:
+                raise ValueError("schedule must not be empty")
+            if any(n < 1 for n in sched):
                 raise ValueError("schedule entries must be positive integers")
             if list(sched) != sorted(sched):
                 raise ValueError("schedule must be non-decreasing")
+            if self.mode == "wlln" and sched[-1] > self.horizon:
+                raise ValueError("schedule must not exceed the horizon")
             object.__setattr__(self, "schedule", sched)
 
     def descriptor(self) -> dict:

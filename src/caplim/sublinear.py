@@ -68,10 +68,10 @@ class TestFunction:
     Quadrature calls ``fn`` on a (1, m) array of nodes at once, so an arity-1
     ``fn`` must act elementwise: its value at a node may not depend on the
     other nodes or on their number. It must also be deterministic: an exact
-    envelope evaluates ``fn`` once per distinct input over the family's grid
-    and hands every grid measure with that input the same read-only values,
-    a memo that lasts one envelope. Every constructor's ``fn`` is both, as
-    numpy's ufuncs are.
+    envelope evaluates ``fn`` once per input shape and bytes over the
+    family's grid and hands every grid measure with that input the same
+    read-only values. Every constructor's ``fn`` is both, as numpy's ufuncs
+    are.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -373,19 +373,15 @@ def _marginal_report(marginal: Marginal, memo: _KernelMemo) -> tuple[float, str]
 class _KernelMemo:
     """``f`` on each distinct input of one pass over a family's grid.
 
-    Called, it keys its input by shape and bytes: quadrature nodes (at most
-    84 floats), which QUADPACK repeats when it bisects the same intervals
-    under nearby laws, and a discrete marginal's atoms, which a family that
-    moves only probabilities repeats. ``on_support`` takes a values array
-    that ``SublinearEngine`` keeps, one per set of atom values, and keys it
-    by the array itself, held here so that no other array can take its
-    ``id``. Every value array it returns is read-only.
+    Called, it keys its input by shape and bytes: quadrature nodes, which
+    QUADPACK repeats when it bisects the same intervals under nearby laws,
+    and a discrete support's values, which a family that moves only
+    probabilities repeats. Every value array it returns is read-only.
     """
 
     def __init__(self, f: TestFunction):
         self.f = f
         self._by_bytes: dict = {}
-        self._by_array: dict = {}
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         key = (x.shape, x.tobytes())
@@ -393,12 +389,6 @@ class _KernelMemo:
         if out is None:
             out = self._by_bytes[key] = _read_only(self.f(x))
         return out
-
-    def on_support(self, vals: np.ndarray) -> np.ndarray:
-        kept = self._by_array.get(id(vals))
-        if kept is None:
-            kept = self._by_array[id(vals)] = vals, _read_only(self.f(vals))
-        return kept[1]
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -450,17 +440,17 @@ class SublinearEngine:
     Carlo call to one stream context, keeps the read-only per-measure samples
     of each arity. It also keeps the joint support ``(values, weights)`` of
     each discrete (measure, arity) pair it enumerates, so a later test
-    function on that pair costs one call of ``f`` and one dot product.
-    Measures whose coordinates have the same atom values share one values
-    array. The support arrays are read-only, so a test function that writes
+    function on that pair costs at most one call of ``f`` and one dot
+    product. The support arrays are read-only, so a test function that writes
     into its input raises ``ValueError``. The kept supports hold at most
     ``enumeration_cap`` joint atoms in total; a support past that budget is
     enumerated again on each use. The caches live as long as the engine and
     assume its fields stay as constructed.
 
     A test function's exact values come from one pass over the grid, during
-    which its kernel (or each factor's) runs once per distinct input
-    (``_KernelMemo``); the memo is dropped when the pass ends.
+    which its kernel (or each factor's) runs once per distinct input, keyed
+    by shape and bytes (``_KernelMemo``); the memo is dropped when the pass
+    ends.
     """
 
     family: MeasureFamily
@@ -473,7 +463,6 @@ class SublinearEngine:
     _exact: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _mc_fixed: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _supports: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _values: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _support_atoms: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -536,38 +525,24 @@ class SublinearEngine:
                     memo: _KernelMemo) -> tuple[np.ndarray, np.ndarray] | None:
         """(f's values, weights) on the joint atoms of a discrete measure's
         first ``f.arity`` coordinates, or None when there are more than
-        ``enumeration_cap``; ``memo`` evaluates f once per kept values array.
-
-        A support is kept if the kept ones then hold at most
-        ``enumeration_cap`` atoms in all. Its values array is the kept one
-        of any earlier support with the same atom values, which a support
-        past the budget reuses too.
+        ``enumeration_cap``. A support is kept if the kept ones then hold
+        at most ``enumeration_cap`` atoms in all.
         """
         arity = memo.f.arity
         key = (measure, arity)
         kept = self._supports.get(key)
-        if kept is not None:
-            return memo.on_support(kept[0]), kept[1]
-        size = 1
-        for i in range(arity):
-            size *= len(measure.marginal(i).atoms())
-            if size > self.enumeration_cap:
-                return None
-        vals, weights = _enumerate_support(measure, arity)
-        weights.flags.writeable = False
-        atoms = tuple(measure.marginal(i)._sorted_atoms()[0].tobytes() for i in range(arity))
-        shared = self._values.get(atoms)
-        if shared is not None:
-            vals = shared
-        else:
-            vals.flags.writeable = False
-        if self._support_atoms + size <= self.enumeration_cap:
-            self._supports[key] = vals, weights
-            self._values[atoms] = vals
-            self._support_atoms += size
-        elif shared is None:
-            return memo.f(vals), weights
-        return memo.on_support(vals), weights
+        if kept is None:
+            size = 1
+            for i in range(arity):
+                size *= len(measure.marginal(i).atoms())
+                if size > self.enumeration_cap:
+                    return None
+            kept = tuple(_read_only(a) for a in _enumerate_support(measure, arity))
+            if self._support_atoms + size <= self.enumeration_cap:
+                self._supports[key] = kept
+                self._support_atoms += size
+        vals, weights = kept
+        return memo(vals), weights
 
     # -- Monte Carlo -------------------------------------------------------------
 

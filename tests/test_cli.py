@@ -224,6 +224,11 @@ BROKEN = {
     "experiment-burn-in": (MINIMAL + "experiment:\n  mode: lil\n  horizon: 10\n"
                            "  burn_in: 20\n",
                            "experiment (line 11): burn_in must not exceed the horizon"),
+    "experiment-schedule": (MINIMAL + "experiment:\n  mode: wlln\n  horizon: 40000\n"
+                            "  schedule: [100, 50000]\n",
+                            "experiment (line 11): schedule must not exceed the horizon"),
+    "experiment-schedule-empty": (MINIMAL + "experiment:\n  mode: wlln\n  schedule: []\n",
+                                  "experiment (line 11): schedule must not be empty"),
     "dependence-K": (MINIMAL + "dependence:\n  mode: gaussian_copula\n  correlation: 0.0\n"
                      "  K: 0.9\n",
                      "dependence.K (line 14): K must be at least 1, got 0.9"),

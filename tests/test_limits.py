@@ -113,6 +113,18 @@ class TestExperimentConfigValidation:
                                horizon=500, burn_in=2000)
         assert cfg.burn_in == 2000
 
+    def test_schedule_capped_by_horizon_only_for_the_weak_law(self):
+        with pytest.raises(ValueError, match="^schedule must not exceed the horizon$"):
+            ExperimentConfig(mode="wlln", family=self.family,
+                             horizon=40_000, schedule=(100, 50_000))
+        cfg = ExperimentConfig(mode="wlln", family=self.family,
+                               horizon=40_000, schedule=(100, 40_000))
+        assert cfg.schedule == (100, 40_000)
+        # the other modes never read the schedule
+        cfg = ExperimentConfig(mode="slln", family=self.family,
+                               horizon=5_000, schedule=(100, 50_000))
+        assert cfg.schedule == (100, 50_000)
+
     def test_schedule_normalized_and_checked(self):
         cfg = ExperimentConfig(mode="wlln", family=self.family,
                                schedule=(50.0, 200.0))
@@ -121,6 +133,8 @@ class TestExperimentConfigValidation:
             ExperimentConfig(mode="wlln", family=self.family, schedule=(200, 50))
         with pytest.raises(ValueError, match="schedule"):
             ExperimentConfig(mode="wlln", family=self.family, schedule=(0, 50))
+        with pytest.raises(ValueError, match="^schedule must not be empty$"):
+            ExperimentConfig(mode="wlln", family=self.family, schedule=())
 
     def test_hash_ignores_workers_but_tracks_everything_else(self):
         base = dict(mode="slln", family=self.family, horizon=2000, seed=5)

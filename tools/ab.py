@@ -5,8 +5,10 @@ Run from the root of a checkout::
     python3 tools/ab.py --pairs 20 -- verify axioms --config bench/configs/axiom_corpus.yaml --seed 2026
     python3 tools/ab.py --aa --pairs 20 -- bounds eval --config configs/bounds_chebyshev.yaml
     python3 tools/ab.py --parent HEAD~1 --kernel axioms --pairs 20
+    python3 tools/ab.py --fresh --pairs 20 -- bounds eval --config configs/bounds_chebyshev.yaml
 
-Both sides run in this one process. The parent side is ``src/caplim`` at
+Both sides run in this one process, or with ``--fresh`` each call in a new
+interpreter. The parent side is ``src/caplim`` at
 ``--parent`` (default ``HEAD``), extracted with ``git archive`` into a
 temporary directory and imported as the package ``caplim_parent``; the
 change side is the working tree's ``src/caplim``. With ``--aa`` the parent
@@ -20,7 +22,10 @@ A call is one whole ``cli.main`` command (the arguments after ``--``, with
 named kernel (``--kernel``). After one untimed call per side, each pair
 calls both sides once, the parent first in even pairs and the change first
 in odd ones. A call's time is the CPU time of the process over the call,
-all threads; a pair's ratio is the change's time over the parent's.
+all threads; a pair's ratio is the change's time over the parent's. With
+``--fresh`` (commands only) a call is a new ``python`` process that imports
+the side's package and runs the command, and its time is that process's
+CPU time from start to exit, so the imports and the first pass count.
 
 The report gives the median of the ratios and their quartiles (Python's
 ``statistics.quantiles``, exclusive method), the number of pairs in which
@@ -39,6 +44,7 @@ import hashlib
 import importlib
 import io
 import json
+import resource
 import shutil
 import statistics
 import subprocess
@@ -64,21 +70,39 @@ def _ppf(pkg):
     return lambda: normal.ppf(tile)
 
 
-KERNELS = {"axioms": _axioms, "ppf": _ppf}
+def _scan(pkg):
+    """One ``S_n``-only task group of the bound check on
+    ``configs/bound_check_normal.yaml``: its first stream's 65 trajectories
+    of 1000 normal draws, summed in the chunk ``_scan`` picks for 10 000
+    trajectories and reduced to ``S_n`` by ``_sums_at_horizon``."""
+    limits = pkg.limits
+    config = pkg.config.parse_config(str(ROOT / "configs" / "bound_check_normal.yaml")
+                                     ).experiment_config()
+    _, center, _ = limits._extreme_measures(limits._grid_marginals(config.family, dense=True))
+    marginals = [limits._shift_marginal(limits._grid_marginals(config.family)[0], -center)]
+    n = config.horizon
+    columns = range(limits._TILE // n)
+    chunk = limits._rows_per_chunk(config.trajectories)
+
+    def call():
+        pieces = limits._partial_sums(config, limits._CTX_BOUNDS, columns, marginals, n,
+                                      chunk, totals=True)
+        (sums,) = limits._sums_at_horizon(pieces, len(columns))
+        return sums
+
+    return call
 
 
-def _import(name: str):
-    """The package ``name`` with its ``cli``, which imports every other module."""
-    importlib.import_module(f"{name}.cli")
-    return sys.modules[name]
+KERNELS = {"axioms": _axioms, "ppf": _ppf, "scan": _scan}
 
 
-def _load(name: str, source: Path, home: Path):
-    """Import the package directory ``source``, copied under ``home``, as ``name``."""
-    shutil.copytree(source, home / name, ignore=shutil.ignore_patterns("__pycache__"))
+def _load(name: str, home: Path):
+    """The package ``name`` from the directory ``home``, with its ``cli``,
+    which imports every other module."""
     sys.path.insert(0, str(home))
     try:
-        return _import(name)
+        importlib.import_module(f"{name}.cli")
+        return sys.modules[name]
     finally:
         sys.path.remove(str(home))
 
@@ -95,19 +119,61 @@ def _parent_source(rev: str, into: Path) -> Path:
     return into / "src" / "caplim"
 
 
+def _digests(out: Path) -> dict:
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())
+            if p.name == "result.json" or p.suffix == ".csv"}
+
+
 def _command(pkg, argv: list[str], scratch: Path):
-    """A call of ``pkg.cli.main(argv)``; returns its exit code and artifact digests."""
+    """A timed call of ``pkg.cli.main(argv)``; its result is the exit code and
+    the artifact digests."""
 
     def call():
         out = Path(tempfile.mkdtemp(dir=scratch))
         try:
+            c0 = time.process_time()
             with contextlib.redirect_stdout(io.StringIO()):
                 code = pkg.cli.main([*argv, "--out", str(out)])
-            return code, {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-                          for p in sorted(out.iterdir())
-                          if p.name == "result.json" or p.suffix == ".csv"}
+            return time.process_time() - c0, (code, _digests(out))
         finally:
             shutil.rmtree(out, ignore_errors=True)
+
+    return call
+
+
+_FRESH = ("import importlib, sys; sys.path.insert(0, sys.argv[1]); "
+          "sys.exit(importlib.import_module(sys.argv[2] + '.cli').main(sys.argv[3:]))")
+
+
+def _fresh(home: Path, name: str, argv: list[str], scratch: Path):
+    """A timed run of the command in a new interpreter that imports the
+    package ``name`` from ``home``; its result is as for ``_command``."""
+
+    def cpu() -> float:
+        usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+        return usage.ru_utime + usage.ru_stime
+
+    def call():
+        out = Path(tempfile.mkdtemp(dir=scratch))
+        try:
+            c0 = cpu()
+            code = subprocess.run([sys.executable, "-c", _FRESH, str(home), name, *argv,
+                                   "--out", str(out)], stdout=subprocess.DEVNULL).returncode
+            return cpu() - c0, (code, _digests(out))
+        finally:
+            shutil.rmtree(out, ignore_errors=True)
+
+    return call
+
+
+def _kernel(make, pkg):
+    """A timed call of the kernel ``make(pkg)``; its result is the value's fingerprint."""
+    kernel = make(pkg)
+
+    def call():
+        c0 = time.process_time()
+        value = kernel()
+        return time.process_time() - c0, _fingerprint(value)
 
     return call
 
@@ -117,12 +183,6 @@ def _fingerprint(value) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _timed(call) -> tuple[float, object]:
-    c0 = time.process_time()
-    result = call()
-    return time.process_time() - c0, result
-
-
 def _quartiles(xs: list[float]) -> tuple[float, float]:
     if len(xs) < 2:
         return xs[0], xs[0]
@@ -130,17 +190,18 @@ def _quartiles(xs: list[float]) -> tuple[float, float]:
     return q1, q3
 
 
-def run(pairs: int, parent_call, change_call, compare) -> dict:
-    """Alternate ``pairs`` timed calls of each side after one untimed call each."""
-    same = compare(parent_call()) == compare(change_call())
+def run(pairs: int, parent_call, change_call) -> dict:
+    """Alternate ``pairs`` timed calls of each side after one untimed call
+    each; a call returns its time and its result."""
+    same = parent_call()[1] == change_call()[1]
     times = {"parent": [], "change": []}
     for i in range(pairs):
         order = (("parent", parent_call), ("change", change_call))
         results = {}
         for side, call in order if i % 2 == 0 else order[::-1]:
-            seconds, results[side] = _timed(call)
+            seconds, results[side] = call()
             times[side].append(seconds)
-        same = same and compare(results["parent"]) == compare(results["change"])
+        same = same and results["parent"] == results["change"]
     ratios = [c / p for p, c in zip(times["parent"], times["change"])]
     q1, q3 = _quartiles(ratios)
     return {
@@ -167,35 +228,42 @@ def main(argv=None) -> int:
                         help="put a copy of the working tree on the parent side")
     parser.add_argument("--pairs", type=int, default=20)
     parser.add_argument("--kernel", choices=sorted(KERNELS))
+    parser.add_argument("--fresh", action="store_true",
+                        help="run each call of the command in a new interpreter")
     args = parser.parse_args(argv)
     if (args.kernel is None) == (not command):
         parser.error("give either --kernel or a caplim command after --")
+    if args.fresh and args.kernel is not None:
+        parser.error("--fresh times a command, not a kernel")
     if args.pairs < 1:
         parser.error(f"--pairs must be at least 1, got {args.pairs}")
 
     scratch = Path(tempfile.mkdtemp(prefix="ab-"))
     try:
-        sys.path.insert(0, str(ROOT / "src"))
-        change = _import("caplim")
         source = (ROOT / "src" / "caplim" if args.aa
                   else _parent_source(args.parent, scratch / "archive"))
-        parent = _load(PARENT_PACKAGE, source, scratch)
-        if args.kernel is not None:
-            calls = [KERNELS[args.kernel](pkg) for pkg in (parent, change)]
-            compare, what = _fingerprint, f"kernel {args.kernel}"
+        what = f"kernel {args.kernel}" if args.kernel else "caplim " + " ".join(command)
+        shutil.copytree(source, scratch / PARENT_PACKAGE,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        if args.fresh:
+            calls = [_fresh(home, name, command, scratch)
+                     for home, name in ((scratch, PARENT_PACKAGE), (ROOT / "src", "caplim"))]
         else:
-            calls = [_command(pkg, command, scratch) for pkg in (parent, change)]
-            compare, what = (lambda result: result), "caplim " + " ".join(command)
+            calls = [_kernel(KERNELS[args.kernel], pkg) if args.kernel
+                     else _command(pkg, command, scratch)
+                     for pkg in (_load(PARENT_PACKAGE, scratch), _load("caplim", ROOT / "src"))]
         report = {
             "mode": "A/A" if args.aa else "A/B",
             "parent": "working tree" if args.aa else args.parent,
             "call": what,
-            **run(args.pairs, *calls, compare),
+            "fresh": args.fresh,
+            **run(args.pairs, *calls),
         }
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
 
     print(f"{report['mode']}: {report['call']}, parent side {report['parent']}")
+    print(f"fresh: {str(report['fresh']).lower()}")
     print(f"pairs: {report['pairs']}")
     print(f"ratio_median: {report['ratio_median']:.4f}")
     print(f"ratio_iqr: {report['ratio_q1']:.4f} {report['ratio_q3']:.4f}")
