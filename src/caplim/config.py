@@ -344,7 +344,12 @@ def _family(ctx: _Context, section, path: str) -> MeasureFamily:
 
     def build(*theta):
         env = dict(zip(names, theta))
-        return ProductMeasure(tuple(f(env) for f in factories), stationary=True)
+        try:
+            return ProductMeasure(tuple(f(env) for f in factories), stationary=True)
+        except (ValueError, TypeError, ArithmeticError) as exc:
+            point = ", ".join(f"{name} = {value:g}" for name, value in env.items())
+            reason = exc if isinstance(exc, ValueError) else f"{type(exc).__name__}: {exc}"
+            raise ValueError(f"at {point}: {reason}") from None
 
     try:
         family = MeasureFamily(
@@ -354,18 +359,12 @@ def _family(ctx: _Context, section, path: str) -> MeasureFamily:
             K=got.get("K", 1.0),
             name=got.get("name", "family"),
         )
+        # Every grid measure the commands enumerate must build, so a marginal
+        # that fails at some grid point fails here, at the family's line; the
+        # commands then read the grid built here.
+        family.measures()
     except (ValueError, TypeError) as exc:
         raise ctx.fail(path, str(exc)) from None
-    # Every grid measure the commands enumerate must build, so a marginal
-    # that fails at some grid point fails here, at the family's line.
-    for theta in family.grid_parameters():
-        try:
-            family.measure_at(theta)
-        except (ValueError, TypeError, ArithmeticError) as exc:
-            point = ", ".join(f"{name} = {value:g}" for name, value in
-                              zip(names, theta if isinstance(theta, tuple) else (theta,)))
-            reason = exc if isinstance(exc, ValueError) else f"{type(exc).__name__}: {exc}"
-            raise ctx.fail(path, f"at {point}: {reason}") from None
     return family
 
 

@@ -17,13 +17,13 @@ reducer, so the scan reads ``S_n`` alone. A task is one stream's group of
 consecutive trajectories, sized from the horizon alone, so the worker count
 only schedules the tasks. Every runner returns through ``_result``.
 
-A runner reads the family as the first marginal of each measure, from
-``_grid_marginals``, over its grid or a denser one built once per run.
-Each extremum over the dense list (mean interval, worst-case moments, the
-cluster's steering) is one pick of the first entry attaining it by the
-envelope engine's extremizer, ``_extreme``. Every mode but the divergence
-check needs a finite mean interval, and the iterated logarithm a finite
-upper variance.
+A runner reads the family as the first marginal of each measure of its
+grid, from ``_grid_marginals``: one grid per family, built once, which the
+envelope engine reads too. Each extremum over that list (mean interval,
+worst-case moments), and the cluster's steering pick over a finer set, is
+one pick of the first entry attaining it by the envelope engine's
+extremizer, ``_extreme``. Every mode but the divergence check needs a finite
+mean interval, and the iterated logarithm a finite upper variance.
 
 Sums keep the bits of a chunked scan: chunks of a fixed number of draws,
 each summed sequentially and added to the running total. ``_scan`` picks
@@ -343,35 +343,32 @@ def _transform_chunk(
     return out
 
 
-def _grid_marginals(family: MeasureFamily, dense: bool = False) -> list[Marginal]:
-    """The first marginal at each point of the family grid or, when ``dense``, of
-    a much finer one: 513 points, or 65 per axis for two axes."""
-    if dense:
-        family = replace(family, grid_resolution=513 if family.dim == 1 else 65)
-    return [family.measure_at(theta).marginal(0) for theta in family.grid_parameters()]
+def _grid_marginals(family: MeasureFamily) -> list[Marginal]:
+    """The first marginal of each measure of the family's grid."""
+    return [mu.marginal(0) for _, mu in family.measures()]
 
 
-def _extreme_measures(dense: list[Marginal]):
-    """The mean interval ``mu_low, mu_up`` over ``dense`` and the measures at its ends.
+def _extreme_measures(marginals: list[Marginal]):
+    """The mean interval ``mu_low, mu_up`` over ``marginals`` and the measures at its ends.
 
     The measures are ``(label, marginal)`` pairs: ``mean_low``, then
     ``mean_up`` when a different entry attains it. An infinite mean leaves no
     band to test, so a non-finite interval is rejected.
     """
-    means = [m.mean() for m in dense]
+    means = [m.mean() for m in marginals]
     mu_low, i_low = _extreme(means, "min")
     mu_up, i_up = _extreme(means, "max")
     if not math.isfinite(mu_low) or not math.isfinite(mu_up):
         raise ValueError(f"the mean interval [{mu_low}, {mu_up}] is not finite; "
                          "this mode needs a finite mean under every measure")
-    measures = [("mean_low", dense[i_low])]
+    measures = [("mean_low", marginals[i_low])]
     if i_up != i_low:
-        measures.append(("mean_up", dense[i_up]))
+        measures.append(("mean_up", marginals[i_up]))
     return mu_low, mu_up, measures
 
 
-def _sup_centered_second_moment(dense: list[Marginal], center: float) -> float:
-    return _extreme([m.variance() + (m.mean() - center) ** 2 for m in dense])[0]
+def _sup_centered_second_moment(marginals: list[Marginal], center: float) -> float:
+    return _extreme([m.variance() + (m.mean() - center) ** 2 for m in marginals])[0]
 
 
 def _shift_marginal(marginal: Marginal, c: float) -> Marginal:
@@ -394,18 +391,11 @@ def _shifted_family(family: MeasureFamily, c: float) -> MeasureFamily:
         return family
 
     def build(*theta):
-        t = theta[0] if len(theta) == 1 else tuple(theta)
-        base = family.measure_at(t)
+        base = family.builder(*theta)
         shifted = tuple(_shift_marginal(m, c) for m in base.marginals)
         return ProductMeasure(shifted, stationary=base.stationary)
 
-    return MeasureFamily(
-        parameter_domain=family.parameter_domain,
-        builder=build,
-        grid_resolution=family.grid_resolution,
-        K=family.K,
-        name=f"{family.name}-centered",
-    )
+    return replace(family, builder=build, name=f"{family.name}-centered")
 
 
 def _rows_per_chunk(columns: int) -> int:
@@ -632,9 +622,9 @@ def run_wlln(config: ExperimentConfig) -> ExperimentResult:
     """
     family = config.family
     eps = config.epsilon
-    mu_low, mu_up, _ = _extreme_measures(_grid_marginals(family, dense=True))
-    schedule = config.schedule or _default_schedule(config.horizon)
     marginals = _grid_marginals(family)
+    mu_low, mu_up, _ = _extreme_measures(marginals)
+    schedule = config.schedule or _default_schedule(config.horizon)
 
     windows = {
         "band": (mu_low - eps, mu_up + eps),
@@ -702,7 +692,7 @@ def run_slln(config: ExperimentConfig) -> ExperimentResult:
     must keep ``S_k/k`` inside ``[mu_low - eps, mu_up + eps]`` for all
     ``k`` past the burn-in. Violations are counted per trajectory.
     """
-    mu_low, mu_up, measures = _extreme_measures(_grid_marginals(config.family, dense=True))
+    mu_low, mu_up, measures = _extreme_measures(_grid_marginals(config.family))
     n0 = config.burn_in
     lo_bar, hi_bar = mu_low - config.epsilon, mu_up + config.epsilon
 
@@ -757,14 +747,17 @@ def run_cluster(config: ExperimentConfig) -> ExperimentResult:
     if config.dependence.mode != "per_measure_independent":
         raise ValueError("the cluster sampler switches measures between "
                          "blocks and requires independent draws")
-    dense = _grid_marginals(config.family, dense=True)
-    mu_low, mu_up, _ = _extreme_measures(dense)
+    family = config.family
+    mu_low, mu_up, _ = _extreme_measures(_grid_marginals(family))
     if mu_up - mu_low < config.cluster_grid_step:
         raise ValueError("mean interval is narrower than the target grid step")
 
     n_targets = int(round((mu_up - mu_low) / config.cluster_grid_step)) + 1
     targets = np.linspace(mu_low, mu_up, n_targets)
-    means = np.array([m.mean() for m in dense])
+    # The sampler steers by a denser grid than the family's, 513 points or 65
+    # per axis for two; the benchmarked bytes of cluster_normal depend on it.
+    steering = _grid_marginals(replace(family, grid_resolution=513 if family.dim == 1 else 65))
+    means = np.array([m.mean() for m in steering])
 
     consumed = 0
     total = 0.0
@@ -791,7 +784,7 @@ def run_cluster(config: ExperimentConfig) -> ExperimentResult:
             r = consumed / n_next
             desired = (goal - r * v) / (1.0 - r)
         desired = min(max(desired, mu_low), mu_up)
-        marginal = dense[_extreme(np.abs(means - desired), "min")[1]]
+        marginal = steering[_extreme(np.abs(means - desired), "min")[1]]
         block_sum = 0.0
         # The chunks set the summation order, so they stay at 2**22 draws.
         for start, stop, _ in _pieces(0, count, _CLUSTER_CHUNK):
@@ -858,10 +851,10 @@ def run_lil(config: ExperimentConfig) -> ExperimentResult:
     with ``r_upper`` at most ``sigma_up * (1 + lil_epsilon)`` reaches
     the configured quantile; the mirrored side is reported alongside.
     """
-    dense = _grid_marginals(config.family, dense=True)
-    mu_low, mu_up, measures = _extreme_measures(dense)
-    sigma_up = math.sqrt(_sup_centered_second_moment(dense, mu_up))
-    sigma_low = math.sqrt(_sup_centered_second_moment(dense, mu_low))
+    marginals = _grid_marginals(config.family)
+    mu_low, mu_up, measures = _extreme_measures(marginals)
+    sigma_up = math.sqrt(_sup_centered_second_moment(marginals, mu_up))
+    sigma_low = math.sqrt(_sup_centered_second_moment(marginals, mu_low))
     if not math.isfinite(sigma_up) or not math.isfinite(sigma_low):
         raise ValueError(f"the upper variance is not finite (sigma_upper {sigma_up}, "
                          f"sigma_lower {sigma_low}); lil needs a finite one")
@@ -1046,13 +1039,12 @@ def run_bound_check(config: ExperimentConfig) -> ExperimentResult:
 
     else:
         n = config.horizon
-        dense = _grid_marginals(family, dense=True)
-        _, center, _ = _extreme_measures(dense)
-        marginals = [_shift_marginal(m, -center) for m in _grid_marginals(family)]
-        shifted = [_shift_marginal(m, -center) for m in dense]
-        variance_sum = n * _sup_centered_second_moment(dense, center)
-        pos_moment_sum = n * _extreme([m.pos_part_moment(p) for m in shifted])[0]
-        abs_moment_sum = n * _extreme([m.abs_moment(p) for m in shifted])[0]
+        grid = _grid_marginals(family)
+        _, center, _ = _extreme_measures(grid)
+        marginals = [_shift_marginal(m, -center) for m in grid]
+        variance_sum = n * _sup_centered_second_moment(grid, center)
+        pos_moment_sum = n * _extreme([m.pos_part_moment(p) for m in marginals])[0]
+        abs_moment_sum = n * _extreme([m.abs_moment(p) for m in marginals])[0]
         engine = SublinearEngine(_shifted_family(family, -center), seed=config.seed)
         choquet_pos = engine.choquet(
             TestFunction.pos_power(float(p)), capacity="upper"

@@ -806,8 +806,14 @@ class MeasureFamily:
             return self.builder(float(theta))
         return self.builder(*(float(t) for t in theta))
 
-    def measures(self) -> list[tuple[object, ProductMeasure]]:
-        return [(theta, self.measure_at(theta)) for theta in self.grid_parameters()]
+    def measures(self) -> tuple[tuple[object, ProductMeasure], ...]:
+        """The (parameter, measure) grid: one grid per family, built once, on
+        first use, and shared by every caller."""
+        return self._grid
+
+    @functools.cached_property
+    def _grid(self) -> tuple[tuple[object, ProductMeasure], ...]:
+        return tuple((theta, self.measure_at(theta)) for theta in self.grid_parameters())
 
     @property
     def is_singleton(self) -> bool:

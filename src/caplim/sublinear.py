@@ -68,10 +68,9 @@ class TestFunction:
     Quadrature calls ``fn`` on a (1, m) array of nodes at once, so an arity-1
     ``fn`` must act elementwise: its value at a node may not depend on the
     other nodes or on their number. It must also be deterministic: an exact
-    envelope evaluates ``fn`` once per input shape and bytes over the
-    family's grid and hands every grid measure with that input the same
-    read-only values. Every constructor's ``fn`` is both, as numpy's ufuncs
-    are.
+    envelope evaluates ``fn`` once per distinct input over the family's grid
+    and hands every grid measure with that input the same read-only values.
+    Every constructor's ``fn`` is both, as numpy's ufuncs are.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -373,18 +372,20 @@ def _marginal_report(marginal: Marginal, memo: _KernelMemo) -> tuple[float, str]
 class _KernelMemo:
     """``f`` on each distinct input of one pass over a family's grid.
 
-    Called, it keys its input by shape and bytes: quadrature nodes, which
-    QUADPACK repeats when it bisects the same intervals under nearby laws,
-    and a discrete support's values, which a family that moves only
-    probabilities repeats. Every value array it returns is read-only.
+    Called, it keys its input by shape and bytes, or by the ``key`` it is
+    given: quadrature nodes, which QUADPACK repeats when it bisects the same
+    intervals under nearby laws, go by their bytes, and a discrete support,
+    which a family that moves only probabilities repeats, by its arity and
+    atom values. Every value array it returns is read-only.
     """
 
     def __init__(self, f: TestFunction):
         self.f = f
         self._by_bytes: dict = {}
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        key = (x.shape, x.tobytes())
+    def __call__(self, x: np.ndarray, key=None) -> np.ndarray:
+        if key is None:
+            key = (x.shape, x.tobytes())
         out = self._by_bytes.get(key)
         if out is None:
             out = self._by_bytes[key] = _read_only(self.f(x))
@@ -434,23 +435,24 @@ class SublinearEngine:
     differences between measures are low-variance and inequalities that hold
     samplewise hold for the estimates too.
 
-    An engine does not repeat its exact work: it builds the family's grid
-    measures once, keeps each test function's exact per-measure expectations
-    keyed by the function, and, when ``fixed_context`` pins every Monte
-    Carlo call to one stream context, keeps the read-only per-measure samples
-    of each arity. It also keeps the joint support ``(values, weights)`` of
-    each discrete (measure, arity) pair it enumerates, so a later test
-    function on that pair costs at most one call of ``f`` and one dot
-    product. The support arrays are read-only, so a test function that writes
-    into its input raises ``ValueError``. The kept supports hold at most
-    ``enumeration_cap`` joint atoms in total; a support past that budget is
-    enumerated again on each use. The caches live as long as the engine and
-    assume its fields stay as constructed.
+    An engine reads the family's grid, one grid per family, built once by
+    the family. It does not repeat its exact work: it keeps each test
+    function's exact per-measure expectations keyed by the function, and,
+    when ``fixed_context`` pins every Monte Carlo call to one stream context,
+    keeps the read-only per-measure samples of each arity. It also keeps the
+    joint support ``(values, weights)`` of each discrete (measure, arity)
+    pair it enumerates, so a later test function on that pair costs at most
+    one call of ``f`` and one dot product. The support arrays are read-only,
+    so a test function that writes into its input raises ``ValueError``.
+    The kept supports hold at most ``enumeration_cap`` joint atoms in total;
+    a support past that budget is enumerated again on each use. The caches
+    live as long as the engine and assume its fields stay as constructed.
 
     A test function's exact values come from one pass over the grid, during
-    which its kernel (or each factor's) runs once per distinct input, keyed
-    by shape and bytes (``_KernelMemo``); the memo is dropped when the pass
-    ends.
+    which its kernel (or each factor's) runs once per distinct input
+    (``_KernelMemo``); the memo is dropped when the pass ends. A discrete
+    support's input is keyed by its arity and each coordinate's sorted atom
+    values, and kept supports with one key share one values array.
     """
 
     family: MeasureFamily
@@ -459,10 +461,10 @@ class SublinearEngine:
     enumeration_cap: int = 2_000_000
     fixed_context: int | None = None
     _mc_context: int = field(default=0, init=False, repr=False)
-    _grid: list | None = field(default=None, init=False, repr=False, compare=False)
     _exact: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _mc_fixed: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _supports: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _values: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _support_atoms: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -470,12 +472,6 @@ class SublinearEngine:
         _check_replications(self.mc_replications)
         if self.enumeration_cap < 0:
             raise ValueError(f"enumeration_cap must be at least 0, got {self.enumeration_cap}")
-
-    def _measures(self) -> list[tuple[object, ProductMeasure]]:
-        """The family's (parameter, measure) grid, built on first use."""
-        if self._grid is None:
-            self._grid = self.family.measures()
-        return self._grid
 
     # -- exact per-measure expectation ------------------------------------------
 
@@ -491,7 +487,7 @@ class SublinearEngine:
     def _exact_pass(self, f: TestFunction) -> list[tuple[float, str]] | None:
         memos = [_KernelMemo(g) for g in (f.factors if f.factors is not None else (f,))]
         values = []
-        for _, mu in self._measures():
+        for _, mu in self.family.measures():
             res = self._compute_exact(mu, f, memos)
             if res is None:
                 return None
@@ -526,23 +522,28 @@ class SublinearEngine:
         """(f's values, weights) on the joint atoms of a discrete measure's
         first ``f.arity`` coordinates, or None when there are more than
         ``enumeration_cap``. A support is kept if the kept ones then hold
-        at most ``enumeration_cap`` atoms in all.
+        at most ``enumeration_cap`` atoms in all, with the values array of
+        any kept support of the same key.
         """
         arity = memo.f.arity
-        key = (measure, arity)
-        kept = self._supports.get(key)
-        if kept is None:
+        kept = self._supports.get((measure, arity))
+        if kept is not None:
+            key, vals, weights = kept
+        else:
             size = 1
             for i in range(arity):
                 size *= len(measure.marginal(i).atoms())
                 if size > self.enumeration_cap:
                     return None
-            kept = tuple(_read_only(a) for a in _enumerate_support(measure, arity))
+            # The sorted atom values fix the joint values array bit for bit.
+            key = arity, tuple(measure.marginal(i)._sorted_atoms()[0].tobytes()
+                               for i in range(arity))
+            vals, weights = (_read_only(a) for a in _enumerate_support(measure, arity))
             if self._support_atoms + size <= self.enumeration_cap:
-                self._supports[key] = kept
+                vals = self._values.setdefault(key, vals)
+                self._supports[(measure, arity)] = key, vals, weights
                 self._support_atoms += size
-        vals, weights = kept
-        return memo(vals), weights
+        return memo(vals, key), weights
 
     # -- Monte Carlo -------------------------------------------------------------
 
@@ -561,7 +562,7 @@ class SublinearEngine:
         if arity in self._mc_fixed:
             return self._mc_fixed[arity]
         u = uniform_block(self.seed, arity, self.mc_replications, context=self._next_context())
-        samples = [mu.ppf(u) for _, mu in self._measures()]
+        samples = [mu.ppf(u) for _, mu in self.family.measures()]
         if self.fixed_context is not None:
             for x in samples:
                 x.flags.writeable = False
@@ -577,7 +578,7 @@ class SublinearEngine:
     def _expectation_report(self, f: TestFunction, sense: str) -> EvaluationReport:
         """The envelope of E[f] over the family's grid: exact per-measure
         values, or else Monte Carlo means with their standard errors."""
-        pairs = self._measures()
+        pairs = self.family.measures()
         per_measure = self._exact_values(f)
         exact = per_measure is not None
         if exact:
@@ -627,7 +628,7 @@ class SublinearEngine:
         kind, p = f.closed_form or (None, None)
         if f.arity != 1 or kind not in ("pos_power", "abs_power") and (kind, p) != ("power", 1):
             return None
-        marginals = [mu.marginal(0) for _, mu in self._measures()]
+        marginals = [mu.marginal(0) for _, mu in self.family.measures()]
         if any(m.is_discrete for m in marginals):
             return None
 
@@ -646,7 +647,7 @@ class SublinearEngine:
         if capacity not in ("upper", "lower"):
             raise ValueError(f"capacity must be 'upper' or 'lower', got {capacity!r}")
         envelope = np.max if capacity == "upper" else np.min
-        pairs = self._measures()
+        pairs = self.family.measures()
 
         if all(mu.all_discrete(f.arity) for _, mu in pairs):
             per_measure, memo = [], _KernelMemo(f)

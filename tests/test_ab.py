@@ -21,8 +21,8 @@ def _kernels() -> list[str]:
 
 def _aa_report(*args: str) -> tuple[str, dict, dict]:
     """The header line, the ``name: value`` lines and the JSON line of a
-    two-pair A/A run of ``tools/ab.py`` with ``args``. Two pairs give
-    quartiles by extrapolation, so only their order is checked here."""
+    two-pair A/A run of ``tools/ab.py`` with ``args``. Two pairs' quartiles
+    lie between their two ratios, so only their order is checked here."""
     out = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "ab.py"), "--aa", "--pairs", "2", *args],
         cwd=ROOT, capture_output=True, text=True, timeout=300)

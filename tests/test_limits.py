@@ -1,6 +1,7 @@
 """Experiment configs and the six long-run trajectory runners."""
 
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from caplim import Marginal, MeasureFamily, ProductMeasure, limits
+from caplim import Marginal, MeasureFamily, ProductMeasure, SublinearEngine, TestFunction, limits
 from caplim.dependence import DependenceSpec, correlate_pairs, transform_block
 from caplim.measures import normal_scores, philox_stream, philox_uniforms
 from caplim.limits import (
@@ -443,7 +444,7 @@ class TestBoundCheck:
 
 
 # ---------------------------------------------------------------------------
-# The dense grid: built once per run, and only from finite moments.
+# One grid per family: built once per run, and read only at finite moments.
 
 _SMALL_RUNS = {
     "wlln": dict(horizon=1000),
@@ -455,18 +456,29 @@ _SMALL_RUNS = {
 
 
 @pytest.mark.parametrize("mode", sorted(_SMALL_RUNS))
-def test_each_runner_builds_its_dense_grid_once(mode, monkeypatch):
+def test_each_runner_builds_each_grid_measure_once(mode):
     calls = []
-    measure_at = MeasureFamily.measure_at
-    config = ExperimentConfig(mode=mode, family=make_location_family(-0.5, 0.5, resolution=3),
-                              seed=3, **_SMALL_RUNS[mode])
-    monkeypatch.setattr(MeasureFamily, "measure_at",
-                        lambda self, theta: calls.append(theta) or measure_at(self, theta))
-    run_experiment(config)
-    # 513 dense points once, plus a few passes over the 3-point grid: the
-    # config hash, the coarse table and the bound-check's Choquet moment.
-    # A dense grid rebuilt per functional would take 1031 to 3606 calls here.
-    assert 513 <= len(calls) <= 513 + 4 * 3
+    family = make_location_family(-0.5, 0.5, resolution=3)
+    counted = replace(family, builder=lambda mu: calls.append(mu) or family.builder(mu))
+    run_experiment(ExperimentConfig(mode=mode, family=counted, seed=3, **_SMALL_RUNS[mode]))
+    # The config check, the config hash, the runner and the bound check's
+    # engine share the family's one grid. The bound check also builds its
+    # centred family's grid, and the cluster its 513-point steering set.
+    assert calls[:3] == [-0.5, 0.0, 0.5]
+    extra = {"bound_check": [-0.5, 0.0, 0.5], "cluster": np.linspace(-0.5, 0.5, 513).tolist()}
+    assert calls[3:] == extra.get(mode, [])
+
+
+def test_the_runners_read_the_envelope_of_the_family_grid():
+    # The mean 1 - (t - 0.37)**2 peaks between grid points; the grid's
+    # largest mean, 0.9856 at t = 0.25, is the engine's upper envelope too.
+    family = MeasureFamily(((0.0, 1.0),), grid_resolution=5, builder=lambda t: ProductMeasure(
+        (Marginal.normal(1.0 - (t - 0.37) ** 2, 1.0),)))
+    envelope = SublinearEngine(family).upper_exp(TestFunction.power(1))
+    assert envelope.parameter == 0.25 and envelope.value == pytest.approx(0.9856)
+    result = run_experiment(ExperimentConfig(mode="slln", family=family, seed=3,
+                                             **_SMALL_RUNS["slln"]))
+    assert result.summary["mean_interval"][1] == envelope.value
 
 
 @pytest.mark.parametrize("mode, alpha, message", [

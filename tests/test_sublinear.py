@@ -541,7 +541,7 @@ def test_supports_past_the_cap_give_the_same_reports_in_bounded_memory():
     fs = _pair_functions()
     kept_all = SublinearEngine(fam)
     capped = SublinearEngine(fam, enumeration_cap=cap)
-    capped._measures()
+    fam.measures()
     tracemalloc.start()
     try:
         got = [(_report_bits(capped.upper_exp(f)), _report_bits(capped.lower_exp(f)))
@@ -559,7 +559,7 @@ def test_supports_past_the_cap_give_the_same_reports_in_bounded_memory():
     # all with numpy 2.4); keeping all nine supports would take nine.
     assert peak < 24 * cap + 3 * support_bytes, f"peak {peak / support_bytes:.2f} supports"
     assert len(capped._supports) == 2 and len(kept_all._supports) == resolution
-    assert sum(w.size for _, w in capped._supports.values()) <= cap
+    assert sum(w.size for *_, w in capped._supports.values()) <= cap
 
 
 def test_a_negative_enumeration_cap_is_rejected():
@@ -790,6 +790,23 @@ def test_one_envelope_on_shared_atoms_calls_the_kernel_once(name):
     assert len(inputs) == 2  # each Choquet integral is its own pass
 
 
+def test_supports_with_one_key_share_their_values_and_kernel_calls():
+    # Five 16-atom supports of the same atom values under a cap that keeps
+    # two: the kept two share one values array, and each envelope calls the
+    # kernel once, the three supports past the budget included.
+    fam = _discrete_pair_family(n_atoms=4, resolution=5)
+    cap = 2 * 16 + 5
+    engine = SublinearEngine(fam, enumeration_cap=cap)
+    for i, f in enumerate(_pair_functions()):
+        counted, inputs = _counting(f)
+        report = engine.upper_exp(counted)
+        assert len(inputs) == 1
+        assert _per_parameter_hex(report) == SHARED_INPUT_BITS[f"pair[{i}]"]
+    (_, vals, w0), (_, shared, w1) = engine._supports.values()
+    assert shared is vals and not vals.flags.writeable
+    assert w0.size + w1.size <= cap
+
+
 def test_quadrature_calls_the_kernel_once_per_distinct_node_array(monkeypatch):
     family, f = _shared_input_cases()["normal-plus"]
     plain, applications = _counting(f)
@@ -837,7 +854,7 @@ def test_no_memo_outlives_its_envelope(monkeypatch):
         # family, its read-only supports; no node array or kernel value
         assert list(engine._exact) == [f]
         assert all(type(v) is float and type(path) is str for v, path in engine._exact[f])
-        kept = [a for pair in engine._supports.values() for a in pair]
+        kept = [a for _, *arrays in engine._supports.values() for a in arrays]
         assert bool(kept) == (name == "pair[0]")
         assert all(not a.flags.writeable for a in kept)
         made.clear()

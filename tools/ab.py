@@ -28,9 +28,9 @@ the side's package and runs the command, and its time is that process's
 CPU time from start to exit, so the imports and the first pass count.
 
 The report gives the median of the ratios and their quartiles (Python's
-``statistics.quantiles``, exclusive method), the number of pairs in which
-the change took less time, each side's median time, and whether both sides
-gave the same result on every call: the exit code and the sha256 of
+``statistics.quantiles``, inclusive method, which stays inside the data's
+range), the number of pairs in which the change took less time, each side's
+median time, and whether both sides gave the same result on every call: the exit code and the sha256 of
 ``result.json`` and each CSV for a command, the bytes or ``repr`` of the
 value for a kernel. The last line of standard output holds the same as one
 JSON object.
@@ -78,7 +78,7 @@ def _scan(pkg):
     limits = pkg.limits
     config = pkg.config.parse_config(str(ROOT / "configs" / "bound_check_normal.yaml")
                                      ).experiment_config()
-    _, center, _ = limits._extreme_measures(limits._grid_marginals(config.family, dense=True))
+    _, center, _ = limits._extreme_measures(limits._grid_marginals(config.family))
     marginals = [limits._shift_marginal(limits._grid_marginals(config.family)[0], -center)]
     n = config.horizon
     columns = range(limits._TILE // n)
@@ -186,7 +186,7 @@ def _fingerprint(value) -> str:
 def _quartiles(xs: list[float]) -> tuple[float, float]:
     if len(xs) < 2:
         return xs[0], xs[0]
-    q1, _, q3 = statistics.quantiles(xs, n=4)
+    q1, _, q3 = statistics.quantiles(xs, n=4, method="inclusive")
     return q1, q3
 
 
