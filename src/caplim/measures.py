@@ -422,13 +422,10 @@ class Marginal:
             return self.params[0]
         raise ValueError(f"{self.kind} marginal has no atoms")
 
+    @functools.cached_property
     def _sorted_atoms(self) -> tuple[np.ndarray, np.ndarray]:
         """The atom values in stable sorted order and their probabilities,
         read-only arrays built once per instance."""
-        return self._sorted
-
-    @functools.cached_property
-    def _sorted(self) -> tuple[np.ndarray, np.ndarray]:
         vals, probs = zip(*self.atoms())
         order = np.argsort(vals, kind="stable")
         kept = np.asarray(vals, dtype=float)[order], np.asarray(probs, dtype=float)[order]
@@ -578,7 +575,7 @@ class Marginal:
             alpha, scale = self.params
             out = np.where(t < scale, 0.0, 1.0 - (scale / np.maximum(t, scale)) ** alpha)
             return out
-        vals, probs = self._sorted_atoms()
+        vals, probs = self._sorted_atoms
         idx = np.searchsorted(vals, t, side="right")
         cum = np.concatenate([[0.0], np.cumsum(probs)])
         return cum[idx]
@@ -595,7 +592,7 @@ class Marginal:
         if self.kind == "pareto":
             alpha, scale = self.params
             return np.where(t <= scale, 1.0, (scale / np.maximum(t, scale)) ** alpha)
-        return self._tail_mass(*self._sorted_atoms(), t)
+        return self._tail_mass(*self._sorted_atoms, t)
 
     @staticmethod
     def _tail_mass(vals: np.ndarray, probs: np.ndarray, t) -> np.ndarray:
@@ -655,7 +652,7 @@ class Marginal:
         else:
             # The first atom whose cdf reaches u. Flooring u = 0 skips leading
             # atoms of zero mass, which every u > 0 skips already.
-            vals, probs = self._sorted_atoms()
+            vals, probs = self._sorted_atoms
             idx = np.searchsorted(np.cumsum(probs), np.maximum(u, _U_FLOOR), side="left")
             # "clip" maps an index past the last atom to the last atom.
             np.take(vals, idx, out=out, mode="clip")
@@ -688,7 +685,7 @@ class Marginal:
         its nodes and multiplies by the density there.
         """
         if self.is_discrete:
-            vals, probs = self._sorted_atoms()
+            vals, probs = self._sorted_atoms
             return float(np.sum(probs * np.asarray(f(vals), dtype=float)))
 
         def integrand(x: np.ndarray) -> np.ndarray:

@@ -32,7 +32,6 @@ __all__ = [
     "EvaluationReport",
     "SublinearEngine",
     "TestFunction",
-    "marginal_expectation",
     "run_axiom_suite",
     "smooth_indicator",
 ]
@@ -339,24 +338,13 @@ def _closed_moment(marginal: Marginal, tag: tuple) -> float | None:
     return None
 
 
-def marginal_expectation(marginal: Marginal, f: TestFunction) -> float | None:
-    """Exact E[f(X)] under one marginal, or None when no exact path applies.
-
-    Closed-form moment tags are read off directly; discrete marginals sum
-    their atoms; continuous light-tailed marginals integrate by adaptive
-    quadrature split at the function's breakpoints. Heavy polynomial tails
-    are refused rather than integrated blindly.
-    """
-    if f.arity != 1:
-        raise ValueError("marginal_expectation takes an arity-1 function")
-    report = _marginal_report(marginal, _KernelMemo(f))
-    return None if report is None else report[0]
-
-
 def _marginal_report(marginal: Marginal, memo: _KernelMemo) -> tuple[float, str] | None:
-    """``marginal_expectation`` of ``memo.f`` with the path it took:
-    ``closed_form``, ``enumeration`` (an atom sum, which calls ``memo``) or
-    ``quadrature`` (which calls ``memo`` once per rule application)."""
+    """Exact E[f(X)] of ``memo.f`` under one marginal with the path it took,
+    or None when no exact path applies: a ``closed_form`` moment tag read off
+    directly, ``enumeration`` (an atom sum, which calls ``memo``) or
+    ``quadrature`` split at the function's breakpoints (which calls ``memo``
+    once per rule application). Heavy polynomial tails are refused rather
+    than integrated blindly."""
     f = memo.f
     if f.closed_form is not None:
         v = _closed_moment(marginal, f.closed_form)
@@ -390,6 +378,9 @@ class _KernelMemo:
         if out is None:
             out = self._by_bytes[key] = _read_only(self.f(x))
         return out
+
+    def __contains__(self, key) -> bool:
+        return key in self._by_bytes
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -431,22 +422,26 @@ class SublinearEngine:
     """Evaluates envelope expectations, capacities, and Choquet integrals.
 
     ``mc_replications`` sets the Monte Carlo sample size for functions with no
-    exact path; all measures in the family then share one uniform block, so
-    differences between measures are low-variance and inequalities that hold
-    samplewise hold for the estimates too.
+    exact path. An engine owns the Philox streams ``(seed, 0, j)``, one per
+    replication j: it draws one uniform block per arity from them once, on
+    first use, and keeps each grid measure's read-only sample of it. Every
+    Monte Carlo estimate on one engine reads that sample, so differences
+    between measures are low-variance and inequalities that hold samplewise,
+    such as sub-additivity and conjugacy, hold for the estimates too.
 
     An engine reads the family's grid, one grid per family, built once by
-    the family. It does not repeat its exact work: it keeps each test
-    function's exact per-measure expectations keyed by the function, and,
-    when ``fixed_context`` pins every Monte Carlo call to one stream context,
-    keeps the read-only per-measure samples of each arity. It also keeps the
-    joint support ``(values, weights)`` of each discrete (measure, arity)
-    pair it enumerates, so a later test function on that pair costs at most
-    one call of ``f`` and one dot product. The support arrays are read-only,
-    so a test function that writes into its input raises ``ValueError``.
-    The kept supports hold at most ``enumeration_cap`` joint atoms in total;
-    a support past that budget is enumerated again on each use. The caches
-    live as long as the engine and assume its fields stay as constructed.
+    the family. It does not repeat its work: it keeps each test function's
+    per-measure ``(value, standard error)`` rows and their method in one
+    cache keyed by the function, on the exact and the Monte Carlo path
+    alike. It also keeps the joint support ``(values, weights)`` of each
+    discrete (measure, arity) pair it enumerates, so a later test function
+    on that pair costs at most one call of ``f`` and one dot product. The
+    support arrays are read-only, so a test function that writes into its
+    input raises ``ValueError``. The kept supports hold at most
+    ``enumeration_cap`` joint atoms in total; a support past that budget
+    rebuilds its weights on each use, and its values only when neither a
+    kept support nor the current pass's memo holds its key. The caches live
+    as long as the engine and assume its fields stay as constructed.
 
     A test function's exact values come from one pass over the grid, during
     which its kernel (or each factor's) runs once per distinct input
@@ -459,10 +454,8 @@ class SublinearEngine:
     mc_replications: int = 100_000
     seed: int = 2026
     enumeration_cap: int = 2_000_000
-    fixed_context: int | None = None
-    _mc_context: int = field(default=0, init=False, repr=False)
-    _exact: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _mc_fixed: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _mc_blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _supports: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _values: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _support_atoms: int = field(default=0, init=False, repr=False, compare=False)
@@ -473,26 +466,29 @@ class SublinearEngine:
         if self.enumeration_cap < 0:
             raise ValueError(f"enumeration_cap must be at least 0, got {self.enumeration_cap}")
 
+    def _per_measure(self, f: TestFunction) -> tuple[list[tuple[float, float]], str]:
+        """Each grid measure's (E[f], standard error) and the method: exact
+        values with error 0 when every measure has an exact path, else
+        Monte Carlo means; computed in one pass on first use."""
+        try:
+            return self._rows[f]
+        except KeyError:
+            rows = self._rows[f] = self._exact_pass(f) or (
+                [_mc_estimate(f(x), f.name) for x in self._mc_samples(f.arity)], "mc")
+            return rows
+
     # -- exact per-measure expectation ------------------------------------------
 
-    def _exact_values(self, f: TestFunction) -> list[tuple[float, str]] | None:
-        """Each grid measure's exact (E[f], path), or None when some measure
-        has no exact path; computed in one pass on first use."""
-        try:
-            return self._exact[f]
-        except KeyError:
-            values = self._exact[f] = self._exact_pass(f)
-            return values
-
-    def _exact_pass(self, f: TestFunction) -> list[tuple[float, str]] | None:
+    def _exact_pass(self, f: TestFunction) -> tuple[list[tuple[float, float]], str] | None:
         memos = [_KernelMemo(g) for g in (f.factors if f.factors is not None else (f,))]
-        values = []
+        rows, labels = [], set()
         for _, mu in self.family.measures():
             res = self._compute_exact(mu, f, memos)
             if res is None:
                 return None
-            values.append(res)
-        return values
+            rows.append((float(res[0]), 0.0))
+            labels.add(res[1])
+        return rows, labels.pop() if len(labels) == 1 else "exact"
 
     def _compute_exact(self, measure: ProductMeasure, f: TestFunction,
                        memos: list[_KernelMemo]) -> tuple[float, str] | None:
@@ -523,7 +519,8 @@ class SublinearEngine:
         first ``f.arity`` coordinates, or None when there are more than
         ``enumeration_cap``. A support is kept if the kept ones then hold
         at most ``enumeration_cap`` atoms in all, with the values array of
-        any kept support of the same key.
+        any kept support of the same key. Its values array is built only
+        when neither that array nor ``memo`` holds its key.
         """
         arity = memo.f.arity
         kept = self._supports.get((measure, arity))
@@ -536,68 +533,47 @@ class SublinearEngine:
                 if size > self.enumeration_cap:
                     return None
             # The sorted atom values fix the joint values array bit for bit.
-            key = arity, tuple(measure.marginal(i)._sorted_atoms()[0].tobytes()
+            key = arity, tuple(measure.marginal(i)._sorted_atoms[0].tobytes()
                                for i in range(arity))
-            vals, weights = (_read_only(a) for a in _enumerate_support(measure, arity))
-            if self._support_atoms + size <= self.enumeration_cap:
-                vals = self._values.setdefault(key, vals)
+            fits = self._support_atoms + size <= self.enumeration_cap
+            vals = self._values.get(key)
+            if vals is None and (fits or key not in memo):
+                vals, weights = _enumerate_support(measure, arity)
+            else:
+                weights = _support_weights(measure, arity)
+            if fits:
+                self._values[key] = vals
                 self._supports[(measure, arity)] = key, vals, weights
                 self._support_atoms += size
         return memo(vals, key), weights
 
     # -- Monte Carlo -------------------------------------------------------------
 
-    def _next_context(self) -> int:
-        if self.fixed_context is not None:
-            return self.fixed_context
-        self._mc_context += 1
-        return self._mc_context
-
     def _mc_samples(self, arity: int) -> list[np.ndarray]:
-        """One (arity, m) sample per grid measure, all from the same uniform block.
-
-        Under a ``fixed_context`` every call would draw the same block, so
-        the samples are drawn once per arity and kept read-only.
-        """
-        if arity in self._mc_fixed:
-            return self._mc_fixed[arity]
-        u = uniform_block(self.seed, arity, self.mc_replications, context=self._next_context())
-        samples = [mu.ppf(u) for _, mu in self.family.measures()]
-        if self.fixed_context is not None:
-            for x in samples:
-                x.flags.writeable = False
-            self._mc_fixed[arity] = samples
-        return samples
-
-    def _mc_values(self, f: TestFunction):
-        """f on each grid measure's Monte Carlo sample, one at a time."""
-        return (f(x) for x in self._mc_samples(f.arity))
+        """One read-only (arity, m) sample per grid measure, all from the
+        engine's one uniform block of that arity, drawn on first use."""
+        try:
+            return self._mc_blocks[arity]
+        except KeyError:
+            u = uniform_block(self.seed, arity, self.mc_replications, context=0)
+            samples = self._mc_blocks[arity] = [_read_only(mu.ppf(u))
+                                                for _, mu in self.family.measures()]
+            return samples
 
     # -- envelope expectations -----------------------------------------------------
 
     def _expectation_report(self, f: TestFunction, sense: str) -> EvaluationReport:
-        """The envelope of E[f] over the family's grid: exact per-measure
-        values, or else Monte Carlo means with their standard errors."""
+        """The envelope of E[f] over the family's grid, with the standard
+        error of a Monte Carlo pick."""
         pairs = self.family.measures()
-        per_measure = self._exact_values(f)
-        exact = per_measure is not None
-        if exact:
-            values = [v for v, _ in per_measure]
-            labels = {label for _, label in per_measure}
-            ses = [0.0] * len(pairs)
-            method = labels.pop() if len(labels) == 1 else "exact"
-        else:
-            values, ses = zip(*[_mc_estimate(v, f.name) for v in self._mc_values(f)])
-            method = "mc"
-
-        value, idx = _extreme(values, sense)
+        rows, method = self._per_measure(f)
+        value, idx = _extreme([v for v, _ in rows], sense)
         return EvaluationReport(
             value=value,
             parameter=pairs[idx][0],
             method=method,
-            se=None if exact else float(ses[idx]),
-            per_parameter=tuple((theta_i, float(v), float(se)) for (theta_i, _), v, se
-                                in zip(pairs, values, ses)),
+            se=rows[idx][1] if method == "mc" else None,
+            per_parameter=tuple((theta_i, v, se) for (theta_i, _), (v, se) in zip(pairs, rows)),
         )
 
     def upper_exp(self, f: TestFunction) -> EvaluationReport:
@@ -662,7 +638,7 @@ class SublinearEngine:
 
         survival, method = self._closed_survival(f), "survival"
         if survival is None:
-            samples = [np.sort(_mc_checked(v, f.name)) for v in self._mc_values(f)]
+            samples = [np.sort(_mc_checked(f(x), f.name)) for x in self._mc_samples(f.arity)]
             m = self.mc_replications
 
             def survival(t: np.ndarray) -> np.ndarray:
@@ -678,21 +654,28 @@ class SublinearEngine:
 
 
 def _enumerate_support(measure: ProductMeasure, arity: int) -> tuple[np.ndarray, np.ndarray]:
-    """All joint atoms of a discrete product measure as ((arity, M), (M,)).
+    """All joint atoms of a discrete product measure as read-only
+    ((arity, M), (M,)) arrays of values and ``_support_weights``.
 
-    The atoms run in row-major order over each coordinate's sorted atoms, and
-    each weight is the product of its coordinates' probabilities taken from
-    the first coordinate on. No other array of the support's size is made.
+    The atoms run in row-major order over each coordinate's sorted atoms. No
+    other array of the support's size is made.
     """
-    grids = [measure.marginal(i)._sorted_atoms() for i in range(arity)]
-    shape = tuple(len(v) for v, _ in grids)
+    grids = [measure.marginal(i)._sorted_atoms[0] for i in range(arity)]
+    shape = tuple(len(v) for v in grids)
     vals = np.empty((arity, math.prod(shape)))
-    weights = np.ones(shape)
-    for i, (v, p) in enumerate(grids):
-        along = (1,) * i + (-1,) + (1,) * (arity - i - 1)
-        vals[i].reshape(shape)[...] = v.reshape(along)
-        weights *= p.reshape(along)
-    return vals, weights.reshape(-1)
+    for i, v in enumerate(grids):
+        vals[i].reshape(shape)[...] = v.reshape((1,) * i + (-1,) + (1,) * (arity - i - 1))
+    return _read_only(vals), _support_weights(measure, arity)
+
+
+def _support_weights(measure: ProductMeasure, arity: int) -> np.ndarray:
+    """The read-only weights of ``_enumerate_support``'s atoms, each the
+    product of its coordinates' probabilities taken from the first on."""
+    probs = [measure.marginal(i)._sorted_atoms[1] for i in range(arity)]
+    weights = np.ones(tuple(len(p) for p in probs))
+    for i, p in enumerate(probs):
+        weights *= p.reshape((1,) * i + (-1,) + (1,) * (arity - i - 1))
+    return _read_only(weights.reshape(-1))
 
 
 def _discrete_choquet(per_measure: list[tuple[np.ndarray, np.ndarray]], envelope) -> float:
@@ -903,7 +886,6 @@ def run_axiom_suite(n_cases: int = 120, seed: int = 2026, mc_every: int = 10,
             mc_replications=mc_replications,
             # stream seeds must fit in 64 bits
             seed=(seed * 1_000_003 + case) % (1 << 64),
-            fixed_context=0,
         )
 
         f = _random_bounded_function(rng, arity)

@@ -14,7 +14,8 @@ copula pairs across chunk edges that start mid-counter, the shipped
 quadrature, the END check and the exact bound-check on the shipped
 countermonotone config, the Monte Carlo END and extended-independence checks
 under the pair and the matrix copula, over families that list two marginals, and over a
-nine-point Pareto grid, the Monte Carlo cross-check of a joint table, and both verifiers'
+nine-point Pareto grid, the Monte Carlo cross-check of a joint table, a Monte
+Carlo Choquet integral, and both verifiers'
 exact paths: quadrature over an independent family (END in the lower
 direction) and enumeration of the countermonotone table in the
 extended-independence check.
@@ -355,6 +356,15 @@ verify:
   corpus_cases: 2
   mc_replications: 4000
 """),
+    # x^2 has no closed survival, so the Choquet integral reads the engine's
+    # one block, drawn from the streams (seed, 0, j).
+    "choquet_power_mc": (("choquet",), NORMAL_FAMILY + """\
+engine:
+  mc_replications: 4000
+choquet:
+  function: power
+  exponent: 2
+"""),
     # The Monte Carlo cross-check of the shipped joint table.
     "verify_end_countermonotone_cross_check": (
         ("verify", "end"),
@@ -380,6 +390,9 @@ DIGESTS = {
     "bound_check_uniform": {
         "bound_check.csv": "caebc83f6fff9f19a367704627120f9c5fffe4451f6dfc450328686670243388",
         "result.json": "f3a17dc48000d3f9e2db5822317f93d3486a173f6770adc708c1d5ef619a98a0",
+    },
+    "choquet_power_mc": {
+        "result.json": "6f8c0ef38db065808bb253e32ba8eda7b0dc496ba3ce0ee987b69d05d9dadc96",
     },
     "cluster_two_chunk_blocks": {
         "cluster.csv": "a39e1aa27b53559987fc5633a118930e459d744307b1c5c70b8c6984ee113f1f",

@@ -120,8 +120,8 @@ class TestDiscreteMoments:
 
         kept = Marginal.discrete(atoms)
         want = readings(kept)
-        vals, probs = kept._sorted_atoms()
-        assert kept._sorted_atoms()[0] is vals
+        vals, probs = kept._sorted_atoms
+        assert kept._sorted_atoms[0] is vals
         assert vals.tolist() == [-1.0, -1.0, 0.5, 0.5, 2.0]
         assert probs.tolist() == [0.1, 0.25, 0.2, 0.3, 0.15]
         for a in (vals, probs):

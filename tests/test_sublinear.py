@@ -24,7 +24,7 @@ from caplim import (
     sublinear,
 )
 from caplim.dependence import DependenceSpec, verify_extended_independence
-from caplim.sublinear import marginal_expectation, run_axiom_suite, smooth_indicator
+from caplim.sublinear import run_axiom_suite, smooth_indicator
 
 from conftest import (
     make_bernoulli_family,
@@ -236,9 +236,9 @@ def test_expect_without_a_scalar_kernel_takes_the_array_path():
 
 
 def test_marginal_expectation_closed_forms():
-    m = Marginal.normal(0.0, 1.0)
-    assert marginal_expectation(m, TestFunction.power(2)) == pytest.approx(1.0)
-    assert marginal_expectation(m, TestFunction.abs_power(1.0)) == pytest.approx(
+    engine = SublinearEngine(make_singleton([Marginal.normal(0.0, 1.0)]))
+    assert engine.upper_exp(TestFunction.power(2)).value == pytest.approx(1.0)
+    assert engine.upper_exp(TestFunction.abs_power(1.0)).value == pytest.approx(
         math.sqrt(2 / math.pi)
     )
 
@@ -394,9 +394,17 @@ def _no_exact_path() -> TestFunction:
     return TestFunction(lambda x: np.abs(x[0] - x[1]), 2, name="|x1-x2|")
 
 
-def test_fixed_context_samples_are_drawn_once_and_read_only(sigma_family):
+def test_each_arity_draws_one_read_only_block_once(sigma_family, monkeypatch):
     f = _no_exact_path()
-    engine = SublinearEngine(sigma_family, mc_replications=2000, seed=7, fixed_context=0)
+    calls = []
+    original = sublinear.uniform_block
+
+    def counting(*args, **kwargs):
+        calls.append((args, kwargs))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(sublinear, "uniform_block", counting)
+    engine = SublinearEngine(sigma_family, mc_replications=2000, seed=7)
     upper = engine.upper_exp(f)
     samples = engine._mc_samples(2)
     assert samples is engine._mc_samples(2)
@@ -404,9 +412,13 @@ def test_fixed_context_samples_are_drawn_once_and_read_only(sigma_family):
     with pytest.raises(ValueError):
         samples[0][0, 0] = 1.0
     lower = engine.lower_exp(f)
+    engine.upper_exp(f.scaled(2.0))
+    engine.choquet(f)
+    # one block, drawn once from the engine's streams (seed, 0, j)
+    assert calls == [((7, 2, 2000), {"context": 0})]
+    assert list(engine._mc_blocks) == [2]
     for report, side in ((upper, "upper_exp"), (lower, "lower_exp")):
-        fresh = getattr(SublinearEngine(sigma_family, mc_replications=2000, seed=7,
-                                        fixed_context=0), side)(f)
+        fresh = getattr(SublinearEngine(sigma_family, mc_replications=2000, seed=7), side)(f)
         assert report.method == "mc"
         assert report.per_parameter == fresh.per_parameter
 
@@ -420,19 +432,34 @@ def test_too_few_replications_are_rejected(sigma_family):
     assert report.method == "mc" and math.isfinite(report.value) and math.isfinite(report.se)
 
 
-def test_no_samples_are_kept_without_a_fixed_context(sigma_family):
+def test_monte_carlo_rows_are_kept_per_function(sigma_family):
     engine = SublinearEngine(sigma_family, mc_replications=2000, seed=7)
-    first = engine.upper_exp(_no_exact_path())
-    second = engine.upper_exp(_no_exact_path())
-    assert engine._mc_fixed == {}
-    assert first.value != second.value  # each call draws its own context
+    f = _no_exact_path()
+    first = engine.upper_exp(f)
+    rows = engine._rows[f]
+    assert engine.upper_exp(f) == first and engine._rows[f] is rows
+    # a distinct function with the same kernel reads the same sample
+    assert engine.upper_exp(_no_exact_path()).value.hex() == first.value.hex()
+    assert list(engine._mc_blocks) == [2]
 
 
-def test_the_monte_carlo_context_counter_is_not_a_constructor_argument(sigma_family):
-    # Every engine's calls draw contexts 1, 2, ...; only fixed_context moves them.
-    with pytest.raises(TypeError, match="_mc_context"):
-        SublinearEngine(sigma_family, mc_replications=2000, seed=7, _mc_context=41)
-    assert SublinearEngine(sigma_family)._mc_context == 0
+def test_the_stream_context_is_not_a_constructor_argument(sigma_family):
+    # Every engine owns the streams (seed, 0, j); only the seed moves them.
+    for name in ("fixed_context", "_mc_context"):
+        with pytest.raises(TypeError, match=name):
+            SublinearEngine(sigma_family, mc_replications=2000, seed=7, **{name: 0})
+    assert [f.name for f in dataclasses.fields(SublinearEngine) if f.init] == [
+        "family", "mc_replications", "seed", "enumeration_cap"]
+
+
+def test_monte_carlo_conjugacy_holds_bit_for_bit(sigma_family):
+    engine = SublinearEngine(sigma_family, mc_replications=2000, seed=7)
+    f = _no_exact_path()
+    lower = engine.lower_exp(f)
+    upper = engine.upper_exp(f.scaled(-1.0))
+    assert lower.method == upper.method == "mc"
+    assert lower.value == -upper.value
+    assert lower.parameter == upper.parameter and lower.se == upper.se
 
 
 def _discrete_pair_family(n_atoms: int, resolution: int) -> MeasureFamily:
@@ -464,7 +491,7 @@ def _report_bits(report) -> tuple:
 
 def _meshgrid_support(measure: ProductMeasure, arity: int):
     """Reference enumeration through full meshes of values and probabilities."""
-    grids = [measure.marginal(i)._sorted_atoms() for i in range(arity)]
+    grids = [measure.marginal(i)._sorted_atoms for i in range(arity)]
     val_mesh = np.meshgrid(*[g[0] for g in grids], indexing="ij")
     prob_mesh = np.meshgrid(*[g[1] for g in grids], indexing="ij")
     weights = prob_mesh[0].reshape(-1).copy()
@@ -496,18 +523,19 @@ def test_each_grid_support_is_enumerated_once(monkeypatch):
     fresh = [(_report_bits(SublinearEngine(fam).upper_exp(f)),
               _report_bits(SublinearEngine(fam).lower_exp(f))) for f in fs]
     fresh_choquet = SublinearEngine(fam).choquet(fs[0])
-    calls = []
-    original = sublinear._enumerate_support
+    calls = {"_enumerate_support": [], "_support_weights": []}
+    for name, made in calls.items():
+        def counting(measure, arity, original=getattr(sublinear, name), made=made):
+            made.append((measure, arity))
+            return original(measure, arity)
 
-    def counting(measure, arity):
-        calls.append((measure, arity))
-        return original(measure, arity)
-
-    monkeypatch.setattr(sublinear, "_enumerate_support", counting)
+        monkeypatch.setattr(sublinear, name, counting)
     engine = SublinearEngine(fam)
     got = [(_report_bits(engine.upper_exp(f)), _report_bits(engine.lower_exp(f))) for f in fs]
     choquet = engine.choquet(fs[0])
-    assert len(calls) == len(fam.grid_parameters()) == 5
+    # every support's weights once; its values once for the one key they share
+    assert len(calls["_support_weights"]) == len(fam.grid_parameters()) == 5
+    assert len(calls["_enumerate_support"]) == 1
     assert got == fresh
     assert choquet.method == "enumeration"
     assert choquet.value.hex() == fresh_choquet.value.hex()
@@ -807,6 +835,40 @@ def test_supports_with_one_key_share_their_values_and_kernel_calls():
     assert w0.size + w1.size <= cap
 
 
+def test_a_support_past_the_budget_builds_its_values_once_per_envelope(monkeypatch):
+    # The first measure's support is kept; the other four share atom values
+    # past the budget, so each envelope builds their values for the first of
+    # them and reads the kernel values of the rest from its memo.
+    vals = np.linspace(-2.0, 2.0, 4)
+    flat, ramp = np.full(4, 0.25), np.arange(1.0, 5.0) / 10.0
+
+    def build(theta: float) -> ProductMeasure:
+        probs = (1.0 - theta) * flat + theta * ramp
+        shift = 0.0 if theta == 0.0 else 1.0
+        return ProductMeasure((Marginal.discrete(tuple(zip(vals + shift, probs))),))
+
+    fam = MeasureFamily(parameter_domain=((0.0, 1.0),), builder=build,
+                        grid_resolution=5, K=1.0, name="two-supports")
+    fs = _pair_functions()
+    want = [_report_bits(SublinearEngine(fam).upper_exp(f)) for f in fs]
+    built = []
+    original = sublinear._enumerate_support
+
+    def counting(measure, arity):
+        built.append(measure)
+        return original(measure, arity)
+
+    monkeypatch.setattr(sublinear, "_enumerate_support", counting)
+    engine = SublinearEngine(fam, enumeration_cap=16)
+    for f, bits in zip(fs, want):
+        counted, inputs = _counting(f)
+        assert _report_bits(engine.upper_exp(counted)) == bits
+        assert len(inputs) == 2
+    (_, first), (_, second), *_ = fam.measures()
+    assert built == [first, second] + [second] * (len(fs) - 1)
+    assert list(engine._supports) == [(first, 2)]
+
+
 def test_quadrature_calls_the_kernel_once_per_distinct_node_array(monkeypatch):
     family, f = _shared_input_cases()["normal-plus"]
     plain, applications = _counting(f)
@@ -850,10 +912,13 @@ def test_no_memo_outlives_its_envelope(monkeypatch):
         engine = SublinearEngine(family)
         engine.upper_exp(f)
         assert made and all(ref() is None for ref in made)
-        # the engine keeps each measure's (value, path) and, on a discrete
-        # family, its read-only supports; no node array or kernel value
-        assert list(engine._exact) == [f]
-        assert all(type(v) is float and type(path) is str for v, path in engine._exact[f])
+        # the engine keeps each measure's (value, error) row and the method
+        # and, on a discrete family, its read-only supports; no node array or
+        # kernel value
+        assert list(engine._rows) == [f]
+        rows, method = engine._rows[f]
+        assert type(method) is str
+        assert all(type(v) is float and se == 0.0 for v, se in rows)
         kept = [a for _, *arrays in engine._supports.values() for a in arrays]
         assert bool(kept) == (name == "pair[0]")
         assert all(not a.flags.writeable for a in kept)
